@@ -1,5 +1,6 @@
 #include "core/cache_store.h"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 
@@ -23,12 +24,38 @@ const char* ReplacementPolicyName(ReplacementPolicy policy) {
   switch (policy) {
     case ReplacementPolicy::kLru:
       return "LRU";
-    case ReplacementPolicy::kLfu:
-      return "LFU";
-    case ReplacementPolicy::kSizeAdjusted:
-      return "size-adjusted";
+    case ReplacementPolicy::kCostAware:
+      return "cost-aware";
   }
   return "?";
+}
+
+void RefetchCostFit::AddSample(size_t rows, int64_t micros) {
+  const double x = static_cast<double>(rows);
+  const double y = static_cast<double>(micros);
+  util::MutexLock lock(mu_);
+  count_ += 1;
+  const double dx = x - mean_rows_;
+  mean_rows_ += dx / count_;
+  mean_micros_ += (y - mean_micros_) / count_;
+  rows_m2_ += dx * (x - mean_rows_);
+  co_moment_ += dx * (y - mean_micros_);
+  // Slope and intercept are clamped at zero: a re-fetch never pays less
+  // than nothing, whatever a few noisy samples suggest.
+  const double per_row =
+      rows_m2_ > 0 ? std::max(co_moment_ / rows_m2_, 0.0) : 0.0;
+  const double fixed = std::max(mean_micros_ - per_row * mean_rows_, 0.0);
+  fixed_micros_.store(fixed, std::memory_order_relaxed);
+  per_row_micros_.store(per_row, std::memory_order_relaxed);
+  fitted_.store(true, std::memory_order_relaxed);
+}
+
+RefetchCost RefetchCostFit::Current() const {
+  RefetchCost cost;
+  cost.fixed_micros = fixed_micros_.load(std::memory_order_relaxed);
+  cost.per_row_micros = per_row_micros_.load(std::memory_order_relaxed);
+  cost.fitted = fitted_.load(std::memory_order_relaxed);
+  return cost;
 }
 
 CacheStore::CacheStore(std::unique_ptr<index::RegionIndex> description,
@@ -64,28 +91,25 @@ CacheStore::~CacheStore() {
   }
 }
 
-uint64_t CacheStore::PickVictim() const {
+uint64_t CacheStore::PickVictim(double* priority) const {
+  // One read of the fit per scan, so every entry is priced by the same line.
+  const RefetchCost cost = refetch_cost_.Current();
   uint64_t victim = 0;
   double best_score = std::numeric_limits<double>::infinity();
   for (const auto& shard : shards_) {
     util::ReaderMutexLock lock(shard->mu);
     for (const auto& [id, stored] : shard->entries) {
-      int64_t last_access =
-          stored.last_access_micros.load(std::memory_order_relaxed);
-      uint64_t accesses = stored.access_count.load(std::memory_order_relaxed);
       double score = 0;
       switch (policy_) {
         case ReplacementPolicy::kLru:
-          score = static_cast<double>(last_access);
+          score = static_cast<double>(
+              stored.last_access_micros.load(std::memory_order_relaxed));
           break;
-        case ReplacementPolicy::kLfu:
-          score = static_cast<double>(accesses);
-          break;
-        case ReplacementPolicy::kSizeAdjusted:
-          // Benefit per byte: recently-used small entries are kept; large
-          // cold entries go first.
-          score = static_cast<double>(accesses + 1) /
-                  static_cast<double>(stored.entry->bytes + 1);
+        case ReplacementPolicy::kCostAware:
+          score = stored.priority_base.load(std::memory_order_relaxed) +
+                  static_cast<double>(
+                      stored.access_count.load(std::memory_order_relaxed)) *
+                      cost.Of(stored.rows) / static_cast<double>(stored.size);
           break;
       }
       if (score < best_score) {
@@ -94,6 +118,7 @@ uint64_t CacheStore::PickVictim() const {
       }
     }
   }
+  *priority = best_score;
   return victim;
 }
 
@@ -123,7 +148,8 @@ uint64_t CacheStore::Insert(CacheEntry entry, size_t* comparisons,
   while (max_bytes_ != 0 &&
          bytes_used_.load(std::memory_order_relaxed) > max_bytes_ &&
          num_entries_.load(std::memory_order_relaxed) > 0) {
-    uint64_t victim = PickVictim();
+    double priority = 0;
+    uint64_t victim = PickVictim(&priority);
     if (victim == 0) break;
     size_t removal_comparisons = 0;
     // A concurrent admission may have evicted the same victim; only the
@@ -131,6 +157,9 @@ uint64_t CacheStore::Insert(CacheEntry entry, size_t* comparisons,
     if (Remove(victim, &removal_comparisons)) {
       *comparisons += removal_comparisons;
       evictions_.fetch_add(1, std::memory_order_relaxed);
+      if (policy_ == ReplacementPolicy::kCostAware) {
+        inflation_.store(priority, std::memory_order_relaxed);
+      }
     }
   }
   uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
@@ -138,6 +167,12 @@ uint64_t CacheStore::Insert(CacheEntry entry, size_t* comparisons,
   geometry::Hyperrectangle bbox = entry.region->BoundingBox();
   int64_t last_access = entry.last_access_micros;
   uint64_t accesses = entry.access_count;
+  const size_t rows = entry.tier == EntryTier::kHot
+                          ? entry.result.num_rows()
+                          : (entry.segment != nullptr
+                                 ? entry.segment->num_rows()
+                                 : 0);
+  const size_t size = entry.bytes;
   if (entry.tier == EntryTier::kFrozen) {
     frozen_entries_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -154,6 +189,10 @@ uint64_t CacheStore::Insert(CacheEntry entry, size_t* comparisons,
     stored.entry = std::move(snapshot);
     stored.last_access_micros.store(last_access, std::memory_order_relaxed);
     stored.access_count.store(accesses, std::memory_order_relaxed);
+    stored.priority_base.store(inflation_.load(std::memory_order_relaxed),
+                               std::memory_order_relaxed);
+    stored.size = size;
+    stored.rows = rows;
   }
   num_entries_.fetch_add(1, std::memory_order_relaxed);
   return id;
@@ -233,8 +272,12 @@ CacheEntry CacheStore::CloneMeta(const CacheEntry& entry) {
   return clone;
 }
 
-std::string CacheStore::SpillPathFor(uint64_t id) const {
-  return tier_config_.spill_dir + "/entry-" + std::to_string(id) + ".seg";
+std::string CacheStore::SpillPathFor(uint64_t id) {
+  // A fresh name per spill: a reader deleting the file it just faulted back
+  // must never hit a newer spill of the same entry.
+  return tier_config_.spill_dir + "/entry-" + std::to_string(id) + "-" +
+         std::to_string(spill_seq_.fetch_add(1, std::memory_order_relaxed)) +
+         ".seg";
 }
 
 TierSweepResult CacheStore::SweepColdEntries(int64_t now_micros) {
@@ -348,6 +391,9 @@ std::shared_ptr<const CacheEntry> CacheStore::FindHot(uint64_t id) {
         }
       }
       if (parsed == nullptr) {
+        // A concurrent reader may have promoted this snapshot and deleted
+        // its file first; then the entry has moved on, so look again.
+        if (Find(id) != snapshot) continue;
         spill_io_errors_.fetch_add(1, std::memory_order_relaxed);
         size_t comparisons = 0;
         Remove(id, &comparisons);
@@ -398,6 +444,8 @@ void CacheStore::Touch(uint64_t id, int64_t now_micros) {
   auto it = shard.entries.find(id);
   if (it == shard.entries.end()) return;
   it->second.last_access_micros.store(now_micros, std::memory_order_relaxed);
+  it->second.priority_base.store(inflation_.load(std::memory_order_relaxed),
+                                 std::memory_order_relaxed);
   it->second.access_count.fetch_add(1, std::memory_order_relaxed);
 }
 

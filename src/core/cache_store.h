@@ -71,11 +71,55 @@ struct CacheEntry {
   uint64_t access_count = 0;
 };
 
-/// Cache replacement policies (Ablation C). The paper runs with fractional
-/// cache sizes but does not name its policy; LRU is the default.
-enum class ReplacementPolicy { kLru, kLfu, kSizeAdjusted };
+/// Cache replacement policies. The paper runs with fractional cache sizes
+/// (Table 1, Figure 5) but does not name its policy.
+///   kCostAware — GreedyDual-Size-Frequency (Cao & Irani, USITS '97): evict
+///                the lowest H = L + n·c/s, where n is the entry's access
+///                count, s its uncompressed accounted size, c its estimated
+///                origin re-fetch cost (RefetchCostFit) and L the priority
+///                of the last victim. The default.
+///   kLru       — least recently touched first; the Ablation C baseline.
+enum class ReplacementPolicy { kLru, kCostAware };
 
 const char* ReplacementPolicyName(ReplacementPolicy policy);
+
+/// A re-fetch cost line: fetching a result of `rows` tuples from the origin
+/// costs fixed_micros + per_row_micros · rows virtual microseconds.
+struct RefetchCost {
+  double fixed_micros = 0;
+  double per_row_micros = 0;
+  /// False until the first sample; every entry then costs 1, which reduces
+  /// GreedyDual-Size-Frequency to L + n/s.
+  bool fitted = false;
+
+  double Of(size_t rows) const {
+    return fitted ? fixed_micros + per_row_micros * static_cast<double>(rows)
+                  : 1.0;
+  }
+};
+
+/// Online least-squares fit of RefetchCost from observed origin round trips
+/// (rows returned against virtual microseconds spent). Thread-safe: samples
+/// update the running moments under a mutex and publish the line through
+/// atomics, so readers never block. A reader racing a sample may pair one
+/// sample's intercept with the previous slope, which only nudges priorities.
+class RefetchCostFit {
+ public:
+  void AddSample(size_t rows, int64_t micros) EXCLUDES(mu_);
+  RefetchCost Current() const;
+
+ private:
+  util::Mutex mu_;
+  /// Welford-style running means and centered second moments.
+  double count_ GUARDED_BY(mu_) = 0;
+  double mean_rows_ GUARDED_BY(mu_) = 0;
+  double mean_micros_ GUARDED_BY(mu_) = 0;
+  double rows_m2_ GUARDED_BY(mu_) = 0;
+  double co_moment_ GUARDED_BY(mu_) = 0;
+  std::atomic<double> fixed_micros_{0};
+  std::atomic<double> per_row_micros_{0};
+  std::atomic<bool> fitted_{false};
+};
 
 /// Builds one cache-description index instance; called once per shard.
 using RegionIndexFactory =
@@ -104,6 +148,10 @@ struct TierSweepResult {
 /// The proxy's Cache Manager: owns the entries, keeps the cache description
 /// (a RegionIndex over entry bounding boxes) in sync, enforces the byte
 /// budget by evicting per the policy, and tracks statistics.
+///
+/// Eviction priorities are tier-independent: an entry's size s and row
+/// count are fixed at admission, so freezing, spilling or thawing it never
+/// changes which entry is evicted next.
 ///
 /// Threading model: entries are partitioned into shards by id, each shard
 /// guarded by its own shared_mutex — lookups, description probes and
@@ -173,8 +221,15 @@ class CacheStore {
   /// requests are served.
   TierSweepResult SweepColdEntries(int64_t now_micros);
 
-  /// Marks an access for replacement bookkeeping.
+  /// Marks an access for replacement bookkeeping: the access time, the
+  /// current L as the entry's priority base, and one more access.
   void Touch(uint64_t id, int64_t now_micros);
+
+  /// The re-fetch cost line kCostAware prices entries with; the owner feeds
+  /// it origin round trips. A fresh store (including a restored one) has no
+  /// samples, so every entry costs 1 until the first fetch.
+  RefetchCostFit& refetch_cost() { return refetch_cost_; }
+  const RefetchCostFit& refetch_cost() const { return refetch_cost_; }
 
   /// Ids of entries whose region bounding box intersects `bbox` — the cache
   /// description probe, across all shards. `comparisons` receives the total
@@ -263,10 +318,16 @@ class CacheStore {
 
  private:
   /// Live replacement bookkeeping beside the immutable entry snapshot.
+  /// `size` and `rows` are set once at admission: the hot accounted size
+  /// (the tier payload's for an entry admitted frozen) and the tuple count.
   struct Stored {
     std::shared_ptr<const CacheEntry> entry;
     std::atomic<int64_t> last_access_micros{0};
     std::atomic<uint64_t> access_count{0};
+    /// L as of the entry's last access (GreedyDual-Size-Frequency).
+    std::atomic<double> priority_base{0};
+    size_t size = 0;
+    size_t rows = 0;
   };
 
   /// Per-shard state. The lock-ordering invariant (enforced by the
@@ -285,9 +346,10 @@ class CacheStore {
     return *shards_[id % shards_.size()];
   }
 
-  /// Picks the eviction victim per the policy across all shards; 0 when
-  /// empty. Takes shared locks one shard at a time.
-  uint64_t PickVictim() const;
+  /// Picks the eviction victim per the policy across all shards and
+  /// returns it with its priority in `priority`; 0 when empty. Takes shared
+  /// locks one shard at a time.
+  uint64_t PickVictim(double* priority) const;
 
   /// Replaces the stored snapshot for `id` with `replacement` iff the stored
   /// pointer still equals `expected` (nobody promoted/replaced it since the
@@ -299,12 +361,15 @@ class CacheStore {
   /// Builds the demoted/promoted twin of `entry` sharing the same identity.
   static CacheEntry CloneMeta(const CacheEntry& entry);
 
-  std::string SpillPathFor(uint64_t id) const;
+  std::string SpillPathFor(uint64_t id);
 
   std::vector<std::unique_ptr<Shard>> shards_;
   size_t max_bytes_;
   ReplacementPolicy policy_;
   TierConfig tier_config_;
+  RefetchCostFit refetch_cost_;
+  /// GreedyDual-Size-Frequency L: the priority of the last victim.
+  std::atomic<double> inflation_{0};
   std::atomic<size_t> bytes_used_{0};
   std::atomic<size_t> num_entries_{0};
   std::atomic<uint64_t> next_id_{1};
@@ -317,6 +382,7 @@ class CacheStore {
   std::atomic<uint64_t> spills_{0};
   std::atomic<uint64_t> spill_faults_{0};
   std::atomic<uint64_t> spill_io_errors_{0};
+  std::atomic<uint64_t> spill_seq_{0};
   std::atomic<uint64_t> frozen_raw_bytes_{0};
   std::atomic<uint64_t> frozen_encoded_bytes_{0};
   mutable std::atomic<size_t> last_description_comparisons_{0};

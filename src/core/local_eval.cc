@@ -60,7 +60,7 @@ StatusOr<LocalEvalResult> SelectInRegion(
       }
       point[i] = *numeric;
     }
-    if (valid && region.ContainsPoint(point)) {
+    if (valid && region.ContainsPointExact(point)) {
       out.table.AddRow(row);
     }
   }
@@ -235,10 +235,12 @@ StatusOr<ColumnarSelection> SelectInRegion(
 
   // Runtime-dispatched membership kernels (core/simd_kernels.h): 8-wide
   // AVX2/NEON with a scalar fallback, each replicating its shape's
-  // Region::ContainsPoint float semantics operation-for-operation, so the
-  // selected set is bit-identical to the row-wise scan on every dispatch
-  // path. Kernel parameter blocks live in the worker's scratch arena; the
-  // selection is written dense and trimmed to the matched count.
+  // Region::ContainsPointExact float semantics operation-for-operation, so
+  // the selected set is bit-identical to the row-wise scan on every
+  // dispatch path. Membership is exact, like the origin's: a tuple on the
+  // far side of the boundary by any margin is not selected. Kernel
+  // parameter blocks live in the worker's scratch arena; the selection is
+  // written dense and trimmed to the matched count.
   util::Arena& arena = ScratchArena();
   arena.Reset();
   auto* cols = arena.AllocateArray<kernels::Column>(dims);
@@ -251,8 +253,7 @@ StatusOr<ColumnarSelection> SelectInRegion(
   switch (region.kind()) {
     case geometry::ShapeKind::kHypersphere: {
       const auto& sphere = static_cast<const geometry::Hypersphere&>(region);
-      double limit = sphere.radius() + geometry::kGeomEpsilon;
-      limit *= limit;
+      double limit = sphere.radius() * sphere.radius();
       double* center = arena.AllocateArray<double>(dims);
       for (size_t i = 0; i < dims; ++i) center[i] = sphere.center()[i];
       count = kernels::SelectSphere(cols, dims, num_rows, center, limit, sel);
@@ -261,14 +262,8 @@ StatusOr<ColumnarSelection> SelectInRegion(
     case geometry::ShapeKind::kHyperrectangle: {
       const auto& rect = static_cast<const geometry::Hyperrectangle&>(region);
       size_t rect_dims = std::min(dims, rect.lo().size());
-      double* lo = arena.AllocateArray<double>(rect_dims);
-      double* hi = arena.AllocateArray<double>(rect_dims);
-      for (size_t i = 0; i < rect_dims; ++i) {
-        lo[i] = rect.lo()[i] - geometry::kGeomEpsilon;
-        hi[i] = rect.hi()[i] + geometry::kGeomEpsilon;
-      }
-      count =
-          kernels::SelectRect(cols, dims, rect_dims, num_rows, lo, hi, sel);
+      count = kernels::SelectRect(cols, dims, rect_dims, num_rows,
+                                  rect.lo().data(), rect.hi().data(), sel);
       break;
     }
     case geometry::ShapeKind::kPolytope: {
@@ -279,18 +274,14 @@ StatusOr<ColumnarSelection> SelectInRegion(
         if (h.normal.size() != dims) flat = false;
       }
       if (flat) {
-        // Flatten to halfspace-major normals plus precomputed thresholds
-        // (offset + eps * |normal| is row-invariant, so hoisting it out of
-        // the row loop is bit-identical to ContainsPoint's per-row compute).
+        // Flatten to halfspace-major normals plus thresholds (the offsets).
         double* normals = arena.AllocateArray<double>(halfspaces.size() * dims);
         double* thresholds = arena.AllocateArray<double>(halfspaces.size());
         for (size_t h = 0; h < halfspaces.size(); ++h) {
           for (size_t d = 0; d < dims; ++d) {
             normals[h * dims + d] = halfspaces[h].normal[d];
           }
-          thresholds[h] =
-              halfspaces[h].offset +
-              geometry::kGeomEpsilon * geometry::Norm(halfspaces[h].normal);
+          thresholds[h] = halfspaces[h].offset;
         }
         count = kernels::SelectPolytope(cols, dims, num_rows, normals,
                                         thresholds, halfspaces.size(), sel);
@@ -309,7 +300,7 @@ StatusOr<ColumnarSelection> SelectInRegion(
         }
         if (!valid) continue;
         for (size_t i = 0; i < dims; ++i) point[i] = views[i].data[r];
-        if (region.ContainsPoint(point)) {
+        if (region.ContainsPointExact(point)) {
           sel[count++] = static_cast<uint32_t>(r);
         }
       }

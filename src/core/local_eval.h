@@ -17,8 +17,8 @@ namespace fnproxy::core {
 /// b): "the evaluation of a subsumed query becomes that of a spatial region
 /// selection query over cached results". Given cached result tuples and the
 /// new query's region, selects the tuples whose coordinate columns fall in
-/// the region. `tuples_scanned` reports the work done (feeds the proxy cost
-/// model).
+/// the region under exact comparisons, as the origin selects them.
+/// `tuples_scanned` reports the work done (feeds the proxy cost model).
 struct LocalEvalResult {
   sql::Table table;
   size_t tuples_scanned = 0;
@@ -55,8 +55,9 @@ struct ColumnarSelection {
 };
 
 /// Columnar SelectInRegion. Produces exactly the rows the row-wise overload
-/// selects (same float semantics as Region::ContainsPoint, same handling of
-/// NULL / non-numeric coordinates), as a selection vector instead of copies.
+/// selects (same float semantics as Region::ContainsPointExact, same handling
+/// of NULL / non-numeric coordinates), as a selection vector instead of
+/// copies.
 util::StatusOr<ColumnarSelection> SelectInRegion(
     const sql::ColumnarTable& cached, const geometry::Region& region,
     const std::vector<std::string>& coordinate_columns);

@@ -390,6 +390,16 @@ void FunctionProxy::RegisterInstruments() {
                         "Entries evicted by the replacement policy",
                         /*is_counter=*/true, {},
                         [cache] { return static_cast<double>(cache->evictions()); });
+  const char* refetch_help =
+      "Fitted origin re-fetch cost that prices eviction, by term";
+  registry_.AddCallback(
+      "fnproxy_cache_refetch_cost_micros", refetch_help, /*is_counter=*/false,
+      {{"term", "fixed"}},
+      [cache] { return cache->refetch_cost().Current().fixed_micros; });
+  registry_.AddCallback(
+      "fnproxy_cache_refetch_cost_micros", refetch_help, /*is_counter=*/false,
+      {{"term", "per_row"}},
+      [cache] { return cache->refetch_cost().Current().per_row_micros; });
 
   // Storage tier (docs/STORAGE.md): entry counts per tier, compression
   // ratio inputs, tier transitions, spill health, and snapshot lifecycle.
@@ -724,7 +734,9 @@ StatusOr<Table> FunctionProxy::FetchFromOrigin(const HttpRequest& request,
   obs::ScopedSpan span(trace, "origin_roundtrip", clock_,
                        ins_.phase_origin_roundtrip);
   span.AddAttr("endpoint", "form");
+  const int64_t round_trip_start = clock_->NowMicros();
   HttpResponse response = origin_->RoundTrip(request, deadline_micros);
+  const int64_t round_trip_micros = clock_->NowMicros() - round_trip_start;
   span.AddAttr("status", std::to_string(response.status_code));
   if (!response.ok()) {
     bool origin_down = net::RetryPolicy::Retryable(response);
@@ -740,6 +752,7 @@ StatusOr<Table> FunctionProxy::FetchFromOrigin(const HttpRequest& request,
   auto table = sql::TableFromXml(response.body);
   NoteOriginOutcome(table.ok());
   if (!table.ok()) return table.status();
+  cache_->refetch_cost().AddSample(table->num_rows(), round_trip_micros);
   ChargeMicros(config_.costs.per_origin_response_tuple_us *
                static_cast<double>(table->num_rows()));
   span.AddAttr("rows", std::to_string(table->num_rows()));

@@ -121,7 +121,9 @@ struct ProxyConfig {
   bool use_rtree_description = false;
   /// Result-store budget in bytes; 0 = unlimited.
   size_t max_cache_bytes = 0;
-  ReplacementPolicy replacement = ReplacementPolicy::kLru;
+  /// Eviction order under a byte budget. kCostAware prices each entry by a
+  /// re-fetch cost the proxy fits from its own form-endpoint round trips.
+  ReplacementPolicy replacement = ReplacementPolicy::kCostAware;
   /// Number of cache shards (each with its own reader–writer lock and
   /// description index). 1 preserves the seed's single-threaded behavior
   /// exactly; concurrent drivers typically use 8–16.
@@ -531,7 +533,8 @@ class FunctionProxy final : public net::HttpHandler {
 
   /// Fetches from the origin via the form endpoint, parses the XML result
   /// and returns the table; advances the clock for parsing. Null status on
-  /// origin error.
+  /// origin error. A successful fetch is a sample for the cache's re-fetch
+  /// cost fit (rows against virtual micros spent in the round trip).
   util::StatusOr<sql::Table> FetchFromOrigin(const net::HttpRequest& request,
                                              int64_t deadline_micros,
                                              QueryRecord* record,

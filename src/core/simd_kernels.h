@@ -20,9 +20,9 @@ struct Column {
 /// entries, and returns the count written. A row is selected when every
 /// column's validity bit is set (missing bitmaps count as valid) and the
 /// shape predicate holds; the float semantics replicate the corresponding
-/// geometry::Region::ContainsPoint operation-for-operation (same operand
-/// order, no fused multiply-add), so the SIMD and scalar paths select
-/// bit-identical rows.
+/// geometry::Region::ContainsPointExact operation-for-operation (same
+/// operand order, no fused multiply-add), so the SIMD and scalar paths
+/// select bit-identical rows.
 ///
 /// The unqualified entry points dispatch at runtime (AVX2 / NEON / scalar —
 /// see util::simd::ActivePath); the *Scalar variants always run the scalar
@@ -36,9 +36,8 @@ size_t SelectSphereScalar(const Column* cols, size_t dims, size_t num_rows,
                           const double* center, double limit_sq,
                           uint32_t* out);
 
-/// Hyperrectangle: validity over all `dims` columns, bounds (already
-/// epsilon-widened by the caller) over the first `rect_dims` columns:
-/// lo[d] <= x <= hi[d] for every d < rect_dims.
+/// Hyperrectangle: validity over all `dims` columns, bounds over the first
+/// `rect_dims` columns: lo[d] <= x <= hi[d] for every d < rect_dims.
 size_t SelectRect(const Column* cols, size_t dims, size_t rect_dims,
                   size_t num_rows, const double* lo, const double* hi,
                   uint32_t* out);
@@ -49,7 +48,7 @@ size_t SelectRectScalar(const Column* cols, size_t dims, size_t rect_dims,
 /// Convex polytope: inside iff for every halfspace h,
 /// sum over dims of normals[h * dims + d] * data[d][r]  <=  thresholds[h],
 /// the dot accumulated in dimension order. `thresholds` carries the
-/// precomputed offset + kGeomEpsilon * Norm(normal) slack.
+/// halfspace offsets.
 size_t SelectPolytope(const Column* cols, size_t dims, size_t num_rows,
                       const double* normals, const double* thresholds,
                       size_t num_halfspaces, uint32_t* out);

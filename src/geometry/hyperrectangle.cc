@@ -108,6 +108,13 @@ bool Hyperrectangle::ContainsPoint(const Point& p) const {
   return true;
 }
 
+bool Hyperrectangle::ContainsPointExact(const Point& p) const {
+  for (size_t i = 0; i < lo_.size(); ++i) {
+    if (p[i] < lo_[i] || p[i] > hi_[i]) return false;
+  }
+  return true;
+}
+
 Point Hyperrectangle::Support(const Point& dir) const {
   Point result(lo_.size());
   for (size_t i = 0; i < lo_.size(); ++i) {

@@ -43,6 +43,7 @@ class Hyperrectangle final : public Region {
   ShapeKind kind() const override { return ShapeKind::kHyperrectangle; }
   size_t dimensions() const override { return lo_.size(); }
   bool ContainsPoint(const Point& p) const override;
+  bool ContainsPointExact(const Point& p) const override;
   Hyperrectangle BoundingBox() const override { return *this; }
   Point Support(const Point& dir) const override;
   std::unique_ptr<Region> Clone() const override;

@@ -17,6 +17,10 @@ bool Hypersphere::ContainsPoint(const Point& p) const {
   return DistanceSquared(p, center_) <= limit * limit;
 }
 
+bool Hypersphere::ContainsPointExact(const Point& p) const {
+  return DistanceSquared(p, center_) <= radius_ * radius_;
+}
+
 Hyperrectangle Hypersphere::BoundingBox() const {
   Point lo(center_.size());
   Point hi(center_.size());

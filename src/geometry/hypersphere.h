@@ -25,6 +25,7 @@ class Hypersphere final : public Region {
   ShapeKind kind() const override { return ShapeKind::kHypersphere; }
   size_t dimensions() const override { return center_.size(); }
   bool ContainsPoint(const Point& p) const override;
+  bool ContainsPointExact(const Point& p) const override;
   Hyperrectangle BoundingBox() const override;
   Point Support(const Point& dir) const override;
   std::unique_ptr<Region> Clone() const override;

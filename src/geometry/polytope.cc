@@ -71,6 +71,13 @@ bool Polytope::ContainsPoint(const Point& p) const {
   return true;
 }
 
+bool Polytope::ContainsPointExact(const Point& p) const {
+  for (const Halfspace& h : halfspaces_) {
+    if (Dot(h.normal, p) > h.offset) return false;
+  }
+  return true;
+}
+
 Hyperrectangle Polytope::BoundingBox() const {
   assert(!vertices_.empty());
   size_t d = dimensions();

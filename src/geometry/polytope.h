@@ -47,6 +47,7 @@ class Polytope final : public Region {
   ShapeKind kind() const override { return ShapeKind::kPolytope; }
   size_t dimensions() const override;
   bool ContainsPoint(const Point& p) const override;
+  bool ContainsPointExact(const Point& p) const override;
   Hyperrectangle BoundingBox() const override;
   Point Support(const Point& dir) const override;
   std::unique_ptr<Region> Clone() const override;

@@ -28,8 +28,12 @@ class Region {
   /// Dimensionality d of the space this region lives in.
   virtual size_t dimensions() const = 0;
   /// True if `p` lies inside the region (boundary included, within
-  /// kGeomEpsilon).
+  /// kGeomEpsilon). The tolerant test the relationship checks build on.
   virtual bool ContainsPoint(const Point& p) const = 0;
+  /// True if `p` lies inside the region under exact comparisons (boundary
+  /// included, no tolerance): the tuple-selection predicate, matching the
+  /// origin's table functions, which compare exactly.
+  virtual bool ContainsPointExact(const Point& p) const = 0;
   /// Smallest axis-aligned box enclosing the region.
   virtual Hyperrectangle BoundingBox() const = 0;
   /// The point of the region furthest in direction `dir` (support function,

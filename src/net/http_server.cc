@@ -161,8 +161,8 @@ void HttpServer::AcceptLoop() {
         shed_total_.fetch_add(1, std::memory_order_relaxed);
         HttpResponse response =
             HttpResponse::MakeError(503, "server worker queue full");
-        response.headers["Retry-After"] = "1";
-        response.headers["X-Shed-Reason"] = "queue-full";
+        response.headers.emplace("Retry-After", "1");
+        response.headers.emplace("X-Shed-Reason", "queue-full");
         WriteAll(connection_fd, SerializeResponse(response));
         ::close(connection_fd);
       }

@@ -168,6 +168,7 @@ SkyExperiment::RunResult SkyExperiment::RunTrace(
   result.origin_bytes_received = wan_channel.total_bytes_received();
   result.cache_entries_final = proxy.cache().num_entries();
   result.cache_bytes_final = proxy.cache().bytes_used();
+  result.evictions = proxy.cache().evictions();
   result.phases = obs::PhaseBreakdownFromRegistry(
       proxy.metrics(), "fnproxy_phase_duration_micros");
   return result;

@@ -84,6 +84,8 @@ class SkyExperiment {
     uint64_t origin_bytes_received = 0;
     size_t cache_entries_final = 0;
     size_t cache_bytes_final = 0;
+    /// Entries the replacement policy evicted over the replay.
+    uint64_t evictions = 0;
     /// Per-phase latency breakdown (count/total/p50/p95/p99 in virtual µs)
     /// from the proxy's fnproxy_phase_duration_micros histograms.
     std::vector<obs::PhaseBreakdown> phases;

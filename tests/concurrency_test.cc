@@ -50,10 +50,11 @@ CacheEntry MakeEntry(double x, double y, size_t rows) {
   return entry;
 }
 
-std::unique_ptr<CacheStore> MakeShardedStore(size_t max_bytes) {
+std::unique_ptr<CacheStore> MakeShardedStore(
+    size_t max_bytes, ReplacementPolicy policy = ReplacementPolicy::kLru) {
   return std::make_unique<CacheStore>(
       [] { return std::make_unique<index::ArrayRegionIndex>(); },
-      /*num_shards=*/8, max_bytes, ReplacementPolicy::kLru);
+      /*num_shards=*/8, max_bytes, policy);
 }
 
 /// Recomputes the store's byte usage entry by entry and checks it against
@@ -114,32 +115,39 @@ TEST(ConcurrentCacheStoreTest, EvictionStormBalancesBooks) {
     entry_bytes = store->Find(probe_id)->bytes;
     store->Remove(probe_id, &comparisons);
   }
-  store = MakeShardedStore(/*max_bytes=*/entry_bytes * 40);
+  for (ReplacementPolicy policy :
+       {ReplacementPolicy::kLru, ReplacementPolicy::kCostAware}) {
+    SCOPED_TRACE(ReplacementPolicyName(policy));
+    store = MakeShardedStore(/*max_bytes=*/entry_bytes * 40, policy);
 
-  std::atomic<uint64_t> admitted{0};
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      util::Random rng(2000 + t);
-      for (int i = 0; i < 200; ++i) {
-        size_t comparisons = 0;
-        uint64_t id = store->Insert(
-            MakeEntry(rng.NextDouble(-50, 50), rng.NextDouble(-50, 50), 4),
-            &comparisons);
-        ASSERT_NE(id, 0u);  // Entries are far smaller than the budget.
-        admitted.fetch_add(1);
-        store->Find(id);  // May already be evicted; must not crash.
-      }
-    });
+    std::atomic<uint64_t> admitted{0};
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        util::Random rng(2000 + t);
+        for (int i = 0; i < 200; ++i) {
+          size_t comparisons = 0;
+          uint64_t id = store->Insert(
+              MakeEntry(rng.NextDouble(-50, 50), rng.NextDouble(-50, 50), 4),
+              &comparisons);
+          ASSERT_NE(id, 0u);  // Entries are far smaller than the budget.
+          admitted.fetch_add(1);
+          store->Find(id);  // May already be evicted; must not crash.
+          // Touches and cost samples race the victim scans.
+          store->Touch(id, i);
+          store->refetch_cost().AddSample(4, 1'000 + i);
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+
+    // Every admitted entry either is still resident or was evicted exactly
+    // once: lost admissions or double-counted evictions break this balance.
+    EXPECT_EQ(admitted.load(), kThreads * 200);
+    EXPECT_EQ(store->num_entries() + store->evictions(), admitted.load());
+    EXPECT_LE(store->bytes_used(), entry_bytes * 40);
+    ExpectConsistentAccounting(*store);
   }
-  for (std::thread& thread : threads) thread.join();
-
-  // Every admitted entry either is still resident or was evicted exactly
-  // once: lost admissions or double-counted evictions break this balance.
-  EXPECT_EQ(admitted.load(), kThreads * 200);
-  EXPECT_EQ(store->num_entries() + store->evictions(), admitted.load());
-  EXPECT_LE(store->bytes_used(), entry_bytes * 40);
-  ExpectConsistentAccounting(*store);
 }
 
 TEST(ConcurrentCacheStoreTest, RacingRemovesDeleteExactlyOnce) {

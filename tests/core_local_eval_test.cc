@@ -4,6 +4,7 @@
 
 #include "core/local_eval.h"
 #include "core/region_predicate.h"
+#include "geometry/celestial.h"
 #include "geometry/hyperrectangle.h"
 #include "geometry/hypersphere.h"
 #include "geometry/polytope.h"
@@ -63,6 +64,55 @@ TEST(SelectInRegionTest, SchemaPreserved) {
   auto result = SelectInRegion(cached, region, {"x", "y"});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->table.schema().SameColumns(cached.schema()));
+}
+
+// Regression: the origin's fGetNearbyObjEq keeps a tuple iff d^2 <= chord^2,
+// compared exactly, so a cached tuple a hair outside the query cone must not
+// be served. Selection once widened the cone by kGeomEpsilon and served an
+// object 3.9e-10 outside /radial?ra=207.7597&dec=42.1316&radius=7.22.
+TEST(SelectInRegionTest, TupleJustOutsideConeIsNotSelected) {
+  Hypersphere cone = geometry::ConeToHypersphere(207.7597, 42.1316, 7.22);
+  const geometry::Point& c = cone.center();
+  // Step from the center along a tangent (orthogonal to the center vector).
+  const geometry::Point tangent = {-c[1], c[0], 0.0};
+  const double norm = geometry::Norm(tangent);
+  auto at_distance = [&](double d) {
+    return geometry::Point{c[0] + d * tangent[0] / norm,
+                           c[1] + d * tangent[1] / norm, c[2]};
+  };
+  const geometry::Point outside = at_distance(cone.radius() + 3.9e-10);
+  const geometry::Point inside = at_distance(cone.radius() - 3.9e-10);
+  auto origin_selects = [&](const geometry::Point& p) {
+    double dx = p[0] - c[0];
+    double dy = p[1] - c[1];
+    double dz = p[2] - c[2];
+    return dx * dx + dy * dy + dz * dz <= cone.radius() * cone.radius();
+  };
+  ASSERT_FALSE(origin_selects(outside));
+  ASSERT_TRUE(origin_selects(inside));
+  // The relationship checks' tolerant test still counts it as inside.
+  ASSERT_TRUE(cone.ContainsPoint(outside));
+
+  Table cached(Schema({{"objID", ValueType::kInt},
+                       {"cx", ValueType::kDouble},
+                       {"cy", ValueType::kDouble},
+                       {"cz", ValueType::kDouble}}));
+  for (const geometry::Point& p : {outside, inside}) {
+    cached.AddRow({Value::Int(static_cast<int64_t>(cached.num_rows())),
+                   Value::Double(p[0]), Value::Double(p[1]),
+                   Value::Double(p[2])});
+  }
+  const std::vector<std::string> coords = {"cx", "cy", "cz"};
+
+  auto row_wise = SelectInRegion(cached, cone, coords);
+  ASSERT_TRUE(row_wise.ok()) << row_wise.status().ToString();
+  ASSERT_EQ(row_wise->table.num_rows(), 1u);
+  EXPECT_EQ(row_wise->table.row(0)[0].AsInt(), 1);
+
+  sql::ColumnarTable columnar(cached);
+  auto kernel = SelectInRegion(columnar, cone, coords);
+  ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
+  EXPECT_EQ(kernel->selection, std::vector<uint32_t>{1});
 }
 
 TEST(MergeDistinctTest, RemovesDuplicates) {

@@ -16,8 +16,8 @@ namespace {
 
 // Property suite for the membership kernels: for every shape, on every
 // input (bitmapped or not, any tail length), the runtime-dispatched kernel,
-// the scalar reference, and the geometry::Region::ContainsPoint oracle must
-// select the exact same row set. Run once natively and once under
+// the scalar reference, and the geometry::Region::ContainsPointExact oracle
+// must select the exact same row set. Run once natively and once under
 // FNPROXY_FORCE_SCALAR=1 in CI, this pins SIMD output to the scalar
 // semantics bit for bit.
 
@@ -119,13 +119,12 @@ TEST(SimdKernelTest, SphereMatchesScalarAndOracle) {
         for (size_t d = 0; d < dims; ++d) center[d] = 0.5 * (d + 1);
         double radius = 6.0;
         geometry::Hypersphere sphere(center, radius);
-        double limit = radius + geometry::kGeomEpsilon;
-        limit *= limit;
+        double limit = radius * radius;
         std::vector<double> c(center.begin(), center.end());
 
         std::vector<uint32_t> oracle;
         for (size_t r = 0; r < rows; ++r) {
-          if (tc.RowValid(r) && sphere.ContainsPoint(tc.RowPoint(r))) {
+          if (tc.RowValid(r) && sphere.ContainsPointExact(tc.RowPoint(r))) {
             oracle.push_back(static_cast<uint32_t>(r));
           }
         }
@@ -155,8 +154,8 @@ TEST(SimdKernelTest, RectMatchesScalarAndOracle) {
           for (size_t d = 0; d < rect_dims; ++d) {
             plo[d] = -4.0 + d;
             phi[d] = 5.0 - d;
-            lo[d] = plo[d] - geometry::kGeomEpsilon;
-            hi[d] = phi[d] + geometry::kGeomEpsilon;
+            lo[d] = plo[d];
+            hi[d] = phi[d];
           }
           geometry::Hyperrectangle rect(plo, phi);
 
@@ -165,7 +164,7 @@ TEST(SimdKernelTest, RectMatchesScalarAndOracle) {
             if (!tc.RowValid(r)) continue;
             geometry::Point sub(rect_dims);
             for (size_t d = 0; d < rect_dims; ++d) sub[d] = tc.values[d][r];
-            if (rect.ContainsPoint(sub)) {
+            if (rect.ContainsPointExact(sub)) {
               oracle.push_back(static_cast<uint32_t>(r));
             }
           }
@@ -202,8 +201,8 @@ TEST(SimdKernelTest, PolytopeMatchesScalarAndOracle) {
         geometry::Point diag(dims);
         for (size_t d = 0; d < dims; ++d) diag[d] = 1.0;
         halfspaces.push_back({diag, 3.5});
-        // The oracle only needs ContainsPoint (H-representation); an empty
-        // vertex set is fine for that.
+        // The oracle only needs ContainsPointExact (H-representation); an
+        // empty vertex set is fine for that.
         geometry::Polytope poly(halfspaces, {});
 
         std::vector<double> normals(halfspaces.size() * dims);
@@ -212,14 +211,12 @@ TEST(SimdKernelTest, PolytopeMatchesScalarAndOracle) {
           for (size_t d = 0; d < dims; ++d) {
             normals[h * dims + d] = halfspaces[h].normal[d];
           }
-          thresholds[h] = halfspaces[h].offset +
-                          geometry::kGeomEpsilon *
-                              geometry::Norm(halfspaces[h].normal);
+          thresholds[h] = halfspaces[h].offset;
         }
 
         std::vector<uint32_t> oracle;
         for (size_t r = 0; r < rows; ++r) {
-          if (tc.RowValid(r) && poly.ContainsPoint(tc.RowPoint(r))) {
+          if (tc.RowValid(r) && poly.ContainsPointExact(tc.RowPoint(r))) {
             oracle.push_back(static_cast<uint32_t>(r));
           }
         }

@@ -173,9 +173,9 @@ TEST(StorageEncodingTest, BoolsPackToBits) {
   util::Random rng(5);
   Table rows(Schema({{"flag", ValueType::kBool}}));
   for (size_t i = 0; i < 300; ++i) {
-    rows.AddRow({rng.NextUint64(10) == 0
-                     ? Value::Null()
-                     : Value::Bool(rng.NextUint64(2) == 0)});
+    sql::Row row(1);  // Null unless the draw below sets a bool.
+    if (rng.NextUint64(10) != 0) row[0] = Value::Bool(rng.NextUint64(2) == 0);
+    rows.AddRow(std::move(row));
   }
   ColumnarTable source(rows);
   FrozenSegment segment = FrozenSegment::Freeze(source);
@@ -224,8 +224,8 @@ TEST(StorageEncodingTest, RandomizedTablesAcrossAllPolicies) {
     const size_t num_cols = 1 + rng.NextUint64(5);
     std::vector<sql::Column> cols;
     for (size_t c = 0; c < num_cols; ++c) {
-      cols.push_back(
-          {"c" + std::to_string(c), kTypes[rng.NextUint64(4)]});
+      cols.push_back({std::string("c").append(std::to_string(c)),
+                      kTypes[rng.NextUint64(4)]});
     }
     Table rows((Schema(cols)));
     const size_t num_rows = rng.NextUint64(200);
@@ -253,12 +253,15 @@ TEST(StorageEncodingTest, RandomizedTablesAcrossAllPolicies) {
           case ValueType::kBool:
             row.push_back(Value::Bool(rng.NextUint64(2) == 0));
             break;
-          case ValueType::kString:
-            row.push_back(Value::String(
-                rng.NextUint64(3) == 0 ? ""
-                                       : "s" + std::to_string(
-                                                   rng.NextUint64(8))));
+          case ValueType::kString: {
+            std::string text;
+            if (rng.NextUint64(3) != 0) {
+              text.push_back('s');
+              text += std::to_string(rng.NextUint64(8));
+            }
+            row.push_back(Value::String(std::move(text)));
             break;
+          }
           default:
             row.push_back(Value::Null());
         }
@@ -266,7 +269,8 @@ TEST(StorageEncodingTest, RandomizedTablesAcrossAllPolicies) {
       rows.AddRow(std::move(row));
     }
     ExpectLosslessUnderAllPolicies(
-        rows, ("random iter " + std::to_string(iter)).c_str());
+        rows,
+        std::string("random iter ").append(std::to_string(iter)).c_str());
   }
 }
 

@@ -214,6 +214,13 @@ TEST_F(SnapshotProxyTest, RestoredProxyRendersIdenticalStats) {
   // The restored process continues the writer's statistics series: the
   // /proxy/stats rendering must be byte-identical before any new traffic.
   EXPECT_EQ(restored.proxy->stats().ToXml(), want_stats);
+  // The eviction cost fit is not persisted: the writer fitted it from its
+  // own origin fetches; the restored proxy prices every entry at 1 until
+  // its first fetch.
+  EXPECT_TRUE(writer.proxy->cache().refetch_cost().Current().fitted);
+  RefetchCost restored_cost = restored.proxy->cache().refetch_cost().Current();
+  EXPECT_FALSE(restored_cost.fitted);
+  EXPECT_EQ(restored_cost.Of(100), 1.0);
 }
 
 TEST_F(SnapshotProxyTest, RestoredProxyServesWarmWithoutOrigin) {
