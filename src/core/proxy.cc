@@ -54,7 +54,7 @@ std::string ProxyStats::ToXml() const {
       " overlap=\"%llu\"/>\n"
       "  <Misses count=\"%llu\"/>\n"
       "  <Origin formRequests=\"%llu\" sqlRequests=\"%llu\""
-      " failures=\"%llu\" retries=\"%llu\"/>\n"
+      " remaindersElided=\"%llu\" failures=\"%llu\" retries=\"%llu\"/>\n"
       "  <Breaker transitions=\"%llu\" openRejections=\"%llu\"/>\n"
       "  <Degraded full=\"%llu\" partial=\"%llu\" unavailable=\"%llu\""
       " coverageServed=\"%.4f\"/>\n"
@@ -73,6 +73,7 @@ std::string ProxyStats::ToXml() const {
       static_cast<unsigned long long>(misses),
       static_cast<unsigned long long>(origin_form_requests),
       static_cast<unsigned long long>(origin_sql_requests),
+      static_cast<unsigned long long>(remainders_elided),
       static_cast<unsigned long long>(origin_failures),
       static_cast<unsigned long long>(origin_retries),
       static_cast<unsigned long long>(breaker_transitions),
@@ -269,6 +270,10 @@ void FunctionProxy::RegisterInstruments() {
       "fnproxy_origin_requests_total", origin_help, {{"endpoint", "form"}});
   ins_.origin_sql_requests = registry_.AddCounter(
       "fnproxy_origin_requests_total", origin_help, {{"endpoint", "sql"}});
+  ins_.remainders_elided = registry_.AddCounter(
+      "fnproxy_remainders_elided_total",
+      "Overlap and region-containment requests whose probe held no tuple, "
+      "sent as the original form query instead of a remainder");
   ins_.origin_failures =
       registry_.AddCounter("fnproxy_origin_failures_total",
                            "Origin round trips failed after all retries");
@@ -530,7 +535,7 @@ void FunctionProxy::RegisterInstruments() {
       /*is_counter=*/true, {{"direction", "received"}},
       [origin] { return static_cast<double>(origin->total_bytes_received()); });
 
-  // Async origin channel (remainder pipelining + batch coalescing). The
+  // Async origin channel (remainder fetches + batch coalescing). The
   // families render 0 when async_origin is off so the catalog is stable
   // across configurations.
   net::OriginChannel* async_channel = origin_async_.get();
@@ -595,6 +600,7 @@ ProxyStats FunctionProxy::stats() const {
   s.misses = ins_.misses->Value();
   s.origin_form_requests = ins_.origin_form_requests->Value();
   s.origin_sql_requests = ins_.origin_sql_requests->Value();
+  s.remainders_elided = ins_.remainders_elided->Value();
   s.origin_failures = ins_.origin_failures->Value();
   s.breaker_open_rejections = ins_.breaker_open_rejections->Value();
   s.degraded_full = ins_.degraded_full->Value();
@@ -775,10 +781,20 @@ StatusOr<Table> FunctionProxy::FetchRemainder(const sql::SelectStatement& stmt,
   }
   record->contacted_origin = true;
   ins_.origin_sql_requests->Increment();
+  // Span first, then send: on the async channel a dispatcher thread
+  // advances the shared virtual clock, so the start stamp must be read
+  // before the request is queued.
   obs::ScopedSpan span(trace, "origin_roundtrip", clock_,
                        ins_.phase_origin_roundtrip);
   span.AddAttr("endpoint", "sql");
-  HttpResponse response = origin_->RoundTrip(request, deadline_micros);
+  // The async channel's dispatchers may coalesce this remainder with
+  // other requests' into one /sql/batch trip; this thread waits for its
+  // answer either way.
+  HttpResponse response =
+      origin_async_ != nullptr
+          ? origin_async_->RoundTripAsync(std::move(request), deadline_micros)
+                .get()
+          : origin_->RoundTrip(request, deadline_micros);
   span.AddAttr("status", std::to_string(response.status_code));
   if (!response.ok()) {
     bool origin_down = net::RetryPolicy::Retryable(response);
@@ -795,60 +811,6 @@ StatusOr<Table> FunctionProxy::FetchRemainder(const sql::SelectStatement& stmt,
   ChargeMicros(config_.costs.per_origin_response_tuple_us *
                static_cast<double>(table->num_rows()));
   span.AddAttr("rows", std::to_string(table->num_rows()));
-  return table;
-}
-
-StatusOr<FunctionProxy::RemainderFlight> FunctionProxy::StartRemainder(
-    const sql::SelectStatement& stmt, int64_t deadline_micros,
-    QueryRecord* record, obs::QueryTrace* trace,
-    std::optional<obs::ScopedSpan>* origin_span) {
-  if (!OriginAllowed()) {
-    ins_.breaker_open_rejections->Increment();
-    return Status::Unavailable("circuit breaker open");
-  }
-  HttpRequest request;
-  request.path = "/sql";
-  request.query_params["q"] = sql::SelectToSql(stmt);
-  if (DeadlineTooTightForOrigin(deadline_micros, request.ByteSize())) {
-    return Status::ResourceExhausted("deadline cannot fit an origin trip");
-  }
-  record->contacted_origin = true;
-  ins_.origin_sql_requests->Increment();
-  // Span first, then enqueue: the start stamp must be read before a
-  // dispatcher thread can begin advancing the shared virtual clock.
-  origin_span->emplace(trace, "origin_roundtrip", clock_,
-                       ins_.phase_origin_roundtrip);
-  (*origin_span)->AddAttr("endpoint", "sql");
-  (*origin_span)->AddAttr("pipelined", "true");
-  RemainderFlight flight;
-  flight.response =
-      origin_async_->RoundTripAsync(std::move(request), deadline_micros);
-  return flight;
-}
-
-StatusOr<Table> FunctionProxy::AwaitRemainder(RemainderFlight flight,
-                                              obs::ScopedSpan* span) {
-  HttpResponse response = flight.response.get();
-  if (span != nullptr) {
-    span->AddAttr("status", std::to_string(response.status_code));
-  }
-  if (!response.ok()) {
-    bool origin_down = net::RetryPolicy::Retryable(response);
-    NoteOriginOutcome(!origin_down);
-    std::string message = "origin /sql error " +
-                          std::to_string(response.status_code) + ": " +
-                          response.body;
-    return origin_down ? Status::Unavailable(std::move(message))
-                       : Status::Internal(std::move(message));
-  }
-  auto table = sql::TableFromXml(response.body);
-  NoteOriginOutcome(table.ok());
-  if (!table.ok()) return table.status();
-  ChargeMicros(config_.costs.per_origin_response_tuple_us *
-               static_cast<double>(table->num_rows()));
-  if (span != nullptr) {
-    span->AddAttr("rows", std::to_string(table->num_rows()));
-  }
   return table;
 }
 
@@ -1209,24 +1171,23 @@ HttpResponse FunctionProxy::HandleActive(const HttpRequest& request,
         return Unavailable("origin-backlog");
       }
 
-      // Cases (c) and the region-containment special case: assemble the
-      // probe from cached entries, ship a remainder query, merge. `used`
-      // keeps snapshots of every entry contributing tuples to the probe; the
-      // probe itself is a list of zero-copy slices (cached table + optional
-      // selection vector), never copied row tables.
+      // Cases (c) and the region-containment special case, planned after
+      // the probe is evaluated:
+      //   1. Probe: contained entries are merged wholesale, overlapping
+      //      entries contribute the tuples a membership scan selects. `used`
+      //      keeps snapshots of every entry the probe reads; the probe itself
+      //      is a list of zero-copy slices (cached table + optional
+      //      selection vector), never copied row tables.
+      //   2. Plan one origin request: a remainder query excluding the
+      //      regions that contributed a tuple, or — when none did — the
+      //      client's original form query (DESIGN.md §18).
+      //   3. Merge, cache, respond.
       //
-      // The probe's membership is decided here, before any scan runs: a
-      // columnar SelectInRegion can only fail when the entry lacks a
-      // coordinate column, so checking schemas up front fixes the
-      // excluded-region list — and therefore the remainder SQL — without
-      // evaluating anything. That is what lets the async path issue the
-      // remainder first and scan during the WAN round trip with output
-      // byte-identical to the serialized order.
-      //
-      // Contributing entries must be tier-hot before their tuples can be
-      // sliced; promotion happens here so an unrecoverable (vanished-cold)
-      // entry simply drops out of `used` — its region is then not excluded
-      // from the remainder, and the origin supplies those tuples instead.
+      // Probe entries must be tier-hot before their tuples can be sliced;
+      // an unrecoverable (vanished-cold) entry drops out of the probe, and
+      // the origin supplies its tuples instead.
+      auto stmt = qt.Instantiate(params);
+      if (!stmt.ok()) return Forward(request, deadline_micros, record, trace);
       std::vector<std::shared_ptr<const CacheEntry>> contained_hot;
       contained_hot.reserve(rel.contained.size());
       for (const auto& entry : rel.contained) {
@@ -1240,69 +1201,36 @@ HttpResponse FunctionProxy::HandleActive(const HttpRequest& request,
           bool has_coords = true;
           for (const std::string& name : ft.coordinate_columns()) {
             // Schema survives freezing (cold entries keep a zero-row table
-            // with the full schema), so this check needs no promotion.
+            // with the full schema), so an entry the scan could not use is
+            // skipped without promoting it.
             if (!entry->result.schema().FindColumn(name).has_value()) {
               has_coords = false;
               break;
             }
           }
-          if (!has_coords) continue;  // Same skip the probe scan would take.
+          if (!has_coords) continue;
           auto hot = EnsureHot(entry, trace);
-          if (hot == nullptr) continue;  // Vanished cold; remainder covers it.
+          if (hot == nullptr) continue;  // Vanished cold; the origin covers it.
           scan_entries.push_back(hot);
           used.push_back(std::move(hot));
         }
       }
 
-      // Remainder query excludes every region whose tuples the probe holds.
-      auto stmt = qt.Instantiate(params);
-      if (!stmt.ok()) return Forward(request, deadline_micros, record, trace);
-      obs::ScopedSpan build(trace, "remainder_build", clock_,
-                            ins_.phase_remainder_build);
-      std::vector<const geometry::Region*> excluded;
-      for (const auto& entry : used) {
-        excluded.push_back(entry->region.get());
-      }
-      build.AddAttr("excluded_regions", std::to_string(excluded.size()));
-      auto remainder_stmt =
-          BuildRemainderQuery(*stmt, excluded, ft.coordinate_columns());
-      build.Finish();
-      if (!remainder_stmt.ok()) return Forward(request, deadline_micros, record, trace);
-
-      // Async pipelining: put the remainder on the wire now, scan the cached
-      // portion while it is in flight, and merge on completion. The
-      // origin_roundtrip span stays open across the overlapped scan (the
-      // local_eval span nests inside it), which is exactly the overlap the
-      // trace should show.
-      const bool pipelined = origin_async_ != nullptr;
-      util::Status start_status = util::Status::Ok();
-      RemainderFlight rflight;
-      std::optional<obs::ScopedSpan> origin_span;
-      if (pipelined) {
-        auto started = StartRemainder(*remainder_stmt, deadline_micros, record,
-                                      trace, &origin_span);
-        if (started.ok()) {
-          rflight = std::move(*started);
-        } else {
-          start_status = started.status();
-        }
-      }
-
       std::vector<ColumnarSlice> probe_slices;
       std::vector<std::unique_ptr<std::vector<uint32_t>>> probe_selections;
-      size_t scanned = 0;
+      // Regions of the entries that contributed at least one tuple.
+      std::vector<const geometry::Region*> contributing;
       {
-        // No histogram on the span: the dispatcher may be advancing the
-        // shared clock during this window (the overlapped round trip), so a
-        // clock-delta observation would be nondeterministic. The modeled
-        // eval cost is observed directly below — the same value the
-        // serialized path's clock delta yields.
-        obs::ScopedSpan eval(trace, "local_eval", clock_);
+        obs::ScopedSpan eval(trace, "local_eval", clock_, ins_.phase_local_eval);
+        size_t scanned = 0;
         for (const auto& entry : contained_hot) {
           cache_->Touch(entry->id, clock_->NowMicros());
           // Contained regions lie fully inside the query: their result files
           // are merged wholesale, with no per-tuple spatial filtering.
           probe_slices.push_back({&entry->result, nullptr});
+          if (entry->result.num_rows() > 0) {
+            contributing.push_back(entry->region.get());
+          }
         }
         for (const auto& entry : scan_entries) {
           cache_->Touch(entry->id, clock_->NowMicros());
@@ -1310,6 +1238,9 @@ HttpResponse FunctionProxy::HandleActive(const HttpRequest& request,
               SelectInRegion(entry->result, *region, ft.coordinate_columns());
           if (!selected.ok()) continue;
           scanned += selected->tuples_scanned;
+          if (!selected->selection.empty()) {
+            contributing.push_back(entry->region.get());
+          }
           probe_selections.push_back(std::make_unique<std::vector<uint32_t>>(
               std::move(selected->selection)));
           probe_slices.push_back(
@@ -1319,114 +1250,163 @@ HttpResponse FunctionProxy::HandleActive(const HttpRequest& request,
                              static_cast<double>(scanned);
         ins_.local_eval_micros->Increment(static_cast<uint64_t>(eval_micros));
         ChargeMicros(eval_micros);
-        ins_.phase_local_eval->Observe(static_cast<int64_t>(eval_micros));
         eval.AddAttr("tuples_scanned", std::to_string(scanned));
         eval.AddAttr("probe_slices", std::to_string(probe_slices.size()));
       }
 
-      auto remainder_table = [&]() -> StatusOr<Table> {
-        if (!pipelined) {
-          return FetchRemainder(*remainder_stmt, deadline_micros, record,
-                                trace);
+      // A cached entry holds every origin tuple of its region (membership
+      // is exact, and TOP-cut entries never reach this path), so a region
+      // that contributed no tuple holds none of Q's and excluding it cannot
+      // change the remainder's answer. With no contributing region at all,
+      // the remainder is the original query in a costlier form, so the
+      // original goes instead — unless the template has a TOP: its form
+      // answer would be cut to the top N and could only be cached as
+      // truncated, while the remainder returns every tuple of Q.
+      const bool send_original = contributing.empty() && !qt.has_top();
+      obs::ScopedSpan build(trace, "remainder_build", clock_,
+                            ins_.phase_remainder_build);
+      build.AddAttr("plan", send_original ? "original" : "remainder");
+      build.AddAttr("excluded_regions", std::to_string(contributing.size()));
+      std::optional<sql::SelectStatement> remainder_stmt;
+      if (!send_original) {
+        auto built =
+            BuildRemainderQuery(*stmt, contributing, ft.coordinate_columns());
+        if (!built.ok()) {
+          build.Finish();
+          return Forward(request, deadline_micros, record, trace);
         }
-        if (!start_status.ok()) return start_status;
-        auto table = AwaitRemainder(
-            std::move(rflight),
-            origin_span.has_value() ? &*origin_span : nullptr);
-        if (origin_span.has_value()) origin_span->Finish();
-        return table;
-      }();
-      if (!remainder_table.ok()) {
-        // Origin without a remainder facility: fall back to the original
-        // query (paper §3.2: "the proxy has no choice but always sends the
-        // original query").
-        auto full = remainder_table.status().code() ==
-                            util::StatusCode::kResourceExhausted
-                        ? StatusOr<Table>(remainder_table.status())
-                        : FetchFromOrigin(request, deadline_micros, record,
-                                          trace);
-        if (!full.ok()) {
-          // kResourceExhausted is the deadline marker from Fetch*: the
-          // remaining client budget cannot fit any origin trip, so the probe
-          // is all this request will ever get — serve it now.
-          const bool deadline_blocked = full.status().code() ==
-                                        util::StatusCode::kResourceExhausted;
-          if (deadline_blocked) ins_.deadline_exceeded->Increment();
-          // kInternal means the origin answered with a client error — that
-          // is not unavailability, so it is not eligible for degradation.
-          if (deadline_blocked ||
-              (config_.degraded_mode &&
-               full.status().code() != util::StatusCode::kInternal)) {
-            // Degraded mode: the origin is unreachable, but the probe parts
-            // are known-correct tuples for their regions — serve them as a
-            // partial answer annotated with the covered volume fraction.
-            obs::ScopedSpan merge(trace, "merge", clock_, ins_.phase_merge);
-            auto probe_only = MergeDistinctColumnar(probe_slices);
-            util::StatusOr<std::vector<uint32_t>> partial_selection =
-                probe_only.status();
-            if (probe_only.ok()) {
-              std::vector<uint32_t> all_rows(probe_only->num_rows());
-              std::iota(all_rows.begin(), all_rows.end(), 0u);
-              partial_selection =
-                  ApplyOrderAndTop(*probe_only, std::move(all_rows), *stmt);
-            }
-            if (partial_selection.ok()) {
-              double partial_merge_micros =
-                  config_.costs.per_merge_tuple_us *
-                  static_cast<double>(probe_only->num_rows());
-              ins_.merge_micros->Increment(
-                  static_cast<uint64_t>(partial_merge_micros));
-              ChargeMicros(partial_merge_micros);
-              merge.AddAttr("rows", std::to_string(probe_only->num_rows()));
-              merge.Finish();
-              std::vector<const geometry::Region*> part_regions;
-              for (const auto& entry : used) {
-                part_regions.push_back(entry->region.get());
-              }
-              double coverage =
-                  geometry::EstimateCoverageFraction(*region, part_regions);
-              ins_.degraded_partial->Increment();
-              {
-                util::MutexLock lock(records_mu_);
-                coverage_served_ += coverage;
-              }
-              record->degraded = true;
-              record->coverage = coverage;
-              record->tuples_total = partial_selection->size();
-              record->tuples_from_cache = partial_selection->size();
-              return RespondPartial(*probe_only, *partial_selection, coverage,
-                                    deadline_blocked ? "deadline-exceeded"
-                                                     : "origin-unreachable",
-                                    trace);
-            }
-            merge.Finish();
-            if (deadline_blocked) {
-              ins_.shed_deadline->Increment();
-              record->shed = true;
-              return Unavailable("deadline-exceeded");
-            }
-            ins_.degraded_unavailable->Increment();
-            record->degraded = true;
-            return Unavailable("origin-unreachable");
+        remainder_stmt.emplace(std::move(*built));
+      }
+      build.Finish();
+
+      auto fetched =
+          send_original
+              ? FetchFromOrigin(request, deadline_micros, record, trace)
+              : FetchRemainder(*remainder_stmt, deadline_micros, record, trace);
+      // Origin without a remainder facility: fall back to the original
+      // query (paper §3.2: "the proxy has no choice but always sends the
+      // original query"), answered as a miss below. kResourceExhausted is
+      // the deadline marker from Fetch*: no origin trip fits, so there is
+      // nothing to fall back to.
+      const bool fell_back =
+          !send_original && !fetched.ok() &&
+          fetched.status().code() != util::StatusCode::kResourceExhausted;
+      if (fell_back) {
+        fetched = FetchFromOrigin(request, deadline_micros, record, trace);
+      }
+      if (!fetched.ok()) {
+        // Deadline-blocked: the remaining client budget cannot fit any
+        // origin trip, so the probe is all this request will ever get —
+        // serve it now.
+        const bool deadline_blocked = fetched.status().code() ==
+                                      util::StatusCode::kResourceExhausted;
+        if (deadline_blocked) ins_.deadline_exceeded->Increment();
+        // kInternal means the origin answered with a client error — that
+        // is not unavailability, so it is not eligible for degradation.
+        if (deadline_blocked ||
+            (config_.degraded_mode &&
+             fetched.status().code() != util::StatusCode::kInternal)) {
+          // Degraded mode: the origin is unreachable, but the probe parts
+          // are known-correct tuples for their regions — serve them as a
+          // partial answer annotated with the covered volume fraction.
+          obs::ScopedSpan merge(trace, "merge", clock_, ins_.phase_merge);
+          auto probe_only = MergeDistinctColumnar(probe_slices);
+          util::StatusOr<std::vector<uint32_t>> partial_selection =
+              probe_only.status();
+          if (probe_only.ok()) {
+            std::vector<uint32_t> all_rows(probe_only->num_rows());
+            std::iota(all_rows.begin(), all_rows.end(), 0u);
+            partial_selection =
+                ApplyOrderAndTop(*probe_only, std::move(all_rows), *stmt);
           }
-          return HttpResponse::MakeError(502, full.status().ToString());
+          if (partial_selection.ok()) {
+            double partial_merge_micros =
+                config_.costs.per_merge_tuple_us *
+                static_cast<double>(probe_only->num_rows());
+            ins_.merge_micros->Increment(
+                static_cast<uint64_t>(partial_merge_micros));
+            ChargeMicros(partial_merge_micros);
+            merge.AddAttr("rows", std::to_string(probe_only->num_rows()));
+            merge.Finish();
+            // Coverage counts every region the probe read, contributing or
+            // not: a region without tuples is known to hold none.
+            std::vector<const geometry::Region*> part_regions;
+            for (const auto& entry : used) {
+              part_regions.push_back(entry->region.get());
+            }
+            double coverage =
+                geometry::EstimateCoverageFraction(*region, part_regions);
+            ins_.degraded_partial->Increment();
+            {
+              util::MutexLock lock(records_mu_);
+              coverage_served_ += coverage;
+            }
+            record->degraded = true;
+            record->coverage = coverage;
+            record->tuples_total = partial_selection->size();
+            record->tuples_from_cache = partial_selection->size();
+            return RespondPartial(*probe_only, *partial_selection, coverage,
+                                  deadline_blocked ? "deadline-exceeded"
+                                                   : "origin-unreachable",
+                                  trace);
+          }
+          merge.Finish();
+          if (deadline_blocked) {
+            ins_.shed_deadline->Increment();
+            record->shed = true;
+            return Unavailable("deadline-exceeded");
+          }
+          ins_.degraded_unavailable->Increment();
+          record->degraded = true;
+          return Unavailable("origin-unreachable");
         }
-        record->tuples_total = full->num_rows();
+        return HttpResponse::MakeError(502, fetched.status().ToString());
+      }
+      if (fell_back) {
+        record->tuples_total = fetched->num_rows();
         auto admitted = CacheResult(
-            qt, *nonspatial_fp, param_fp, *region, *full,
+            qt, *nonspatial_fp, param_fp, *region, *fetched,
             ft.coordinate_columns(),
             qt.has_top() && stmt->top_n.has_value() &&
-                full->num_rows() == static_cast<size_t>(*stmt->top_n),
+                fetched->num_rows() == static_cast<size_t>(*stmt->top_n),
             trace);
         flight.Fulfill({admitted != nullptr, admitted});
         ins_.misses->Increment();
-        return Respond(*full, trace);
+        return Respond(*fetched, trace);
       }
 
+      // Outcome counters stay relation-based whichever request was sent.
       if (is_region_containment) {
         ins_.region_containments->Increment();
       } else {
         ins_.overlaps_handled->Increment();
+      }
+      // Both cases cache the complete answer for Q; region containment
+      // (§3.2) also drops the entries Q subsumes, while general overlap
+      // keeps the overlapped ones. The admitted snapshot is what
+      // single-flight followers get.
+      auto admit = [&](sql::ColumnarTable answer) {
+        if (is_region_containment) {
+          for (const auto& entry : rel.contained) {
+            size_t removal_comparisons = 0;
+            cache_->Remove(entry->id, &removal_comparisons);
+            ChargeMicros(DescriptionCostMicros(removal_comparisons));
+          }
+        }
+        auto admitted =
+            CacheResult(qt, *nonspatial_fp, param_fp, *region,
+                        std::move(answer), ft.coordinate_columns(),
+                        /*truncated=*/false, trace);
+        flight.Fulfill({admitted != nullptr, admitted});
+      };
+
+      if (send_original) {
+        // The probe held no tuple: the origin's answer is the whole answer.
+        ins_.remainders_elided->Increment();
+        record->tuples_total = fetched->num_rows();
+        record->tuples_from_cache = 0;
+        admit(*fetched);
+        return Respond(*fetched, trace);
       }
 
       // Merge probe slices and the remainder (converted to columnar once).
@@ -1436,7 +1416,7 @@ HttpResponse FunctionProxy::HandleActive(const HttpRequest& request,
         merge.Finish();
         return Forward(request, deadline_micros, record, trace);
       }
-      sql::ColumnarTable remainder_columnar(std::move(*remainder_table));
+      sql::ColumnarTable remainder_columnar(std::move(*fetched));
       auto merged = MergeDistinctColumnar(std::vector<ColumnarSlice>{
           {&*probe, nullptr}, {&remainder_columnar, nullptr}});
       if (!merged.ok()) {
@@ -1452,23 +1432,7 @@ HttpResponse FunctionProxy::HandleActive(const HttpRequest& request,
 
       record->tuples_total = merged->num_rows();
       record->tuples_from_cache = probe->num_rows();
-
-      // Region containment housekeeping (§3.2): the merged result covers the
-      // new, larger region — cache it and drop the subsumed entries.
-      if (is_region_containment) {
-        for (const auto& entry : rel.contained) {
-          size_t removal_comparisons = 0;
-          cache_->Remove(entry->id, &removal_comparisons);
-          ChargeMicros(DescriptionCostMicros(removal_comparisons));
-        }
-      }
-      // Both cases cache the full merged result (for general overlap the
-      // overlapped entries remain — they are not subsumed); the admitted
-      // snapshot is what single-flight followers get.
-      auto admitted =
-          CacheResult(qt, *nonspatial_fp, param_fp, *region, *merged,
-                      ft.coordinate_columns(), /*truncated=*/false, trace);
-      flight.Fulfill({admitted != nullptr, admitted});
+      admit(*merged);
 
       std::vector<uint32_t> all_rows(merged->num_rows());
       std::iota(all_rows.begin(), all_rows.end(), 0u);
@@ -2053,6 +2017,7 @@ std::vector<obs::Counter*> FunctionProxy::SnapshotCounters() const {
       ins_.check_micros,
       ins_.local_eval_micros,
       ins_.merge_micros,
+      ins_.remainders_elided,
   };
 }
 

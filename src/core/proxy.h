@@ -163,10 +163,12 @@ struct ProxyConfig {
   /// queries and single-flight followers still pass — the cheap lane keeps
   /// draining when the expensive lane is saturated.
   double origin_shed_watermark = 0.75;
-  /// Async pipelined origin channel: the remainder query is issued *before*
-  /// the cached portion is evaluated, so the WAN round trip overlaps the
-  /// probe scan and the proxy merges on completion. Off = the historical
-  /// serialized order (evaluate, then fetch).
+  /// Async origin channel: remainder queries go through a
+  /// net::OriginChannel, whose dispatchers can coalesce concurrent
+  /// requests' remainders into one /sql/batch trip (coalesce_remainders).
+  /// The remainder is planned after the probe scan, so it is never on the
+  /// wire during the scan; the requesting thread waits for its answer.
+  /// Off = remainders go straight to the origin from the requesting thread.
   bool async_origin = true;
   /// Coalesce queued deadline-free remainder fetches from concurrent
   /// requests into one /sql/batch wire request (requires async_origin; the
@@ -253,6 +255,10 @@ struct ProxyStats {
   uint64_t misses = 0;
   uint64_t origin_form_requests = 0;
   uint64_t origin_sql_requests = 0;
+  /// Overlap and region-containment requests whose probe held no tuple and
+  /// that therefore sent the original form query instead of a remainder
+  /// (counted in region_containments / overlaps_handled as well).
+  uint64_t remainders_elided = 0;
   /// Origin round trips that ended in failure after all retries.
   uint64_t origin_failures = 0;
   /// Retry attempts this proxy's origin traffic caused on its channel.
@@ -395,6 +401,7 @@ class FunctionProxy final : public net::HttpHandler {
     obs::Counter* misses = nullptr;
     obs::Counter* origin_form_requests = nullptr;
     obs::Counter* origin_sql_requests = nullptr;
+    obs::Counter* remainders_elided = nullptr;
     obs::Counter* origin_failures = nullptr;
     obs::Counter* breaker_open_rejections = nullptr;
     obs::Counter* degraded_full = nullptr;
@@ -539,33 +546,12 @@ class FunctionProxy final : public net::HttpHandler {
                                              int64_t deadline_micros,
                                              QueryRecord* record,
                                              obs::QueryTrace* trace);
-  /// Ships a remainder statement through /sql and parses the result.
+  /// Ships a remainder statement through /sql and parses the result; on the
+  /// async origin channel when one is configured.
   util::StatusOr<sql::Table> FetchRemainder(const sql::SelectStatement& stmt,
                                             int64_t deadline_micros,
                                             QueryRecord* record,
                                             obs::QueryTrace* trace);
-
-  /// A remainder fetch in flight on the async origin channel, issued ahead
-  /// of probe evaluation so the WAN round trip overlaps local work.
-  struct RemainderFlight {
-    std::future<net::HttpResponse> response;
-  };
-  /// Issues `stmt` through the async origin channel after FetchRemainder's
-  /// breaker and deadline admission checks. On success, `origin_span` is
-  /// emplaced with the origin_roundtrip span *before* the request reaches a
-  /// dispatcher thread — once enqueued the dispatcher advances the shared
-  /// virtual clock concurrently, and a later start stamp would
-  /// nondeterministically exclude those advances from the observed
-  /// duration. The returned flight must be passed to AwaitRemainder.
-  util::StatusOr<RemainderFlight> StartRemainder(
-      const sql::SelectStatement& stmt, int64_t deadline_micros,
-      QueryRecord* record, obs::QueryTrace* trace,
-      std::optional<obs::ScopedSpan>* origin_span);
-  /// Blocks on the flight and applies FetchRemainder's error mapping,
-  /// parsing and cost accounting. `span` is the origin_roundtrip span the
-  /// caller opened at issue time (annotated here, finished by the caller).
-  util::StatusOr<sql::Table> AwaitRemainder(RemainderFlight flight,
-                                            obs::ScopedSpan* span);
 
   /// Serializes and returns `table` as the response, charging assembly time.
   net::HttpResponse Respond(const sql::Table& table, obs::QueryTrace* trace);
@@ -668,7 +654,7 @@ class FunctionProxy final : public net::HttpHandler {
   ProxyConfig config_;
   const TemplateRegistry* templates_;
   net::SimulatedChannel* origin_;
-  /// Async front-end over origin_ (remainder pipelining + coalescing);
+  /// Async front-end over origin_ for remainder fetches (coalescing);
   /// created only when config_.async_origin is set.
   std::unique_ptr<net::OriginChannel> origin_async_;
   util::SimulatedClock* clock_;

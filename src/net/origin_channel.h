@@ -29,10 +29,9 @@ struct OriginChannelOptions {
 };
 
 /// Asynchronous front-end over a SimulatedChannel to the origin site. The
-/// proxy issues the remainder query through RoundTripAsync *before*
-/// evaluating the cached portion, so the WAN round trip overlaps local work
-/// instead of serializing after it; the returned future is awaited at merge
-/// time.
+/// proxy sends each remainder query through RoundTripAsync once it has
+/// evaluated the cached portion and planned the remainder, and waits on
+/// the returned future.
 ///
 /// When several deadline-free remainder fetches are queued at once (typical
 /// under concurrent load, where single-flight leaders from different
@@ -61,14 +60,6 @@ class OriginChannel {
   std::future<HttpResponse> RoundTripAsync(HttpRequest request,
                                            int64_t deadline_micros = 0)
       EXCLUDES(mu_);
-
-  /// Synchronous convenience: dispatch directly on the caller's thread,
-  /// bypassing the queue (used when async pipelining is disabled).
-  HttpResponse RoundTrip(const HttpRequest& request, int64_t deadline_micros) {
-    return channel_->RoundTrip(request, deadline_micros);
-  }
-
-  SimulatedChannel* wire() const { return channel_; }
 
   /// Requests accepted through RoundTripAsync.
   uint64_t async_requests() const {

@@ -615,7 +615,9 @@ ColumnarTable::NumericView FrozenSegment::DecodeNumericView(
     valid[w] = ~(w < c.nulls.size() ? c.nulls[w] : 0);
   }
   auto copy = [&](const std::vector<double>& src) {
-    std::memcpy(values, src.data(), n * sizeof(double));
+    // A zero-row column's vector may have a null data(), and memcpy needs
+    // valid pointers even for zero bytes.
+    if (n > 0) std::memcpy(values, src.data(), n * sizeof(double));
   };
   switch (c.encoding) {
     case ColumnEncoding::kRawDouble:

@@ -127,6 +127,7 @@ core::ProxyStats ProxyTier::AggregateStats() const {
     sum.misses += s.misses;
     sum.origin_form_requests += s.origin_form_requests;
     sum.origin_sql_requests += s.origin_sql_requests;
+    sum.remainders_elided += s.remainders_elided;
     sum.origin_failures += s.origin_failures;
     sum.origin_retries += s.origin_retries;
     sum.breaker_open_rejections += s.breaker_open_rejections;

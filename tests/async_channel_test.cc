@@ -152,9 +152,9 @@ server::Database* AsyncChannelTest::db_ = nullptr;
 server::SkyGrid* AsyncChannelTest::grid_ = nullptr;
 TemplateRegistry* AsyncChannelTest::templates_ = nullptr;
 
-// The pipelined path (remainder fetch overlapping local probe evaluation)
-// must produce byte-identical XML to the serialized fetch-after-eval order,
-// for every request in a sequence covering miss, exact hit, containment,
+// Remainders sent through the async origin channel must produce
+// byte-identical XML to remainders sent from the requesting thread, for
+// every request in a sequence covering miss, exact hit, containment,
 // overlap (the async remainder path), and region containment.
 TEST_F(AsyncChannelTest, PipelinedMatchesSerializedByteForByte) {
   Stack async_stack = MakeStack(/*async_origin=*/true);
@@ -164,7 +164,7 @@ TEST_F(AsyncChannelTest, PipelinedMatchesSerializedByteForByte) {
       RadialRequest(195.0, 31.0, 25.0),  // Miss: fetched, cached.
       RadialRequest(195.0, 31.0, 25.0),  // Exact hit.
       RadialRequest(195.0, 31.0, 10.0),  // Contained in the first.
-      RadialRequest(195.2, 31.1, 22.0),  // Overlap: probe + async remainder.
+      RadialRequest(195.2, 31.1, 22.0),  // Overlap: probe, then remainder.
       RadialRequest(195.0, 31.0, 40.0),  // Region containment: contains both.
       RadialRequest(195.2, 31.1, 24.0),  // Contained again (merged entry).
   };
@@ -175,13 +175,13 @@ TEST_F(AsyncChannelTest, PipelinedMatchesSerializedByteForByte) {
         << "request " << i;
     EXPECT_EQ(async_response.body, sync_response.body) << "request " << i;
   }
-  // The overlap and region-containment requests really took the pipelined
-  // remainder path on the async stack.
+  // The overlap and region-containment requests really sent remainders
+  // through the async channel.
   ProxyStats stats = async_stack.proxy->stats();
   EXPECT_GE(stats.overlaps_handled + stats.region_containments, 2u);
   EXPECT_GE(stats.origin_sql_requests, 2u);
-  // And the virtual-clock totals agree: pipelining reorders work but every
-  // modeled microsecond is still charged.
+  // And the virtual-clock totals agree: the dispatcher thread charges
+  // every modeled microsecond the requesting thread would have.
   EXPECT_EQ(async_stack.clock->NowMicros(), sync_stack.clock->NowMicros());
 }
 
