@@ -8,11 +8,11 @@
 //                               [--smoke] [--json[=path]]
 //
 // Defaults: 600 queries, threads swept over {1, 2, 4, 8, 16}, pacing 0.02.
-// --smoke runs the CI async-pipelining check instead of the full sweep:
-// full-semantic scheme only, threads {1, 8}, once with the async origin
-// channel on and once serialized, recording async_overlap/t8_speedup
-// (async 8-thread vs async 1-thread) and async_overlap/async_vs_sync_t8
-// (async vs serialized at 8 threads).
+// --smoke runs the CI thread-scaling check instead of the full sweep:
+// full-semantic scheme only, threads {1, 8}, recording
+// async_overlap/t8_speedup (8-thread vs 1-thread requests/s). The record
+// names predate the single origin call path; they are kept so the
+// committed baseline stays comparable.
 // With --json, each sweep point appends one JSON-lines record carrying the
 // throughput plus per-phase latency fields (phase_<name>_total_us /
 // phase_<name>_p95_us, from the proxy's fnproxy_phase_duration_micros
@@ -60,38 +60,31 @@ int main(int argc, char** argv) {
   double pacing = argc > 3 ? std::atof(argv[3]) : 0.02;
 
   if (smoke) {
-    std::printf("=== Async origin pipelining (full-semantic, %zu queries, "
+    std::printf("=== Thread scaling (full-semantic, %zu queries, "
                 "pacing %.3f) ===\n", num_queries, pacing);
     workload::SkyExperiment experiment(bench::PaperOptions(num_queries));
     bench::PrintTraceMix(experiment.trace());
 
-    auto run_point = [&](bool async_origin, size_t threads) {
+    auto run_point = [&](size_t threads) {
       core::ProxyConfig config =
           bench::MakeProxyConfig(core::CachingMode::kActiveFull);
       config.cache_shards = 8;
-      config.async_origin = async_origin;
       workload::SkyExperiment::ConcurrentRunOutput output =
           experiment.RunTraceConcurrent(experiment.trace(), config, threads,
                                         pacing);
       const workload::ConcurrentRunResult& run = output.driver;
-      std::printf("  %-10s t=%zu  %10.1f ms  %8.0f req/s  (errors %lu)\n",
-                  async_origin ? "async" : "serialized", threads,
+      std::printf("  t=%zu  %10.1f ms  %8.0f req/s  (errors %lu)\n", threads,
                   run.wall_millis, run.requests_per_second,
                   static_cast<unsigned long>(run.errors));
       return run.requests_per_second;
     };
-    double async_t1 = run_point(/*async_origin=*/true, 1);
-    double async_t8 = run_point(/*async_origin=*/true, 8);
-    double sync_t8 = run_point(/*async_origin=*/false, 8);
-    double t8_speedup = async_t1 > 0 ? async_t8 / async_t1 : 0;
-    double async_vs_sync = sync_t8 > 0 ? async_t8 / sync_t8 : 0;
-    std::printf("  async t8 vs t1: %.2fx   async vs serialized at t8: "
-                "%.2fx\n", t8_speedup, async_vs_sync);
-    json.Record("async_overlap/t1", async_t1, "req/s");
-    json.Record("async_overlap/t8", async_t8, "req/s");
-    json.Record("async_overlap/sync_t8", sync_t8, "req/s");
+    double t1 = run_point(1);
+    double t8 = run_point(8);
+    double t8_speedup = t1 > 0 ? t8 / t1 : 0;
+    std::printf("  t8 vs t1: %.2fx\n", t8_speedup);
+    json.Record("async_overlap/t1", t1, "req/s");
+    json.Record("async_overlap/t8", t8, "req/s");
     json.Record("async_overlap/t8_speedup", t8_speedup, "x");
-    json.Record("async_overlap/async_vs_sync_t8", async_vs_sync, "x");
     return 0;
   }
   std::printf("=== Concurrent proxy throughput (sharded cache, %zu queries, "

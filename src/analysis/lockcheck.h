@@ -12,8 +12,8 @@ namespace fnproxy::analysis {
 /// cross-component counterpart of Clang's per-function `-Wthread-safety`
 /// pass. Clang proves each annotated function against its own
 /// GUARDED_BY/REQUIRES contract but never sees protocols that span
-/// components (the single-flight table handing work to origin dispatcher
-/// threads, the peer tier re-entering a sibling proxy over a simulated
+/// components (the single-flight table handing a leader's fetch to its
+/// followers, the peer tier re-entering a sibling proxy over a simulated
 /// channel), and it cannot tell that an annotation is *missing* in the
 /// first place. `RunLockcheck` closes both gaps: it scans every given
 /// source file, reconstructs the capability graph from the

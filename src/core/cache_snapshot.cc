@@ -1,14 +1,8 @@
 #include "core/cache_snapshot.h"
 
-#include <fstream>
-#include <sstream>
-
 #include "geometry/hyperrectangle.h"
 #include "geometry/hypersphere.h"
 #include "geometry/polytope.h"
-#include "sql/table_xml.h"
-#include "storage/segment.h"
-#include "storage/wire.h"
 #include "util/string_util.h"
 #include "xml/xml.h"
 
@@ -153,112 +147,6 @@ StatusOr<std::unique_ptr<Region>> RegionFromXml(std::string_view xml_text) {
     return std::unique_ptr<Region>(std::move(poly));
   }
   return Status::ParseError("unknown region shape '" + *shape + "'");
-}
-
-namespace {
-
-Status WriteFile(const std::string& path, std::string_view contents) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::Internal("cannot open " + path + " for writing");
-  out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
-  if (!out) return Status::Internal("write failed: " + path);
-  return Status::Ok();
-}
-
-StatusOr<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open " + path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-}  // namespace
-
-namespace {
-
-/// Tuples of a possibly-cold entry without promoting it: hot entries hand
-/// back their live table, frozen ones decode the in-memory segment, spilled
-/// ones read and decode the on-disk segment container.
-StatusOr<sql::ColumnarTable> MaterializeResult(const CacheEntry& entry) {
-  if (entry.tier == EntryTier::kHot) return entry.result;
-  if (entry.segment != nullptr) return entry.segment->Thaw();
-  FNPROXY_ASSIGN_OR_RETURN(std::string file,
-                           storage::ReadFileToString(entry.spill_file));
-  FNPROXY_ASSIGN_OR_RETURN(std::vector<storage::Section> sections,
-                           storage::ParseSnapshotFile(file));
-  for (const storage::Section& section : sections) {
-    if (section.id != storage::kSectionEntries) continue;
-    FNPROXY_ASSIGN_OR_RETURN(storage::FrozenSegment segment,
-                             storage::FrozenSegment::Parse(section.payload));
-    return segment.Thaw();
-  }
-  return Status::ParseError("spill file has no segment section: " +
-                            entry.spill_file);
-}
-
-}  // namespace
-
-Status SaveCacheSnapshot(const CacheStore& cache, const std::string& directory) {
-  std::string manifest = "<CacheSnapshot>\n";
-  for (uint64_t id : cache.AllIds()) {
-    std::shared_ptr<const CacheEntry> entry = cache.Find(id);
-    if (entry == nullptr) continue;  // Evicted since AllIds().
-    std::string file_name = "entry-" + std::to_string(id) + ".xml";
-    FNPROXY_ASSIGN_OR_RETURN(sql::ColumnarTable result,
-                             MaterializeResult(*entry));
-    FNPROXY_RETURN_NOT_OK(
-        WriteFile(directory + "/" + file_name, sql::TableToXml(result)));
-    manifest += "  <Entry file=\"" + file_name + "\" template=\"" +
-                xml::EscapeXml(entry->template_id) + "\" nonspatial=\"" +
-                xml::EscapeXml(entry->nonspatial_fingerprint) + "\" params=\"" +
-                xml::EscapeXml(entry->param_fingerprint) + "\" truncated=\"" +
-                (entry->truncated ? "1" : "0") + "\">" +
-                RegionToXml(*entry->region) + "</Entry>\n";
-  }
-  manifest += "</CacheSnapshot>\n";
-  return WriteFile(directory + "/manifest.xml", manifest);
-}
-
-StatusOr<size_t> LoadCacheSnapshot(const std::string& directory,
-                                   CacheStore* cache) {
-  FNPROXY_ASSIGN_OR_RETURN(std::string manifest_text,
-                           ReadFile(directory + "/manifest.xml"));
-  FNPROXY_ASSIGN_OR_RETURN(auto root, xml::ParseXml(manifest_text));
-  if (root->name() != "CacheSnapshot") {
-    return Status::ParseError("expected <CacheSnapshot> manifest root");
-  }
-  size_t restored = 0;
-  for (const xml::XmlElement* element : root->FindChildren("Entry")) {
-    const std::string* file_name = element->FindAttribute("file");
-    const std::string* template_id = element->FindAttribute("template");
-    if (file_name == nullptr || template_id == nullptr) {
-      return Status::ParseError("<Entry> needs file and template attributes");
-    }
-    const xml::XmlElement* region_element = element->FindChild("Region");
-    if (region_element == nullptr) {
-      return Status::ParseError("<Entry> missing <Region>");
-    }
-    FNPROXY_ASSIGN_OR_RETURN(std::unique_ptr<Region> region,
-                             RegionFromXml(region_element->ToString()));
-    FNPROXY_ASSIGN_OR_RETURN(std::string table_text,
-                             ReadFile(directory + "/" + *file_name));
-    FNPROXY_ASSIGN_OR_RETURN(sql::Table result,
-                             sql::TableFromXml(table_text));
-
-    CacheEntry entry;
-    entry.template_id = *template_id;
-    const std::string* nonspatial = element->FindAttribute("nonspatial");
-    const std::string* params = element->FindAttribute("params");
-    const std::string* truncated = element->FindAttribute("truncated");
-    entry.nonspatial_fingerprint = nonspatial ? *nonspatial : "";
-    entry.param_fingerprint = params ? *params : "";
-    entry.truncated = truncated != nullptr && *truncated == "1";
-    entry.region = std::move(region);
-    entry.result = std::move(result);
-    if (cache->Insert(std::move(entry)) != 0) ++restored;
-  }
-  return restored;
 }
 
 }  // namespace fnproxy::core

@@ -3,14 +3,15 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 
-#include "core/cache_store.h"
 #include "geometry/region.h"
 #include "util/status.h"
 
 namespace fnproxy::core {
 
-/// Region (de)serialization for persisted cache metadata:
+/// Region (de)serialization for the peer wire (/peer/lookup, /peer/entry)
+/// and the regions of warm-restart snapshot entries (docs/FORMATS.md §4):
 ///   <Region shape="hypersphere" dims="3"><Center>..</Center><Radius>..</Radius>
 ///   <Region shape="hyperrectangle" ...><Lo>..</Lo><Hi>..</Hi>
 ///   <Region shape="polytope" ...><Halfspaces>..</Halfspaces><Vertices>..</Vertices>
@@ -18,24 +19,6 @@ namespace fnproxy::core {
 std::string RegionToXml(const geometry::Region& region);
 util::StatusOr<std::unique_ptr<geometry::Region>> RegionFromXml(
     std::string_view xml_text);
-
-/// Persists the cache as the paper's proxy does — one XML result file per
-/// cached query plus a manifest describing each entry's template, parameter
-/// fingerprints and region:
-///
-///   <dir>/manifest.xml
-///   <dir>/entry-<id>.xml      (sql::TableToXml result files)
-///
-/// The directory must exist; existing snapshot files are overwritten.
-util::Status SaveCacheSnapshot(const CacheStore& cache,
-                               const std::string& directory);
-
-/// Loads a snapshot into `cache` (which should be empty; entries get fresh
-/// ids). Returns the number of entries restored. Oversized entries that no
-/// longer fit the byte budget are skipped, subject to normal insertion
-/// rules.
-util::StatusOr<size_t> LoadCacheSnapshot(const std::string& directory,
-                                         CacheStore* cache);
 
 }  // namespace fnproxy::core
 

@@ -237,39 +237,21 @@ class CacheStore {
   std::vector<uint64_t> Candidates(const geometry::Hyperrectangle& bbox,
                                    size_t* comparisons) const;
 
-  // --- Legacy single-threaded conveniences. These forward to the
-  // out-parameter overloads and record the count for
-  // description_comparisons(); the counter is a best-effort atomic, so
-  // concurrent callers should prefer the out-parameter forms. ---
+  // --- Conveniences that drop the comparison count. ---
 
   uint64_t Insert(CacheEntry entry) {
     size_t comparisons = 0;
-    uint64_t id = Insert(std::move(entry), &comparisons);
-    last_description_comparisons_.store(comparisons,
-                                        std::memory_order_relaxed);
-    return id;
+    return Insert(std::move(entry), &comparisons);
   }
 
   bool Remove(uint64_t id) {
     size_t comparisons = 0;
-    bool removed = Remove(id, &comparisons);
-    last_description_comparisons_.store(comparisons,
-                                        std::memory_order_relaxed);
-    return removed;
+    return Remove(id, &comparisons);
   }
 
   std::vector<uint64_t> Candidates(const geometry::Hyperrectangle& bbox) const {
     size_t comparisons = 0;
-    std::vector<uint64_t> ids = Candidates(bbox, &comparisons);
-    last_description_comparisons_.store(comparisons,
-                                        std::memory_order_relaxed);
-    return ids;
-  }
-
-  /// Box comparisons performed by the most recent legacy-form Candidates /
-  /// Insert / Remove call on the description structure.
-  size_t description_comparisons() const {
-    return last_description_comparisons_.load(std::memory_order_relaxed);
+    return Candidates(bbox, &comparisons);
   }
 
   size_t num_entries() const {
@@ -385,7 +367,6 @@ class CacheStore {
   std::atomic<uint64_t> spill_seq_{0};
   std::atomic<uint64_t> frozen_raw_bytes_{0};
   std::atomic<uint64_t> frozen_encoded_bytes_{0};
-  mutable std::atomic<size_t> last_description_comparisons_{0};
 };
 
 }  // namespace fnproxy::core

@@ -197,12 +197,6 @@ FunctionProxy::FunctionProxy(ProxyConfig config,
                                         config_.max_cache_bytes,
                                         config_.replacement);
   breaker_ = std::make_unique<net::CircuitBreaker>(config_.breaker, clock_);
-  if (config_.async_origin) {
-    net::OriginChannelOptions async_options;
-    async_options.num_dispatchers = config_.origin_dispatchers;
-    async_options.coalesce = config_.coalesce_remainders;
-    origin_async_ = std::make_unique<net::OriginChannel>(origin_, async_options);
-  }
   channel_retries_baseline_ = origin_->retry_stats().retries;
   if (config_.storage.enable) {
     TierConfig tier;
@@ -535,35 +529,6 @@ void FunctionProxy::RegisterInstruments() {
       /*is_counter=*/true, {{"direction", "received"}},
       [origin] { return static_cast<double>(origin->total_bytes_received()); });
 
-  // Async origin channel (remainder fetches + batch coalescing). The
-  // families render 0 when async_origin is off so the catalog is stable
-  // across configurations.
-  net::OriginChannel* async_channel = origin_async_.get();
-  registry_.AddCallback(
-      "fnproxy_origin_async_requests_total",
-      "Remainder fetches issued through the async origin channel",
-      /*is_counter=*/true, {}, [async_channel] {
-        return async_channel == nullptr
-                   ? 0.0
-                   : static_cast<double>(async_channel->async_requests());
-      });
-  registry_.AddCallback(
-      "fnproxy_origin_batches_total",
-      "Coalesced /sql/batch wire requests sent to the origin",
-      /*is_counter=*/true, {}, [async_channel] {
-        return async_channel == nullptr
-                   ? 0.0
-                   : static_cast<double>(async_channel->batches_sent());
-      });
-  registry_.AddCallback(
-      "fnproxy_origin_batched_requests_total",
-      "Remainder fetches that travelled inside a coalesced batch",
-      /*is_counter=*/true, {}, [async_channel] {
-        return async_channel == nullptr
-                   ? 0.0
-                   : static_cast<double>(async_channel->requests_batched());
-      });
-
   registry_.AddCallback(
       "fnproxy_degraded_coverage_served_total",
       "Sum of coverage fractions over degraded partial answers",
@@ -722,10 +687,10 @@ HttpResponse FunctionProxy::Forward(const HttpRequest& request,
   return response;
 }
 
-StatusOr<Table> FunctionProxy::FetchFromOrigin(const HttpRequest& request,
-                                               int64_t deadline_micros,
-                                               QueryRecord* record,
-                                               obs::QueryTrace* trace) {
+StatusOr<Table> FunctionProxy::FetchTable(const HttpRequest& request,
+                                          int64_t deadline_micros,
+                                          QueryRecord* record,
+                                          obs::QueryTrace* trace) {
   if (!OriginAllowed()) {
     ins_.breaker_open_rejections->Increment();
     return Status::Unavailable("circuit breaker open");
@@ -735,11 +700,13 @@ StatusOr<Table> FunctionProxy::FetchFromOrigin(const HttpRequest& request,
   if (DeadlineTooTightForOrigin(deadline_micros, request.ByteSize())) {
     return Status::ResourceExhausted("deadline cannot fit an origin trip");
   }
+  const bool remainder = request.path == "/sql";
   record->contacted_origin = true;
-  ins_.origin_form_requests->Increment();
+  (remainder ? ins_.origin_sql_requests : ins_.origin_form_requests)
+      ->Increment();
   obs::ScopedSpan span(trace, "origin_roundtrip", clock_,
                        ins_.phase_origin_roundtrip);
-  span.AddAttr("endpoint", "form");
+  span.AddAttr("endpoint", remainder ? "sql" : "form");
   const int64_t round_trip_start = clock_->NowMicros();
   HttpResponse response = origin_->RoundTrip(request, deadline_micros);
   const int64_t round_trip_micros = clock_->NowMicros() - round_trip_start;
@@ -758,56 +725,11 @@ StatusOr<Table> FunctionProxy::FetchFromOrigin(const HttpRequest& request,
   auto table = sql::TableFromXml(response.body);
   NoteOriginOutcome(table.ok());
   if (!table.ok()) return table.status();
-  cache_->refetch_cost().AddSample(table->num_rows(), round_trip_micros);
-  ChargeMicros(config_.costs.per_origin_response_tuple_us *
-               static_cast<double>(table->num_rows()));
-  span.AddAttr("rows", std::to_string(table->num_rows()));
-  return table;
-}
-
-StatusOr<Table> FunctionProxy::FetchRemainder(const sql::SelectStatement& stmt,
-                                              int64_t deadline_micros,
-                                              QueryRecord* record,
-                                              obs::QueryTrace* trace) {
-  if (!OriginAllowed()) {
-    ins_.breaker_open_rejections->Increment();
-    return Status::Unavailable("circuit breaker open");
+  // A remainder re-fetches only part of a region, so only form trips price
+  // a whole entry's re-fetch.
+  if (!remainder) {
+    cache_->refetch_cost().AddSample(table->num_rows(), round_trip_micros);
   }
-  HttpRequest request;
-  request.path = "/sql";
-  request.query_params["q"] = sql::SelectToSql(stmt);
-  if (DeadlineTooTightForOrigin(deadline_micros, request.ByteSize())) {
-    return Status::ResourceExhausted("deadline cannot fit an origin trip");
-  }
-  record->contacted_origin = true;
-  ins_.origin_sql_requests->Increment();
-  // Span first, then send: on the async channel a dispatcher thread
-  // advances the shared virtual clock, so the start stamp must be read
-  // before the request is queued.
-  obs::ScopedSpan span(trace, "origin_roundtrip", clock_,
-                       ins_.phase_origin_roundtrip);
-  span.AddAttr("endpoint", "sql");
-  // The async channel's dispatchers may coalesce this remainder with
-  // other requests' into one /sql/batch trip; this thread waits for its
-  // answer either way.
-  HttpResponse response =
-      origin_async_ != nullptr
-          ? origin_async_->RoundTripAsync(std::move(request), deadline_micros)
-                .get()
-          : origin_->RoundTrip(request, deadline_micros);
-  span.AddAttr("status", std::to_string(response.status_code));
-  if (!response.ok()) {
-    bool origin_down = net::RetryPolicy::Retryable(response);
-    NoteOriginOutcome(!origin_down);
-    std::string message = "origin /sql error " +
-                          std::to_string(response.status_code) + ": " +
-                          response.body;
-    return origin_down ? Status::Unavailable(std::move(message))
-                       : Status::Internal(std::move(message));
-  }
-  auto table = sql::TableFromXml(response.body);
-  NoteOriginOutcome(table.ok());
-  if (!table.ok()) return table.status();
   ChargeMicros(config_.costs.per_origin_response_tuple_us *
                static_cast<double>(table->num_rows()));
   span.AddAttr("rows", std::to_string(table->num_rows()));
@@ -1267,7 +1189,7 @@ HttpResponse FunctionProxy::HandleActive(const HttpRequest& request,
                             ins_.phase_remainder_build);
       build.AddAttr("plan", send_original ? "original" : "remainder");
       build.AddAttr("excluded_regions", std::to_string(contributing.size()));
-      std::optional<sql::SelectStatement> remainder_stmt;
+      HttpRequest remainder;
       if (!send_original) {
         auto built =
             BuildRemainderQuery(*stmt, contributing, ft.coordinate_columns());
@@ -1275,24 +1197,23 @@ HttpResponse FunctionProxy::HandleActive(const HttpRequest& request,
           build.Finish();
           return Forward(request, deadline_micros, record, trace);
         }
-        remainder_stmt.emplace(std::move(*built));
+        remainder.path = "/sql";
+        remainder.query_params["q"] = sql::SelectToSql(*built);
       }
       build.Finish();
 
-      auto fetched =
-          send_original
-              ? FetchFromOrigin(request, deadline_micros, record, trace)
-              : FetchRemainder(*remainder_stmt, deadline_micros, record, trace);
-      // Origin without a remainder facility: fall back to the original
-      // query (paper §3.2: "the proxy has no choice but always sends the
-      // original query"), answered as a miss below. kResourceExhausted is
-      // the deadline marker from Fetch*: no origin trip fits, so there is
-      // nothing to fall back to.
+      auto fetched = FetchTable(send_original ? request : remainder,
+                                deadline_micros, record, trace);
+      // The origin itself failed the remainder (a 4xx such as a site
+      // without a remainder facility, or a 5xx after retries): fall back to
+      // the original query (paper §3.2: "the proxy has no choice but always
+      // sends the original query"), answered as a miss below. A breaker
+      // refusal or a deadline short-circuit put nothing on the wire
+      // (contacted_origin stays unset) and would refuse the original too.
       const bool fell_back =
-          !send_original && !fetched.ok() &&
-          fetched.status().code() != util::StatusCode::kResourceExhausted;
+          !send_original && !fetched.ok() && record->contacted_origin;
       if (fell_back) {
-        fetched = FetchFromOrigin(request, deadline_micros, record, trace);
+        fetched = FetchTable(request, deadline_micros, record, trace);
       }
       if (!fetched.ok()) {
         // Deadline-blocked: the remaining client budget cannot fit any
@@ -1304,8 +1225,7 @@ HttpResponse FunctionProxy::HandleActive(const HttpRequest& request,
         // kInternal means the origin answered with a client error — that
         // is not unavailability, so it is not eligible for degradation.
         if (deadline_blocked ||
-            (config_.degraded_mode &&
-             fetched.status().code() != util::StatusCode::kInternal)) {
+            fetched.status().code() != util::StatusCode::kInternal) {
           // Degraded mode: the origin is unreachable, but the probe parts
           // are known-correct tuples for their regions — serve them as a
           // partial answer annotated with the covered volume fraction.
@@ -1472,7 +1392,7 @@ HttpResponse FunctionProxy::HandleActive(const HttpRequest& request,
     if (peer_served.has_value()) return *peer_served;
   }
   ins_.misses->Increment();
-  auto table = FetchFromOrigin(request, deadline_micros, record, trace);
+  auto table = FetchTable(request, deadline_micros, record, trace);
   if (!table.ok()) {
     if (table.status().code() == util::StatusCode::kResourceExhausted) {
       // The remaining client budget cannot fit a WAN trip and the cache
@@ -1482,8 +1402,7 @@ HttpResponse FunctionProxy::HandleActive(const HttpRequest& request,
       record->shed = true;
       return Unavailable("deadline-exceeded");
     }
-    if (config_.degraded_mode &&
-        table.status().code() != util::StatusCode::kInternal) {
+    if (table.status().code() != util::StatusCode::kInternal) {
       // The cache contributes nothing to this query: refuse honestly with a
       // Retry-After instead of a bare gateway error.
       ins_.degraded_unavailable->Increment();
@@ -1505,14 +1424,6 @@ HttpResponse FunctionProxy::HandleActive(const HttpRequest& request,
   flight.Fulfill({admitted != nullptr, admitted});
   peer_flight.Fulfill(admitted);
   return Respond(*table, trace);
-}
-
-util::Status FunctionProxy::SaveCache(const std::string& directory) const {
-  return SaveCacheSnapshot(*cache_, directory);
-}
-
-util::StatusOr<size_t> FunctionProxy::LoadCache(const std::string& directory) {
-  return LoadCacheSnapshot(directory, cache_.get());
 }
 
 HttpResponse FunctionProxy::HandleStats() {

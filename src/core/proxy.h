@@ -17,7 +17,6 @@
 #include "geometry/region.h"
 #include "net/http.h"
 #include "net/network.h"
-#include "net/origin_channel.h"
 #include "net/peer_channel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -135,9 +134,8 @@ struct ProxyConfig {
   /// active proxy answers subsumed queries from the cache, serves the cached
   /// portion of overlapping queries annotated partial="true" with a coverage
   /// fraction, and returns 503 + Retry-After only when the cache contributes
-  /// nothing. Off = every origin failure is surfaced as a gateway error.
-  bool degraded_mode = true;
-  /// Retry-After value on 503s when no breaker cooldown gives a better one.
+  /// nothing. This is the Retry-After value on those 503s when no breaker
+  /// cooldown gives a better one.
   int64_t retry_after_seconds = 30;
   /// Single-flight collapsing: concurrent origin-bound requests for the
   /// same (template, non-spatial fingerprint) whose region is covered by an
@@ -163,21 +161,6 @@ struct ProxyConfig {
   /// queries and single-flight followers still pass — the cheap lane keeps
   /// draining when the expensive lane is saturated.
   double origin_shed_watermark = 0.75;
-  /// Async origin channel: remainder queries go through a
-  /// net::OriginChannel, whose dispatchers can coalesce concurrent
-  /// requests' remainders into one /sql/batch trip (coalesce_remainders).
-  /// The remainder is planned after the probe scan, so it is never on the
-  /// wire during the scan; the requesting thread waits for its answer.
-  /// Off = remainders go straight to the origin from the requesting thread.
-  bool async_origin = true;
-  /// Coalesce queued deadline-free remainder fetches from concurrent
-  /// requests into one /sql/batch wire request (requires async_origin; the
-  /// origin advertises support by answering the endpoint, see
-  /// net::OriginChannel).
-  bool coalesce_remainders = true;
-  /// Dispatcher threads in the async origin channel; bounds concurrent
-  /// origin wire requests issued through it.
-  size_t origin_dispatchers = 8;
   /// Capacity of the in-memory ring of recent per-query traces served by
   /// GET /proxy/trace?last=N. 0 disables span recording entirely (the
   /// per-phase histograms behind GET /metrics stay on either way).
@@ -358,14 +341,6 @@ class FunctionProxy final : public net::HttpHandler {
   /// Ring of recent completed query traces (GET /proxy/trace?last=N).
   const obs::TraceRing& trace_ring() const { return trace_ring_; }
 
-  /// Persists the active cache (result files + manifest) to `directory`,
-  /// which must exist — the paper's proxy keeps its cached query results as
-  /// XML files on disk.
-  util::Status SaveCache(const std::string& directory) const;
-  /// Warm-starts the cache from a snapshot; returns entries restored.
-  /// Passive-mode items are not persisted (they are raw response bodies).
-  util::StatusOr<size_t> LoadCache(const std::string& directory);
-
   /// Writes a warm-restart snapshot (docs/FORMATS.md §13): every cache
   /// entry as a compressed frozen segment plus the statistics baseline
   /// (counters, per-query records, coverage) needed to make a restarted
@@ -538,20 +513,16 @@ class FunctionProxy final : public net::HttpHandler {
   /// a crashed or partitioned remote leader.
   void ReapExpiredPeerFlights();
 
-  /// Fetches from the origin via the form endpoint, parses the XML result
-  /// and returns the table; advances the clock for parsing. Null status on
-  /// origin error. A successful fetch is a sample for the cache's re-fetch
-  /// cost fit (rows against virtual micros spent in the round trip).
-  util::StatusOr<sql::Table> FetchFromOrigin(const net::HttpRequest& request,
-                                             int64_t deadline_micros,
-                                             QueryRecord* record,
-                                             obs::QueryTrace* trace);
-  /// Ships a remainder statement through /sql and parses the result; on the
-  /// async origin channel when one is configured.
-  util::StatusOr<sql::Table> FetchRemainder(const sql::SelectStatement& stmt,
-                                            int64_t deadline_micros,
-                                            QueryRecord* record,
-                                            obs::QueryTrace* trace);
+  /// The one origin call for a table: sends `request` — the client's form
+  /// request or a /sql remainder the caller built — parses the XML result
+  /// and charges the per-tuple parse. Unavailable when the breaker refuses
+  /// or the origin is down, ResourceExhausted when the deadline cannot fit
+  /// the trip, Internal on a 4xx. Successful form trips feed the cache's
+  /// re-fetch cost fit (rows against virtual micros spent in the trip).
+  util::StatusOr<sql::Table> FetchTable(const net::HttpRequest& request,
+                                        int64_t deadline_micros,
+                                        QueryRecord* record,
+                                        obs::QueryTrace* trace);
 
   /// Serializes and returns `table` as the response, charging assembly time.
   net::HttpResponse Respond(const sql::Table& table, obs::QueryTrace* trace);
@@ -654,9 +625,6 @@ class FunctionProxy final : public net::HttpHandler {
   ProxyConfig config_;
   const TemplateRegistry* templates_;
   net::SimulatedChannel* origin_;
-  /// Async front-end over origin_ for remainder fetches (coalescing);
-  /// created only when config_.async_origin is set.
-  std::unique_ptr<net::OriginChannel> origin_async_;
   util::SimulatedClock* clock_;
   std::unique_ptr<CacheStore> cache_;
   std::unique_ptr<net::CircuitBreaker> breaker_;

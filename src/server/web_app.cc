@@ -1,6 +1,5 @@
 #include "server/web_app.h"
 
-#include "net/origin_channel.h"
 #include "sql/eval.h"
 #include "sql/parser.h"
 #include "sql/table_xml.h"
@@ -44,35 +43,7 @@ HttpResponse OriginWebApp::ExecuteAndRespond(const SelectStatement& stmt,
   return response;
 }
 
-HttpResponse OriginWebApp::HandleSqlBatch(const HttpRequest& request) {
-  if (!sql_enabled_.load(std::memory_order_relaxed)) {
-    return HttpResponse::MakeError(403, "SQL facility disabled");
-  }
-  std::vector<std::string> statements;
-  if (!net::DecodeSqlBatchRequest(request.body, &statements)) {
-    return HttpResponse::MakeError(400, "malformed batch request body");
-  }
-  std::vector<HttpResponse> subs;
-  subs.reserve(statements.size());
-  for (const std::string& sql_text : statements) {
-    auto stmt = sql::ParseSelect(sql_text);
-    if (!stmt.ok()) {
-      subs.push_back(HttpResponse::MakeError(400, stmt.status().ToString()));
-      continue;
-    }
-    sql_queries_served_.fetch_add(1, std::memory_order_relaxed);
-    subs.push_back(ExecuteAndRespond(*stmt, /*is_remainder=*/true));
-  }
-  HttpResponse response;
-  response.content_type = "application/x-fnproxy-batch";
-  response.body = net::EncodeSqlBatchResponse(subs);
-  return response;
-}
-
 HttpResponse OriginWebApp::Handle(const HttpRequest& request) {
-  if (request.path == "/sql/batch") {
-    return HandleSqlBatch(request);
-  }
   if (request.path == "/sql") {
     if (!sql_enabled_.load(std::memory_order_relaxed)) {
       return HttpResponse::MakeError(403, "SQL facility disabled");

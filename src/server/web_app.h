@@ -66,11 +66,6 @@ class OriginWebApp final : public net::HttpHandler {
  private:
   net::HttpResponse ExecuteAndRespond(const sql::SelectStatement& stmt,
                                       bool is_remainder);
-  /// POST /sql/batch: several remainder statements in one wire request
-  /// (length-prefixed framing, see net/origin_channel.h). Each statement
-  /// executes and is charged exactly as a solo /sql query; only the network
-  /// transfer is shared.
-  net::HttpResponse HandleSqlBatch(const net::HttpRequest& request);
 
   Database* db_;
   util::SimulatedClock* clock_;

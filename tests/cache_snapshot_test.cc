@@ -1,38 +1,18 @@
-// Cache persistence: region XML round trips for all shapes, snapshot save/
-// load, and proxy warm restart serving hits without contacting the origin.
+// Region XML round trips for all shapes: the region document of the peer
+// wire and of warm-restart snapshot entries.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
-#include <memory>
-#include <string>
+#include <vector>
 
-#include "catalog/sky_catalog.h"
 #include "core/cache_snapshot.h"
-#include "core/proxy.h"
 #include "geometry/celestial.h"
 #include "geometry/hyperrectangle.h"
 #include "geometry/hypersphere.h"
 #include "geometry/polytope.h"
-#include "index/array_index.h"
-#include "net/network.h"
-#include "server/sky_functions.h"
-#include "server/web_app.h"
-#include "sql/table_xml.h"
-#include "workload/experiment.h"
 
 namespace fnproxy::core {
 namespace {
-
-using sql::Value;
-
-std::string MakeTempDir() {
-  char pattern[] = "/tmp/fnproxy_snapshot_XXXXXX";
-  char* dir = mkdtemp(pattern);
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
 
 TEST(RegionXmlTest, SphereRoundTrip) {
   geometry::Hypersphere sphere({0.123456789012345, -2.5, 3.75}, 0.5);
@@ -82,136 +62,6 @@ TEST(RegionXmlTest, MalformedRejected) {
       RegionFromXml("<Region shape=\"hypersphere\" dims=\"2\"><Center>0 0"
                     "</Center><Radius>-1</Radius></Region>")
           .ok());
-}
-
-CacheEntry MakeEntry(double x, double radius, size_t rows) {
-  CacheEntry entry;
-  entry.template_id = "radial";
-  entry.nonspatial_fingerprint = "flag=1;";
-  entry.param_fingerprint = "x=" + std::to_string(x);
-  entry.region = std::make_unique<geometry::Hypersphere>(
-      geometry::Point{x, 0.0}, radius);
-  sql::Table table(sql::Schema(
-      {{"objID", sql::ValueType::kInt}, {"x", sql::ValueType::kDouble}}));
-  for (size_t i = 0; i < rows; ++i) {
-    table.AddRow({Value::Int(static_cast<int64_t>(i)),
-                  Value::Double(x + static_cast<double>(i) * 0.001)});
-  }
-  entry.result = std::move(table);
-  entry.truncated = (rows == 7);  // One truncated entry in the fixture.
-  return entry;
-}
-
-TEST(CacheSnapshotTest, SaveLoadRoundTrip) {
-  std::string dir = MakeTempDir();
-  CacheStore original(std::make_unique<index::ArrayRegionIndex>(), 0,
-                      ReplacementPolicy::kLru);
-  original.Insert(MakeEntry(0, 1, 5));
-  original.Insert(MakeEntry(10, 2, 7));   // Truncated.
-  original.Insert(MakeEntry(20, 0.5, 0));  // Empty result.
-  ASSERT_TRUE(SaveCacheSnapshot(original, dir).ok());
-
-  CacheStore restored(std::make_unique<index::ArrayRegionIndex>(), 0,
-                      ReplacementPolicy::kLru);
-  auto count = LoadCacheSnapshot(dir, &restored);
-  ASSERT_TRUE(count.ok()) << count.status().ToString();
-  EXPECT_EQ(*count, 3u);
-  EXPECT_EQ(restored.num_entries(), 3u);
-
-  // Every restored entry matches an original by param fingerprint.
-  for (uint64_t id : restored.AllIds()) {
-    std::shared_ptr<const CacheEntry> entry = restored.Find(id);
-    bool matched = false;
-    for (uint64_t original_id : original.AllIds()) {
-      std::shared_ptr<const CacheEntry> orig = original.Find(original_id);
-      if (orig->param_fingerprint != entry->param_fingerprint) continue;
-      matched = true;
-      EXPECT_EQ(entry->template_id, orig->template_id);
-      EXPECT_EQ(entry->nonspatial_fingerprint, orig->nonspatial_fingerprint);
-      EXPECT_EQ(entry->truncated, orig->truncated);
-      EXPECT_EQ(entry->result.num_rows(), orig->result.num_rows());
-      EXPECT_TRUE(geometry::Equals(*entry->region, *orig->region));
-    }
-    EXPECT_TRUE(matched);
-  }
-}
-
-TEST(CacheSnapshotTest, LoadFromMissingDirectoryFails) {
-  CacheStore cache(std::make_unique<index::ArrayRegionIndex>(), 0,
-                   ReplacementPolicy::kLru);
-  EXPECT_FALSE(LoadCacheSnapshot("/tmp/fnproxy_no_such_dir_12345", &cache).ok());
-}
-
-TEST(CacheSnapshotTest, ProxyWarmRestartServesFromRestoredCache) {
-  // Build a small pipeline, run queries, snapshot, restart, verify hits.
-  catalog::SkyCatalogConfig config;
-  config.num_objects = 10000;
-  config.seed = 888;
-  config.ra_min = 178.0;
-  config.ra_max = 192.0;
-  config.dec_min = 28.0;
-  config.dec_max = 40.0;
-  server::Database db;
-  db.AddTable("PhotoPrimary", catalog::GenerateSkyCatalog(config));
-  server::SkyGrid grid(db.FindTable("PhotoPrimary"));
-  db.RegisterTableFunction(server::MakeGetNearbyObjEq(&grid));
-  db.scalar_functions()->Register(
-      "fPhotoFlags",
-      [](const std::vector<Value>& args) -> util::StatusOr<Value> {
-        FNPROXY_ASSIGN_OR_RETURN(int64_t bit,
-                                 catalog::PhotoFlagValue(args.at(0).AsString()));
-        return Value::Int(bit);
-      });
-  core::TemplateRegistry templates;
-  ASSERT_TRUE(templates
-                  .RegisterFunctionTemplateXml(workload::kNearbyObjEqTemplateXml)
-                  .ok());
-  auto qt = core::QueryTemplate::Create("radial", "/radial",
-                                        workload::kRadialTemplateSql);
-  ASSERT_TRUE(qt.ok());
-  ASSERT_TRUE(templates.RegisterQueryTemplate(std::move(*qt)).ok());
-
-  util::SimulatedClock clock;
-  server::OriginWebApp app(&db, &clock);
-  ASSERT_TRUE(app.RegisterForm("/radial", workload::kRadialTemplateSql).ok());
-  net::SimulatedChannel channel(&app, net::LinkConfig{0.0, 1e9}, &clock);
-
-  net::HttpRequest request;
-  request.path = "/radial";
-  request.query_params["ra"] = "185.0";
-  request.query_params["dec"] = "33.0";
-  request.query_params["radius"] = "25.0";
-
-  std::string dir = MakeTempDir();
-  std::string first_body;
-  {
-    core::FunctionProxy proxy(core::ProxyConfig{}, &templates, &channel, &clock);
-    first_body = proxy.Handle(request).body;
-    ASSERT_EQ(proxy.cache().num_entries(), 1u);
-    ASSERT_TRUE(proxy.SaveCache(dir).ok());
-  }
-  {
-    core::FunctionProxy proxy(core::ProxyConfig{}, &templates, &channel, &clock);
-    auto restored = proxy.LoadCache(dir);
-    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-    EXPECT_EQ(*restored, 1u);
-
-    uint64_t before = channel.total_requests();
-    net::HttpResponse repeat = proxy.Handle(request);
-    EXPECT_EQ(channel.total_requests(), before);  // Served from snapshot.
-    EXPECT_EQ(proxy.stats().exact_hits, 1u);
-    auto t1 = sql::TableFromXml(first_body);
-    auto t2 = sql::TableFromXml(repeat.body);
-    ASSERT_TRUE(t1.ok());
-    ASSERT_TRUE(t2.ok());
-    EXPECT_EQ(t1->num_rows(), t2->num_rows());
-
-    // Contained query also answered locally from the restored entry.
-    request.query_params["radius"] = "10.0";
-    proxy.Handle(request);
-    EXPECT_EQ(channel.total_requests(), before);
-    EXPECT_EQ(proxy.stats().containment_hits, 1u);
-  }
 }
 
 }  // namespace

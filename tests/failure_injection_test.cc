@@ -324,9 +324,15 @@ TEST_F(FailureInjectionTest, DegradedModeServesFromCacheDuringOutage) {
   EXPECT_GE(active.stats().degraded_full, 1u);
 
   // Overlapping query: the cached portion is served, marked partial with a
-  // coverage fraction strictly between 0 and 1.
+  // coverage fraction strictly between 0 and 1. The open breaker refuses
+  // the remainder once, with no wire request; the refusal does not fall
+  // back to the original query, which the breaker would refuse again.
+  const uint64_t rejections_before = active.stats().breaker_open_rejections;
+  wire_before = channel_->total_requests();
   HttpResponse overlap = active.Handle(Radial(185.4, 33, 20));
   EXPECT_TRUE(overlap.ok()) << overlap.body;
+  EXPECT_EQ(active.stats().breaker_open_rejections, rejections_before + 1);
+  EXPECT_EQ(channel_->total_requests(), wire_before);
   auto overlap_attrs = sql::ResultAttrsFromXml(overlap.body);
   ASSERT_TRUE(overlap_attrs.ok());
   EXPECT_TRUE(overlap_attrs->partial);
