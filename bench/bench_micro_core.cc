@@ -33,7 +33,8 @@ BENCHMARK(BM_BuildRegionFromTemplate);
 std::unique_ptr<CacheStore> MakePopulatedStore(size_t entries,
                                                util::Random& rng) {
   auto store = std::make_unique<CacheStore>(
-      std::make_unique<index::ArrayRegionIndex>(), 0, ReplacementPolicy::kLru);
+      [] { return std::make_unique<index::ArrayRegionIndex>(); },
+      /*num_shards=*/1, 0, ReplacementPolicy::kLru);
   sql::Table empty(sql::Schema({{"cx", sql::ValueType::kDouble}}));
   for (size_t i = 0; i < entries; ++i) {
     CacheEntry entry;

@@ -58,14 +58,6 @@ RefetchCost RefetchCostFit::Current() const {
   return cost;
 }
 
-CacheStore::CacheStore(std::unique_ptr<index::RegionIndex> description,
-                       size_t max_bytes, ReplacementPolicy policy)
-    : max_bytes_(max_bytes), policy_(policy) {
-  auto shard = std::make_unique<Shard>();
-  shard->description = std::move(description);
-  shards_.push_back(std::move(shard));
-}
-
 CacheStore::CacheStore(const RegionIndexFactory& factory, size_t num_shards,
                        size_t max_bytes, ReplacementPolicy policy)
     : max_bytes_(max_bytes), policy_(policy) {

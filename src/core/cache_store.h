@@ -164,13 +164,9 @@ struct TierSweepResult {
 /// time), which makes the locking trivially deadlock-free.
 class CacheStore {
  public:
-  /// Single-shard store (legacy convenience for tests/benches and
-  /// single-threaded runs). `max_bytes == 0` means unlimited.
-  CacheStore(std::unique_ptr<index::RegionIndex> description, size_t max_bytes,
-             ReplacementPolicy policy);
-
   /// Sharded store: `factory` is invoked once per shard to build that
   /// shard's cache-description index. `num_shards` is clamped to >= 1.
+  /// `max_bytes == 0` means unlimited.
   CacheStore(const RegionIndexFactory& factory, size_t num_shards,
              size_t max_bytes, ReplacementPolicy policy);
 

@@ -106,6 +106,22 @@ namespace {
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
+/// Retry-After on 503s when no breaker cooldown gives a better value.
+constexpr int64_t kRetryAfterSeconds = 30;
+/// How long a single-flight follower waits (wall clock) for its leader
+/// before fetching on its own, and how long an owner holds a remote
+/// leader's flight open (virtual clock). Generous: a leader that dies
+/// completes its flight as failed at once, so the bound only guards against
+/// a leader wedged inside the origin channel.
+constexpr std::chrono::milliseconds kCollapseWait{30'000};
+/// Cooperative tier: quantization cell (per dimension) of the region
+/// ownership key. Queries whose bounding-box centers fall in the same cell
+/// map to the same owning proxy, so exact repeats and concentric contained
+/// variants probe the sibling that actually holds the covering entry.
+constexpr double kPeerOwnershipCell = 0.05;
+/// A storage-tier sweep (freeze + spill pass) runs every N handled requests.
+constexpr uint64_t kSweepEveryRequests = 64;
+
 /// Cheaply extracts the rows="N" attribute from a result document without a
 /// full XML parse (used for pass-through responses where the proxy only
 /// needs the tuple count for statistics).
@@ -646,7 +662,7 @@ HttpResponse FunctionProxy::Unavailable(const std::string& reason) {
   response.body = "<Error code=\"503\" reason=\"" + reason + "\"/>\n";
   int64_t cooldown = breaker_->CooldownRemainingMicros();
   int64_t seconds = cooldown > 0 ? (cooldown + 999'999) / 1'000'000
-                                 : config_.retry_after_seconds;
+                                 : kRetryAfterSeconds;
   response.headers["Retry-After"] = std::to_string(seconds);
   response.headers["X-Shed-Reason"] = reason;
   return response;
@@ -736,53 +752,15 @@ StatusOr<Table> FunctionProxy::FetchTable(const HttpRequest& request,
   return table;
 }
 
-HttpResponse FunctionProxy::Respond(const Table& table,
-                                    obs::QueryTrace* trace) {
-  obs::ScopedSpan span(trace, "serialize", clock_, ins_.phase_serialize);
-  span.AddAttr("rows", std::to_string(table.num_rows()));
-  ChargeMicros(config_.costs.per_response_tuple_us *
-               static_cast<double>(table.num_rows()));
-  HttpResponse response;
-  response.body = sql::TableToXml(table);
-  return response;
-}
-
-HttpResponse FunctionProxy::Respond(const sql::ColumnarTable& table,
-                                    obs::QueryTrace* trace) {
-  obs::ScopedSpan span(trace, "serialize", clock_, ins_.phase_serialize);
-  span.AddAttr("rows", std::to_string(table.num_rows()));
-  ChargeMicros(config_.costs.per_response_tuple_us *
-               static_cast<double>(table.num_rows()));
-  HttpResponse response;
-  response.body = sql::TableToXml(table);
-  return response;
-}
-
 HttpResponse FunctionProxy::Respond(const sql::ColumnarTable& table,
                                     const std::vector<uint32_t>& selection,
+                                    const sql::ResultXmlAttrs& attrs,
                                     obs::QueryTrace* trace) {
   obs::ScopedSpan span(trace, "serialize", clock_, ins_.phase_serialize);
   span.AddAttr("rows", std::to_string(selection.size()));
+  if (attrs.partial) span.AddAttr("partial", "true");
   ChargeMicros(config_.costs.per_response_tuple_us *
                static_cast<double>(selection.size()));
-  HttpResponse response;
-  response.body = sql::TableToXml(table, sql::ResultXmlAttrs{},
-                                  selection.data(), selection.size());
-  return response;
-}
-
-HttpResponse FunctionProxy::RespondPartial(
-    const sql::ColumnarTable& table, const std::vector<uint32_t>& selection,
-    double coverage, const std::string& reason, obs::QueryTrace* trace) {
-  obs::ScopedSpan span(trace, "serialize", clock_, ins_.phase_serialize);
-  span.AddAttr("rows", std::to_string(selection.size()));
-  span.AddAttr("partial", "true");
-  ChargeMicros(config_.costs.per_response_tuple_us *
-               static_cast<double>(selection.size()));
-  sql::ResultXmlAttrs attrs;
-  attrs.partial = true;
-  attrs.coverage = coverage;
-  attrs.degraded_reason = reason;
   HttpResponse response;
   response.body =
       sql::TableToXml(table, attrs, selection.data(), selection.size());
@@ -854,8 +832,8 @@ HttpResponse FunctionProxy::HandlePassive(const HttpRequest& request,
     }
     lookup.AddAttr("outcome", "miss");
   }
-  ins_.misses->Increment();
   HttpResponse response = Forward(request, deadline_micros, record, trace);
+  if (!record->shed) ins_.misses->Increment();
   // Admission control: only well-formed result documents from 2xx responses
   // enter the cache — a 200 carrying garbage must not poison future hits.
   if (response.ok() && sql::TableFromXml(response.body).ok()) {
@@ -886,63 +864,37 @@ HttpResponse FunctionProxy::HandlePassive(const HttpRequest& request,
   return response;
 }
 
-std::optional<HttpResponse> FunctionProxy::CollapseOrLead(
-    const QueryTemplate& qt, const FunctionTemplate& ft,
-    const geometry::Region& region, const std::string& nonspatial_fp,
-    const std::map<std::string, Value>& params, QueryRecord* record,
-    obs::QueryTrace* trace, FlightGuard* guard) {
-  const bool exact_only = qt.function_dependent_projection();
+std::optional<QueryPlan> FunctionProxy::CollapseOrLead(const TemplateQuery& q,
+                                                       FlightGuard* guard) {
   // A few rounds: when a leader fails, one of its followers becomes the
   // next round's leader, so a transient leader error wakes the herd one
   // request at a time instead of fanning everyone out to the origin.
   for (int round = 0; round < 3; ++round) {
     SingleFlightTable::Ticket ticket =
-        inflight_.JoinOrLead(qt.id(), nonspatial_fp, region);
+        inflight_.JoinOrLead(q.qt.id(), q.nonspatial_fp, q.region);
     if (ticket.leader) {
       *guard = FlightGuard(&inflight_, ticket.token);
       return std::nullopt;
     }
-    if (ticket.result.wait_for(std::chrono::milliseconds(
-            config_.collapse_wait_millis)) != std::future_status::ready) {
+    if (ticket.result.wait_for(kCollapseWait) != std::future_status::ready) {
       // Leader wedged past the bound: fetch solo rather than hang. The
       // flight stays registered; its own guard will complete it eventually.
       return std::nullopt;
     }
     FlightOutcome outcome = ticket.result.get();
     if (!outcome.ok || outcome.entry == nullptr) continue;
-    const CacheEntry& entry = *outcome.entry;
-    const bool equal = geometry::Equals(*entry.region, region);
+    const bool equal = geometry::Equals(*outcome.entry->region, q.region);
     // Truncated (TOP-cut) entries serve exact regions only, and templates
     // with function-computed projections cannot reuse a larger region's
     // tuples (the computed values would be stale) — fetch solo instead.
-    if (!equal && (exact_only || entry.truncated)) return std::nullopt;
-    ins_.inflight_collapsed->Increment();
-    record->collapsed = true;
-    if (equal) {
-      record->tuples_total = entry.result.num_rows();
-      record->tuples_from_cache = entry.result.num_rows();
-      return Respond(entry.result, trace);
+    if (!equal && (q.qt.function_dependent_projection() ||
+                   outcome.entry->truncated)) {
+      return std::nullopt;
     }
-    // The leader's region strictly contains ours: local spatial selection
-    // over the admitted entry, exactly the containment-hit path.
-    obs::ScopedSpan eval(trace, "local_eval", clock_, ins_.phase_local_eval);
-    auto selected =
-        SelectInRegion(entry.result, region, ft.coordinate_columns());
-    if (!selected.ok()) return std::nullopt;
-    double eval_micros = config_.costs.per_cached_tuple_scan_us *
-                         static_cast<double>(selected->tuples_scanned);
-    ins_.local_eval_micros->Increment(static_cast<uint64_t>(eval_micros));
-    ChargeMicros(eval_micros);
-    eval.AddAttr("tuples_scanned", std::to_string(selected->tuples_scanned));
-    auto stmt = qt.Instantiate(params);
-    if (!stmt.ok()) return std::nullopt;
-    auto final_selection =
-        ApplyOrderAndTop(entry.result, std::move(selected->selection), *stmt);
-    eval.Finish();
-    if (!final_selection.ok()) return std::nullopt;
-    record->tuples_total = final_selection->size();
-    record->tuples_from_cache = final_selection->size();
-    return Respond(entry.result, *final_selection, trace);
+    // The leader's entry answers like a cached one: whole when its region
+    // is ours, by local spatial selection when it strictly contains ours.
+    return QueryPlan::FromEntry(std::move(outcome.entry), /*scan=*/!equal,
+                                QueryPlan::Source::kLeader);
   }
   return std::nullopt;  // Rounds exhausted: fetch solo without leading.
 }
@@ -959,19 +911,17 @@ HttpResponse FunctionProxy::HandleActive(const HttpRequest& request,
     params[key] = sql::ParseValueFromText(text);
   }
   auto args = qt.FunctionArgs(params);
-  if (!args.ok()) {
-    return Forward(request, deadline_micros, record, trace);
-  }
-  auto region_or = ft.BuildRegion(*args);
-  if (!region_or.ok()) {
-    return Forward(request, deadline_micros, record, trace);
-  }
-  std::unique_ptr<geometry::Region> region = std::move(*region_or);
+  auto region = args.ok() ? ft.BuildRegion(*args) : args.status();
   auto nonspatial_fp = qt.NonSpatialFingerprint(params);
-  if (!nonspatial_fp.ok()) {
-    return Forward(request, deadline_micros, record, trace);
+  if (!region.ok() || !nonspatial_fp.ok()) {
+    HttpResponse response = Forward(request, deadline_micros, record, trace);
+    if (!record->shed) ins_.misses->Increment();
+    return response;
   }
-  std::string param_fp = FullParamFingerprint(request.query_params);
+  const TemplateQuery q{request, qt, ft, **region, std::move(params),
+                        std::move(*nonspatial_fp),
+                        FullParamFingerprint(request.query_params),
+                        deadline_micros, record, trace};
 
   // --- Relationship check against the cache description. The returned
   // snapshots stay valid even if a concurrent admission evicts the entries
@@ -979,7 +929,7 @@ HttpResponse FunctionProxy::HandleActive(const HttpRequest& request,
   obs::ScopedSpan lookup(trace, "cache_lookup", clock_,
                          ins_.phase_cache_lookup);
   RelationshipResult rel =
-      CheckRelationship(*cache_, qt.id(), *nonspatial_fp, *region);
+      CheckRelationship(*cache_, qt.id(), q.nonspatial_fp, q.region);
   double check_micros =
       DescriptionCostMicros(rel.description_comparisons) +
       config_.costs.per_relation_check_us *
@@ -995,435 +945,332 @@ HttpResponse FunctionProxy::HandleActive(const HttpRequest& request,
   lookup.AddAttr("regions_checked", std::to_string(rel.regions_checked));
   lookup.Finish();
 
-  // Templates whose projection carries function-computed values (e.g. a
-  // distance to the query point) cannot reuse cached tuples for a different
-  // query region: those values would be stale. Exact matches remain safe.
+  // --- Plan the §3.2 case. Templates whose projection carries
+  // function-computed values (e.g. a distance to the query point) cannot
+  // reuse cached tuples for a different query region: those values would
+  // be stale. Exact matches remain safe. A case the scheme does not handle
+  // is a miss (the default plan). ---
   const bool exact_only = qt.function_dependent_projection();
-  const bool handle_region_containment =
-      !exact_only && (config_.mode == CachingMode::kActiveFull ||
-                      config_.mode == CachingMode::kActiveRegionContainment);
-  const bool handle_overlap =
-      !exact_only && config_.mode == CachingMode::kActiveFull;
-
+  const bool full = config_.mode == CachingMode::kActiveFull;
+  QueryPlan plan;
   switch (rel.status) {
-    case RegionRelation::kEqual: {
-      // Case (a): serve the cached result directly. The matched snapshot
-      // may be frozen or spilled; promote it back to the hot tier first
-      // (a vanished entry degrades to the miss path below).
-      auto entry = EnsureHot(rel.matched, trace);
-      if (entry == nullptr) break;
-      ins_.exact_hits->Increment();
-      cache_->Touch(entry->id, clock_->NowMicros());
-      record->tuples_total = entry->result.num_rows();
-      record->tuples_from_cache = entry->result.num_rows();
-      if (BreakerOpen()) {
-        // Served entirely from cache while the origin is down: a degraded
-        // answer that happens to be complete.
-        ins_.degraded_full->Increment();
-        record->degraded = true;
+    case RegionRelation::kEqual:  // (a) Serve the cached result.
+      plan = QueryPlan::FromEntry(rel.matched, /*scan=*/false);
+      break;
+    case RegionRelation::kContainedBy:  // (b) Select from the container.
+      if (!exact_only) plan = QueryPlan::FromEntry(rel.matched, /*scan=*/true);
+      break;
+    case RegionRelation::kContains:  // Region containment (Second, First).
+    case RegionRelation::kOverlap:   // (c) General overlap (First).
+      if (exact_only || config_.mode == CachingMode::kActiveContainmentOnly ||
+          (rel.status == RegionRelation::kOverlap && !full)) {
+        break;
       }
-      return Respond(entry->result, trace);
-    }
-
-    case RegionRelation::kContainedBy: {
-      if (exact_only) break;  // Stale function-computed values; miss path.
-      // Case (b): local spatial selection over the containing entry.
-      auto entry = EnsureHot(rel.matched, trace);
-      if (entry == nullptr) break;  // Entry vanished cold; miss path.
-      ins_.containment_hits->Increment();
-      cache_->Touch(entry->id, clock_->NowMicros());
-      // Columnar scan: membership kernel over the entry's pre-resolved
-      // coordinate arrays, yielding a selection vector that flows through
-      // order/top and straight into serialization — no row materialization.
-      obs::ScopedSpan eval(trace, "local_eval", clock_, ins_.phase_local_eval);
-      auto selected =
-          SelectInRegion(entry->result, *region, ft.coordinate_columns());
-      if (!selected.ok()) {
-        FNPROXY_LOG(kWarning) << "local evaluation failed: "
-                              << selected.status().ToString();
-        eval.Finish();
-        return Forward(request, deadline_micros, record, trace);
-      }
-      double eval_micros = config_.costs.per_cached_tuple_scan_us *
-                           static_cast<double>(selected->tuples_scanned);
-      ins_.local_eval_micros->Increment(static_cast<uint64_t>(eval_micros));
-      ChargeMicros(eval_micros);
-      eval.AddAttr("tuples_scanned", std::to_string(selected->tuples_scanned));
-      eval.AddAttr("selected", std::to_string(selected->selection.size()));
-      auto stmt = qt.Instantiate(params);
-      if (!stmt.ok()) {
-        eval.Finish();
-        return Forward(request, deadline_micros, record, trace);
-      }
-      auto final_selection = ApplyOrderAndTop(
-          entry->result, std::move(selected->selection), *stmt);
-      eval.Finish();
-      if (!final_selection.ok()) return Forward(request, deadline_micros, record, trace);
-      record->tuples_total = final_selection->size();
-      record->tuples_from_cache = final_selection->size();
-      if (BreakerOpen()) {
-        ins_.degraded_full->Increment();
-        record->degraded = true;
-      }
-      // Not cached: the result is already covered by the container (§3.2).
-      return Respond(entry->result, *final_selection, trace);
-    }
-
-    case RegionRelation::kContains:
-    case RegionRelation::kOverlap: {
-      bool is_region_containment = rel.status == RegionRelation::kContains;
-      bool handled = is_region_containment ? handle_region_containment
-                                           : handle_overlap;
-      if (!handled) break;  // Fall through to miss handling below.
-
-      // Origin-bound from here: collapse onto an in-flight leader covering
-      // this query, or become the leader — the guard completes the flight as
-      // failed on every early exit, so followers are never stranded.
-      FlightGuard flight;
-      if (config_.collapse_inflight) {
-        auto collapsed = CollapseOrLead(qt, ft, *region, *nonspatial_fp,
-                                        params, record, trace, &flight);
-        if (collapsed.has_value()) return *collapsed;
-      }
-      // Soft shed: past the watermark, new origin-bound work is refused
-      // while the cheap cache-served lane above keeps draining.
-      if (OriginBacklogged()) {
-        ins_.shed_origin_backlog->Increment();
-        record->shed = true;
-        return Unavailable("origin-backlog");
-      }
-
-      // Cases (c) and the region-containment special case, planned after
-      // the probe is evaluated:
-      //   1. Probe: contained entries are merged wholesale, overlapping
-      //      entries contribute the tuples a membership scan selects. `used`
-      //      keeps snapshots of every entry the probe reads; the probe itself
-      //      is a list of zero-copy slices (cached table + optional
-      //      selection vector), never copied row tables.
-      //   2. Plan one origin request: a remainder query excluding the
-      //      regions that contributed a tuple, or — when none did — the
-      //      client's original form query (DESIGN.md §18).
-      //   3. Merge, cache, respond.
-      //
-      // Probe entries must be tier-hot before their tuples can be sliced;
-      // an unrecoverable (vanished-cold) entry drops out of the probe, and
-      // the origin supplies its tuples instead.
-      auto stmt = qt.Instantiate(params);
-      if (!stmt.ok()) return Forward(request, deadline_micros, record, trace);
-      std::vector<std::shared_ptr<const CacheEntry>> contained_hot;
-      contained_hot.reserve(rel.contained.size());
+      plan.relation = rel.status;
+      plan.origin = QueryPlan::Origin::kRemainder;
+      // Contained regions lie fully inside the query: their results are
+      // merged wholesale, with no per-tuple spatial filtering.
       for (const auto& entry : rel.contained) {
-        auto hot = EnsureHot(entry, trace);
-        if (hot != nullptr) contained_hot.push_back(std::move(hot));
+        plan.slices.push_back({entry, /*scan=*/false});
       }
-      std::vector<std::shared_ptr<const CacheEntry>> used = contained_hot;
-      std::vector<std::shared_ptr<const CacheEntry>> scan_entries;
-      if (handle_overlap) {
-        for (const auto& entry : rel.overlapping) {
-          bool has_coords = true;
-          for (const std::string& name : ft.coordinate_columns()) {
-            // Schema survives freezing (cold entries keep a zero-row table
-            // with the full schema), so an entry the scan could not use is
-            // skipped without promoting it.
-            if (!entry->result.schema().FindColumn(name).has_value()) {
-              has_coords = false;
-              break;
-            }
-          }
-          if (!has_coords) continue;
-          auto hot = EnsureHot(entry, trace);
-          if (hot == nullptr) continue;  // Vanished cold; the origin covers it.
-          scan_entries.push_back(hot);
-          used.push_back(std::move(hot));
-        }
+      if (!full) break;
+      for (const auto& entry : rel.overlapping) {
+        plan.slices.push_back({entry, /*scan=*/true});
       }
+      break;
+    case RegionRelation::kDisjoint:  // (d) Fetch the original query.
+      break;
+  }
+  return Execute(std::move(plan), q);
+}
 
-      std::vector<ColumnarSlice> probe_slices;
-      std::vector<std::unique_ptr<std::vector<uint32_t>>> probe_selections;
-      // Regions of the entries that contributed at least one tuple.
-      std::vector<const geometry::Region*> contributing;
-      {
-        obs::ScopedSpan eval(trace, "local_eval", clock_, ins_.phase_local_eval);
-        size_t scanned = 0;
-        for (const auto& entry : contained_hot) {
-          cache_->Touch(entry->id, clock_->NowMicros());
-          // Contained regions lie fully inside the query: their result files
-          // are merged wholesale, with no per-tuple spatial filtering.
-          probe_slices.push_back({&entry->result, nullptr});
-          if (entry->result.num_rows() > 0) {
-            contributing.push_back(entry->region.get());
-          }
-        }
-        for (const auto& entry : scan_entries) {
-          cache_->Touch(entry->id, clock_->NowMicros());
-          auto selected =
-              SelectInRegion(entry->result, *region, ft.coordinate_columns());
-          if (!selected.ok()) continue;
-          scanned += selected->tuples_scanned;
-          if (!selected->selection.empty()) {
-            contributing.push_back(entry->region.get());
-          }
-          probe_selections.push_back(std::make_unique<std::vector<uint32_t>>(
-              std::move(selected->selection)));
-          probe_slices.push_back(
-              {&entry->result, probe_selections.back().get()});
-        }
-        double eval_micros = config_.costs.per_cached_tuple_scan_us *
-                             static_cast<double>(scanned);
-        ins_.local_eval_micros->Increment(static_cast<uint64_t>(eval_micros));
-        ChargeMicros(eval_micros);
-        eval.AddAttr("tuples_scanned", std::to_string(scanned));
-        eval.AddAttr("probe_slices", std::to_string(probe_slices.size()));
-      }
+HttpResponse FunctionProxy::Execute(QueryPlan plan, const TemplateQuery& q) {
+  HttpResponse response = RunPlan(&plan, q);
+  q.record->collapsed = plan.source == QueryPlan::Source::kLeader;
+  q.record->peer_hit = plan.from_peer();
+  if (q.record->shed) return response;
+  // fnproxy_cache_outcomes_total in geometry::RegionRelation order (as
+  // region_compare is indexed), then the outcome of each QueryPlan::Source.
+  obs::Counter* const by_relation[] = {
+      ins_.exact_hits, ins_.containment_hits, ins_.region_containments,
+      ins_.overlaps_handled, ins_.misses};
+  obs::Counter* const by_source[] = {
+      by_relation[static_cast<size_t>(plan.relation)], ins_.inflight_collapsed,
+      ins_.peer_lookup_hit, ins_.peer_lookup_flight};
+  by_source[static_cast<size_t>(plan.source)]->Increment();
+  return response;
+}
 
-      // A cached entry holds every origin tuple of its region (membership
-      // is exact, and TOP-cut entries never reach this path), so a region
-      // that contributed no tuple holds none of Q's and excluding it cannot
-      // change the remainder's answer. With no contributing region at all,
-      // the remainder is the original query in a costlier form, so the
-      // original goes instead — unless the template has a TOP: its form
-      // answer would be cut to the top N and could only be cached as
-      // truncated, while the remainder returns every tuple of Q.
-      const bool send_original = contributing.empty() && !qt.has_top();
+HttpResponse FunctionProxy::RunPlan(QueryPlan* plan, const TemplateQuery& q) {
+  using Origin = QueryPlan::Origin;
+  QueryRecord* record = q.record;
+  obs::QueryTrace* trace = q.trace;
+  const std::vector<std::string>& coords = q.ft.coordinate_columns();
+  // An internal failure makes the plan a miss that passes the original
+  // query through; a peer answer that fails counts as a peer miss.
+  auto fall_back = [&] {
+    if (plan->from_peer()) ins_.peer_lookup_miss->Increment();
+    *plan = QueryPlan{};
+    return Forward(q.request, q.deadline_micros, record, trace);
+  };
+  // Slices must be tier-hot before their tuples can be read; one whose
+  // entry vanished cold drops out, and the origin supplies its tuples.
+  auto heat = [&] {
+    for (QueryPlan::Slice& slice : plan->slices) {
+      slice.entry = EnsureHot(slice.entry, trace);
+    }
+    std::erase_if(plan->slices, [](const QueryPlan::Slice& slice) {
+      return slice.entry == nullptr;
+    });
+  };
+
+  // --- 1. EnsureHot / Touch. A plan the cache answers alone heats its entry
+  // first and becomes a miss when it vanished. An origin-bound plan first
+  // tries to avoid its own trip: it collapses onto an in-flight leader
+  // covering this query or leads (the guard completes the flight as failed
+  // on every early exit, so followers are never stranded); past the
+  // backlog watermark it is shed while the cheap cache-served lane keeps
+  // draining; and a miss asks the sibling owning the region, whose "lead"
+  // outcome arms peer_flight — this request must then push its origin
+  // result, or its failure, back to the owner. ---
+  if (plan->origin == Origin::kNone) {
+    heat();
+    if (plan->slices.empty()) *plan = QueryPlan{};
+  }
+  FlightGuard flight;
+  PeerFlightGuard peer_flight;
+  if (plan->origin != Origin::kNone) {
+    std::optional<QueryPlan> served;
+    if (config_.collapse_inflight) served = CollapseOrLead(q, &flight);
+    if (!served && OriginBacklogged()) {
+      ins_.shed_origin_backlog->Increment();
+      record->shed = true;
+      return Unavailable("origin-backlog");
+    }
+    if (!served && plan->relation == RegionRelation::kDisjoint) {
+      served = ProbePeer(q, &flight, &peer_flight);
+    }
+    if (served) *plan = std::move(*served);  // Its entry is hot already.
+    heat();
+  }
+  if (plan->source == QueryPlan::Source::kCache) {
+    for (const QueryPlan::Slice& slice : plan->slices) {
+      cache_->Touch(slice.entry->id, clock_->NowMicros());
+    }
+  }
+
+  // --- 2. Scan (local_eval): whole slices are zero-copy; scanned slices run
+  // the membership kernels over their pre-resolved coordinate arrays and
+  // yield selection vectors. A slice contributes when it yields a tuple. A
+  // probe slice the scan cannot use (no coordinate columns) drops out. ---
+  const bool probe = plan->origin == Origin::kRemainder;
+  std::vector<std::vector<uint32_t>> selections;
+  selections.reserve(plan->slices.size());  // `parts` point into it.
+  std::vector<ColumnarSlice> parts;
+  std::vector<const geometry::Region*> read, contributing;
+  {
+    std::optional<obs::ScopedSpan> eval;
+    if (probe || std::any_of(plan->slices.begin(), plan->slices.end(),
+                             [](const QueryPlan::Slice& s) { return s.scan; })) {
+      eval.emplace(trace, "local_eval", clock_, ins_.phase_local_eval);
+    }
+    size_t scanned = 0, selected = 0;
+    for (const QueryPlan::Slice& slice : plan->slices) {
+      const std::vector<uint32_t>* rows = nullptr;
+      if (slice.scan) {
+        auto found = SelectInRegion(slice.entry->result, q.region, coords);
+        if (!found.ok() && probe) continue;
+        if (!found.ok()) {
+          eval.reset();
+          return fall_back();
+        }
+        scanned += found->tuples_scanned;
+        rows = &selections.emplace_back(std::move(found->selection));
+      }
+      const size_t n =
+          rows != nullptr ? rows->size() : slice.entry->result.num_rows();
+      selected += n;
+      read.push_back(slice.entry->region.get());
+      if (n > 0) contributing.push_back(slice.entry->region.get());
+      parts.push_back({&slice.entry->result, rows});
+    }
+    if (eval) {
+      const double micros = config_.costs.per_cached_tuple_scan_us *
+                            static_cast<double>(scanned);
+      ins_.local_eval_micros->Increment(static_cast<uint64_t>(micros));
+      ChargeMicros(micros);
+      eval->AddAttr("tuples_scanned", std::to_string(scanned));
+      eval->AddAttr("selected", std::to_string(selected));
+      eval->AddAttr("probe_slices", std::to_string(parts.size()));
+    }
+  }
+
+  // --- 3. remainder_build and FetchTable. After the probe, the remainder
+  // excludes the contributing regions. A cached entry holds every origin
+  // tuple of its region (membership is exact, and TOP-cut entries never
+  // reach a probe), so a region with no tuple excludes nothing; with no
+  // contributing region the remainder is the original query in a costlier
+  // form, and the original goes instead (DESIGN.md §18) — unless the
+  // template has a TOP, whose form answer could only be cached truncated. ---
+  std::optional<sql::ColumnarTable> answer;  // The origin's, then merged.
+  sql::ResultXmlAttrs attrs;  // partial="true" on a degraded answer.
+  bool elided = false;
+  if (plan->origin != Origin::kNone) {
+    HttpRequest remainder;
+    if (probe) {
+      elided = contributing.empty() && !q.qt.has_top();
       obs::ScopedSpan build(trace, "remainder_build", clock_,
                             ins_.phase_remainder_build);
-      build.AddAttr("plan", send_original ? "original" : "remainder");
+      build.AddAttr("plan", elided ? "original" : "remainder");
       build.AddAttr("excluded_regions", std::to_string(contributing.size()));
-      HttpRequest remainder;
-      if (!send_original) {
-        auto built =
-            BuildRemainderQuery(*stmt, contributing, ft.coordinate_columns());
+      if (elided) {
+        plan->origin = Origin::kOriginal;
+      } else {
+        auto stmt = q.qt.Instantiate(q.params);
+        auto built = stmt.ok()
+                         ? BuildRemainderQuery(*stmt, contributing, coords)
+                         : stmt.status();
         if (!built.ok()) {
           build.Finish();
-          return Forward(request, deadline_micros, record, trace);
+          return fall_back();
         }
         remainder.path = "/sql";
         remainder.query_params["q"] = sql::SelectToSql(*built);
       }
-      build.Finish();
-
-      auto fetched = FetchTable(send_original ? request : remainder,
-                                deadline_micros, record, trace);
-      // The origin itself failed the remainder (a 4xx such as a site
-      // without a remainder facility, or a 5xx after retries): fall back to
-      // the original query (paper §3.2: "the proxy has no choice but always
-      // sends the original query"), answered as a miss below. A breaker
-      // refusal or a deadline short-circuit put nothing on the wire
-      // (contacted_origin stays unset) and would refuse the original too.
-      const bool fell_back =
-          !send_original && !fetched.ok() && record->contacted_origin;
-      if (fell_back) {
-        fetched = FetchTable(request, deadline_micros, record, trace);
-      }
-      if (!fetched.ok()) {
-        // Deadline-blocked: the remaining client budget cannot fit any
-        // origin trip, so the probe is all this request will ever get —
-        // serve it now.
-        const bool deadline_blocked = fetched.status().code() ==
-                                      util::StatusCode::kResourceExhausted;
-        if (deadline_blocked) ins_.deadline_exceeded->Increment();
-        // kInternal means the origin answered with a client error — that
-        // is not unavailability, so it is not eligible for degradation.
-        if (deadline_blocked ||
-            fetched.status().code() != util::StatusCode::kInternal) {
-          // Degraded mode: the origin is unreachable, but the probe parts
-          // are known-correct tuples for their regions — serve them as a
-          // partial answer annotated with the covered volume fraction.
-          obs::ScopedSpan merge(trace, "merge", clock_, ins_.phase_merge);
-          auto probe_only = MergeDistinctColumnar(probe_slices);
-          util::StatusOr<std::vector<uint32_t>> partial_selection =
-              probe_only.status();
-          if (probe_only.ok()) {
-            std::vector<uint32_t> all_rows(probe_only->num_rows());
-            std::iota(all_rows.begin(), all_rows.end(), 0u);
-            partial_selection =
-                ApplyOrderAndTop(*probe_only, std::move(all_rows), *stmt);
-          }
-          if (partial_selection.ok()) {
-            double partial_merge_micros =
-                config_.costs.per_merge_tuple_us *
-                static_cast<double>(probe_only->num_rows());
-            ins_.merge_micros->Increment(
-                static_cast<uint64_t>(partial_merge_micros));
-            ChargeMicros(partial_merge_micros);
-            merge.AddAttr("rows", std::to_string(probe_only->num_rows()));
-            merge.Finish();
-            // Coverage counts every region the probe read, contributing or
-            // not: a region without tuples is known to hold none.
-            std::vector<const geometry::Region*> part_regions;
-            for (const auto& entry : used) {
-              part_regions.push_back(entry->region.get());
-            }
-            double coverage =
-                geometry::EstimateCoverageFraction(*region, part_regions);
-            ins_.degraded_partial->Increment();
-            {
-              util::MutexLock lock(records_mu_);
-              coverage_served_ += coverage;
-            }
-            record->degraded = true;
-            record->coverage = coverage;
-            record->tuples_total = partial_selection->size();
-            record->tuples_from_cache = partial_selection->size();
-            return RespondPartial(*probe_only, *partial_selection, coverage,
-                                  deadline_blocked ? "deadline-exceeded"
-                                                   : "origin-unreachable",
-                                  trace);
-          }
-          merge.Finish();
-          if (deadline_blocked) {
-            ins_.shed_deadline->Increment();
-            record->shed = true;
-            return Unavailable("deadline-exceeded");
-          }
-          ins_.degraded_unavailable->Increment();
-          record->degraded = true;
-          return Unavailable("origin-unreachable");
-        }
+    }
+    auto fetched =
+        FetchTable(plan->origin == Origin::kRemainder ? remainder : q.request,
+                   q.deadline_micros, record, trace);
+    // The origin itself failed the remainder (a 4xx such as a site without
+    // a remainder facility, or a 5xx after retries): the plan falls back to
+    // the original query (paper §3.2: "the proxy has no choice but always
+    // sends the original query"), whose answer makes the request a miss. A
+    // breaker refusal or a deadline short-circuit put nothing on the wire
+    // (contacted_origin stays unset) and would refuse the original too.
+    if (!fetched.ok() && plan->origin == Origin::kRemainder &&
+        record->contacted_origin) {
+      plan->origin = Origin::kOriginal;
+      fetched = FetchTable(q.request, q.deadline_micros, record, trace);
+      if (fetched.ok()) plan->relation = RegionRelation::kDisjoint;
+    }
+    if (fetched.ok()) {
+      answer.emplace(std::move(*fetched));
+    } else {
+      // kResourceExhausted: the remaining client budget cannot fit any
+      // origin trip. kInternal: the origin answered with a client error —
+      // not unavailability, so not eligible for degradation.
+      const util::StatusCode code = fetched.status().code();
+      const bool deadline = code == util::StatusCode::kResourceExhausted;
+      if (deadline) ins_.deadline_exceeded->Increment();
+      if (code == util::StatusCode::kInternal) {
         return HttpResponse::MakeError(502, fetched.status().ToString());
       }
-      if (fell_back) {
-        record->tuples_total = fetched->num_rows();
-        auto admitted = CacheResult(
-            qt, *nonspatial_fp, param_fp, *region, *fetched,
-            ft.coordinate_columns(),
-            qt.has_top() && stmt->top_n.has_value() &&
-                fetched->num_rows() == static_cast<size_t>(*stmt->top_n),
-            trace);
-        flight.Fulfill({admitted != nullptr, admitted});
-        ins_.misses->Increment();
-        return Respond(*fetched, trace);
-      }
-
-      // Outcome counters stay relation-based whichever request was sent.
-      if (is_region_containment) {
-        ins_.region_containments->Increment();
+      if (probe && !parts.empty()) {
+        // Degraded mode: the probe's tuples are known-correct for their
+        // regions, so the plan drops its origin request and serves them as
+        // a partial answer annotated with the covered volume fraction.
+        plan->origin = Origin::kNone;
+        attrs.partial = true;
+        attrs.degraded_reason =
+            deadline ? "deadline-exceeded" : "origin-unreachable";
+      } else if (deadline) {
+        ins_.shed_deadline->Increment();
+        record->shed = true;
+        return Unavailable("deadline-exceeded");
       } else {
-        ins_.overlaps_handled->Increment();
+        // The cache contributes nothing to this query: refuse honestly with
+        // a Retry-After instead of a bare gateway error.
+        ins_.degraded_unavailable->Increment();
+        record->degraded = true;
+        return Unavailable("origin-unreachable");
       }
-      // Both cases cache the complete answer for Q; region containment
-      // (§3.2) also drops the entries Q subsumes, while general overlap
-      // keeps the overlapped ones. The admitted snapshot is what
-      // single-flight followers get.
-      auto admit = [&](sql::ColumnarTable answer) {
-        if (is_region_containment) {
-          for (const auto& entry : rel.contained) {
-            size_t removal_comparisons = 0;
-            cache_->Remove(entry->id, &removal_comparisons);
-            ChargeMicros(DescriptionCostMicros(removal_comparisons));
-          }
-        }
-        auto admitted =
-            CacheResult(qt, *nonspatial_fp, param_fp, *region,
-                        std::move(answer), ft.coordinate_columns(),
-                        /*truncated=*/false, trace);
-        flight.Fulfill({admitted != nullptr, admitted});
-      };
+    }
+  }
 
-      if (send_original) {
-        // The probe held no tuple: the origin's answer is the whole answer.
-        ins_.remainders_elided->Increment();
-        record->tuples_total = fetched->num_rows();
-        record->tuples_from_cache = 0;
-        admit(*fetched);
-        return Respond(*fetched, trace);
-      }
-
-      // Merge probe slices and the remainder (converted to columnar once).
-      obs::ScopedSpan merge(trace, "merge", clock_, ins_.phase_merge);
-      auto probe = MergeDistinctColumnar(probe_slices);
-      if (!probe.ok()) {
-        merge.Finish();
-        return Forward(request, deadline_micros, record, trace);
-      }
-      sql::ColumnarTable remainder_columnar(std::move(*fetched));
-      auto merged = MergeDistinctColumnar(std::vector<ColumnarSlice>{
-          {&*probe, nullptr}, {&remainder_columnar, nullptr}});
-      if (!merged.ok()) {
-        merge.Finish();
-        return Forward(request, deadline_micros, record, trace);
-      }
-      double merge_micros = config_.costs.per_merge_tuple_us *
-                            static_cast<double>(merged->num_rows());
-      ins_.merge_micros->Increment(static_cast<uint64_t>(merge_micros));
-      ChargeMicros(merge_micros);
-      merge.AddAttr("rows", std::to_string(merged->num_rows()));
+  // --- 4. Merge the probe's distinct tuples with the remainder's, or take
+  // them alone for a degraded answer. ---
+  size_t from_cache = 0;
+  if (probe && plan->origin != Origin::kOriginal) {
+    obs::ScopedSpan merge(trace, "merge", clock_, ins_.phase_merge);
+    auto merged = MergeDistinctColumnar(parts);
+    if (merged.ok()) from_cache = merged->num_rows();
+    if (merged.ok() && answer) {
+      merged = MergeDistinctColumnar(std::vector<ColumnarSlice>{
+          {&*merged, nullptr}, {&*answer, nullptr}});
+    }
+    if (!merged.ok()) {
       merge.Finish();
-
-      record->tuples_total = merged->num_rows();
-      record->tuples_from_cache = probe->num_rows();
-      admit(*merged);
-
-      std::vector<uint32_t> all_rows(merged->num_rows());
-      std::iota(all_rows.begin(), all_rows.end(), 0u);
-      auto final_selection = ApplyOrderAndTop(*merged, std::move(all_rows), *stmt);
-      if (!final_selection.ok()) return Forward(request, deadline_micros, record, trace);
-      return Respond(*merged, *final_selection, trace);
+      return fall_back();
     }
-
-    case RegionRelation::kDisjoint:
-      break;
+    const double micros = config_.costs.per_merge_tuple_us *
+                          static_cast<double>(merged->num_rows());
+    ins_.merge_micros->Increment(static_cast<uint64_t>(micros));
+    ChargeMicros(micros);
+    merge.AddAttr("rows", std::to_string(merged->num_rows()));
+    answer = std::move(*merged);
   }
 
-  // Case (d) or a case this scheme does not handle: fetch the original
-  // query from the origin and cache the result. Origin-bound, so the same
-  // overload controls apply: collapse, soft shed, deadline short-circuit.
-  FlightGuard flight;
-  if (config_.collapse_inflight) {
-    auto collapsed = CollapseOrLead(qt, ft, *region, *nonspatial_fp, params,
-                                    record, trace, &flight);
-    if (collapsed.has_value()) return *collapsed;
-  }
-  if (OriginBacklogged()) {
-    ins_.shed_origin_backlog->Increment();
-    record->shed = true;
-    return Unavailable("origin-backlog");
-  }
-  // Cooperative tier: before paying the WAN round trip, probe the sibling
-  // owning this region's key space — it may hold a covering entry or an
-  // in-flight fetch this request can ride. A "lead" outcome arms the guard:
-  // this request is now the tier-wide leader and must push its origin
-  // result (or failure) back to the owner on every exit path.
-  PeerFlightGuard peer_flight;
-  {
-    auto peer_served = ProbePeer(qt, ft, *region, *nonspatial_fp, params,
-                                 deadline_micros, record, trace, &flight,
-                                 &peer_flight);
-    if (peer_served.has_value()) return *peer_served;
-  }
-  ins_.misses->Increment();
-  auto table = FetchTable(request, deadline_micros, record, trace);
-  if (!table.ok()) {
-    if (table.status().code() == util::StatusCode::kResourceExhausted) {
-      // The remaining client budget cannot fit a WAN trip and the cache
-      // holds nothing for this region: refuse within the budget.
-      ins_.deadline_exceeded->Increment();
-      ins_.shed_deadline->Increment();
-      record->shed = true;
-      return Unavailable("deadline-exceeded");
+  // --- 5. cache_admit. An origin answer is the query's complete answer, or
+  // the TOP-cut original of a TOP template (cached as truncated). Region
+  // containment (§3.2) first drops the entries the query subsumes; general
+  // overlap keeps the overlapped ones. The admitted snapshot is what
+  // single-flight and tier followers get. ---
+  const bool from_origin = plan->origin != Origin::kNone;
+  if (from_origin) {
+    for (const QueryPlan::Slice& slice : plan->slices) {
+      if (plan->relation != RegionRelation::kContains || slice.scan) continue;
+      size_t comparisons = 0;
+      cache_->Remove(slice.entry->id, &comparisons);
+      ChargeMicros(DescriptionCostMicros(comparisons));
     }
-    if (table.status().code() != util::StatusCode::kInternal) {
-      // The cache contributes nothing to this query: refuse honestly with a
-      // Retry-After instead of a bare gateway error.
-      ins_.degraded_unavailable->Increment();
-      record->degraded = true;
-      return Unavailable("origin-unreachable");
+    const std::optional<int64_t>& top_n = q.qt.statement().top_n;
+    const bool truncated =
+        plan->origin == Origin::kOriginal && top_n.has_value() &&
+        answer->num_rows() == static_cast<size_t>(*top_n);
+    auto admitted = CacheResult(q.qt, q.nonspatial_fp, q.param_fp, q.region,
+                                *answer, coords, truncated, trace);
+    flight.Fulfill({admitted != nullptr, admitted});
+    peer_flight.Fulfill(admitted);
+    if (elided) ins_.remainders_elided->Increment();
+  }
+
+  // --- 6. Order/top: every answer takes the template's ORDER BY and TOP
+  // (neither takes parameters); a complete entry of a TOP template holds
+  // more than its top N. An origin answer counts its complete tuples, a
+  // cached one the tuples it serves. ---
+  const sql::ColumnarTable& table = answer ? *answer : *parts.front().table;
+  std::vector<uint32_t> rows;
+  if (!answer && !selections.empty()) {
+    rows = std::move(selections.front());
+  } else {
+    rows.resize(table.num_rows());
+    std::iota(rows.begin(), rows.end(), 0u);
+  }
+  auto ordered = ApplyOrderAndTop(table, std::move(rows), q.qt.statement());
+  if (!ordered.ok()) return fall_back();
+  record->tuples_total = from_origin ? answer->num_rows() : ordered->size();
+  record->tuples_from_cache = from_origin ? from_cache : ordered->size();
+  if (attrs.partial) {
+    // Coverage counts every region the probe read, contributing or not: a
+    // region without tuples is known to hold none.
+    attrs.coverage = geometry::EstimateCoverageFraction(q.region, read);
+    ins_.degraded_partial->Increment();
+    {
+      util::MutexLock lock(records_mu_);
+      coverage_served_ += attrs.coverage;
     }
-    return HttpResponse::MakeError(502, table.status().ToString());
+    record->degraded = true;
+    record->coverage = attrs.coverage;
+  } else if (!from_origin && plan->source == QueryPlan::Source::kCache &&
+             BreakerOpen()) {
+    // Served entirely from cache while the origin is down: a degraded
+    // answer that happens to be complete.
+    ins_.degraded_full->Increment();
+    record->degraded = true;
   }
-  record->tuples_total = table->num_rows();
-  record->tuples_from_cache = 0;
-  bool truncated = false;
-  if (qt.has_top()) {
-    auto stmt = qt.Instantiate(params);
-    truncated = stmt.ok() && stmt->top_n.has_value() &&
-                table->num_rows() == static_cast<size_t>(*stmt->top_n);
-  }
-  auto admitted = CacheResult(qt, *nonspatial_fp, param_fp, *region, *table,
-                              ft.coordinate_columns(), truncated, trace);
-  flight.Fulfill({admitted != nullptr, admitted});
-  peer_flight.Fulfill(admitted);
-  return Respond(*table, trace);
+
+  // --- 7. Serialize. ---
+  return Respond(table, *ordered, attrs, trace);
 }
 
 HttpResponse FunctionProxy::HandleStats() {
@@ -1580,14 +1427,14 @@ HttpResponse FunctionProxy::HandlePeerLookup(const HttpRequest& request) {
     {
       util::MutexLock lock(peer_mu_);
       pending_peer_flights_[ticket.token] =
-          clock_->NowMicros() + config_.collapse_wait_millis * 1000;
+          clock_->NowMicros() +
+          std::chrono::microseconds(kCollapseWait).count();
     }
     HttpResponse response = miss("lead");
     response.headers["X-Peer-Flight-Token"] = std::to_string(ticket.token);
     return response;
   }
-  if (ticket.result.wait_for(std::chrono::milliseconds(
-          config_.collapse_wait_millis)) == std::future_status::ready) {
+  if (ticket.result.wait_for(kCollapseWait) == std::future_status::ready) {
     FlightOutcome outcome = ticket.result.get();
     if (outcome.ok && outcome.entry != nullptr) {
       const CacheEntry& entry = *outcome.entry;
@@ -1679,15 +1526,13 @@ void FunctionProxy::PushPeerEntry(
   }
 }
 
-std::optional<HttpResponse> FunctionProxy::ProbePeer(
-    const QueryTemplate& qt, const FunctionTemplate& ft,
-    const geometry::Region& region, const std::string& nonspatial_fp,
-    const std::map<std::string, Value>& params, int64_t deadline_micros,
-    QueryRecord* record, obs::QueryTrace* trace, FlightGuard* local_flight,
+std::optional<QueryPlan> FunctionProxy::ProbePeer(
+    const TemplateQuery& q, FlightGuard* local_flight,
     PeerFlightGuard* peer_flight) {
   if (!has_peers_) return std::nullopt;
-  const std::string key = RegionOwnershipKey(
-      qt.id(), nonspatial_fp, region, config_.peer_ownership_cell);
+  QueryRecord* record = q.record;
+  const std::string key = RegionOwnershipKey(q.qt.id(), q.nonspatial_fp,
+                                             q.region, kPeerOwnershipCell);
   const std::string* owner = peer_group_.ring->Owner(key);
   if (owner == nullptr || *owner == peer_group_.self_id) return std::nullopt;
   auto peer_it = peer_group_.peers.find(*owner);
@@ -1702,12 +1547,13 @@ std::optional<HttpResponse> FunctionProxy::ProbePeer(
   HttpRequest probe;
   probe.method = "POST";
   probe.path = "/peer/lookup";
-  probe.headers["X-Peer-Template"] = qt.id();
-  probe.headers["X-Peer-Fp"] = nonspatial_fp;
-  probe.body = RegionToXml(region);
-  obs::ScopedSpan span(trace, "peer_lookup", clock_, ins_.phase_peer_lookup);
+  probe.headers["X-Peer-Template"] = q.qt.id();
+  probe.headers["X-Peer-Fp"] = q.nonspatial_fp;
+  probe.body = RegionToXml(q.region);
+  obs::ScopedSpan span(q.trace, "peer_lookup", clock_,
+                       ins_.phase_peer_lookup);
   span.AddAttr("owner", *owner);
-  HttpResponse response = peer->RoundTrip(probe, deadline_micros);
+  HttpResponse response = peer->RoundTrip(probe, q.deadline_micros);
   span.AddAttr("status", std::to_string(response.status_code));
   if (net::RetryPolicy::Retryable(response)) {
     // Outage or overload on the sibling: fall back to the origin. The
@@ -1738,7 +1584,7 @@ std::optional<HttpResponse> FunctionProxy::ProbePeer(
 
   // 200 with a covering entry (direct hit or completed flight join).
   std::string_view region_xml, result_xml;
-  auto garbage = [&]() -> std::optional<HttpResponse> {
+  auto garbage = [&]() -> std::optional<QueryPlan> {
     peer->NoteGarbage();
     ins_.peer_lookup_error->Increment();
     ins_.peer_failures->Increment();
@@ -1754,10 +1600,9 @@ std::optional<HttpResponse> FunctionProxy::ProbePeer(
   std::unique_ptr<geometry::Region> peer_region = std::move(*peer_region_or);
   const bool truncated =
       PeerHeaderOr(response.headers, "X-Peer-Truncated", "0") == "1";
-  const bool equal = geometry::Equals(*peer_region, region);
-  const bool exact_only = qt.function_dependent_projection();
-  if (!equal && (exact_only || truncated ||
-                 !geometry::Contains(*peer_region, region))) {
+  const bool equal = geometry::Equals(*peer_region, q.region);
+  if (!equal && (q.qt.function_dependent_projection() || truncated ||
+                 !geometry::Contains(*peer_region, q.region))) {
     // Transport-clean but not usable for this query (e.g. the owner served
     // under rules a newer config disagrees with): treat as a miss, not as a
     // faulty peer.
@@ -1769,52 +1614,23 @@ std::optional<HttpResponse> FunctionProxy::ProbePeer(
 
   // Admit the sibling's entry locally — future queries in this region hit
   // without the hop, and local single-flight followers get the snapshot.
-  sql::ColumnarTable columnar(std::move(*table));
+  auto local = std::make_shared<CacheEntry>();
+  local->region = std::move(peer_region);
+  local->result = sql::ColumnarTable(std::move(*table));
   auto admitted = CacheResult(
-      qt, nonspatial_fp, PeerHeaderOr(response.headers, "X-Peer-Paramfp", ""),
-      *peer_region, columnar, ft.coordinate_columns(), truncated, trace);
+      q.qt, q.nonspatial_fp,
+      PeerHeaderOr(response.headers, "X-Peer-Paramfp", ""), *local->region,
+      local->result, q.ft.coordinate_columns(), truncated, q.trace);
   local_flight->Fulfill(FlightOutcome{admitted != nullptr, admitted});
   // Serve from the admitted snapshot when possible (its coordinate views
-  // are pre-resolved); the local copy covers the not-cacheable case. The
-  // outcome counter is bumped only once the response is certain, so every
-  // probe lands in exactly one fnproxy_peer_lookups_total series.
-  const sql::ColumnarTable& served =
-      admitted != nullptr ? admitted->result : columnar;
-  obs::Counter* outcome_counter =
-      outcome == "flight" ? ins_.peer_lookup_flight : ins_.peer_lookup_hit;
-  if (equal) {
-    outcome_counter->Increment();
-    record->peer_hit = true;
-    record->tuples_total = served.num_rows();
-    record->tuples_from_cache = served.num_rows();
-    return Respond(served, trace);
-  }
-  // The sibling's region strictly contains ours: local spatial selection,
-  // exactly the containment-hit path.
-  obs::ScopedSpan eval(trace, "local_eval", clock_, ins_.phase_local_eval);
-  auto selected = SelectInRegion(served, region, ft.coordinate_columns());
-  auto stmt = qt.Instantiate(params);
-  if (!selected.ok() || !stmt.ok()) {
-    ins_.peer_lookup_miss->Increment();
-    return std::nullopt;
-  }
-  double eval_micros = config_.costs.per_cached_tuple_scan_us *
-                       static_cast<double>(selected->tuples_scanned);
-  ins_.local_eval_micros->Increment(static_cast<uint64_t>(eval_micros));
-  ChargeMicros(eval_micros);
-  eval.AddAttr("tuples_scanned", std::to_string(selected->tuples_scanned));
-  auto final_selection =
-      ApplyOrderAndTop(served, std::move(selected->selection), *stmt);
-  eval.Finish();
-  if (!final_selection.ok()) {
-    ins_.peer_lookup_miss->Increment();
-    return std::nullopt;
-  }
-  outcome_counter->Increment();
-  record->peer_hit = true;
-  record->tuples_total = final_selection->size();
-  record->tuples_from_cache = final_selection->size();
-  return Respond(served, *final_selection, trace);
+  // are pre-resolved); the local entry covers the not-cacheable case. The
+  // executor counts the lookup's outcome once the answer is certain, so
+  // every probe lands in exactly one fnproxy_peer_lookups_total series.
+  return QueryPlan::FromEntry(admitted != nullptr ? admitted : local,
+                              /*scan=*/!equal,
+                              outcome == "flight"
+                                  ? QueryPlan::Source::kPeerFlight
+                                  : QueryPlan::Source::kPeerHit);
 }
 
 // --- Storage tier (docs/STORAGE.md) -----------------------------------------
@@ -1838,8 +1654,7 @@ void FunctionProxy::MaybeRunMaintenance() {
   const StorageTierConfig& st = config_.storage;
   if (!st.enable) return;
   const uint64_t tick = maintenance_ticks_.fetch_add(1, kRelaxed) + 1;
-  const bool want_sweep =
-      st.sweep_every_requests > 0 && tick % st.sweep_every_requests == 0;
+  const bool want_sweep = tick % kSweepEveryRequests == 0;
   const bool want_snapshot = st.snapshot_every_requests > 0 &&
                              !st.snapshot_path.empty() &&
                              tick % st.snapshot_every_requests == 0;

@@ -11,6 +11,7 @@
 
 #include "core/cache_store.h"
 #include "core/hash_ring.h"
+#include "core/query_plan.h"
 #include "net/circuit_breaker.h"
 #include "core/single_flight.h"
 #include "core/template_registry.h"
@@ -20,6 +21,8 @@
 #include "net/peer_channel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sql/table_xml.h"
+#include "sql/value.h"
 #include "util/clock.h"
 #include "util/mutex.h"
 #include "util/status.h"
@@ -98,9 +101,6 @@ struct StorageTierConfig {
   /// Bytes of spill files kept on disk; a sweep stops spilling at the cap.
   /// 0 = unlimited.
   size_t spill_max_bytes = 64ull << 20;
-  /// A tier sweep (freeze + spill pass) runs every N handled requests.
-  /// 0 disables periodic sweeps (they can still be driven via snapshots).
-  uint64_t sweep_every_requests = 64;
   /// Snapshot file for warm restarts. When set, the proxy restores from it
   /// at construction (if it exists and restore_on_start) and writes it at
   /// clean shutdown; snapshot_every_requests adds periodic background
@@ -129,29 +129,17 @@ struct ProxyConfig {
   size_t cache_shards = 1;
   ProxyCostModel costs;
   /// Circuit breaker guarding the origin channel (disabled by default).
-  net::CircuitBreakerConfig breaker;
-  /// When the origin is unreachable (breaker open or retries exhausted), an
+  /// While the origin is unreachable (breaker open or retries exhausted), an
   /// active proxy answers subsumed queries from the cache, serves the cached
   /// portion of overlapping queries annotated partial="true" with a coverage
   /// fraction, and returns 503 + Retry-After only when the cache contributes
-  /// nothing. This is the Retry-After value on those 503s when no breaker
-  /// cooldown gives a better one.
-  int64_t retry_after_seconds = 30;
+  /// nothing.
+  net::CircuitBreakerConfig breaker;
   /// Single-flight collapsing: concurrent origin-bound requests for the
   /// same (template, non-spatial fingerprint) whose region is covered by an
   /// in-flight leader's region share that leader's origin fetch instead of
   /// issuing their own (the thundering-herd defense for flash crowds).
   bool collapse_inflight = true;
-  /// How long a follower waits (wall clock) for its leader before giving up
-  /// and fetching on its own. Generous by default: a leader that dies
-  /// completes the flight as failed immediately, so this bound only guards
-  /// against a leader wedged inside the origin channel.
-  int64_t collapse_wait_millis = 30'000;
-  /// Cooperative tier: quantization cell (per dimension) of the region
-  /// ownership key. Queries whose bounding-box centers fall in the same cell
-  /// map to the same owning proxy, so exact repeats and concentric contained
-  /// variants probe the sibling that actually holds the covering entry.
-  double peer_ownership_cell = 0.05;
   /// Admission control: maximum concurrently admitted requests. Above this
   /// the proxy sheds with 503 + Retry-After instead of queuing unboundedly.
   /// 0 disables admission control.
@@ -441,11 +429,42 @@ class FunctionProxy final : public net::HttpHandler {
   net::HttpResponse HandlePassive(const net::HttpRequest& request,
                                   int64_t deadline_micros, QueryRecord* record,
                                   obs::QueryTrace* trace);
+  /// Instantiates the template, checks the region against the cache and
+  /// builds the plan of the matching §3.2 case for Execute.
   net::HttpResponse HandleActive(const net::HttpRequest& request,
                                  const QueryTemplate& qt,
                                  const FunctionTemplate& ft,
                                  int64_t deadline_micros, QueryRecord* record,
                                  obs::QueryTrace* trace);
+
+  /// A template request after instantiation: what planning and execution
+  /// read. The references point into HandleActive's frame.
+  struct TemplateQuery {
+    const net::HttpRequest& request;
+    const QueryTemplate& qt;
+    const FunctionTemplate& ft;
+    const geometry::Region& region;
+    std::map<std::string, sql::Value> params;
+    std::string nonspatial_fp;
+    std::string param_fp;
+    int64_t deadline_micros;
+    QueryRecord* record;
+    obs::QueryTrace* trace;
+  };
+
+  /// Runs `plan` (RunPlan) and counts the request's one outcome under the
+  /// plan it ended with: its relation, the leader, the peer, or a miss; a
+  /// shed request counts only as shed.
+  net::HttpResponse Execute(QueryPlan plan, const TemplateQuery& q);
+  /// The executor. Every plan takes the same steps in this order, each
+  /// skipped when the plan has nothing for it: EnsureHot/Touch, scan
+  /// (local_eval), remainder_build, FetchTable, merge, cache_admit,
+  /// order/top, serialize. Rewrites `plan` when it changes course: a
+  /// vanished entry or an internal failure makes it a miss, a collapse or a
+  /// peer answer substitutes that plan, a remainder the origin failed falls
+  /// back to the original query, and an unreachable origin leaves the
+  /// probe as a degraded partial answer.
+  net::HttpResponse RunPlan(QueryPlan* plan, const TemplateQuery& q);
 
   /// Admin endpoints (reserved paths, never forwarded to the origin).
   net::HttpResponse HandleStats();
@@ -492,16 +511,13 @@ class FunctionProxy final : public net::HttpHandler {
   net::HttpResponse HandlePeerEntry(const net::HttpRequest& request);
 
   /// Local miss: probes the sibling owning this query's region key before
-  /// paying the origin round trip. Returns the response when the peer
-  /// served the query (entry admitted locally, local flight fulfilled);
-  /// nullopt means proceed to the origin — with `peer_flight` armed when
-  /// the owner made this request the tier-wide leader.
-  std::optional<net::HttpResponse> ProbePeer(
-      const QueryTemplate& qt, const FunctionTemplate& ft,
-      const geometry::Region& region, const std::string& nonspatial_fp,
-      const std::map<std::string, sql::Value>& params,
-      int64_t deadline_micros, QueryRecord* record, obs::QueryTrace* trace,
-      FlightGuard* local_flight, PeerFlightGuard* peer_flight);
+  /// paying the origin round trip. Returns the plan serving the sibling's
+  /// entry when it covers the query (entry admitted locally, local flight
+  /// fulfilled); nullopt means proceed to the origin — with `peer_flight`
+  /// armed when the owner made this request the tier-wide leader.
+  std::optional<QueryPlan> ProbePeer(const TemplateQuery& q,
+                                     FlightGuard* local_flight,
+                                     PeerFlightGuard* peer_flight);
 
   /// Pushes `entry` (null = the fetch failed) to the owner holding flight
   /// `token` open. Called by PeerFlightGuard.
@@ -524,24 +540,16 @@ class FunctionProxy final : public net::HttpHandler {
                                         QueryRecord* record,
                                         obs::QueryTrace* trace);
 
-  /// Serializes and returns `table` as the response, charging assembly time.
-  net::HttpResponse Respond(const sql::Table& table, obs::QueryTrace* trace);
-  /// Columnar responses: serialize straight from the cached representation —
-  /// whole table, or just the rows in `selection` (zero row materialization).
-  net::HttpResponse Respond(const sql::ColumnarTable& table,
-                            obs::QueryTrace* trace);
+  /// Serializes the rows of `table` in `selection` (zero row
+  /// materialization) as the response, charging assembly time. `attrs`
+  /// carries partial="true" and the coverage of degraded answers.
   net::HttpResponse Respond(const sql::ColumnarTable& table,
                             const std::vector<uint32_t>& selection,
+                            const sql::ResultXmlAttrs& attrs,
                             obs::QueryTrace* trace);
-  /// Respond() with partial="true" and the coverage fraction on the root
-  /// element (degraded-mode overlap answers).
-  net::HttpResponse RespondPartial(const sql::ColumnarTable& table,
-                                   const std::vector<uint32_t>& selection,
-                                   double coverage, const std::string& reason,
-                                   obs::QueryTrace* trace);
-  /// 503 with Retry-After (breaker cooldown when open, config default
-  /// otherwise) and the machine-readable reason mirrored in both the body
-  /// and an X-Shed-Reason header for the driver to record.
+  /// 503 with Retry-After (breaker cooldown when open, 30 s otherwise) and
+  /// the machine-readable reason mirrored in both the body and an
+  /// X-Shed-Reason header for the driver to record.
   net::HttpResponse Unavailable(const std::string& reason);
 
   /// Breaker admission check for the origin channel. False means no round
@@ -556,17 +564,13 @@ class FunctionProxy final : public net::HttpHandler {
   void NoteOriginOutcome(bool usable);
 
   /// Single-flight collapsing: joins an in-flight leader whose region
-  /// covers (template, fingerprint, region) and serves this request locally
-  /// from the leader's admitted entry (returns the response), or arms
-  /// `guard` as the new leader (nullopt, guard armed), or decides this
-  /// request should fetch solo — collapsing off for this query shape,
-  /// unusable leader result, or retry rounds exhausted (nullopt, guard
-  /// unarmed).
-  std::optional<net::HttpResponse> CollapseOrLead(
-      const QueryTemplate& qt, const FunctionTemplate& ft,
-      const geometry::Region& region, const std::string& nonspatial_fp,
-      const std::map<std::string, sql::Value>& params, QueryRecord* record,
-      obs::QueryTrace* trace, FlightGuard* guard);
+  /// covers (template, fingerprint, region) and returns the plan serving
+  /// this request from the leader's admitted entry, or arms `guard` as the
+  /// new leader (nullopt, guard armed), or decides this request should
+  /// fetch solo — collapsing off for this query shape, unusable leader
+  /// result, or retry rounds exhausted (nullopt, guard unarmed).
+  std::optional<QueryPlan> CollapseOrLead(const TemplateQuery& q,
+                                          FlightGuard* guard);
 
   /// Soft-shed check for the two-priority lane: true once in-flight
   /// requests exceed origin_shed_watermark * max_queue_depth, meaning new

@@ -40,7 +40,8 @@ std::unique_ptr<CacheStore> MakeStore(size_t max_bytes,
                                       ReplacementPolicy policy =
                                           ReplacementPolicy::kLru) {
   return std::make_unique<CacheStore>(
-      std::make_unique<index::ArrayRegionIndex>(), max_bytes, policy);
+      [] { return std::make_unique<index::ArrayRegionIndex>(); },
+      /*num_shards=*/1, max_bytes, policy);
 }
 
 /// Accounted bytes of a hot entry holding `rows` result rows.
@@ -244,8 +245,8 @@ TEST(CacheStoreTest, DescriptionStaysInSyncThroughEviction) {
 }
 
 TEST(CacheStoreTest, WorksWithRTreeDescription) {
-  CacheStore store(std::make_unique<index::RTreeIndex>(), 0,
-                   ReplacementPolicy::kLru);
+  CacheStore store([] { return std::make_unique<index::RTreeIndex>(); },
+                   /*num_shards=*/1, 0, ReplacementPolicy::kLru);
   std::vector<uint64_t> ids;
   for (int i = 0; i < 50; ++i) {
     ids.push_back(store.Insert(MakeEntry(i * 5.0, 1, 5)));

@@ -31,8 +31,8 @@ CacheEntry MakeEntry(double x, double radius,
 class RelationshipTest : public ::testing::Test {
  protected:
   RelationshipTest()
-      : store_(std::make_unique<index::ArrayRegionIndex>(), 0,
-               ReplacementPolicy::kLru) {}
+      : store_([] { return std::make_unique<index::ArrayRegionIndex>(); },
+               /*num_shards=*/1, 0, ReplacementPolicy::kLru) {}
 
   RelationshipResult Check(double x, double radius,
                            const std::string& nonspatial = "") {

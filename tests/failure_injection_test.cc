@@ -22,6 +22,12 @@ namespace {
 using net::HttpRequest;
 using net::HttpResponse;
 
+/// Every template request counts exactly one outcome.
+uint64_t OutcomeSum(const core::ProxyStats& s) {
+  return s.exact_hits + s.containment_hits + s.region_containments +
+         s.overlaps_handled + s.peer_hits + s.misses + s.collapsed + s.shed;
+}
+
 /// Wraps the origin app, failing requests on demand.
 class FlakyOrigin final : public net::HttpHandler {
  public:
@@ -340,6 +346,9 @@ TEST_F(FailureInjectionTest, DegradedModeServesFromCacheDuringOutage) {
   EXPECT_LT(overlap_attrs->coverage, 1.0);
   EXPECT_EQ(overlap_attrs->degraded_reason, "origin-unreachable");
   EXPECT_EQ(active.stats().degraded_partial, 1u);
+  // The partial answer counts under its relation, once.
+  EXPECT_EQ(active.stats().overlaps_handled, 1u);
+  EXPECT_EQ(active.stats().template_requests, OutcomeSum(active.stats()));
   const auto partial_record = active.stats().records.back();
   EXPECT_TRUE(partial_record.degraded);
   // The XML attribute is printed with 4 decimals.

@@ -33,6 +33,12 @@ namespace {
 using net::HttpRequest;
 using net::HttpResponse;
 
+/// Every template request counts exactly one outcome.
+uint64_t OutcomeSum(const core::ProxyStats& s) {
+  return s.exact_hits + s.containment_hits + s.region_containments +
+         s.overlaps_handled + s.peer_hits + s.misses + s.collapsed + s.shed;
+}
+
 /// Wraps the origin app behind a wall-clock gate: while closed, requests
 /// block inside the handler until OpenGate(). Optionally fails the first
 /// request (leader-failure scenarios).
@@ -368,6 +374,23 @@ TEST_F(OverloadTest, DeadlineTooTightForWanIsShedBeforeTheWire) {
   EXPECT_EQ(shed.headers.count("Retry-After"), 1u);
   EXPECT_EQ(gated_->requests(), 0u);  // Never touched the wire.
   EXPECT_EQ(proxy_->stats().deadline_exceeded, 1u);
+
+  // A budget spent before the miss reaches the origin: refused and counted
+  // as shed only, never also as a miss — by the active and passive proxy.
+  HttpResponse spent =
+      proxy_->Handle(WithDeadline(Radial(181, 30, 10), /*budget=*/100));
+  EXPECT_EQ(spent.headers["X-Shed-Reason"], "deadline-exceeded");
+  EXPECT_EQ(proxy_->stats().misses, 0u);
+  EXPECT_EQ(proxy_->stats().shed, 2u);
+  EXPECT_EQ(proxy_->stats().template_requests, OutcomeSum(proxy_->stats()));
+  core::ProxyConfig passive_config;
+  passive_config.mode = core::CachingMode::kPassive;
+  core::FunctionProxy passive(passive_config, templates_, channel_.get(),
+                              clock_.get());
+  passive.Handle(WithDeadline(Radial(181, 30, 10), /*budget=*/100));
+  EXPECT_EQ(passive.stats().shed, 1u);
+  EXPECT_EQ(passive.stats().template_requests, OutcomeSum(passive.stats()));
+  EXPECT_EQ(gated_->requests(), 0u);
 
   // Without a deadline the same query succeeds and is cached; an exact
   // repeat under the tight budget is then served locally just fine.

@@ -55,8 +55,8 @@ CacheEntry MakeEntry(double center, size_t rows) {
 
 std::unique_ptr<CacheStore> MakeStore(TierConfig config) {
   auto store = std::make_unique<CacheStore>(
-      std::make_unique<index::ArrayRegionIndex>(), /*max_bytes=*/0,
-      ReplacementPolicy::kLru);
+      [] { return std::make_unique<index::ArrayRegionIndex>(); },
+      /*num_shards=*/1, /*max_bytes=*/0, ReplacementPolicy::kLru);
   store->set_tier_config(std::move(config));
   return store;
 }

@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "catalog/sky_catalog.h"
 #include "core/proxy.h"
@@ -125,6 +126,12 @@ class TopTemplateTest : public ::testing::Test {
     return ids;
   }
 
+  static std::vector<int64_t> OrderedIds(const sql::Table& table) {
+    std::vector<int64_t> ids;
+    for (const auto& row : table.rows()) ids.push_back(row[0].AsInt());
+    return ids;
+  }
+
   static server::Database* db_;
   static server::SkyGrid* grid_;
   static core::TemplateRegistry* templates_;
@@ -218,6 +225,22 @@ TEST_F(TopTemplateTest, CleanTopTemplateTruncatedEntryBlocksContainment) {
   sql::Table via_proxy = Ask(inner);
   EXPECT_GT(channel_->total_requests(), before);
   EXPECT_EQ(Ids(via_proxy), Ids(Direct(inner)));
+}
+
+TEST_F(TopTemplateTest, ExactRepeatOfCompleteEntryIsOrderedAndCapped) {
+  // The remainder drops TOP and ORDER BY, so region containment caches the
+  // wide cone's answer complete; its exact repeat must still be cut to the
+  // top 10 in ORDER BY order, as the origin answers it.
+  Ask(Request(185.0, 34.0, 2.5, "/top_magnitude"));
+  net::HttpRequest wide = Request(185.0, 34.0, 40.0, "/top_magnitude");
+  const std::vector<int64_t> direct = OrderedIds(Direct(wide));
+  ASSERT_EQ(direct.size(), 10u);
+  EXPECT_EQ(OrderedIds(Ask(wide)), direct);
+  uint64_t before = channel_->total_requests();
+  EXPECT_EQ(OrderedIds(Ask(wide)), direct);
+  EXPECT_EQ(channel_->total_requests(), before);
+  EXPECT_EQ(proxy_->stats().region_containments, 1u);
+  EXPECT_EQ(proxy_->stats().exact_hits, 1u);
 }
 
 TEST_F(TopTemplateTest, TransparencyAcrossSequence) {
