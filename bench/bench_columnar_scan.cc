@@ -10,18 +10,19 @@
 //
 //   bench_columnar_scan [--layout=row|columnar|both] [--tuples=N]
 //                       [--radius=R] [--reps=K] [--smoke] [--json[=path]]
-//                       [--encoding=auto|raw|decimal|shuffle]
+//                       [--git-sha=SHA] [--encoding=auto|raw|decimal|shuffle]
 //
 // --smoke shrinks the workload for CI (also verifies the two layouts emit
 // byte-identical XML). --json appends machine-readable records to
-// BENCH_results.json (see docs/FORMATS.md).
+// BENCH_results.json (see docs/FORMATS.md), each naming --git-sha and the
+// command line.
 //
 // The tier section freezes a photometric sky table (the paper's SDSS
 // workload shape: sequential ids, small imaging-run ints, 1e-3-quantized
 // magnitudes, a low-cardinality class column) through the storage layer and
-// reports the compression ratio plus scan-on-compressed cost next to the
-// raw scan. --encoding forces the double-column policy so individual
-// encodings are measurable; the default auto policy is what the proxy runs.
+// reports the compression ratio with the freeze and thaw costs. --encoding
+// forces the double-column policy so individual encodings are measurable;
+// the default auto policy is what the proxy runs.
 
 #include <chrono>
 #include <cmath>
@@ -37,7 +38,6 @@
 #include "sql/columnar.h"
 #include "sql/table_xml.h"
 #include "storage/segment.h"
-#include "util/arena.h"
 #include "util/random.h"
 #include "util/simd.h"
 
@@ -348,11 +348,9 @@ int main(int argc, char** argv) {
     }
   }
   // Tier section: freeze the photometric catalog through the storage layer,
-  // verify losslessness, and measure compression plus scan-on-compressed
-  // cost (docs/STORAGE.md). The auto policy pins the view-prepared ra/dec
-  // columns raw, so the frozen scan reads the same zero-copy layout as the
-  // hot one; forced modes lift the pin to expose each encoding's decode
-  // cost.
+  // verify losslessness, and measure compression and the freeze and thaw
+  // costs (docs/STORAGE.md). The ra/dec views are prepared as the proxy
+  // prepares them at admission; the thaw prepares them again.
   {
     util::Random photo_rng(11);
     sql::Table photo_rows = MakePhotoTable(tuples, &photo_rng);
@@ -364,8 +362,6 @@ int main(int argc, char** argv) {
 
     storage::FreezeOptions freeze_options;
     freeze_options.double_policy = double_policy;
-    freeze_options.pin_view_columns =
-        double_policy == storage::DoubleEncodingPolicy::kAuto;
 
     auto time_ms = [&](auto&& fn) {
       double best = 0;
@@ -407,9 +403,9 @@ int main(int argc, char** argv) {
         encoding.c_str(), photo.num_rows(), photo.num_columns(),
         raw_bytes / 1024.0, encoded_bytes / 1024.0, ratio, freeze_ms,
         thaw_ms);
-    for (size_t c = 0; c < segment.num_columns(); ++c) {
-      std::printf("    col %-8s %s\n",
-                  segment.schema().column(c).name.c_str(),
+    const sql::Schema schema = segment.schema();
+    for (size_t c = 0; c < schema.num_columns(); ++c) {
+      std::printf("    col %-8s %s\n", schema.column(c).name.c_str(),
                   storage::ColumnEncodingName(segment.encoding(c)));
     }
     json.Record("columnar_scan/compression_ratio", ratio, "x",
@@ -420,63 +416,6 @@ int main(int argc, char** argv) {
                 {{"tuples", static_cast<double>(tuples)}});
     json.Record("columnar_scan/thaw_ms", thaw_ms, "ms",
                 {{"tuples", static_cast<double>(tuples)}});
-
-    // Scan-on-compressed: the sphere-membership kernel over ra/dec against
-    // the hot table's prepared views vs views obtained from the frozen
-    // segment (decoded fresh each rep, the cost a probe actually pays).
-    auto hot_ra = photo.numeric_view(kRa);
-    auto hot_dec = photo.numeric_view(kDec);
-    if (hot_ra.has_value() && hot_dec.has_value()) {
-      const size_t rows = photo.num_rows();
-      const double center[2] = {180.0, 30.0};
-      const double limit = (radius + geometry::kGeomEpsilon) *
-                           (radius + geometry::kGeomEpsilon);
-      std::vector<uint32_t> out(rows);
-      const size_t iters = std::max<size_t>(1, 2'000'000 / (rows + 1));
-      util::Arena arena;
-      auto scan_best = [&](auto&& make_views) {
-        double best = 0;
-        size_t count = 0;
-        for (size_t rep = 0; rep < reps + 1; ++rep) {  // +1 warmup
-          auto start = std::chrono::steady_clock::now();
-          auto views = make_views();
-          core::kernels::Column cols[2] = {
-              {views.first.data, views.first.valid},
-              {views.second.data, views.second.valid},
-          };
-          for (size_t i = 0; i < iters; ++i) {
-            count = core::kernels::SelectSphere(cols, 2, rows, center, limit,
-                                                out.data());
-          }
-          auto stop = std::chrono::steady_clock::now();
-          double ms =
-              std::chrono::duration<double, std::milli>(stop - start).count();
-          if (rep > 0 && (best == 0 || ms < best)) best = ms;
-        }
-        if (count > rows) std::exit(1);  // keep the result observable
-        return best;
-      };
-      double raw_scan_ms =
-          scan_best([&] { return std::make_pair(*hot_ra, *hot_dec); });
-      double frozen_scan_ms = scan_best([&] {
-        arena.Reset();
-        return std::make_pair(segment.DecodeNumericView(kRa, &arena),
-                              segment.DecodeNumericView(kDec, &arena));
-      });
-      double penalty = raw_scan_ms > 0 ? frozen_scan_ms / raw_scan_ms : 0;
-      std::printf(
-          "  scan-on-compressed: raw %.2f ms, frozen %.2f ms over %zux%zu "
-          "rows -> %.2fx penalty\n",
-          raw_scan_ms, frozen_scan_ms, iters, rows, penalty);
-      json.Record("columnar_scan/raw_scan_ms", raw_scan_ms, "ms",
-                  {{"rows", static_cast<double>(rows) *
-                                static_cast<double>(iters)}});
-      json.Record("columnar_scan/frozen_scan_ms", frozen_scan_ms, "ms",
-                  {{"rows", static_cast<double>(rows) *
-                                static_cast<double>(iters)}});
-      json.Record("columnar_scan/frozen_scan_penalty", penalty, "x",
-                  {{"rows", static_cast<double>(rows)}});
-    }
   }
   if (json.enabled()) {
     std::printf("JSON records appended to %s\n", json.path().c_str());

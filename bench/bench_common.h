@@ -19,20 +19,31 @@ namespace fnproxy::bench {
 /// line, so several bench binaries in a CI step can share one file:
 ///
 ///   {"bench":"bench_columnar_scan","name":"scan_100k/columnar",
-///    "value":12.5,"unit":"ms","tuples":100000}
+///    "value":12.5,"unit":"ms","tuples":100000,"git_sha":"<sha>",
+///    "command":"./build/bench/bench_columnar_scan --smoke --json"}
+///
+/// `--git-sha=<sha>` names the commit the binary was built from ("unknown"
+/// without it); every record carries it and the command line that ran.
 ///
 /// Without the flag, Record() is a no-op and benches print their usual
 /// human-readable tables only.
 class BenchJson {
  public:
-  /// Scans argv for `--json[=path]` and strips it so downstream flag parsers
-  /// (google-benchmark rejects unknown flags) never see it.
+  /// Scans argv for `--json[=path]` and `--git-sha=<sha>` and strips them
+  /// so downstream flag parsers (google-benchmark rejects unknown flags)
+  /// never see them. The command recorded is argv without `--git-sha=`.
   static BenchJson FromArgs(int* argc, char** argv, std::string bench) {
     BenchJson json;
     json.bench_ = std::move(bench);
+    json.command_ = argv[0];
     int out = 1;
     for (int i = 1; i < *argc; ++i) {
       std::string arg = argv[i];
+      if (arg.rfind("--git-sha=", 0) == 0) {
+        json.git_sha_ = arg.substr(10);
+        continue;
+      }
+      json.command_ += " " + arg;
       if (arg == "--json") {
         json.enabled_ = true;
       } else if (arg.rfind("--json=", 0) == 0) {
@@ -83,8 +94,11 @@ class BenchJson {
     AppendJsonNumber(&line, static_cast<double>(util::simd::SimdWidth()));
     line += ",\"dispatch\":\"";
     AppendJsonEscaped(&line, util::simd::DispatchPathName());
-    line += "\"";
-    line += "}\n";
+    line += "\",\"git_sha\":\"";
+    AppendJsonEscaped(&line, git_sha_);
+    line += "\",\"command\":\"";
+    AppendJsonEscaped(&line, command_);
+    line += "\"}\n";
     std::fwrite(line.data(), 1, line.size(), f);
     std::fclose(f);
   }
@@ -118,6 +132,8 @@ class BenchJson {
   bool enabled_ = false;
   std::string bench_;
   std::string path_ = "BENCH_results.json";
+  std::string git_sha_ = "unknown";
+  std::string command_;
 };
 
 /// The paper-scale experiment: 11,323-query Radial trace over the synthetic

@@ -311,13 +311,12 @@ TierSweepResult CacheStore::SweepColdEntries(int64_t now_micros) {
         storage::FrozenSegment::Freeze(c.entry->result));
     CacheEntry demoted = CloneMeta(*c.entry);
     demoted.tier = EntryTier::kFrozen;
-    demoted.result = sql::ColumnarTable(c.entry->result.schema());
     demoted.segment = segment;
     demoted.bytes = segment->ByteSize() + 256;
     if (SwapEntry(c.id, c.entry,
                   std::make_shared<const CacheEntry>(std::move(demoted)))) {
       freezes_.fetch_add(1, std::memory_order_relaxed);
-      frozen_raw_bytes_.fetch_add(segment->raw_byte_size(),
+      frozen_raw_bytes_.fetch_add(c.entry->result.ByteSize(),
                                   std::memory_order_relaxed);
       frozen_encoded_bytes_.fetch_add(segment->ByteSize(),
                                       std::memory_order_relaxed);
@@ -340,7 +339,6 @@ TierSweepResult CacheStore::SweepColdEntries(int64_t now_micros) {
     }
     CacheEntry demoted = CloneMeta(*c.entry);
     demoted.tier = EntryTier::kSpilled;
-    demoted.result = sql::ColumnarTable(c.entry->segment->schema());
     demoted.spill_file = path;
     demoted.spill_file_bytes = file.size();
     demoted.bytes = 256;

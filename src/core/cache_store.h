@@ -25,7 +25,7 @@ namespace fnproxy::core {
 /// frozen segments to disk. Lookups that need tuples promote back to hot.
 enum class EntryTier : uint8_t {
   kHot,     ///< Raw ColumnarTable in `result`; zero-cost scans.
-  kFrozen,  ///< Compressed FrozenSegment in memory; `result` is schema-only.
+  kFrozen,  ///< Compressed FrozenSegment in memory; `result` is empty.
   kSpilled, ///< Segment on disk at `spill_file`; faulted back on access.
 };
 
@@ -52,9 +52,9 @@ struct CacheEntry {
   /// True when the origin applied a TOP cutoff, so `result` may be missing
   /// in-region tuples: such entries may serve exact matches only.
   bool truncated = false;
-  /// Storage tier. A non-hot entry keeps `result` as a schema-only (zero
-  /// row) table, so schema compatibility checks never promote; tuple access
-  /// goes through CacheStore::FindHot, which promotes first.
+  /// Storage tier. A non-hot entry leaves `result` empty: relationship
+  /// checks read only the region and identity fields, and tuple access goes
+  /// through CacheStore::FindHot, which promotes first.
   EntryTier tier = EntryTier::kHot;
   /// Compressed payload when tier == kFrozen (shared: a reader's snapshot
   /// stays valid after concurrent promotion or eviction).
@@ -201,8 +201,8 @@ class CacheStore {
 
   /// Snapshot lookup: the returned entry is immutable and stays valid after
   /// concurrent eviction. Null when the id is unknown. Does NOT promote: a
-  /// cold entry comes back with a schema-only `result` (candidate probes and
-  /// schema checks must not thaw entries they end up not serving from).
+  /// cold entry comes back with an empty `result` (candidate probes must
+  /// not thaw entries they end up not serving from).
   std::shared_ptr<const CacheEntry> Find(uint64_t id) const;
 
   /// Lookup that guarantees tuples: promotes frozen/spilled entries back to

@@ -1783,8 +1783,8 @@ util::Status FunctionProxy::WriteSnapshot(const std::string& path) const {
   meta.PutZigzag(clock_->NowMicros());
 
   // ENTRIES: every cache entry as a frozen segment. Hot entries are frozen
-  // on the way out (view-prepared columns stay raw and are re-prepared on
-  // restore); spilled entries contribute their on-disk segment payload.
+  // on the way out (view-prepared columns are re-prepared on thaw); spilled
+  // entries contribute their on-disk segment payload.
   storage::ByteWriter bodies;
   uint64_t written = 0;
   for (uint64_t id : cache_->AllIds()) {
@@ -1878,7 +1878,9 @@ util::StatusOr<size_t> FunctionProxy::RestoreSnapshot(const std::string& path) {
     return Status::InvalidArgument("unsupported snapshot version");
   }
 
-  size_t restored = 0;
+  // Everything is parsed into staging first and installed only once the
+  // whole file has parsed, so a bad file leaves the proxy as it was.
+  std::vector<CacheEntry> staged_entries;
   if (entries != nullptr) {
     storage::ByteReader reader(entries->payload);
     const uint64_t count = reader.GetVarint();
@@ -1900,51 +1902,75 @@ util::StatusOr<size_t> FunctionProxy::RestoreSnapshot(const std::string& path) {
       entry.region = std::move(*region);
       entry.segment = std::make_shared<const storage::FrozenSegment>(
           std::move(*segment));
-      // Restored entries come up frozen — the schema is available for
-      // relationship checks immediately, and the first serving access
-      // thaws (and re-prepares coordinate views) through FindHot.
+      // Restored entries come up frozen: relationship checks need only
+      // the region, and the first serving access thaws (and re-prepares
+      // coordinate views) through FindHot.
       entry.tier = EntryTier::kFrozen;
-      entry.result = sql::ColumnarTable(entry.segment->schema());
-      size_t comparisons = 0;
-      if (cache_->Insert(std::move(entry), &comparisons) != 0) ++restored;
+      staged_entries.push_back(std::move(entry));
     }
     if (!reader.ok()) {
       return Status::ParseError("truncated snapshot ENTRIES section");
     }
   }
 
+  std::vector<uint64_t> counter_values;
+  uint64_t origin_retries = 0;
+  uint64_t breaker_transitions = 0;
+  double coverage = 0;
+  std::vector<QueryRecord> staged_records;
   if (stats != nullptr) {
     storage::ByteReader reader(stats->payload);
-    std::vector<obs::Counter*> counters = SnapshotCounters();
     const uint64_t count = reader.GetVarint();
     for (uint64_t i = 0; i < count && reader.ok(); ++i) {
-      const uint64_t value = reader.GetVarint();
-      // Older snapshots carry fewer slots; newer ones carry slots this
-      // build does not know, which are read and dropped.
-      if (i < counters.size()) counters[i]->Increment(value);
+      counter_values.push_back(reader.GetVarint());
     }
-    restored_origin_retries_.fetch_add(reader.GetVarint(), kRelaxed);
-    restored_breaker_transitions_.fetch_add(reader.GetVarint(), kRelaxed);
-    const double coverage = reader.GetDouble();
+    origin_retries = reader.GetVarint();
+    breaker_transitions = reader.GetVarint();
+    coverage = reader.GetDouble();
+    // A record takes at least 12 bytes, which bounds the count by the
+    // section before anything is reserved for it.
     const uint64_t record_count = reader.GetVarint();
-    std::vector<QueryRecord> restored_records;
-    restored_records.reserve(record_count);
+    if (!reader.ok() || record_count > reader.remaining() / 12) {
+      return Status::ParseError("truncated snapshot STATS section");
+    }
+    staged_records.reserve(record_count);
     for (uint64_t i = 0; i < record_count && reader.ok(); ++i) {
       QueryRecord record;
-      record.status = static_cast<RegionRelation>(reader.GetU8());
+      const uint8_t relation = reader.GetU8();
+      if (relation > static_cast<uint8_t>(RegionRelation::kDisjoint)) {
+        return Status::ParseError("bad relation in snapshot STATS section");
+      }
+      record.status = static_cast<RegionRelation>(relation);
       UnpackRecordFlags(reader.GetU8(), &record);
       record.coverage = reader.GetDouble();
       record.tuples_total = reader.GetVarint();
       record.tuples_from_cache = reader.GetVarint();
-      restored_records.push_back(record);
+      staged_records.push_back(record);
     }
     if (!reader.ok()) {
       return Status::ParseError("truncated snapshot STATS section");
     }
+  }
+
+  size_t restored = 0;
+  for (CacheEntry& entry : staged_entries) {
+    size_t comparisons = 0;
+    if (cache_->Insert(std::move(entry), &comparisons) != 0) ++restored;
+  }
+  if (stats != nullptr) {
+    // Older snapshots carry fewer counter slots; newer ones carry slots
+    // this build does not know, which are dropped.
+    std::vector<obs::Counter*> counters = SnapshotCounters();
+    for (size_t i = 0; i < counter_values.size() && i < counters.size();
+         ++i) {
+      counters[i]->Increment(counter_values[i]);
+    }
+    restored_origin_retries_.fetch_add(origin_retries, kRelaxed);
+    restored_breaker_transitions_.fetch_add(breaker_transitions, kRelaxed);
     util::MutexLock lock(records_mu_);
     coverage_served_ += coverage;
-    records_.insert(records_.end(), restored_records.begin(),
-                    restored_records.end());
+    records_.insert(records_.end(), staged_records.begin(),
+                    staged_records.end());
   }
 
   restored_entries_.fetch_add(restored, kRelaxed);

@@ -338,7 +338,9 @@ class FunctionProxy final : public net::HttpHandler {
       EXCLUDES(records_mu_);
   /// Restores entries + stats baseline from a WriteSnapshot file. Intended
   /// for a freshly constructed proxy (counters are *incremented* by the
-  /// snapshot values); returns the number of cache entries restored.
+  /// snapshot values); returns the number of cache entries restored. The
+  /// whole file is parsed before anything is installed, so an error leaves
+  /// the cache and the statistics untouched.
   util::StatusOr<size_t> RestoreSnapshot(const std::string& path)
       EXCLUDES(records_mu_);
 

@@ -3,6 +3,9 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "storage/wire.h"
 
@@ -42,9 +45,13 @@ namespace {
 
 constexpr uint32_t kNullCode = 0xFFFFFFFFu;
 
-bool BitGet(const std::vector<uint64_t>& bits, size_t i) {
+/// Row limit for the segments Freeze builds in memory: whatever the hot
+/// table held.
+constexpr size_t kNoRowLimit = std::numeric_limits<size_t>::max();
+
+bool BitGet(const uint64_t* bits, size_t words, size_t i) {
   size_t word = i >> 6;
-  return word < bits.size() && ((bits[word] >> (i & 63)) & 1) != 0;
+  return word < words && ((bits[word] >> (i & 63)) & 1) != 0;
 }
 
 // --- delta + bit-pack core (shared by kDeltaInt and kDecimalDouble) ---------
@@ -76,15 +83,21 @@ void EncodeDeltaInts(const int64_t* values, size_t n, ByteWriter* out) {
   bits.Finish();
 }
 
-bool DecodeDeltaInts(ByteReader* in, std::vector<int64_t>* values) {
-  size_t n = in->GetVarint();
+/// Decodes a delta stream that must hold exactly `n` values. The count and
+/// the packed bits are checked against `n` and the bytes left before
+/// anything is allocated.
+bool DecodeDeltaInts(ByteReader* in, size_t n, std::vector<int64_t>* values) {
   values->clear();
-  if (!in->ok() || n == 0) return in->ok();
-  values->reserve(n);
+  const uint64_t count = in->GetVarint();
+  if (!in->ok() || count != n) return false;
+  if (n == 0) return true;
   int64_t current = in->GetZigzag();
+  const uint32_t width = in->GetU8();
+  if (!in->ok() || width > 64 || ((n - 1) * width + 7) / 8 > in->remaining()) {
+    return false;
+  }
+  values->reserve(n);
   values->push_back(current);
-  uint32_t width = in->GetU8();
-  if (width > 64) return false;
   BitReader bits(in);
   for (size_t i = 1; i < n; ++i) {
     uint64_t zz = bits.Get(width);
@@ -154,8 +167,8 @@ struct DecimalPlan {
 
 /// Picks the smallest exponent whose exception rate stays under 5%. Rows
 /// flagged in `nulls` carry mantissa 0 and are neither verified nor listed.
-DecimalPlan PlanDecimal(const double* values, size_t n,
-                        const std::vector<uint64_t>& nulls) {
+DecimalPlan PlanDecimal(const double* values, size_t n, const uint64_t* nulls,
+                        size_t null_words) {
   DecimalPlan plan;
   for (int e = 0; e <= kMaxDecimalExponent; ++e) {
     // Cheap pre-screen on a prefix sample before the full verification pass.
@@ -163,7 +176,7 @@ DecimalPlan PlanDecimal(const double* values, size_t n,
     size_t sample_fail = 0;
     int64_t m;
     for (size_t i = 0; i < sample; ++i) {
-      if (BitGet(nulls, i)) continue;
+      if (BitGet(nulls, null_words, i)) continue;
       if (!DecimalRoundTrips(values[i], e, &m)) ++sample_fail;
     }
     if (sample > 0 && sample_fail * 4 > sample) continue;
@@ -171,7 +184,7 @@ DecimalPlan PlanDecimal(const double* values, size_t n,
     std::vector<int64_t> mantissas(n, 0);
     std::vector<std::pair<size_t, double>> exceptions;
     for (size_t i = 0; i < n; ++i) {
-      if (BitGet(nulls, i)) continue;
+      if (BitGet(nulls, null_words, i)) continue;
       if (!DecimalRoundTrips(values[i], e, &mantissas[i])) {
         mantissas[i] = 0;
         exceptions.emplace_back(i, values[i]);
@@ -203,9 +216,7 @@ bool DecodeDecimal(ByteReader* in, size_t num_rows,
   int e = in->GetU8();
   if (e > kMaxDecimalExponent) return false;
   std::vector<int64_t> mantissas;
-  if (!DecodeDeltaInts(in, &mantissas) || mantissas.size() != num_rows) {
-    return false;
-  }
+  if (!DecodeDeltaInts(in, num_rows, &mantissas)) return false;
   values->resize(num_rows);
   for (size_t i = 0; i < num_rows; ++i) {
     (*values)[i] = static_cast<double>(mantissas[i]) / Pow10(e);
@@ -360,450 +371,423 @@ bool DecodeMixedValue(ByteReader* in, Value* v) {
   }
 }
 
+// --- column framing (docs/FORMATS.md §13.3) ----------------------------------
+//
+// Per column: u8 encoding; u8 view_prepared; varint null_words + fixed64
+// words; varint raw_int count + fixed64 values; varint raw_double count +
+// fixed64 bits; length-prefixed packed payload; varint dictionary size +
+// length-prefixed strings. Every field is present whatever the encoding;
+// the ones an encoding does not use are empty.
+
+/// Encodes column `col` of `table` in the column framing.
+void EncodeColumn(const ColumnarTable& table, size_t col,
+                  const FreezeOptions& options, ByteWriter* out) {
+  const size_t n = table.num_rows();
+  size_t null_words = 0;
+  const uint64_t* nulls = table.RawNullBits(col, &null_words);
+  ColumnEncoding encoding = ColumnEncoding::kAllNull;
+  bool raw_ints = false;
+  bool raw_doubles = false;
+  const std::vector<std::string>* dict = nullptr;
+  ByteWriter packed;
+
+  // Any column whose every cell is NULL needs no payload at all, whatever
+  // type it was declared as.
+  size_t null_count = 0;
+  for (size_t w = 0; w < null_words; ++w) {
+    null_count += static_cast<size_t>(__builtin_popcountll(nulls[w]));
+  }
+  const bool all_null = n > 0 && null_count == n;
+
+  switch (all_null ? StorageKind::kAllNull : table.storage_kind(col)) {
+    case StorageKind::kInt: {
+      const int64_t* ints = table.RawInts(col);
+      if (DeltaEncodedSize(ints, n) < n * sizeof(int64_t)) {
+        encoding = ColumnEncoding::kDeltaInt;
+        EncodeDeltaInts(ints, n, &packed);
+      } else {
+        encoding = ColumnEncoding::kRawInt;
+        raw_ints = true;
+      }
+      break;
+    }
+    case StorageKind::kDouble: {
+      const double* doubles = table.RawDoubles(col);
+      const DoubleEncodingPolicy policy = options.double_policy;
+      bool encoded = false;
+      if (policy == DoubleEncodingPolicy::kAuto ||
+          policy == DoubleEncodingPolicy::kDecimal) {
+        DecimalPlan plan = PlanDecimal(doubles, n, nulls, null_words);
+        bool usable = plan.exponent >= 0;
+        if (usable && policy == DoubleEncodingPolicy::kAuto) {
+          size_t estimate = DeltaEncodedSize(plan.mantissas.data(), n) +
+                            plan.exceptions.size() * 10;
+          usable = estimate * 10 < n * sizeof(double) * 7;  // < 70% of raw.
+        }
+        if (usable) {
+          encoding = ColumnEncoding::kDecimalDouble;
+          EncodeDecimal(plan, &packed);
+          encoded = true;
+        }
+      }
+      if (!encoded && (policy == DoubleEncodingPolicy::kAuto ||
+                       policy == DoubleEncodingPolicy::kShuffle)) {
+        size_t estimate = ShuffledEncodedSize(doubles, n);
+        if (policy == DoubleEncodingPolicy::kShuffle ||
+            estimate * 10 < n * sizeof(double) * 9) {  // < 90% of raw.
+          encoding = ColumnEncoding::kShuffledDouble;
+          EncodeShuffled(doubles, n, &packed);
+          encoded = true;
+        }
+      }
+      if (!encoded) {
+        encoding = ColumnEncoding::kRawDouble;
+        raw_doubles = true;
+      }
+      break;
+    }
+    case StorageKind::kBool: {
+      encoding = ColumnEncoding::kPackedBool;
+      const uint8_t* bools = table.RawBools(col);
+      BitWriter bits(&packed);
+      for (size_t i = 0; i < n; ++i) bits.Put(bools[i] != 0 ? 1 : 0, 1);
+      bits.Finish();
+      break;
+    }
+    case StorageKind::kString: {
+      encoding = ColumnEncoding::kDictString;
+      dict = &table.RawDict(col);
+      const uint32_t* codes = table.RawStringCodes(col);
+      // NULL cells carry the sentinel code dict_size; real codes are dense
+      // below it, so one width covers both.
+      uint32_t width = BitWidthFor(dict->size());
+      packed.PutU8(static_cast<uint8_t>(width));
+      BitWriter bits(&packed);
+      for (size_t i = 0; i < n; ++i) {
+        uint64_t code = codes[i] == kNullCode ? dict->size() : codes[i];
+        bits.Put(code, width);
+      }
+      bits.Finish();
+      break;
+    }
+    case StorageKind::kMixed:
+      encoding = ColumnEncoding::kTaggedMixed;
+      for (size_t i = 0; i < n; ++i) {
+        EncodeMixedValue(table.CellMixed(i, col), &packed);
+      }
+      break;
+    case StorageKind::kAllNull:
+      encoding = ColumnEncoding::kAllNull;
+      break;
+  }
+
+  out->PutU8(static_cast<uint8_t>(encoding));
+  out->PutU8(table.view_prepared(col) ? 1 : 0);
+  out->PutVarint(null_words);
+  for (size_t w = 0; w < null_words; ++w) out->PutU64(nulls[w]);
+  out->PutVarint(raw_ints ? n : 0);
+  for (size_t i = 0; raw_ints && i < n; ++i) {
+    out->PutU64(static_cast<uint64_t>(table.RawInts(col)[i]));
+  }
+  out->PutVarint(raw_doubles ? n : 0);
+  for (size_t i = 0; raw_doubles && i < n; ++i) {
+    out->PutDouble(table.RawDoubles(col)[i]);
+  }
+  out->PutString(packed.bytes());
+  out->PutVarint(dict != nullptr ? dict->size() : 0);
+  if (dict != nullptr) {
+    for (const std::string& s : *dict) out->PutString(s);
+  }
+}
+
+/// One column's framing, as views into the wire bytes (the three fixed64
+/// streams as their bytes).
+struct ColumnFrame {
+  uint8_t encoding = 0;
+  uint8_t view_prepared = 0;
+  std::string_view nulls;
+  std::string_view ints;
+  std::string_view doubles;
+  std::string_view packed;
+  std::vector<std::string_view> dict;
+};
+
+/// Reads a varint count of fixed64 words and returns their bytes; a count
+/// the remaining bytes cannot hold fails the reader.
+std::string_view GetWords(ByteReader* in) {
+  const uint64_t count = in->GetVarint();
+  if (count > in->remaining() / 8) {
+    in->Fail();
+    return {};
+  }
+  return in->GetBytes(count * 8);
+}
+
+bool ReadFrame(ByteReader* in, ColumnFrame* frame) {
+  frame->encoding = in->GetU8();
+  frame->view_prepared = in->GetU8();
+  frame->nulls = GetWords(in);
+  frame->ints = GetWords(in);
+  frame->doubles = GetWords(in);
+  frame->packed = in->GetBytes(in->GetVarint());
+  // Every dictionary string takes at least its length byte.
+  const uint64_t dict_size = in->GetVarint();
+  frame->dict.clear();
+  if (dict_size > in->remaining()) {
+    in->Fail();
+    return false;
+  }
+  frame->dict.reserve(dict_size);
+  for (uint64_t i = 0; i < dict_size; ++i) {
+    frame->dict.push_back(in->GetBytes(in->GetVarint()));
+  }
+  return in->ok();
+}
+
+/// Reads the row count, at most `max_rows`, and the schema. A column takes
+/// at least 9 bytes (2 of schema, 7 of framing), which bounds the column
+/// count by the input.
+Status ReadHeader(ByteReader* in, size_t max_rows, size_t* num_rows,
+                  std::vector<sql::Column>* defs) {
+  *num_rows = in->GetVarint();
+  const uint64_t num_columns = in->GetVarint();
+  if (!in->ok() || *num_rows > max_rows ||
+      num_columns > in->remaining() / 9) {
+    return Status::ParseError("segment: bad header");
+  }
+  defs->clear();
+  defs->reserve(num_columns);
+  for (uint64_t col = 0; col < num_columns; ++col) {
+    sql::Column def;
+    def.name = in->GetString();
+    uint8_t type = in->GetU8();
+    if (!in->ok() || type > static_cast<uint8_t>(sql::ValueType::kBool)) {
+      return Status::ParseError("segment: bad column type");
+    }
+    def.type = static_cast<sql::ValueType>(type);
+    defs->push_back(std::move(def));
+  }
+  return Status::Ok();
+}
+
+/// Whether a column declared `type` can hold `encoding` (false for an
+/// unknown id): typed storage follows the declared type, and any column
+/// may fall back to tagged cells or be all NULL.
+bool EncodingFits(ColumnEncoding encoding, sql::ValueType type) {
+  switch (encoding) {
+    case ColumnEncoding::kRawInt:
+    case ColumnEncoding::kDeltaInt:
+      return type == sql::ValueType::kInt;
+    case ColumnEncoding::kRawDouble:
+    case ColumnEncoding::kDecimalDouble:
+    case ColumnEncoding::kShuffledDouble:
+      return type == sql::ValueType::kDouble;
+    case ColumnEncoding::kDictString:
+      return type == sql::ValueType::kString;
+    case ColumnEncoding::kPackedBool:
+      return type == sql::ValueType::kBool;
+    case ColumnEncoding::kTaggedMixed:
+    case ColumnEncoding::kAllNull:
+      return true;
+  }
+  return false;
+}
+
+/// Decodes one framed column of `n` rows into `out`, accepting only what
+/// Freeze writes: an encoding the declared type can hold, its own fields
+/// and no others, a null bitmap with no bit past the last row, exactly `n`
+/// decoded cells, dictionary codes below the dictionary size (the NULL
+/// sentinel only on NULL rows), and a packed payload consumed to its last
+/// byte.
+bool DecodeColumn(const ColumnFrame& frame, size_t n, sql::ValueType type,
+                  ColumnarTable::ColumnData* out) {
+  const auto encoding = static_cast<ColumnEncoding>(frame.encoding);
+  const bool raw_int = encoding == ColumnEncoding::kRawInt;
+  const bool raw_double = encoding == ColumnEncoding::kRawDouble;
+  const bool unpacked = raw_int || raw_double ||
+                        encoding == ColumnEncoding::kAllNull;
+  const size_t null_words = frame.nulls.size() / 8;
+  if (!EncodingFits(encoding, type) || frame.view_prepared > 1 ||
+      null_words > (n + 63) / 64 ||
+      frame.ints.size() != (raw_int ? n * 8 : 0) ||
+      frame.doubles.size() != (raw_double ? n * 8 : 0) ||
+      (unpacked && !frame.packed.empty()) ||
+      (encoding != ColumnEncoding::kDictString && !frame.dict.empty())) {
+    return false;
+  }
+
+  *out = ColumnarTable::ColumnData{};
+  out->prepare_view = frame.view_prepared != 0;
+  ByteReader words(frame.nulls);
+  out->nulls.resize(null_words);
+  for (uint64_t& word : out->nulls) word = words.GetU64();
+  // A hot bitmap sets bits for NULL rows only, never past the last row.
+  if (n % 64 != 0 && null_words == (n + 63) / 64 &&
+      (out->nulls.back() >> (n % 64)) != 0) {
+    return false;
+  }
+
+  ByteReader r(frame.packed);
+  switch (encoding) {
+    case ColumnEncoding::kRawInt: {
+      out->kind = StorageKind::kInt;
+      ByteReader values(frame.ints);
+      out->ints.resize(n);
+      for (int64_t& v : out->ints) v = static_cast<int64_t>(values.GetU64());
+      break;
+    }
+    case ColumnEncoding::kRawDouble: {
+      out->kind = StorageKind::kDouble;
+      ByteReader values(frame.doubles);
+      out->doubles.resize(n);
+      for (double& v : out->doubles) v = values.GetDouble();
+      break;
+    }
+    case ColumnEncoding::kDeltaInt:
+      out->kind = StorageKind::kInt;
+      if (!DecodeDeltaInts(&r, n, &out->ints)) return false;
+      break;
+    case ColumnEncoding::kDecimalDouble:
+      out->kind = StorageKind::kDouble;
+      if (!DecodeDecimal(&r, n, &out->doubles)) return false;
+      break;
+    case ColumnEncoding::kShuffledDouble:
+      out->kind = StorageKind::kDouble;
+      if (!DecodeShuffled(&r, n, &out->doubles)) return false;
+      break;
+    case ColumnEncoding::kPackedBool: {
+      out->kind = StorageKind::kBool;
+      if (frame.packed.size() != (n + 7) / 8) return false;
+      BitReader bits(&r);
+      out->bools.resize(n);
+      for (uint8_t& b : out->bools) b = static_cast<uint8_t>(bits.Get(1));
+      break;
+    }
+    case ColumnEncoding::kDictString: {
+      out->kind = StorageKind::kString;
+      const size_t dict_size = frame.dict.size();
+      const uint32_t width = r.GetU8();
+      if (!r.ok() || dict_size >= kNullCode || width != BitWidthFor(dict_size) ||
+          (n * width + 7) / 8 != r.remaining()) {
+        return false;
+      }
+      out->dict.reserve(dict_size);
+      for (std::string_view s : frame.dict) out->dict.emplace_back(s);
+      BitReader bits(&r);
+      out->codes.resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t code = bits.Get(width);
+        if (code > dict_size) return false;
+        if (code == dict_size &&
+            !BitGet(out->nulls.data(), out->nulls.size(), i)) {
+          return false;
+        }
+        out->codes[i] =
+            code == dict_size ? kNullCode : static_cast<uint32_t>(code);
+      }
+      break;
+    }
+    case ColumnEncoding::kTaggedMixed:
+      out->kind = StorageKind::kMixed;
+      // Every cell takes at least its tag byte.
+      if (n > r.remaining()) return false;
+      out->mixed.resize(n);
+      for (Value& v : out->mixed) {
+        if (!DecodeMixedValue(&r, &v)) return false;
+      }
+      break;
+    case ColumnEncoding::kAllNull:
+      out->kind = StorageKind::kAllNull;
+      break;
+  }
+  return r.ok() && r.AtEnd();
+}
+
+/// Decodes and validates a whole wire form of at most `max_rows` rows. With
+/// `columns` null it only validates, decoding each column into one reused
+/// buffer.
+Status DecodeWire(std::string_view wire, size_t max_rows, size_t* num_rows,
+                  std::vector<sql::Column>* defs,
+                  std::vector<ColumnarTable::ColumnData>* columns) {
+  ByteReader in(wire);
+  FNPROXY_RETURN_NOT_OK(ReadHeader(&in, max_rows, num_rows, defs));
+  if (columns != nullptr) columns->resize(defs->size());
+  ColumnFrame frame;
+  ColumnarTable::ColumnData reused;
+  for (size_t col = 0; col < defs->size(); ++col) {
+    if (!ReadFrame(&in, &frame)) {
+      return Status::ParseError("segment: truncated column " +
+                                std::to_string(col));
+    }
+    ColumnarTable::ColumnData* out =
+        columns != nullptr ? &(*columns)[col] : &reused;
+    if (!DecodeColumn(frame, *num_rows, (*defs)[col].type, out)) {
+      return Status::ParseError("segment: bad payload in column " +
+                                std::to_string(col));
+    }
+  }
+  if (!in.AtEnd()) return Status::ParseError("segment: trailing bytes");
+  return Status::Ok();
+}
+
 }  // namespace
 
 FrozenSegment FrozenSegment::Freeze(const ColumnarTable& table,
                                     const FreezeOptions& options) {
-  FrozenSegment segment;
-  segment.schema_ = table.schema();
-  segment.num_rows_ = table.num_rows();
-  segment.raw_byte_size_ = table.ByteSize();
-  segment.columns_.resize(table.num_columns());
-  const size_t n = table.num_rows();
-
-  for (size_t col = 0; col < table.num_columns(); ++col) {
-    FrozenColumn& out = segment.columns_[col];
-    out.view_prepared = table.view_prepared(col);
-    size_t null_words = 0;
-    const uint64_t* nulls = table.RawNullBits(col, &null_words);
-    if (nulls != nullptr) out.nulls.assign(nulls, nulls + null_words);
-
-    // Any column whose every cell is NULL needs no payload at all,
-    // whatever type it was declared as.
-    if (n > 0 && nulls != nullptr) {
-      size_t null_count = 0;
-      for (size_t w = 0; w < null_words; ++w) {
-        null_count += static_cast<size_t>(__builtin_popcountll(nulls[w]));
-      }
-      if (null_count == n) {
-        out.encoding = ColumnEncoding::kAllNull;
-        continue;
-      }
-    }
-
-    switch (table.storage_kind(col)) {
-      case StorageKind::kInt: {
-        const int64_t* ints = table.RawInts(col);
-        if (DeltaEncodedSize(ints, n) < n * sizeof(int64_t)) {
-          out.encoding = ColumnEncoding::kDeltaInt;
-          ByteWriter w;
-          EncodeDeltaInts(ints, n, &w);
-          out.packed = w.Release();
-        } else {
-          out.encoding = ColumnEncoding::kRawInt;
-          out.raw_ints.assign(ints, ints + n);
-        }
-        break;
-      }
-      case StorageKind::kDouble: {
-        const double* doubles = table.RawDoubles(col);
-        DoubleEncodingPolicy policy = options.double_policy;
-        if (options.pin_view_columns && out.view_prepared) {
-          // Scan-hot column: the membership kernels read it on every probe,
-          // so it stays raw and the frozen scan is zero-copy.
-          policy = DoubleEncodingPolicy::kRaw;
-        }
-        bool encoded = false;
-        if (policy == DoubleEncodingPolicy::kAuto ||
-            policy == DoubleEncodingPolicy::kDecimal) {
-          DecimalPlan plan = PlanDecimal(doubles, n, out.nulls);
-          bool usable = plan.exponent >= 0;
-          if (usable && policy == DoubleEncodingPolicy::kAuto) {
-            size_t estimate =
-                DeltaEncodedSize(plan.mantissas.data(), n) +
-                plan.exceptions.size() * 10;
-            usable = estimate * 10 < n * sizeof(double) * 7;  // < 70% of raw.
-          }
-          if (usable) {
-            out.encoding = ColumnEncoding::kDecimalDouble;
-            ByteWriter w;
-            EncodeDecimal(plan, &w);
-            out.packed = w.Release();
-            encoded = true;
-          }
-        }
-        if (!encoded && (policy == DoubleEncodingPolicy::kAuto ||
-                         policy == DoubleEncodingPolicy::kShuffle)) {
-          size_t estimate = ShuffledEncodedSize(doubles, n);
-          if (policy == DoubleEncodingPolicy::kShuffle ||
-              estimate * 10 < n * sizeof(double) * 9) {  // < 90% of raw.
-            out.encoding = ColumnEncoding::kShuffledDouble;
-            ByteWriter w;
-            EncodeShuffled(doubles, n, &w);
-            out.packed = w.Release();
-            encoded = true;
-          }
-        }
-        if (!encoded) {
-          out.encoding = ColumnEncoding::kRawDouble;
-          out.raw_doubles.assign(doubles, doubles + n);
-        }
-        break;
-      }
-      case StorageKind::kBool: {
-        out.encoding = ColumnEncoding::kPackedBool;
-        const uint8_t* bools = table.RawBools(col);
-        ByteWriter w;
-        BitWriter bits(&w);
-        for (size_t i = 0; i < n; ++i) bits.Put(bools[i] != 0 ? 1 : 0, 1);
-        bits.Finish();
-        out.packed = w.Release();
-        break;
-      }
-      case StorageKind::kString: {
-        out.encoding = ColumnEncoding::kDictString;
-        out.dict = table.RawDict(col);
-        const uint32_t* codes = table.RawStringCodes(col);
-        // NULL cells carry the sentinel code dict_size; real codes are dense
-        // below it, so one width covers both.
-        uint32_t width =
-            BitWidthFor(out.dict.size());
-        ByteWriter w;
-        w.PutU8(static_cast<uint8_t>(width));
-        BitWriter bits(&w);
-        for (size_t i = 0; i < n; ++i) {
-          uint64_t code = codes[i] == kNullCode ? out.dict.size() : codes[i];
-          bits.Put(code, width);
-        }
-        bits.Finish();
-        out.packed = w.Release();
-        break;
-      }
-      case StorageKind::kMixed: {
-        out.encoding = ColumnEncoding::kTaggedMixed;
-        ByteWriter w;
-        for (size_t i = 0; i < n; ++i) {
-          EncodeMixedValue(table.CellMixed(i, col), &w);
-        }
-        out.packed = w.Release();
-        break;
-      }
-      case StorageKind::kAllNull:
-        out.encoding = ColumnEncoding::kAllNull;
-        break;
-    }
+  ByteWriter out;
+  out.PutVarint(table.num_rows());
+  out.PutVarint(table.num_columns());
+  for (const sql::Column& def : table.schema().columns()) {
+    out.PutString(def.name);
+    out.PutU8(static_cast<uint8_t>(def.type));
   }
+  for (size_t col = 0; col < table.num_columns(); ++col) {
+    EncodeColumn(table, col, options, &out);
+  }
+  FrozenSegment segment;
+  segment.wire_ = out.Release();
+  segment.wire_.shrink_to_fit();
+  segment.num_rows_ = table.num_rows();
   return segment;
 }
 
 ColumnarTable FrozenSegment::Thaw() const {
-  std::vector<ColumnarTable::ColumnData> columns(columns_.size());
-  const size_t n = num_rows_;
-  for (size_t col = 0; col < columns_.size(); ++col) {
-    const FrozenColumn& in = columns_[col];
-    ColumnarTable::ColumnData& out = columns[col];
-    out.nulls = in.nulls;
-    out.prepare_view = in.view_prepared;
-    switch (in.encoding) {
-      case ColumnEncoding::kRawInt:
-        out.kind = StorageKind::kInt;
-        out.ints = in.raw_ints;
-        break;
-      case ColumnEncoding::kDeltaInt: {
-        out.kind = StorageKind::kInt;
-        ByteReader r(in.packed);
-        bool ok = DecodeDeltaInts(&r, &out.ints);
-        assert(ok && out.ints.size() == n);
-        (void)ok;
-        break;
-      }
-      case ColumnEncoding::kRawDouble:
-        out.kind = StorageKind::kDouble;
-        out.doubles = in.raw_doubles;
-        break;
-      case ColumnEncoding::kDecimalDouble: {
-        out.kind = StorageKind::kDouble;
-        ByteReader r(in.packed);
-        bool ok = DecodeDecimal(&r, n, &out.doubles);
-        assert(ok);
-        (void)ok;
-        break;
-      }
-      case ColumnEncoding::kShuffledDouble: {
-        out.kind = StorageKind::kDouble;
-        ByteReader r(in.packed);
-        bool ok = DecodeShuffled(&r, n, &out.doubles);
-        assert(ok);
-        (void)ok;
-        break;
-      }
-      case ColumnEncoding::kPackedBool: {
-        out.kind = StorageKind::kBool;
-        ByteReader r(in.packed);
-        BitReader bits(&r);
-        out.bools.resize(n);
-        for (size_t i = 0; i < n; ++i) {
-          out.bools[i] = static_cast<uint8_t>(bits.Get(1));
-        }
-        break;
-      }
-      case ColumnEncoding::kDictString: {
-        out.kind = StorageKind::kString;
-        out.dict = in.dict;
-        ByteReader r(in.packed);
-        uint32_t width = r.GetU8();
-        BitReader bits(&r);
-        out.codes.resize(n);
-        for (size_t i = 0; i < n; ++i) {
-          uint64_t code = bits.Get(width);
-          out.codes[i] = code == in.dict.size()
-                             ? kNullCode
-                             : static_cast<uint32_t>(code);
-        }
-        break;
-      }
-      case ColumnEncoding::kTaggedMixed: {
-        out.kind = StorageKind::kMixed;
-        ByteReader r(in.packed);
-        out.mixed.resize(n);
-        for (size_t i = 0; i < n; ++i) {
-          bool ok = DecodeMixedValue(&r, &out.mixed[i]);
-          assert(ok);
-          (void)ok;
-        }
-        break;
-      }
-      case ColumnEncoding::kAllNull:
-        out.kind = StorageKind::kAllNull;
-        break;
-    }
-  }
-  return ColumnarTable::FromColumns(schema_, n, std::move(columns));
+  size_t num_rows = 0;
+  std::vector<sql::Column> defs;
+  std::vector<ColumnarTable::ColumnData> columns;
+  Status status = DecodeWire(wire_, kNoRowLimit, &num_rows, &defs, &columns);
+  assert(status.ok());  // Freeze and Parse hold only valid wire forms.
+  (void)status;
+  return ColumnarTable::FromColumns(sql::Schema(std::move(defs)), num_rows,
+                                    std::move(columns));
 }
 
-size_t FrozenSegment::ByteSize() const {
-  size_t total = 64;
-  for (const FrozenColumn& c : columns_) {
-    total += 64;
-    total += c.nulls.size() * sizeof(uint64_t);
-    total += c.raw_ints.size() * sizeof(int64_t);
-    total += c.raw_doubles.size() * sizeof(double);
-    total += c.packed.size();
-    for (const std::string& s : c.dict) total += s.size() + 32;
-  }
-  return total;
+sql::Schema FrozenSegment::schema() const {
+  ByteReader in(wire_);
+  size_t num_rows = 0;
+  std::vector<sql::Column> defs;
+  (void)ReadHeader(&in, kNoRowLimit, &num_rows, &defs);
+  return sql::Schema(std::move(defs));
 }
 
-std::optional<ColumnarTable::NumericView> FrozenSegment::numeric_view(
-    size_t col) const {
-  const FrozenColumn& c = columns_[col];
-  if (c.encoding == ColumnEncoding::kRawDouble && c.nulls.empty()) {
-    return ColumnarTable::NumericView{c.raw_doubles.data(), nullptr};
-  }
-  return std::nullopt;
-}
-
-ColumnarTable::NumericView FrozenSegment::DecodeNumericView(
-    size_t col, util::Arena* arena) const {
-  if (auto direct = numeric_view(col); direct.has_value()) return *direct;
-  const FrozenColumn& c = columns_[col];
-  const size_t n = num_rows_;
-  const size_t words = (n + 63) / 64;
-  double* values = arena->AllocateArray<double>(n);
-  uint64_t* valid = arena->AllocateArray<uint64_t>(words);
-  for (size_t w = 0; w < words; ++w) {
-    valid[w] = ~(w < c.nulls.size() ? c.nulls[w] : 0);
-  }
-  auto copy = [&](const std::vector<double>& src) {
-    // A zero-row column's vector may have a null data(), and memcpy needs
-    // valid pointers even for zero bytes.
-    if (n > 0) std::memcpy(values, src.data(), n * sizeof(double));
-  };
-  switch (c.encoding) {
-    case ColumnEncoding::kRawDouble:
-      copy(c.raw_doubles);
-      break;
-    case ColumnEncoding::kDecimalDouble: {
-      std::vector<double> decoded;
-      ByteReader r(c.packed);
-      bool ok = DecodeDecimal(&r, n, &decoded);
-      assert(ok);
-      (void)ok;
-      copy(decoded);
-      break;
-    }
-    case ColumnEncoding::kShuffledDouble: {
-      std::vector<double> decoded;
-      ByteReader r(c.packed);
-      bool ok = DecodeShuffled(&r, n, &decoded);
-      assert(ok);
-      (void)ok;
-      copy(decoded);
-      break;
-    }
-    case ColumnEncoding::kRawInt:
-      for (size_t i = 0; i < n; ++i) {
-        values[i] = static_cast<double>(c.raw_ints[i]);
-      }
-      break;
-    case ColumnEncoding::kDeltaInt: {
-      std::vector<int64_t> ints;
-      ByteReader r(c.packed);
-      bool ok = DecodeDeltaInts(&r, &ints);
-      assert(ok && ints.size() == n);
-      (void)ok;
-      for (size_t i = 0; i < n; ++i) {
-        values[i] = static_cast<double>(ints[i]);
-      }
-      break;
-    }
-    case ColumnEncoding::kPackedBool: {
-      ByteReader r(c.packed);
-      BitReader bits(&r);
-      for (size_t i = 0; i < n; ++i) {
-        values[i] = bits.Get(1) != 0 ? 1.0 : 0.0;
-      }
-      break;
-    }
-    case ColumnEncoding::kTaggedMixed: {
-      // Match BuildNumericView's kMixed semantics: non-numeric cells are
-      // invalid rows, not zeros with valid bits.
-      ByteReader r(c.packed);
-      for (size_t w = 0; w < words; ++w) valid[w] = 0;
-      for (size_t i = 0; i < n; ++i) {
-        Value v;
-        bool ok = DecodeMixedValue(&r, &v);
-        assert(ok);
-        (void)ok;
-        values[i] = 0.0;
-        if (BitGet(c.nulls, i)) continue;
-        auto numeric = v.ToNumeric();
-        if (!numeric.ok()) continue;
-        values[i] = *numeric;
-        valid[i >> 6] |= uint64_t{1} << (i & 63);
-      }
-      break;
-    }
-    case ColumnEncoding::kDictString:
-    case ColumnEncoding::kAllNull:
-      // Not numeric: every row invalid, matching the hot-path semantics.
-      for (size_t i = 0; i < n; ++i) values[i] = 0.0;
-      for (size_t w = 0; w < words; ++w) valid[w] = 0;
-      break;
-  }
-  return ColumnarTable::NumericView{values, valid};
-}
-
-// --- wire form ---------------------------------------------------------------
-//
-// Layout (docs/FORMATS.md §13.3):
-//   varint num_rows; varint num_columns;
-//   schema: per column, string name + u8 value type;
-//   per column: u8 encoding; u8 view_prepared; varint null_words + words;
-//               encoding payload (typed vectors as fixed64 streams, packed
-//               bytes length-prefixed, dictionaries as string lists).
-
-std::string FrozenSegment::Serialize() const {
-  ByteWriter out;
-  out.PutVarint(num_rows_);
-  out.PutVarint(columns_.size());
-  for (size_t col = 0; col < columns_.size(); ++col) {
-    out.PutString(schema_.column(col).name);
-    out.PutU8(static_cast<uint8_t>(schema_.column(col).type));
-  }
-  for (const FrozenColumn& c : columns_) {
-    out.PutU8(static_cast<uint8_t>(c.encoding));
-    out.PutU8(c.view_prepared ? 1 : 0);
-    out.PutVarint(c.nulls.size());
-    for (uint64_t word : c.nulls) out.PutU64(word);
-    out.PutVarint(c.raw_ints.size());
-    for (int64_t v : c.raw_ints) out.PutU64(static_cast<uint64_t>(v));
-    out.PutVarint(c.raw_doubles.size());
-    for (double v : c.raw_doubles) out.PutDouble(v);
-    out.PutString(c.packed);
-    out.PutVarint(c.dict.size());
-    for (const std::string& s : c.dict) out.PutString(s);
-  }
-  return out.Release();
+ColumnEncoding FrozenSegment::encoding(size_t col) const {
+  ByteReader in(wire_);
+  size_t num_rows = 0;
+  std::vector<sql::Column> defs;
+  (void)ReadHeader(&in, kNoRowLimit, &num_rows, &defs);
+  ColumnFrame frame;
+  for (size_t c = 0; c <= col; ++c) ReadFrame(&in, &frame);
+  return static_cast<ColumnEncoding>(frame.encoding);
 }
 
 StatusOr<FrozenSegment> FrozenSegment::Parse(std::string_view bytes) {
-  ByteReader in(bytes);
-  FrozenSegment segment;
-  segment.num_rows_ = in.GetVarint();
-  size_t num_columns = in.GetVarint();
-  if (!in.ok() || num_columns > (1u << 20)) {
-    return Status::ParseError("segment: bad header");
-  }
+  size_t num_rows = 0;
   std::vector<sql::Column> defs;
-  defs.reserve(num_columns);
-  for (size_t col = 0; col < num_columns; ++col) {
-    sql::Column def;
-    def.name = in.GetString();
-    uint8_t type = in.GetU8();
-    if (type > static_cast<uint8_t>(sql::ValueType::kBool)) {
-      return Status::ParseError("segment: bad column type");
-    }
-    def.type = static_cast<sql::ValueType>(type);
-    defs.push_back(std::move(def));
-  }
-  segment.schema_ = sql::Schema(std::move(defs));
-  segment.columns_.resize(num_columns);
-  for (size_t col = 0; col < num_columns; ++col) {
-    FrozenColumn& c = segment.columns_[col];
-    uint8_t encoding = in.GetU8();
-    if (encoding > static_cast<uint8_t>(ColumnEncoding::kAllNull)) {
-      return Status::ParseError("segment: unknown encoding");
-    }
-    c.encoding = static_cast<ColumnEncoding>(encoding);
-    c.view_prepared = in.GetU8() != 0;
-    size_t null_words = in.GetVarint();
-    if (!in.ok() || null_words > in.remaining()) {
-      return Status::ParseError("segment: bad null bitmap");
-    }
-    c.nulls.resize(null_words);
-    for (size_t w = 0; w < null_words; ++w) c.nulls[w] = in.GetU64();
-    size_t num_ints = in.GetVarint();
-    if (!in.ok() || num_ints > in.remaining()) {
-      return Status::ParseError("segment: bad int payload");
-    }
-    c.raw_ints.resize(num_ints);
-    for (size_t i = 0; i < num_ints; ++i) {
-      c.raw_ints[i] = static_cast<int64_t>(in.GetU64());
-    }
-    size_t num_doubles = in.GetVarint();
-    if (!in.ok() || num_doubles > in.remaining()) {
-      return Status::ParseError("segment: bad double payload");
-    }
-    c.raw_doubles.resize(num_doubles);
-    for (size_t i = 0; i < num_doubles; ++i) {
-      c.raw_doubles[i] = in.GetDouble();
-    }
-    c.packed = in.GetString();
-    size_t dict_size = in.GetVarint();
-    if (!in.ok() || dict_size > in.remaining()) {
-      return Status::ParseError("segment: bad dictionary");
-    }
-    c.dict.resize(dict_size);
-    for (size_t i = 0; i < dict_size; ++i) c.dict[i] = in.GetString();
-  }
-  if (!in.ok() || !in.AtEnd()) {
-    return Status::ParseError("segment: truncated or trailing bytes");
-  }
-  // Raw-payload sizes must match the row count so Thaw cannot index out of
-  // range (packed payloads are validated by their own decoders).
-  for (const FrozenColumn& c : segment.columns_) {
-    if (c.encoding == ColumnEncoding::kRawInt &&
-        c.raw_ints.size() != segment.num_rows_) {
-      return Status::ParseError("segment: int row-count mismatch");
-    }
-    if (c.encoding == ColumnEncoding::kRawDouble &&
-        c.raw_doubles.size() != segment.num_rows_) {
-      return Status::ParseError("segment: double row-count mismatch");
-    }
-  }
-  // raw_byte_size_ is a freeze-time measurement; a parsed segment reports 0
-  // (the compression ratio is only meaningful where the hot table existed).
+  FNPROXY_RETURN_NOT_OK(
+      DecodeWire(bytes, kMaxSegmentRows, &num_rows, &defs, nullptr));
+  FrozenSegment segment;
+  segment.wire_.assign(bytes);
+  segment.num_rows_ = num_rows;
   return segment;
 }
 

@@ -2,25 +2,20 @@
 #define FNPROXY_STORAGE_SEGMENT_H_
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "sql/columnar.h"
-#include "util/arena.h"
 #include "util/status.h"
 
 namespace fnproxy::storage {
 
 /// Per-column encodings of a frozen segment (docs/STORAGE.md has the byte
-/// layouts). The picker chooses per column from the storage kind, the value
-/// distribution, and whether the column carries a prepared numeric view —
-/// scan-hot (coordinate) columns are pinned to kRawDouble so the membership
-/// kernels scan a frozen segment exactly as fast as a hot entry.
+/// layouts). The picker chooses per column from the storage kind and the
+/// value distribution.
 enum class ColumnEncoding : uint8_t {
   kRawInt = 0,         ///< Plain 8-byte int64 values.
-  kRawDouble = 1,      ///< Plain 8-byte doubles; zero-copy scan views.
+  kRawDouble = 1,      ///< Plain 8-byte doubles.
   kDeltaInt = 2,       ///< Zigzag deltas, fixed-width bit-packed.
   kDecimalDouble = 3,  ///< Decimal-scaled int64 mantissas (delta+bit-packed)
                        ///< with a bit-exact exception list.
@@ -34,7 +29,7 @@ enum class ColumnEncoding : uint8_t {
 const char* ColumnEncodingName(ColumnEncoding encoding);
 
 /// Picker override for double columns, exposed through
-/// `bench_columnar_scan --encoding=` so compression/scan trade-offs are
+/// `bench_columnar_scan --encoding=` so compression trade-offs are
 /// measurable per encoding.
 enum class DoubleEncodingPolicy : uint8_t {
   kAuto,     ///< Decimal-scaled when it verifies, else shuffled, else raw.
@@ -45,25 +40,32 @@ enum class DoubleEncodingPolicy : uint8_t {
 
 struct FreezeOptions {
   DoubleEncodingPolicy double_policy = DoubleEncodingPolicy::kAuto;
-  /// Keep columns with prepared numeric views as kRawDouble/kRawInt so
-  /// frozen-segment scans stay zero-copy on the scan-hot columns. Off only
-  /// for encoding experiments (the bench's forced modes).
-  bool pin_view_columns = true;
 };
 
-/// An immutable, compressed form of one cached ColumnarTable. Freezing is
-/// lossless and bit-exact: Thaw() rebuilds a table whose cells, null
-/// bitmaps, dictionary order and prepared views are identical to the
-/// original, so XML serialization and dedup hashes cannot observe the tier
-/// an entry lives in.
+/// Most rows Parse accepts. Constant and all-NULL columns encode any row
+/// count in a few bytes, so bytes from disk could otherwise make a thaw size
+/// columns from a lie. Freeze and Thaw take a hot table of any size; a
+/// spill file holding a larger one faults back as a miss, and a snapshot
+/// holding one does not load.
+inline constexpr size_t kMaxSegmentRows = size_t{1} << 24;
+
+/// An immutable, compressed form of one cached ColumnarTable, held as its
+/// wire form (docs/FORMATS.md §13.3) and nothing else: Freeze encodes
+/// straight into the bytes, Thaw decodes from them, and spill files and
+/// snapshots store them as they are. Freezing is lossless and bit-exact:
+/// Thaw() rebuilds a table whose cells, null bitmaps, dictionary order and
+/// prepared views are identical to the original, so XML serialization and
+/// dedup hashes cannot observe the tier an entry lives in.
+///
+/// Every segment holds a valid wire form: Freeze writes one, and Parse
+/// decodes every column before it adopts bytes, so Thaw cannot fail.
 ///
 /// Thread safety: a FrozenSegment is immutable after Freeze/Parse and safe
 /// for concurrent readers (the CacheStore shares segments via
 /// shared_ptr<const FrozenSegment>).
 class FrozenSegment {
  public:
-  /// Encodes `table`. Columns keep their declared order; the per-column
-  /// encoding is recorded and queryable via encoding().
+  /// Encodes `table`. Columns keep their declared order.
   static FrozenSegment Freeze(const sql::ColumnarTable& table,
                               const FreezeOptions& options = {});
 
@@ -71,54 +73,28 @@ class FrozenSegment {
   sql::ColumnarTable Thaw() const;
 
   size_t num_rows() const { return num_rows_; }
-  size_t num_columns() const { return columns_.size(); }
-  const sql::Schema& schema() const { return schema_; }
-  ColumnEncoding encoding(size_t col) const { return columns_[col].encoding; }
 
-  /// Encoded in-memory footprint (payload vectors + dictionaries + fixed
-  /// overhead), the byte count the cache budget charges for a frozen entry.
-  size_t ByteSize() const;
-  /// ByteSize() of the source table at freeze time — numerator of the
-  /// compression ratio.
-  size_t raw_byte_size() const { return raw_byte_size_; }
+  // Read from the wire form's framing on each call; for tests and
+  // inspection tools, not the serving path.
+  sql::Schema schema() const;
+  ColumnEncoding encoding(size_t col) const;
 
-  /// Zero-copy numeric view over a kRawDouble column without NULLs (the
-  /// pinned scan-hot case); nullopt when decoding would be needed.
-  std::optional<sql::ColumnarTable::NumericView> numeric_view(
-      size_t col) const;
-
-  /// Numeric view for any column, decoding into `arena` when the packed
-  /// bytes cannot be scanned directly. The view is valid while the segment
-  /// and the arena allocations live.
-  sql::ColumnarTable::NumericView DecodeNumericView(size_t col,
-                                                    util::Arena* arena) const;
+  /// Bytes the segment holds: its wire buffer plus the object itself. The
+  /// cache budget charges this for a frozen entry.
+  size_t ByteSize() const { return sizeof(*this) + wire_.capacity(); }
 
   /// Wire form (docs/FORMATS.md §13.3): self-contained, checksummed by the
   /// enclosing container, parseable without the source table.
-  std::string Serialize() const;
+  const std::string& Serialize() const { return wire_; }
+  /// Validates every column of `bytes` (framing, decoded counts, codes and
+  /// bounds) and adopts them; rejects anything Thaw could not decode.
   static util::StatusOr<FrozenSegment> Parse(std::string_view bytes);
 
  private:
-  struct FrozenColumn {
-    ColumnEncoding encoding = ColumnEncoding::kAllNull;
-    bool view_prepared = false;
-    /// Raw null words (bit set = NULL), exactly as the hot column held them.
-    std::vector<uint64_t> nulls;
-    /// Typed payloads for the raw encodings (alignment-safe scan views).
-    std::vector<int64_t> raw_ints;
-    std::vector<double> raw_doubles;
-    /// Packed payload for every other encoding.
-    std::string packed;
-    /// Dictionary (original order, so thawed codes are bit-identical).
-    std::vector<std::string> dict;
-  };
-
   FrozenSegment() = default;
 
-  sql::Schema schema_;
+  std::string wire_;
   size_t num_rows_ = 0;
-  size_t raw_byte_size_ = 0;
-  std::vector<FrozenColumn> columns_;
 };
 
 }  // namespace fnproxy::storage

@@ -44,6 +44,11 @@ StatusOr<std::vector<Section>> ParseSnapshotFile(std::string_view file) {
     return Status::InvalidArgument("snapshot: bad magic");
   }
   uint32_t count = in.GetU32();
+  // Every section header takes 20 bytes, so a count the file cannot hold
+  // is rejected before it sizes anything.
+  if (!in.ok() || count > in.remaining() / 20) {
+    return Status::InvalidArgument("snapshot: bad section count");
+  }
   std::vector<Section> sections;
   sections.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {

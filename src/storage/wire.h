@@ -127,12 +127,15 @@ class ByteReader {
   bool AtEnd() const { return pos_ >= bytes_.size(); }
   size_t remaining() const { return bytes_.size() - pos_; }
 
- private:
+  /// Latches failure, as truncation does; for callers that find a length
+  /// field the remaining bytes cannot back. Returns 0.
   uint8_t Fail() {
     ok_ = false;
     pos_ = bytes_.size();
     return 0;
   }
+
+ private:
   std::string_view bytes_;
   size_t pos_ = 0;
   bool ok_ = true;

@@ -1,10 +1,11 @@
 // Encoding oracle tests for the frozen-segment layer (docs/STORAGE.md):
 // every encoder is checked against the raw hot table it came from. Freezing
 // must be lossless and bit-exact — the thawed table serializes to the same
-// XML bytes, numeric views agree value-for-value, and the wire form
-// round-trips through Serialize/Parse — for randomized tables and for the
-// corner shapes (all-NULL columns, empty tables, degenerate dictionaries,
-// mixed-type fallback columns) that each encoder handles specially.
+// XML bytes, prepared numeric views come back value-for-value, and the wire
+// form round-trips through Serialize/Parse — for randomized tables and for
+// the corner shapes (all-NULL columns, empty tables, degenerate
+// dictionaries, mixed-type fallback columns) that each encoder handles
+// specially. Parse must reject every payload its decoders cannot decode.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +18,7 @@
 #include "sql/columnar.h"
 #include "sql/table_xml.h"
 #include "storage/segment.h"
-#include "util/arena.h"
+#include "storage_test_util.h"
 #include "util/random.h"
 
 namespace fnproxy::storage {
@@ -30,44 +31,52 @@ using sql::Value;
 using sql::ValueType;
 
 /// Asserts the full lossless contract for one table under one option set:
-/// thaw identity, wire round trip, and numeric-view agreement.
+/// thaw identity, wire round trip, and prepared numeric views.
 void ExpectLossless(const ColumnarTable& source, const FreezeOptions& options,
                     const char* label) {
   SCOPED_TRACE(label);
   FrozenSegment segment = FrozenSegment::Freeze(source, options);
   ASSERT_EQ(segment.num_rows(), source.num_rows());
-  ASSERT_EQ(segment.num_columns(), source.num_columns());
+  ASSERT_EQ(segment.schema().num_columns(), source.num_columns());
 
   ColumnarTable thawed = segment.Thaw();
   EXPECT_EQ(sql::TableToXml(thawed), sql::TableToXml(source));
 
   auto parsed = FrozenSegment::Parse(segment.Serialize());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->Serialize(), segment.Serialize());
   EXPECT_EQ(sql::TableToXml(parsed->Thaw()), sql::TableToXml(source));
 
-  // Decoded numeric views must agree bit-for-bit with the hot column's
-  // (NaN compares by payload here: both sides decode the same stored bits).
-  util::Arena arena;
+  // Views prepared on the hot table come back prepared, and agree
+  // bit-for-bit with the hot column's (NaN compares by payload here: both
+  // sides hold the same stored bits).
+  ColumnarTable prepared = source;
   for (size_t c = 0; c < source.num_columns(); ++c) {
     if (source.schema().column(c).type != ValueType::kDouble) continue;
-    ColumnarTable hot_copy = source;
-    if (!hot_copy.PrepareNumericView(c).ok()) continue;
-    auto hot = hot_copy.numeric_view(c);
+    ASSERT_TRUE(prepared.PrepareNumericView(c).ok());
+  }
+  const ColumnarTable rethawed =
+      FrozenSegment::Freeze(prepared, options).Thaw();
+  for (size_t c = 0; c < source.num_columns(); ++c) {
+    if (!prepared.view_prepared(c)) continue;
+    ASSERT_TRUE(rethawed.view_prepared(c));
+    auto hot = prepared.numeric_view(c);
+    auto thawed_view = rethawed.numeric_view(c);
     ASSERT_TRUE(hot.has_value());
-    ColumnarTable::NumericView frozen = segment.DecodeNumericView(c, &arena);
+    ASSERT_TRUE(thawed_view.has_value());
     // A null validity pointer means the column is dense (all rows valid).
     const auto valid_bit = [](const uint64_t* valid, size_t row) {
       return valid == nullptr || ((valid[row / 64] >> (row % 64)) & 1) != 0;
     };
     for (size_t row = 0; row < source.num_rows(); ++row) {
-      const bool frozen_valid = valid_bit(frozen.valid, row);
+      const bool thawed_valid = valid_bit(thawed_view->valid, row);
       const bool hot_valid = valid_bit(hot->valid, row);
-      ASSERT_EQ(frozen_valid, hot_valid) << "row " << row;
+      ASSERT_EQ(thawed_valid, hot_valid) << "row " << row;
       if (!hot_valid) continue;
-      ASSERT_EQ(std::memcmp(&frozen.data[row], &hot->data[row],
+      ASSERT_EQ(std::memcmp(&thawed_view->data[row], &hot->data[row],
                             sizeof(double)),
                 0)
-          << "row " << row << ": " << frozen.data[row] << " vs "
+          << "row " << row << ": " << thawed_view->data[row] << " vs "
           << hot->data[row];
     }
   }
@@ -80,7 +89,6 @@ void ExpectLosslessUnderAllPolicies(const Table& rows, const char* label) {
         DoubleEncodingPolicy::kDecimal, DoubleEncodingPolicy::kShuffle}) {
     FreezeOptions options;
     options.double_policy = policy;
-    options.pin_view_columns = false;
     ExpectLossless(source, options, label);
   }
 }
@@ -111,7 +119,7 @@ TEST(StorageEncodingTest, QuantizedDoublesPickDecimal) {
   ExpectLosslessUnderAllPolicies(rows, "quantized doubles");
 }
 
-TEST(StorageEncodingTest, ViewColumnsStayRawUnderAutoPin) {
+TEST(StorageEncodingTest, ViewColumnsPackLikeAnyOtherColumn) {
   util::Random rng(4);
   Table rows(Schema({{"ra", ValueType::kDouble}}));
   for (size_t i = 0; i < 200; ++i) {
@@ -120,16 +128,14 @@ TEST(StorageEncodingTest, ViewColumnsStayRawUnderAutoPin) {
   }
   ColumnarTable source(rows);
   ASSERT_TRUE(source.PrepareNumericView(0).ok());
-  FrozenSegment pinned = FrozenSegment::Freeze(source);
-  EXPECT_EQ(pinned.encoding(0), ColumnEncoding::kRawDouble);
-  // The pinned raw column scans zero-copy.
-  EXPECT_TRUE(pinned.numeric_view(0).has_value());
-
-  FreezeOptions unpinned;
-  unpinned.pin_view_columns = false;
-  FrozenSegment packed = FrozenSegment::Freeze(source, unpinned);
-  EXPECT_EQ(packed.encoding(0), ColumnEncoding::kDecimalDouble);
-  EXPECT_EQ(sql::TableToXml(packed.Thaw()), sql::TableToXml(source));
+  // A coordinate column is packed by its values, and the thaw prepares its
+  // view again before the table is scanned.
+  FrozenSegment segment = FrozenSegment::Freeze(source);
+  EXPECT_EQ(segment.encoding(0), ColumnEncoding::kDecimalDouble);
+  EXPECT_LT(segment.ByteSize(), source.ByteSize());
+  ColumnarTable thawed = segment.Thaw();
+  EXPECT_TRUE(thawed.view_prepared(0));
+  EXPECT_EQ(sql::TableToXml(thawed), sql::TableToXml(source));
 }
 
 TEST(StorageEncodingTest, DictStringsRoundTrip) {
@@ -166,7 +172,7 @@ TEST(StorageEncodingTest, EmptyTableRoundTrips) {
   EXPECT_EQ(segment.num_rows(), 0u);
   auto parsed = FrozenSegment::Parse(segment.Serialize());
   ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->num_columns(), 2u);
+  EXPECT_EQ(parsed->schema().num_columns(), 2u);
 }
 
 TEST(StorageEncodingTest, BoolsPackToBits) {
@@ -281,6 +287,62 @@ TEST(StorageEncodingTest, ParseRejectsCorruptSegments) {
   std::string wire = segment.Serialize();
   EXPECT_FALSE(FrozenSegment::Parse(wire.substr(0, wire.size() / 2)).ok());
   EXPECT_FALSE(FrozenSegment::Parse("").ok());
+}
+
+TEST(StorageEncodingTest, ParseRejectsPayloadsTheDecodersCannotDecode) {
+  for (const auto& [label, wire] : UndecodableSegments()) {
+    SCOPED_TRACE(label);
+    EXPECT_FALSE(FrozenSegment::Parse(wire).ok());
+  }
+}
+
+TEST(StorageEncodingTest, ParseAcceptsTheWellFormedTwins) {
+  // The same shapes with payloads that match the row count decode fully.
+  auto ints = FrozenSegment::Parse(OneColumnSegment(
+      10, ValueType::kInt, ColumnEncoding::kDeltaInt,
+      DeltaPayload(10, 100, 2, 9)));
+  ASSERT_TRUE(ints.ok()) << ints.status().ToString();
+  Table want_ints(Schema({{"c", ValueType::kInt}}));
+  for (int64_t i = 0; i < 10; ++i) want_ints.AddRow({Value::Int(100 + i)});
+  EXPECT_EQ(sql::TableToXml(ints->Thaw()),
+            sql::TableToXml(ColumnarTable(want_ints)));
+
+  auto strings = FrozenSegment::Parse(OneColumnSegment(
+      4, ValueType::kString, ColumnEncoding::kDictString,
+      DictPayload(2, {0, 1, 2, 0}), {"STAR", "GALAXY"}, {uint64_t{1} << 2}));
+  ASSERT_TRUE(strings.ok()) << strings.status().ToString();
+  Table want_strings(Schema({{"c", ValueType::kString}}));
+  want_strings.AddRow({Value::String("STAR")});
+  want_strings.AddRow({Value::String("GALAXY")});
+  want_strings.AddRow({Value::Null()});
+  want_strings.AddRow({Value::String("STAR")});
+  EXPECT_EQ(sql::TableToXml(strings->Thaw()),
+            sql::TableToXml(ColumnarTable(want_strings)));
+}
+
+TEST(StorageEncodingTest, ParseRejectsWhatFreezeNeverWrites) {
+  const std::pair<const char*, std::string> kCases[] = {
+      // The NULL sentinel code on a row whose null bit is clear.
+      {"sentinel code on a non-NULL row",
+       OneColumnSegment(4, ValueType::kString, ColumnEncoding::kDictString,
+                        DictPayload(2, {0, 1, 2, 0}), {"STAR", "GALAXY"})},
+      {"null bit past the last row",
+       OneColumnSegment(4, ValueType::kInt, ColumnEncoding::kDeltaInt,
+                        DeltaPayload(4, 0, 2, 3), {}, {uint64_t{1} << 5})},
+      {"encoding the declared type cannot hold",
+       OneColumnSegment(10, ValueType::kString, ColumnEncoding::kDeltaInt,
+                        DeltaPayload(10, 100, 2, 9))},
+      {"trailing bytes after the packed payload",
+       OneColumnSegment(10, ValueType::kInt, ColumnEncoding::kDeltaInt,
+                        DeltaPayload(10, 100, 2, 9) + "x")},
+      {"row count past the segment limit",
+       OneColumnSegment(kMaxSegmentRows + 1, ValueType::kNull,
+                        ColumnEncoding::kAllNull, "")},
+  };
+  for (const auto& [label, wire] : kCases) {
+    SCOPED_TRACE(label);
+    EXPECT_FALSE(FrozenSegment::Parse(wire).ok());
+  }
 }
 
 }  // namespace

@@ -3,12 +3,14 @@
 // proxy restored from a snapshot is observationally identical to the proxy
 // that wrote it — /proxy/stats renders byte-identically, and subsequent
 // queries serve from the restored cache with responses matching a
-// never-restarted oracle, without an origin round trip.
+// never-restarted oracle, without an origin round trip. A snapshot that
+// fails to parse anywhere installs nothing.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -299,6 +301,107 @@ TEST_F(SnapshotProxyTest, CorruptSnapshotIsRejectedAndProxyStartsCold) {
   EXPECT_TRUE(response.ok()) << response.body;
   ProxyStats stats = restored.proxy->stats();
   EXPECT_EQ(stats.misses, 1u);
+}
+
+/// Rewrites the snapshot at `path` with `edit` applied to the payload of
+/// section `id`; every checksum stays valid.
+void RewriteSection(const std::string& path, uint32_t id,
+                    const std::function<void(std::string*)>& edit) {
+  auto contents = storage::ReadFileToString(path);
+  ASSERT_TRUE(contents.ok()) << contents.status().ToString();
+  auto sections = storage::ParseSnapshotFile(*contents);
+  ASSERT_TRUE(sections.ok()) << sections.status().ToString();
+  std::vector<std::pair<uint32_t, std::string>> rebuilt;
+  for (const storage::Section& section : *sections) {
+    rebuilt.emplace_back(section.id, std::string(section.payload));
+    if (section.id == id) edit(&rebuilt.back().second);
+  }
+  ASSERT_TRUE(
+      storage::WriteFileAtomic(path, storage::BuildSnapshotFile(rebuilt)).ok());
+}
+
+/// Offset, within an ENTRIES payload, of the encoding byte of the first
+/// column of entry `index`'s segment (docs/FORMATS.md §13.2-13.3).
+size_t FirstEncodingByte(std::string_view entries, size_t index) {
+  storage::ByteReader in(entries);
+  const uint64_t count = in.GetVarint();
+  EXPECT_LT(index, count);
+  for (size_t i = 0;; ++i) {
+    for (int field = 0; field < 4; ++field) in.GetString();
+    in.GetU8();
+    in.GetZigzag();
+    in.GetVarint();
+    const size_t length = in.GetVarint();
+    const size_t start = entries.size() - in.remaining();
+    std::string_view segment = in.GetBytes(length);
+    if (i < index) continue;
+    storage::ByteReader seg(segment);
+    seg.GetVarint();
+    const uint64_t columns = seg.GetVarint();
+    for (uint64_t c = 0; c < columns; ++c) {
+      seg.GetString();
+      seg.GetU8();
+    }
+    EXPECT_TRUE(seg.ok());
+    return start + segment.size() - seg.remaining();
+  }
+}
+
+/// The value of one /metrics series, or -1 when it is not rendered.
+double MetricValue(FunctionProxy* proxy, const std::string& series) {
+  HttpRequest scrape;
+  scrape.path = "/metrics";
+  const std::string text = proxy->Handle(scrape).body;
+  const size_t pos = text.find("\n" + series + " ");
+  if (pos == std::string::npos) return -1;
+  return std::stod(text.substr(pos + series.size() + 2));
+}
+
+TEST_F(SnapshotProxyTest, FailedRestoreInstallsNothing) {
+  const std::string kRestoreErrors =
+      "fnproxy_storage_snapshot_writes_total{outcome=\"error\"}";
+  Node writer = MakeNode(/*restore=*/false);
+  for (const HttpRequest& request : WarmupSequence()) {
+    ASSERT_TRUE(writer.proxy->Handle(request).ok());
+  }
+  ASSERT_GE(writer.proxy->cache().num_entries(), 2u);
+  ASSERT_TRUE(writer.proxy->WriteSnapshot(snapshot_path_).ok());
+  auto pristine = storage::ReadFileToString(snapshot_path_);
+  ASSERT_TRUE(pristine.ok());
+
+  // Two checksum-valid snapshots that fail past their first parsed entry:
+  // an unknown encoding id in the second entry's segment, and a STATS
+  // section cut short after the entries.
+  const std::pair<const char*, std::function<void()>> kDamage[] = {
+      {"unknown encoding in entry 2",
+       [&] {
+         RewriteSection(snapshot_path_, storage::kSectionEntries,
+                        [](std::string* entries) {
+                          (*entries)[FirstEncodingByte(*entries, 1)] = 9;
+                        });
+       }},
+      {"truncated STATS",
+       [&] {
+         RewriteSection(snapshot_path_, storage::kSectionStats,
+                        [](std::string* stats) {
+                          stats->resize(stats->size() - 3);
+                        });
+       }},
+  };
+  for (const auto& [label, damage] : kDamage) {
+    SCOPED_TRACE(label);
+    ASSERT_TRUE(storage::WriteFileAtomic(snapshot_path_, *pristine).ok());
+    damage();
+    Node restored = MakeNode(/*restore=*/true);
+    Node fresh = MakeNode(/*restore=*/false);
+    EXPECT_EQ(restored.proxy->cache().num_entries(), 0u);
+    EXPECT_EQ(restored.proxy->stats().ToXml(), fresh.proxy->stats().ToXml());
+    EXPECT_EQ(MetricValue(restored.proxy.get(), kRestoreErrors), 1);
+    EXPECT_EQ(
+        MetricValue(restored.proxy.get(),
+                    "fnproxy_storage_restored_entries_total"),
+        0);
+  }
 }
 
 TEST_F(SnapshotProxyTest, DestructorWritesCleanShutdownSnapshot) {

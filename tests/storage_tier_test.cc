@@ -19,6 +19,8 @@
 #include "geometry/hypersphere.h"
 #include "index/array_index.h"
 #include "sql/table_xml.h"
+#include "storage/wire.h"
+#include "storage_test_util.h"
 
 namespace fnproxy::core {
 namespace {
@@ -87,15 +89,16 @@ TEST(StorageTierTest, SweepFreezesIdleEntriesAndFindDoesNotPromote) {
   EXPECT_EQ(store->freezes(), 1u);
   EXPECT_GT(store->frozen_raw_bytes(), store->frozen_encoded_bytes());
 
-  // Find hands back the cold snapshot: schema intact, zero rows, segment
-  // attached — schema checks must be possible without a thaw.
+  // Find hands back the cold snapshot without a thaw: no result table, the
+  // segment attached and charged at what it holds.
   std::shared_ptr<const CacheEntry> cold = store->Find(id);
   ASSERT_NE(cold, nullptr);
   EXPECT_EQ(cold->tier, EntryTier::kFrozen);
   EXPECT_EQ(cold->result.num_rows(), 0u);
-  EXPECT_EQ(cold->result.num_columns(), 3u);
+  EXPECT_EQ(cold->result.num_columns(), 0u);
   ASSERT_NE(cold->segment, nullptr);
   EXPECT_EQ(cold->segment->num_rows(), 50u);
+  EXPECT_EQ(cold->bytes, cold->segment->ByteSize() + 256);
   EXPECT_EQ(store->thaws(), 0u);
 
   // FindHot promotes and restores the identical table.
@@ -187,6 +190,34 @@ TEST(StorageTierTest, CorruptSpillFileBecomesCountedMiss) {
   EXPECT_EQ(store->spill_io_errors(), 1u);
   EXPECT_EQ(store->Find(id), nullptr);
   EXPECT_EQ(store->num_entries(), 0u);
+}
+
+TEST(StorageTierTest, UndecodableSegmentInValidSpillFileBecomesCountedMiss) {
+  const std::string dir = SpillDir("undecodable");
+  TierConfig config;
+  config.freeze_idle_micros = 10 * kSecond;
+  config.spill_idle_micros = 30 * kSecond;
+  config.spill_dir = dir;
+  for (const auto& [label, segment] : storage::UndecodableSegments()) {
+    SCOPED_TRACE(label);
+    auto store = MakeStore(config);
+    uint64_t id = store->Insert(MakeEntry(0, 40));
+    ASSERT_NE(id, 0u);
+    store->SweepColdEntries(15 * kSecond);
+    ASSERT_EQ(store->SweepColdEntries(60 * kSecond).spilled, 1u);
+    std::shared_ptr<const CacheEntry> cold = store->Find(id);
+    ASSERT_NE(cold, nullptr);
+    // A checksum-valid container around a segment no decoder accepts.
+    ASSERT_TRUE(storage::WriteFileAtomic(
+                    cold->spill_file,
+                    storage::BuildSnapshotFile(
+                        {{storage::kSectionEntries, segment}}))
+                    .ok());
+
+    EXPECT_EQ(store->FindHot(id), nullptr);
+    EXPECT_EQ(store->spill_io_errors(), 1u);
+    EXPECT_EQ(store->num_entries(), 0u);
+  }
 }
 
 TEST(StorageTierTest, LostSpillFileBecomesCountedMiss) {

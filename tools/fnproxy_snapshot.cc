@@ -124,12 +124,12 @@ int Inspect(const std::string& path) {
       encoded_total += info.segment_bytes.size();
       std::printf("  [%zu] template=%s rows=%zu cols=%zu encoded=%zuB",
                   i, info.template_id.c_str(), segment->num_rows(),
-                  segment->num_columns(), info.segment_bytes.size());
+                  thawed.num_columns(), info.segment_bytes.size());
       if (info.truncated) std::printf(" truncated");
       std::printf("\n");
-      for (size_t c = 0; c < segment->num_columns(); ++c) {
-        std::printf("        col %-20s %s\n",
-                    segment->schema().column(c).name.c_str(),
+      const sql::Schema schema = segment->schema();
+      for (size_t c = 0; c < schema.num_columns(); ++c) {
+        std::printf("        col %-20s %s\n", schema.column(c).name.c_str(),
                     storage::ColumnEncodingName(segment->encoding(c)));
       }
     }
