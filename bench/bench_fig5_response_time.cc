@@ -7,14 +7,20 @@
 // Paper shape: NC > 2000 ms; PC ~ 1400 ms; ACR/ACNR ~ 1150-1250 ms with the
 // R-tree giving no speedup over the array (sometimes slightly slower);
 // response times improve only mildly with cache size.
+//
+// With --json[=path] (and --git-sha=<sha>) every printed cell is appended
+// as one record, named fig5/<config>_<cache size>, e.g. fig5/acnr_1.
 
 #include <cstdio>
+#include <string>
 
 #include "bench_common.h"
 
 using namespace fnproxy;
 
-int main() {
+int main(int argc, char** argv) {
+  const bench::BenchJson json =
+      bench::BenchJson::FromArgs(&argc, argv, "bench_fig5_response_time");
   std::printf("=== Figure 5: Average response time (ms), first 10,000 queries ===\n");
   workload::SkyExperiment experiment(bench::PaperOptions());
   bench::PrintTraceMix(experiment.trace());
@@ -22,6 +28,7 @@ int main() {
 
   const double fractions[] = {1.0 / 6, 1.0 / 3, 1.0 / 2, 1.0};
   const char* fraction_names[] = {"1/6", "1/3", "1/2", "1"};
+  const char* fraction_keys[] = {"1_6", "1_3", "1_2", "1"};
 
   // NC has no cache; one run serves every column.
   auto nc =
@@ -46,6 +53,11 @@ int main() {
                                                false, budget))
                    .rbe.AverageResponseMillis(10000);
     std::printf("  [cache=%s done]\n", fraction_names[i]);
+    const std::string key = fraction_keys[i];
+    json.Record("fig5/acr_" + key, acr_ms[i], "ms");
+    json.Record("fig5/acnr_" + key, acnr_ms[i], "ms");
+    json.Record("fig5/pc_" + key, pc_ms[i], "ms");
+    json.Record("fig5/nc_" + key, nc_ms, "ms");
   }
 
   std::printf("\nConfig   1/6     1/3     1/2     1\n");

@@ -5,14 +5,20 @@
 // Paper reference values (real SkyServer trace):
 //   AC: 0.531  0.565  0.582  0.593
 //   PC: 0.290  0.305  0.311  0.313
+//
+// With --json[=path] (and --git-sha=<sha>) every printed cell is appended
+// as one record, named table1/<scheme>_<cache size>, e.g. table1/pc_1_6.
 
 #include <cstdio>
+#include <string>
 
 #include "bench_common.h"
 
 using namespace fnproxy;
 
-int main() {
+int main(int argc, char** argv) {
+  const bench::BenchJson json = bench::BenchJson::FromArgs(
+      &argc, argv, "bench_table1_cache_efficiency");
   std::printf("=== Table 1: Average cache efficiency of AC and PC ===\n");
   workload::SkyExperiment experiment(bench::PaperOptions());
   bench::PrintTraceMix(experiment.trace());
@@ -23,6 +29,7 @@ int main() {
 
   const double fractions[] = {1.0 / 6, 1.0 / 3, 1.0 / 2, 1.0};
   const char* fraction_names[] = {"1/6", "1/3", "1/2", "1"};
+  const char* fraction_keys[] = {"1_6", "1_3", "1_2", "1"};
 
   double ac_eff[4], pc_eff[4];
   for (int i = 0; i < 4; ++i) {
@@ -34,6 +41,9 @@ int main() {
         bench::MakeProxyConfig(core::CachingMode::kPassive, false, budget));
     ac_eff[i] = ac.proxy_stats.AverageCacheEfficiency();
     pc_eff[i] = pc.proxy_stats.AverageCacheEfficiency();
+    const std::string key = fraction_keys[i];
+    json.Record("table1/ac_" + key, ac_eff[i], "ratio");
+    json.Record("table1/pc_" + key, pc_eff[i], "ratio");
     std::printf("  [cache=%s done]\n", fraction_names[i]);
   }
 

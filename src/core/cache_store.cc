@@ -256,7 +256,6 @@ CacheEntry CacheStore::CloneMeta(const CacheEntry& entry) {
   clone.id = entry.id;
   clone.template_id = entry.template_id;
   clone.nonspatial_fingerprint = entry.nonspatial_fingerprint;
-  clone.param_fingerprint = entry.param_fingerprint;
   clone.region = entry.region->Clone();
   clone.truncated = entry.truncated;
   clone.last_access_micros = entry.last_access_micros;

@@ -37,12 +37,10 @@ const char* EntryTierName(EntryTier tier);
 struct CacheEntry {
   uint64_t id = 0;
   std::string template_id;
-  /// Fingerprint of the non-spatial parameters; entries are only comparable
-  /// to queries with an equal fingerprint.
+  /// Fingerprint of the non-spatial parameters (under passive caching, of
+  /// the whole query string); entries are only comparable to queries with
+  /// an equal fingerprint.
   std::string nonspatial_fingerprint;
-  /// Canonical string of the full parameter binding (exact-match key for
-  /// passive caching).
-  std::string param_fingerprint;
   std::unique_ptr<geometry::Region> region;
   /// Result tuples in columnar form (assignable from a row-wise sql::Table).
   /// The proxy pre-resolves the template's coordinate columns to contiguous

@@ -122,35 +122,6 @@ constexpr double kPeerOwnershipCell = 0.05;
 /// A storage-tier sweep (freeze + spill pass) runs every N handled requests.
 constexpr uint64_t kSweepEveryRequests = 64;
 
-/// Cheaply extracts the rows="N" attribute from a result document without a
-/// full XML parse (used for pass-through responses where the proxy only
-/// needs the tuple count for statistics).
-size_t ExtractRowCount(const std::string& body) {
-  size_t pos = body.find("rows=\"");
-  if (pos == std::string::npos) return 0;
-  pos += 6;
-  size_t end = body.find('"', pos);
-  if (end == std::string::npos) return 0;
-  size_t rows = 0;
-  for (size_t i = pos; i < end; ++i) {
-    if (body[i] < '0' || body[i] > '9') return 0;
-    rows = rows * 10 + static_cast<size_t>(body[i] - '0');
-  }
-  return rows;
-}
-
-std::string FullParamFingerprint(
-    const std::map<std::string, std::string>& params) {
-  std::string fingerprint;
-  for (const auto& [key, value] : params) {
-    fingerprint += key;
-    fingerprint += '=';
-    fingerprint += value;
-    fingerprint += ';';
-  }
-  return fingerprint;
-}
-
 // --- Peer wire format helpers ----------------------------------------------
 //
 // Peer metadata travels in X-Peer-* headers; the body is the entry's region
@@ -697,9 +668,6 @@ HttpResponse FunctionProxy::Forward(const HttpRequest& request,
   HttpResponse response = origin_->RoundTrip(request, deadline_micros);
   span.AddAttr("status", std::to_string(response.status_code));
   NoteOriginOutcome(!net::RetryPolicy::Retryable(response));
-  if (response.ok()) {
-    record->tuples_total = ExtractRowCount(response.body);
-  }
   return response;
 }
 
@@ -777,8 +745,7 @@ double FunctionProxy::DescriptionCostMicros(size_t comparisons) const {
 
 std::shared_ptr<const CacheEntry> FunctionProxy::CacheResult(
     const QueryTemplate& qt, const std::string& nonspatial_fp,
-    const std::string& param_fp, const geometry::Region& region,
-    sql::ColumnarTable result,
+    const geometry::Region& region, sql::ColumnarTable result,
     const std::vector<std::string>& coordinate_columns, bool truncated,
     obs::QueryTrace* trace) {
   obs::ScopedSpan span(trace, "cache_admit", clock_, ins_.phase_cache_admit);
@@ -795,7 +762,6 @@ std::shared_ptr<const CacheEntry> FunctionProxy::CacheResult(
   CacheEntry entry;
   entry.template_id = qt.id();
   entry.nonspatial_fingerprint = nonspatial_fp;
-  entry.param_fingerprint = param_fp;
   entry.region = region.Clone();
   entry.result = std::move(result);
   entry.truncated = truncated;
@@ -806,62 +772,6 @@ std::shared_ptr<const CacheEntry> FunctionProxy::CacheResult(
   cache_->Insert(std::move(entry), &comparisons, &snapshot);
   ChargeMicros(DescriptionCostMicros(comparisons));
   return snapshot;
-}
-
-HttpResponse FunctionProxy::HandlePassive(const HttpRequest& request,
-                                          int64_t deadline_micros,
-                                          QueryRecord* record,
-                                          obs::QueryTrace* trace) {
-  std::string key = request.path + "?" + FullParamFingerprint(request.query_params);
-  {
-    obs::ScopedSpan lookup(trace, "cache_lookup", clock_,
-                           ins_.phase_cache_lookup);
-    util::MutexLock lock(passive_mu_);
-    auto it = passive_items_.find(key);
-    if (it != passive_items_.end()) {
-      lookup.AddAttr("outcome", "exact_hit");
-      it->second.last_access = clock_->NowMicros();
-      record->tuples_total = it->second.rows;
-      record->tuples_from_cache = it->second.rows;
-      ins_.exact_hits->Increment();
-      ChargeMicros(config_.costs.per_response_tuple_us *
-                   static_cast<double>(it->second.rows));
-      HttpResponse response;
-      response.body = it->second.body;
-      return response;
-    }
-    lookup.AddAttr("outcome", "miss");
-  }
-  HttpResponse response = Forward(request, deadline_micros, record, trace);
-  if (!record->shed) ins_.misses->Increment();
-  // Admission control: only well-formed result documents from 2xx responses
-  // enter the cache — a 200 carrying garbage must not poison future hits.
-  if (response.ok() && sql::TableFromXml(response.body).ok()) {
-    PassiveItem item;
-    item.body = response.body;
-    item.rows = record->tuples_total;
-    item.bytes = response.body.size() + 128;
-    item.last_access = clock_->NowMicros();
-    if (config_.max_cache_bytes == 0 || item.bytes <= config_.max_cache_bytes) {
-      util::MutexLock lock(passive_mu_);
-      while (config_.max_cache_bytes != 0 &&
-             passive_bytes_ + item.bytes > config_.max_cache_bytes &&
-             !passive_items_.empty()) {
-        auto victim = passive_items_.begin();
-        for (auto iter = passive_items_.begin(); iter != passive_items_.end();
-             ++iter) {
-          if (iter->second.last_access < victim->second.last_access) {
-            victim = iter;
-          }
-        }
-        passive_bytes_ -= victim->second.bytes;
-        passive_items_.erase(victim);
-      }
-      passive_bytes_ += item.bytes;
-      passive_items_.emplace(std::move(key), std::move(item));
-    }
-  }
-  return response;
 }
 
 std::optional<QueryPlan> FunctionProxy::CollapseOrLead(const TemplateQuery& q,
@@ -899,12 +809,12 @@ std::optional<QueryPlan> FunctionProxy::CollapseOrLead(const TemplateQuery& q,
   return std::nullopt;  // Rounds exhausted: fetch solo without leading.
 }
 
-HttpResponse FunctionProxy::HandleActive(const HttpRequest& request,
-                                         const QueryTemplate& qt,
-                                         const FunctionTemplate& ft,
-                                         int64_t deadline_micros,
-                                         QueryRecord* record,
-                                         obs::QueryTrace* trace) {
+HttpResponse FunctionProxy::HandleTemplate(const HttpRequest& request,
+                                           const QueryTemplate& qt,
+                                           const FunctionTemplate& ft,
+                                           int64_t deadline_micros,
+                                           QueryRecord* record,
+                                           obs::QueryTrace* trace) {
   // --- Instantiate: parameters, region, fingerprints. ---
   std::map<std::string, Value> params;
   for (const auto& [key, text] : request.query_params) {
@@ -912,16 +822,19 @@ HttpResponse FunctionProxy::HandleActive(const HttpRequest& request,
   }
   auto args = qt.FunctionArgs(params);
   auto region = args.ok() ? ft.BuildRegion(*args) : args.status();
-  auto nonspatial_fp = qt.NonSpatialFingerprint(params);
+  // Passive caching compares the whole query string, so an entry can
+  // match only a request of the identical URL (DESIGN.md §18).
+  auto nonspatial_fp = config_.mode == CachingMode::kPassive
+                           ? net::BuildQueryString(request.query_params)
+                           : qt.NonSpatialFingerprint(params);
   if (!region.ok() || !nonspatial_fp.ok()) {
     HttpResponse response = Forward(request, deadline_micros, record, trace);
     if (!record->shed) ins_.misses->Increment();
     return response;
   }
   const TemplateQuery q{request, qt, ft, **region, std::move(params),
-                        std::move(*nonspatial_fp),
-                        FullParamFingerprint(request.query_params),
-                        deadline_micros, record, trace};
+                        std::move(*nonspatial_fp), deadline_micros, record,
+                        trace};
 
   // --- Relationship check against the cache description. The returned
   // snapshots stay valid even if a concurrent admission evicts the entries
@@ -1227,8 +1140,8 @@ HttpResponse FunctionProxy::RunPlan(QueryPlan* plan, const TemplateQuery& q) {
     const bool truncated =
         plan->origin == Origin::kOriginal && top_n.has_value() &&
         answer->num_rows() == static_cast<size_t>(*top_n);
-    auto admitted = CacheResult(q.qt, q.nonspatial_fp, q.param_fp, q.region,
-                                *answer, coords, truncated, trace);
+    auto admitted = CacheResult(q.qt, q.nonspatial_fp, q.region, *answer,
+                                coords, truncated, trace);
     flight.Fulfill({admitted != nullptr, admitted});
     peer_flight.Fulfill(admitted);
     if (elided) ins_.remainders_elided->Increment();
@@ -1382,7 +1295,6 @@ HttpResponse FunctionProxy::HandlePeerLookup(const HttpRequest& request) {
     HttpResponse response;
     response.headers["X-Peer-Outcome"] = outcome;
     response.headers["X-Peer-Truncated"] = entry.truncated ? "1" : "0";
-    response.headers["X-Peer-Paramfp"] = entry.param_fingerprint;
     response.body = RegionToXml(*entry.region);
     response.body += sql::TableToXml(entry.result);
     return response;
@@ -1489,8 +1401,7 @@ HttpResponse FunctionProxy::HandlePeerEntry(const HttpRequest& request) {
   }
   ins_.peer_entries_received->Increment();
   auto admitted = CacheResult(
-      *qt, *fp, PeerHeaderOr(request.headers, "X-Peer-Paramfp", ""),
-      **region_or, std::move(*table), ft->coordinate_columns(),
+      *qt, *fp, **region_or, std::move(*table), ft->coordinate_columns(),
       PeerHeaderOr(request.headers, "X-Peer-Truncated", "0") == "1",
       /*trace=*/nullptr);
   inflight_.Complete(token, FlightOutcome{admitted != nullptr, admitted});
@@ -1514,7 +1425,6 @@ void FunctionProxy::PushPeerEntry(
   } else {
     push.headers["X-Peer-Template"] = entry->template_id;
     push.headers["X-Peer-Fp"] = entry->nonspatial_fingerprint;
-    push.headers["X-Peer-Paramfp"] = entry->param_fingerprint;
     push.headers["X-Peer-Truncated"] = entry->truncated ? "1" : "0";
     push.body = RegionToXml(*entry->region);
     push.body += sql::TableToXml(entry->result);
@@ -1617,10 +1527,9 @@ std::optional<QueryPlan> FunctionProxy::ProbePeer(
   auto local = std::make_shared<CacheEntry>();
   local->region = std::move(peer_region);
   local->result = sql::ColumnarTable(std::move(*table));
-  auto admitted = CacheResult(
-      q.qt, q.nonspatial_fp,
-      PeerHeaderOr(response.headers, "X-Peer-Paramfp", ""), *local->region,
-      local->result, q.ft.coordinate_columns(), truncated, q.trace);
+  auto admitted =
+      CacheResult(q.qt, q.nonspatial_fp, *local->region, local->result,
+                  q.ft.coordinate_columns(), truncated, q.trace);
   local_flight->Fulfill(FlightOutcome{admitted != nullptr, admitted});
   // Serve from the admitted snapshot when possible (its coordinate views
   // are pre-resolved); the local entry covers the not-cacheable case. The
@@ -1810,7 +1719,7 @@ util::Status FunctionProxy::WriteSnapshot(const std::string& path) const {
     }
     bodies.PutString(entry->template_id);
     bodies.PutString(entry->nonspatial_fingerprint);
-    bodies.PutString(entry->param_fingerprint);
+    bodies.PutString("");  // Reserved slot, written empty (§13.2).
     bodies.PutString(RegionToXml(*entry->region));
     bodies.PutU8(entry->truncated ? 1 : 0);
     bodies.PutZigzag(entry->last_access_micros);
@@ -1888,7 +1797,7 @@ util::StatusOr<size_t> FunctionProxy::RestoreSnapshot(const std::string& path) {
       CacheEntry entry;
       entry.template_id = reader.GetString();
       entry.nonspatial_fingerprint = reader.GetString();
-      entry.param_fingerprint = reader.GetString();
+      reader.GetString();  // Reserved slot, ignored.
       const std::string region_xml = reader.GetString();
       entry.truncated = reader.GetU8() != 0;
       entry.last_access_micros = reader.GetZigzag();
@@ -2052,12 +1961,8 @@ HttpResponse FunctionProxy::Handle(const HttpRequest& request) {
   } else {
     ins_.template_requests->Increment();
     record.handled_by_template = true;
-    if (config_.mode == CachingMode::kPassive) {
-      response = HandlePassive(request, deadline_micros, &record, trace);
-    } else {
-      response =
-          HandleActive(request, *qt, *ft, deadline_micros, &record, trace);
-    }
+    response =
+        HandleTemplate(request, *qt, *ft, deadline_micros, &record, trace);
   }
   record.failed = !response.ok();
   // Tier-visible outcome headers: X-Peer-Served marks answers that avoided

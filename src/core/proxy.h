@@ -345,13 +345,6 @@ class FunctionProxy final : public net::HttpHandler {
       EXCLUDES(records_mu_);
 
  private:
-  struct PassiveItem {
-    std::string body;
-    size_t rows = 0;
-    size_t bytes = 0;
-    int64_t last_access = 0;
-  };
-
   /// Live statistics: raw pointers into registry-owned instruments (stable
   /// for the proxy's lifetime; every increment is one relaxed atomic add).
   /// The same instruments back GET /metrics, stats() / ProxyStats::ToXml()
@@ -428,27 +421,27 @@ class FunctionProxy final : public net::HttpHandler {
   net::HttpResponse Forward(const net::HttpRequest& request,
                             int64_t deadline_micros, QueryRecord* record,
                             obs::QueryTrace* trace);
-  net::HttpResponse HandlePassive(const net::HttpRequest& request,
-                                  int64_t deadline_micros, QueryRecord* record,
-                                  obs::QueryTrace* trace);
   /// Instantiates the template, checks the region against the cache and
-  /// builds the plan of the matching §3.2 case for Execute.
-  net::HttpResponse HandleActive(const net::HttpRequest& request,
-                                 const QueryTemplate& qt,
-                                 const FunctionTemplate& ft,
-                                 int64_t deadline_micros, QueryRecord* record,
-                                 obs::QueryTrace* trace);
+  /// builds the plan of the matching §3.2 case for Execute, under every
+  /// caching scheme but NC (DESIGN.md §18).
+  net::HttpResponse HandleTemplate(const net::HttpRequest& request,
+                                   const QueryTemplate& qt,
+                                   const FunctionTemplate& ft,
+                                   int64_t deadline_micros, QueryRecord* record,
+                                   obs::QueryTrace* trace);
 
   /// A template request after instantiation: what planning and execution
-  /// read. The references point into HandleActive's frame.
+  /// read. The references point into HandleTemplate's frame.
   struct TemplateQuery {
     const net::HttpRequest& request;
     const QueryTemplate& qt;
     const FunctionTemplate& ft;
     const geometry::Region& region;
     std::map<std::string, sql::Value> params;
+    /// What the relationship check, single-flight and the peer ownership
+    /// key compare: the non-spatial parameters, or under passive caching
+    /// the whole query string.
     std::string nonspatial_fp;
-    std::string param_fp;
     int64_t deadline_micros;
     QueryRecord* record;
     obs::QueryTrace* trace;
@@ -589,16 +582,15 @@ class FunctionProxy final : public net::HttpHandler {
   /// (R-tree comparisons cost more per unit; see ProxyCostModel).
   double DescriptionCostMicros(size_t comparisons) const;
 
-  /// Inserts a result into the cache (active modes). Accepts the columnar
-  /// form directly (row-wise tables convert implicitly) and pre-resolves
-  /// `coordinate_columns` to contiguous double arrays before the entry is
-  /// frozen, so later region scans run without conversion. Returns the
-  /// admitted immutable snapshot (null when not cacheable) so single-flight
-  /// leaders can publish it to their followers.
+  /// Inserts a result into the cache (every caching scheme). Accepts the
+  /// columnar form directly (row-wise tables convert implicitly) and
+  /// pre-resolves `coordinate_columns` to contiguous double arrays before
+  /// the entry is frozen, so later region scans run without conversion.
+  /// Returns the admitted immutable snapshot (null when not cacheable) so
+  /// single-flight leaders can publish it to their followers.
   std::shared_ptr<const CacheEntry> CacheResult(
       const QueryTemplate& qt, const std::string& nonspatial_fp,
-      const std::string& param_fp, const geometry::Region& region,
-      sql::ColumnarTable result,
+      const geometry::Region& region, sql::ColumnarTable result,
       const std::vector<std::string>& coordinate_columns, bool truncated,
       obs::QueryTrace* trace);
 
@@ -648,13 +640,6 @@ class FunctionProxy final : public net::HttpHandler {
   /// which the /peer/entry push must arrive before the flight is reaped.
   util::Mutex peer_mu_;
   std::map<uint64_t, int64_t> pending_peer_flights_ GUARDED_BY(peer_mu_);
-
-  // Passive-mode storage: exact-URL-keyed raw responses with LRU eviction
-  // (a plain map: passive mode is the paper's baseline, not the
-  // concurrency hot path).
-  util::Mutex passive_mu_;
-  std::map<std::string, PassiveItem> passive_items_ GUARDED_BY(passive_mu_);
-  size_t passive_bytes_ GUARDED_BY(passive_mu_) = 0;
 
   /// Registry first: instruments in ins_ point into it, and callbacks it
   /// holds read cache_/breaker_/origin_ (all outlive renders).

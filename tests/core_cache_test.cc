@@ -28,7 +28,6 @@ CacheEntry MakeEntry(double center, double radius, size_t rows,
   CacheEntry entry;
   entry.template_id = template_id;
   entry.nonspatial_fingerprint = "";
-  entry.param_fingerprint = "c=" + std::to_string(center);
   entry.region =
       std::make_unique<Hypersphere>(geometry::Point{center, 0.0}, radius);
   entry.result = MakeResult(rows);

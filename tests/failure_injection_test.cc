@@ -257,14 +257,15 @@ TEST_F(FailureInjectionTest, PassiveModeDoesNotCacheGarbage) {
   config.mode = core::CachingMode::kPassive;
   core::FunctionProxy passive(config, templates_, channel_.get(), clock_.get());
   flaky_->set_mode(FlakyOrigin::Mode::kGarbageBody);
-  // PC is transparent: the 200 tunnels through to the browser...
+  // PC runs the active proxy's origin path: a 200 whose body does not parse
+  // is a failed origin trip, answered with a 503...
   HttpResponse garbage = passive.Handle(Radial(185, 33, 20));
-  EXPECT_TRUE(garbage.ok());
-  EXPECT_FALSE(sql::TableFromXml(garbage.body).ok());
+  EXPECT_FALSE(garbage.ok());
+  EXPECT_EQ(garbage.status_code, 503);
+  EXPECT_EQ(passive.cache().num_entries(), 0u);
 
-  // ...but the unparseable body must not be admitted to the passive cache:
-  // the same URL goes back to the (now healthy) origin instead of replaying
-  // the garbage.
+  // ...and the unparseable body is never admitted: the same URL goes back
+  // to the (now healthy) origin instead of replaying the garbage.
   flaky_->set_mode(FlakyOrigin::Mode::kHealthy);
   uint64_t before = channel_->total_requests();
   HttpResponse healthy = passive.Handle(Radial(185, 33, 20));

@@ -260,6 +260,58 @@ TEST_F(OverloadTest, SubsumedFollowerServedFromLeadersFlight) {
   EXPECT_EQ(got->num_rows(), want->num_rows());
 }
 
+TEST_F(OverloadTest, PassiveFlightCollapsesIdenticalUrlsOnly) {
+  core::ProxyConfig config;
+  config.mode = core::CachingMode::kPassive;
+  Build(config);
+  gated_->CloseGate();
+  std::thread leader([&] { proxy_->Handle(Radial(185, 33, 20)); });
+  gated_->AwaitRequests(1);
+
+  // Three repeats of the leader's URL share its fetch. The contained cone is
+  // another URL, which a URL cache cannot answer from the leader's entry,
+  // so it makes its own fetch.
+  constexpr int kRepeats = 3;
+  std::vector<std::thread> followers;
+  std::mutex mu;
+  std::vector<HttpResponse> repeats;
+  for (int i = 0; i < kRepeats; ++i) {
+    followers.emplace_back([&] {
+      HttpResponse response = proxy_->Handle(Radial(185, 33, 20));
+      std::lock_guard<std::mutex> lock(mu);
+      repeats.push_back(std::move(response));
+    });
+  }
+  HttpResponse contained;
+  followers.emplace_back(
+      [&] { contained = proxy_->Handle(Radial(185, 33, 8)); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  gated_->OpenGate();
+  leader.join();
+  for (std::thread& thread : followers) thread.join();
+
+  EXPECT_EQ(gated_->requests(), 2u);
+  core::ProxyStats stats = proxy_->stats();
+  EXPECT_EQ(stats.collapsed + stats.exact_hits,
+            static_cast<uint64_t>(kRepeats));
+  EXPECT_EQ(stats.misses, 2u);
+  ASSERT_EQ(repeats.size(), static_cast<size_t>(kRepeats));
+  for (const HttpResponse& response : repeats) {
+    EXPECT_TRUE(response.ok()) << response.status_code;
+  }
+
+  ASSERT_TRUE(contained.ok()) << contained.body;
+  util::SimulatedClock scratch;
+  server::OriginWebApp reference(db_, &scratch);
+  ASSERT_TRUE(
+      reference.RegisterForm("/radial", workload::kRadialTemplateSql).ok());
+  auto got = sql::TableFromXml(contained.body);
+  auto want = sql::TableFromXml(reference.Handle(Radial(185, 33, 8)).body);
+  ASSERT_TRUE(got.ok());
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(got->rows(), want->rows());
+}
+
 TEST_F(OverloadTest, LeaderFailureWakesFollowersWithoutFanout) {
   gated_->CloseGate();
   gated_->FailFirst();

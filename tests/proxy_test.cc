@@ -271,14 +271,49 @@ TEST_F(ProxyTest, ContainmentOnlyModeSkipsRegionContainment) {
 
 TEST_F(ProxyTest, PassiveCacheExactUrlOnly) {
   MakeProxy(CachingMode::kPassive);
+  // The passive entries live in the one cache, visible to its reporting.
+  auto stats_entries = [&] {
+    HttpRequest stats;
+    stats.path = "/proxy/stats";
+    const std::string body = proxy_->Handle(stats).body;
+    const size_t at = body.find("<Cache entries=\"");
+    EXPECT_NE(at, std::string::npos) << body;
+    return std::stoul(body.substr(at + 16));
+  };
   ThroughProxy(RadialRequest(180.0, 30.0, 20.0));
+  EXPECT_EQ(proxy_->cache().num_entries(), 1u);
+  EXPECT_EQ(stats_entries(), 1u);
   uint64_t origin_before = channel_->total_requests();
   // Exact repeat: hit.
   ThroughProxy(RadialRequest(180.0, 30.0, 20.0));
   EXPECT_EQ(channel_->total_requests(), origin_before);
+  EXPECT_EQ(proxy_->stats().exact_hits, 1u);
+  EXPECT_EQ(proxy_->stats().records.back().status, RegionRelation::kEqual);
   // Contained query: passive caching cannot use it.
   ThroughProxy(RadialRequest(180.05, 30.0, 8.0));
   EXPECT_EQ(channel_->total_requests(), origin_before + 1);
+  EXPECT_EQ(proxy_->cache().num_entries(), 2u);
+  EXPECT_EQ(stats_entries(), 2u);
+  // The region of the first request under different parameter text: a URL
+  // cache has never seen this URL, so it is a miss that reaches the origin.
+  HttpRequest same_region;
+  same_region.path = "/radial";
+  same_region.query_params = {{"ra", "180"}, {"dec", "30"}, {"radius", "20"}};
+  EXPECT_EQ(RowSet(ThroughProxy(same_region)), RowSet(Direct(same_region)));
+  EXPECT_EQ(channel_->total_requests(), origin_before + 2);
+  EXPECT_EQ(proxy_->stats().exact_hits, 1u);
+  EXPECT_EQ(proxy_->stats().misses, 3u);
+  // Parameter text that merely concatenates like another URL's is still
+  // another URL.
+  HttpRequest joined = RadialRequest(180.0, 30.0, 20.0);
+  joined.query_params["x"] = "1;y=2";
+  HttpRequest split = RadialRequest(180.0, 30.0, 20.0);
+  split.query_params["x"] = "1";
+  split.query_params["y"] = "2";
+  ThroughProxy(joined);
+  ThroughProxy(split);
+  EXPECT_EQ(channel_->total_requests(), origin_before + 4);
+  EXPECT_EQ(proxy_->stats().exact_hits, 1u);
 }
 
 TEST_F(ProxyTest, NoCacheModeAlwaysForwards) {

@@ -152,7 +152,8 @@ TEST(StorageMemoryTest, FrozenEntryHoldsLessHeapThanHotEntry) {
     const int64_t empty = LiveBytes();
     CacheEntry entry;
     entry.template_id = "radial";
-    entry.param_fingerprint = "dec=30.000000&ra=180.000000&radius=20.000000";
+    entry.nonspatial_fingerprint =
+        "dec=30.000000&ra=180.000000&radius=20.000000";
     entry.region = std::make_unique<geometry::Hypersphere>(
         geometry::Point{-0.75, 0.43, 0.5}, 0.0058);
     entry.result = AdmittedTable(source);

@@ -48,7 +48,6 @@ Table MakeResult(size_t rows) {
 CacheEntry MakeEntry(double center, size_t rows) {
   CacheEntry entry;
   entry.template_id = "radial";
-  entry.param_fingerprint = "c=" + std::to_string(center);
   entry.region =
       std::make_unique<Hypersphere>(geometry::Point{center, 0.0}, 1.0);
   entry.result = MakeResult(rows);

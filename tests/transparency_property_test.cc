@@ -161,6 +161,10 @@ TEST_P(TransparencyTest, ProxyResultsEqualOriginResults) {
       param.mode != CachingMode::kPassive) {
     EXPECT_GT(proxy.stats().exact_hits + proxy.stats().containment_hits, 20u);
   }
+  // The budgeted passive run must have answered while the cache evicted.
+  if (param.mode == CachingMode::kPassive && param.max_cache_bytes != 0) {
+    EXPECT_GT(proxy.cache().evictions(), 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -168,6 +172,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         TransparencyParam{CachingMode::kNoCache, false, 0, true},
         TransparencyParam{CachingMode::kPassive, false, 0, true},
+        TransparencyParam{CachingMode::kPassive, false, 256 * 1024, true},
         TransparencyParam{CachingMode::kActiveContainmentOnly, false, 0, true},
         TransparencyParam{CachingMode::kActiveRegionContainment, false, 0, true},
         TransparencyParam{CachingMode::kActiveFull, false, 0, true},

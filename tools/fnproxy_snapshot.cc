@@ -57,7 +57,7 @@ bool ReadEntries(std::string_view payload, std::vector<EntryInfo>* out) {
     EntryInfo info;
     info.template_id = reader.GetString();
     reader.GetString();  // nonspatial fingerprint
-    reader.GetString();  // param fingerprint
+    reader.GetString();  // reserved slot (written empty)
     reader.GetString();  // region XML
     info.truncated = reader.GetU8() != 0;
     reader.GetZigzag();  // last access
