@@ -24,6 +24,15 @@ workload::SkyExperiment::Options SweepOptions(double overlap_fraction,
   return options;
 }
 
+/// Mean response time of the whole trace under `mode`, in milliseconds.
+double AverageMillis(workload::SkyExperiment& experiment,
+                     core::CachingMode mode) {
+  return experiment
+      .Replay(experiment.trace(),
+              bench::PaperReplay(bench::MakeProxyConfig(mode)))
+      .rbe.AverageResponseMillis();
+}
+
 }  // namespace
 
 int main() {
@@ -34,13 +43,9 @@ int main() {
               "region-cont ms", "delta ms");
   for (double overlap : {0.0, 0.03, 0.06, 0.12, 0.20}) {
     workload::SkyExperiment experiment(SweepOptions(overlap, 2.6));
-    double full = experiment.Run(bench::MakeProxyConfig(
-                                     core::CachingMode::kActiveFull))
-                      .rbe.AverageResponseMillis();
-    double rc = experiment
-                    .Run(bench::MakeProxyConfig(
-                        core::CachingMode::kActiveRegionContainment))
-                    .rbe.AverageResponseMillis();
+    double full = AverageMillis(experiment, core::CachingMode::kActiveFull);
+    double rc = AverageMillis(experiment,
+                              core::CachingMode::kActiveRegionContainment);
     std::printf("%8.0f%% | %18.0f %18.0f %+10.0f\n", overlap * 100, full, rc,
                 full - rc);
   }
@@ -50,13 +55,9 @@ int main() {
               "region-cont ms", "delta ms");
   for (double multiplier : {1.0, 1.5, 2.0, 2.6, 3.5}) {
     workload::SkyExperiment experiment(SweepOptions(0.06, multiplier));
-    double full = experiment.Run(bench::MakeProxyConfig(
-                                     core::CachingMode::kActiveFull))
-                      .rbe.AverageResponseMillis();
-    double rc = experiment
-                    .Run(bench::MakeProxyConfig(
-                        core::CachingMode::kActiveRegionContainment))
-                    .rbe.AverageResponseMillis();
+    double full = AverageMillis(experiment, core::CachingMode::kActiveFull);
+    double rc = AverageMillis(experiment,
+                              core::CachingMode::kActiveRegionContainment);
     std::printf("%10.1f | %18.0f %18.0f %+10.0f\n", multiplier, full, rc,
                 full - rc);
   }

@@ -35,7 +35,8 @@ int main() {
       core::ProxyConfig config =
           bench::MakeProxyConfig(core::CachingMode::kActiveFull, false, budget);
       config.replacement = policy;
-      auto result = experiment.Run(config);
+      workload::ReplayResult result =
+          experiment.Replay(experiment.trace(), bench::PaperReplay(config));
       double origin_kb_per_query =
           static_cast<double>(result.origin_bytes_received) / 1024.0 /
           static_cast<double>(experiment.trace().queries.size());

@@ -157,6 +157,14 @@ inline core::ProxyConfig MakeProxyConfig(core::CachingMode mode,
   return config;
 }
 
+/// The paper's set-up (§4.1) around one proxy configured by `config`: one
+/// client, one proxy, a healthy origin.
+inline workload::ReplayOptions PaperReplay(const core::ProxyConfig& config) {
+  workload::ReplayOptions options;
+  options.tier.proxy = config;
+  return options;
+}
+
 /// Prints the achieved relationship mix of the trace (compare with the
 /// paper's 17% exact / 34% containment / ~9% overlap).
 inline void PrintTraceMix(const workload::Trace& trace) {
@@ -184,7 +192,7 @@ struct RunSummary {
 };
 
 inline RunSummary Summarize(const std::string& label,
-                            const workload::SkyExperiment::RunResult& result) {
+                            const workload::ReplayResult& result) {
   RunSummary summary;
   summary.label = label;
   summary.avg_response_ms_first_10000 =
@@ -212,11 +220,10 @@ inline void PrintSummaryTable(const std::vector<RunSummary>& rows) {
 }
 
 /// Per-relationship-status response-time breakdown (diagnostic aid).
-inline void PrintStatusBreakdown(
-    const workload::SkyExperiment::RunResult& result) {
+inline void PrintStatusBreakdown(const workload::ReplayResult& result) {
   using geometry::RegionRelation;
   const auto& records = result.proxy_stats.records;
-  const auto& times = result.rbe.response_micros;
+  const auto& times = result.rbe.queries;
   for (RegionRelation status :
        {RegionRelation::kEqual, RegionRelation::kContainedBy,
         RegionRelation::kContains, RegionRelation::kOverlap,
@@ -225,7 +232,7 @@ inline void PrintStatusBreakdown(
     size_t count = 0;
     for (size_t i = 0; i < records.size() && i < times.size(); ++i) {
       if (records[i].status == status && records[i].handled_by_template) {
-        sum += static_cast<double>(times[i]);
+        sum += static_cast<double>(times[i].response_micros);
         ++count;
       }
     }

@@ -66,17 +66,17 @@ int main(int argc, char** argv) {
     bench::PrintTraceMix(experiment.trace());
 
     auto run_point = [&](size_t threads) {
-      core::ProxyConfig config =
-          bench::MakeProxyConfig(core::CachingMode::kActiveFull);
-      config.cache_shards = 8;
-      workload::SkyExperiment::ConcurrentRunOutput output =
-          experiment.RunTraceConcurrent(experiment.trace(), config, threads,
-                                        pacing);
-      const workload::ConcurrentRunResult& run = output.driver;
+      workload::ReplayOptions options = bench::PaperReplay(
+          bench::MakeProxyConfig(core::CachingMode::kActiveFull));
+      options.tier.proxy.cache_shards = 8;
+      options.rbe.clients = threads;
+      options.real_time_scale = pacing;
+      const workload::RbeResult run =
+          experiment.Replay(experiment.trace(), options).rbe;
       std::printf("  t=%zu  %10.1f ms  %8.0f req/s  (errors %lu)\n", threads,
-                  run.wall_millis, run.requests_per_second,
-                  static_cast<unsigned long>(run.errors));
-      return run.requests_per_second;
+                  run.wall_millis, run.RequestsPerSecond(),
+                  static_cast<unsigned long>(run.failed));
+      return run.RequestsPerSecond();
     };
     double t1 = run_point(1);
     double t8 = run_point(8);
@@ -107,34 +107,40 @@ int main(int argc, char** argv) {
   std::printf("\n%-20s %8s %10s %10s %8s %9s %9s %9s\n", "scheme", "threads",
               "wall ms", "req/s", "speedup", "p50 ms", "p95 ms", "p99 ms");
   for (const Scheme& scheme : schemes) {
-    core::ProxyConfig config = bench::MakeProxyConfig(scheme.mode);
-    config.cache_shards = 8;  // Constant across the sweep: measure threading.
+    workload::ReplayOptions options =
+        bench::PaperReplay(bench::MakeProxyConfig(scheme.mode));
+    // Constant across the sweep: measure threading.
+    options.tier.proxy.cache_shards = 8;
+    options.real_time_scale = pacing;
     double base_rps = 0.0;
     for (size_t threads = 1; threads <= max_threads; threads *= 2) {
-      workload::SkyExperiment::ConcurrentRunOutput output =
-          experiment.RunTraceConcurrent(experiment.trace(), config, threads,
-                                        pacing);
-      const workload::ConcurrentRunResult& run = output.driver;
-      if (threads == 1) base_rps = run.requests_per_second;
-      double speedup =
-          base_rps > 0.0 ? run.requests_per_second / base_rps : 0.0;
+      options.rbe.clients = threads;
+      workload::ReplayResult output =
+          experiment.Replay(experiment.trace(), options);
+      const workload::RbeResult& run = output.rbe;
+      const double rps = run.RequestsPerSecond();
+      if (threads == 1) base_rps = rps;
+      double speedup = base_rps > 0.0 ? rps / base_rps : 0.0;
+      const double p50_ms =
+          static_cast<double>(run.WallPercentileMicros(50)) / 1000.0;
+      const double p95_ms =
+          static_cast<double>(run.WallPercentileMicros(95)) / 1000.0;
+      const double p99_ms =
+          static_cast<double>(run.WallPercentileMicros(99)) / 1000.0;
       std::printf("%-20s %8zu %10.1f %10.0f %7.2fx %9.2f %9.2f %9.2f\n",
-                  scheme.name, threads, run.wall_millis,
-                  run.requests_per_second, speedup,
-                  static_cast<double>(run.p50_micros) / 1000.0,
-                  static_cast<double>(run.p95_micros) / 1000.0,
-                  static_cast<double>(run.p99_micros) / 1000.0);
-      if (run.errors != 0) {
+                  scheme.name, threads, run.wall_millis, rps, speedup, p50_ms,
+                  p95_ms, p99_ms);
+      if (run.failed != 0) {
         std::printf("  !! %lu errors\n",
-                    static_cast<unsigned long>(run.errors));
+                    static_cast<unsigned long>(run.failed));
       }
       std::vector<std::pair<std::string, double>> extras = {
           {"threads", static_cast<double>(threads)},
           {"wall_ms", run.wall_millis},
-          {"p50_ms", static_cast<double>(run.p50_micros) / 1000.0},
-          {"p95_ms", static_cast<double>(run.p95_micros) / 1000.0},
-          {"p99_ms", static_cast<double>(run.p99_micros) / 1000.0},
-          {"errors", static_cast<double>(run.errors)},
+          {"p50_ms", p50_ms},
+          {"p95_ms", p95_ms},
+          {"p99_ms", p99_ms},
+          {"errors", static_cast<double>(run.failed)},
       };
       for (const obs::PhaseBreakdown& row : output.phases) {
         extras.emplace_back("phase_" + row.phase + "_total_us",
@@ -143,7 +149,7 @@ int main(int argc, char** argv) {
                             static_cast<double>(row.p95_micros));
       }
       json.Record(std::string(scheme.name) + "/t" + std::to_string(threads),
-                  run.requests_per_second, "req/s", extras);
+                  rps, "req/s", extras);
     }
   }
   std::printf("\nLatencies are wall-clock against the paced clock; modeled "

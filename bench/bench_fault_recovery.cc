@@ -15,7 +15,6 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "workload/availability.h"
 
 using namespace fnproxy;
 
@@ -36,7 +35,7 @@ const Scheme kSchemes[] = {
 
 // Think time dominating per-query cost anchors arrivals to the virtual
 // timeline, so an outage covering 30% of the timeline hits ~30% of the
-// queries in every mode (see AvailabilityOptions::think_time_micros).
+// queries in every mode (see RbeOptions::think_time_micros).
 constexpr int64_t kThinkMicros = 30'000'000;
 
 core::ProxyConfig FaultTolerantConfig(core::CachingMode mode) {
@@ -70,15 +69,25 @@ void PrintHeader() {
               "retries", "faults");
 }
 
-void PrintRow(const char* name, const workload::AvailabilityResult& r) {
+/// The fault-tolerant replay of one scheme; the caller adds the faults.
+workload::ReplayOptions FaultTolerantReplay(core::CachingMode mode) {
+  workload::ReplayOptions options;
+  options.tier.proxy = FaultTolerantConfig(mode);
+  options.origin_retry = WanRetryPolicy();
+  options.rbe.think_time_micros = kThinkMicros;
+  return options;
+}
+
+void PrintRow(const char* name, const workload::ReplayResult& r) {
   std::printf("%-24s %7lu %7lu %7lu %6.1f%% %7.1f%% %8.3f %7lu %7lu %8lu\n",
-              name, static_cast<unsigned long>(r.ok),
-              static_cast<unsigned long>(r.partial),
-              static_cast<unsigned long>(r.failed), 100 * r.availability,
-              100 * r.coverage_weighted_availability,
+              name, static_cast<unsigned long>(r.rbe.ok),
+              static_cast<unsigned long>(r.rbe.partial),
+              static_cast<unsigned long>(r.rbe.failed),
+              100 * r.rbe.Availability(),
+              100 * r.rbe.CoverageWeightedAvailability(),
               r.proxy_stats.AverageCacheEfficiency(),
               static_cast<unsigned long>(r.proxy_stats.breaker_open_rejections),
-              static_cast<unsigned long>(r.wan_retry_stats.retries),
+              static_cast<unsigned long>(r.origin_retry_stats.retries),
               static_cast<unsigned long>(r.fault_stats.total_faults()));
 }
 
@@ -88,20 +97,15 @@ int main() {
   std::printf("=== Fault recovery: caching schemes under origin failures ===\n");
   workload::SkyExperiment experiment(bench::PaperOptions(3000));
   bench::PrintTraceMix(experiment.trace());
-  workload::AvailabilityExperiment availability(&experiment);
 
   std::printf(
       "\n--- Scripted outage: origin dark for 30%% of the timeline "
       "(starting at 30%%) ---\n");
   PrintHeader();
   for (const Scheme& scheme : kSchemes) {
-    workload::AvailabilityOptions options;
-    options.proxy = FaultTolerantConfig(scheme.mode);
-    options.retry = WanRetryPolicy();
+    workload::ReplayOptions options = FaultTolerantReplay(scheme.mode);
     options.outage_fractions = {{0.3, 0.3}};
-    options.think_time_micros = kThinkMicros;
-    workload::AvailabilityResult result = availability.Run(options);
-    PrintRow(scheme.name, result);
+    PrintRow(scheme.name, experiment.Replay(experiment.trace(), options));
   }
 
   std::printf(
@@ -109,13 +113,9 @@ int main() {
       "latency spikes ---\n");
   PrintHeader();
   for (const Scheme& scheme : kSchemes) {
-    workload::AvailabilityOptions options;
-    options.proxy = FaultTolerantConfig(scheme.mode);
-    options.retry = WanRetryPolicy();
+    workload::ReplayOptions options = FaultTolerantReplay(scheme.mode);
     options.faults = net::FlakyProfile(/*seed=*/7);
-    options.think_time_micros = kThinkMicros;
-    workload::AvailabilityResult result = availability.Run(options);
-    PrintRow(scheme.name, result);
+    PrintRow(scheme.name, experiment.Replay(experiment.trace(), options));
   }
 
   std::printf(

@@ -30,28 +30,23 @@ int main(int argc, char** argv) {
   const char* fraction_names[] = {"1/6", "1/3", "1/2", "1"};
   const char* fraction_keys[] = {"1_6", "1_3", "1_2", "1"};
 
+  auto avg_ms = [&](const core::ProxyConfig& config) {
+    return experiment.Replay(experiment.trace(), bench::PaperReplay(config))
+        .rbe.AverageResponseMillis(10000);
+  };
   // NC has no cache; one run serves every column.
-  auto nc =
-      experiment.Run(bench::MakeProxyConfig(core::CachingMode::kNoCache));
-  double nc_ms = nc.rbe.AverageResponseMillis(10000);
+  double nc_ms = avg_ms(bench::MakeProxyConfig(core::CachingMode::kNoCache));
 
   double acr_ms[4], acnr_ms[4], pc_ms[4];
   for (int i = 0; i < 4; ++i) {
     size_t budget = static_cast<size_t>(static_cast<double>(total_bytes) *
                                         fractions[i]);
-    acr_ms[i] = experiment
-                    .Run(bench::MakeProxyConfig(core::CachingMode::kActiveFull,
-                                                /*rtree=*/true, budget))
-                    .rbe.AverageResponseMillis(10000);
-    acnr_ms[i] = experiment
-                     .Run(bench::MakeProxyConfig(
-                         core::CachingMode::kActiveFull, /*rtree=*/false,
-                         budget))
-                     .rbe.AverageResponseMillis(10000);
-    pc_ms[i] = experiment
-                   .Run(bench::MakeProxyConfig(core::CachingMode::kPassive,
-                                               false, budget))
-                   .rbe.AverageResponseMillis(10000);
+    acr_ms[i] = avg_ms(bench::MakeProxyConfig(core::CachingMode::kActiveFull,
+                                              /*rtree=*/true, budget));
+    acnr_ms[i] = avg_ms(bench::MakeProxyConfig(core::CachingMode::kActiveFull,
+                                               /*rtree=*/false, budget));
+    pc_ms[i] = avg_ms(
+        bench::MakeProxyConfig(core::CachingMode::kPassive, false, budget));
     std::printf("  [cache=%s done]\n", fraction_names[i]);
     const std::string key = fraction_keys[i];
     json.Record("fig5/acr_" + key, acr_ms[i], "ms");

@@ -69,7 +69,7 @@ class CountingOriginHandler final : public net::HttpHandler {
 };
 
 struct OverloadPoint {
-  workload::ConcurrentRunResult run;
+  workload::RbeResult run;
   core::ProxyStats stats;
   uint64_t origin_requests = 0;
   uint64_t origin_hot_requests = 0;
@@ -91,10 +91,13 @@ OverloadPoint RunPoint(workload::SkyExperiment& experiment,
   net::SimulatedChannel wan(&origin, experiment.options().wan, &clock);
   core::FunctionProxy proxy(config, &experiment.templates(), &wan, &clock);
   net::SimulatedChannel lan(&proxy, experiment.options().lan, &clock);
-  workload::ConcurrentDriver driver(&lan, &clock);
+  workload::RbeOptions browsers;
+  browsers.clients = threads;
+  browsers.deadline_budget_micros = deadline_budget_micros;
+  workload::RemoteBrowserEmulator rbe(&lan, &clock, browsers);
 
   OverloadPoint point;
-  point.run = driver.Replay(trace, threads, deadline_budget_micros);
+  point.run = rbe.Run(trace);
   point.stats = proxy.stats();
   point.origin_requests = wan.total_requests();
   point.origin_hot_requests = origin.hot_requests();
@@ -178,18 +181,21 @@ int main(int argc, char** argv) {
   for (size_t threads : sweep) {
     OverloadPoint point = RunPoint(experiment, trace, config, threads, pacing,
                                    kDeadlineBudgetMicros, hot_marker);
-    const workload::ConcurrentRunResult& run = point.run;
+    const workload::RbeResult& run = point.run;
+    const double requests = static_cast<double>(run.queries.size());
     double wall_seconds = run.wall_millis / 1000.0;
-    double goodput_rps = wall_seconds > 0.0
-                             ? static_cast<double>(run.goodput_requests) /
-                                   wall_seconds
-                             : 0.0;
+    double goodput_rps =
+        wall_seconds > 0.0
+            ? static_cast<double>(run.ok + run.partial) / wall_seconds
+            : 0.0;
     peak_goodput = std::max(peak_goodput, goodput_rps);
     final_goodput = goodput_rps;
-    double shed_pct = run.requests > 0
-                          ? 100.0 * static_cast<double>(run.shed) /
-                                static_cast<double>(run.requests)
-                          : 0.0;
+    double shed_pct =
+        requests > 0 ? 100.0 * static_cast<double>(run.shed) / requests : 0.0;
+    const double p50_ms =
+        static_cast<double>(run.WallPercentileMicros(50)) / 1000.0;
+    const double p99_ms =
+        static_cast<double>(run.WallPercentileMicros(99)) / 1000.0;
     double collapse_ratio =
         point.origin_hot_requests > 0
             ? static_cast<double>(hot_client_requests) /
@@ -200,18 +206,16 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(run.shed), shed_pct,
                 static_cast<unsigned long long>(point.stats.collapsed),
                 static_cast<unsigned long long>(point.origin_hot_requests),
-                collapse_ratio,
-                static_cast<double>(run.p50_micros) / 1000.0,
-                static_cast<double>(run.p99_micros) / 1000.0);
+                collapse_ratio, p50_ms, p99_ms);
     json.Record(
         "overload/t" + std::to_string(threads), goodput_rps, "req/s",
         {{"threads", static_cast<double>(threads)},
          {"goodput_rps", goodput_rps},
-         {"requests", static_cast<double>(run.requests)},
-         {"errors", static_cast<double>(run.errors)},
+         {"requests", requests},
+         {"errors", static_cast<double>(run.failed)},
          {"shed", static_cast<double>(run.shed)},
          {"shed_pct", shed_pct},
-         {"partials", static_cast<double>(run.partials)},
+         {"partials", static_cast<double>(run.partial)},
          {"collapsed", static_cast<double>(point.stats.collapsed)},
          {"deadline_exceeded",
           static_cast<double>(point.stats.deadline_exceeded)},
@@ -219,8 +223,8 @@ int main(int argc, char** argv) {
          {"origin_hot_requests",
           static_cast<double>(point.origin_hot_requests)},
          {"collapse_ratio", collapse_ratio},
-         {"p50_ms", static_cast<double>(run.p50_micros) / 1000.0},
-         {"p99_ms", static_cast<double>(run.p99_micros) / 1000.0}});
+         {"p50_ms", p50_ms},
+         {"p99_ms", p99_ms}});
   }
   // The regression-gate headline: goodput at the highest client count,
   // normalized by the sweep's peak — stays near 1.0 when shedding works,
@@ -262,14 +266,14 @@ int main(int argc, char** argv) {
               "%llu deadline-exceeded, %llu origin requests\n",
               static_cast<long long>(kTightBudgetMicros),
               static_cast<unsigned long long>(tight.run.shed),
-              static_cast<unsigned long long>(tight.run.partials),
+              static_cast<unsigned long long>(tight.run.partial),
               static_cast<unsigned long long>(tight.stats.deadline_exceeded),
               static_cast<unsigned long long>(tight.origin_requests));
   json.Record("overload/tight_deadline_exceeded",
               static_cast<double>(tight.stats.deadline_exceeded), "requests",
               {{"budget_us", static_cast<double>(kTightBudgetMicros)},
                {"shed", static_cast<double>(tight.run.shed)},
-               {"partials", static_cast<double>(tight.run.partials)},
+               {"partials", static_cast<double>(tight.run.partial)},
                {"origin_requests",
                 static_cast<double>(tight.origin_requests)}});
 

@@ -37,8 +37,8 @@ int main() {
   };
   std::vector<bench::RunSummary> rows;
   for (const Config& config : configs) {
-    auto result =
-        experiment.RunTrace(trace, bench::MakeProxyConfig(config.mode));
+    workload::ReplayResult result = experiment.Replay(
+        trace, bench::PaperReplay(bench::MakeProxyConfig(config.mode)));
     rows.push_back(bench::Summarize(config.name, result));
   }
   PrintSummaryTable(rows);

@@ -35,12 +35,14 @@ int main(int argc, char** argv) {
   for (int i = 0; i < 4; ++i) {
     size_t budget = static_cast<size_t>(static_cast<double>(total_bytes) *
                                         fractions[i]);
-    auto ac = experiment.Run(bench::MakeProxyConfig(
-        core::CachingMode::kActiveFull, false, budget));
-    auto pc = experiment.Run(
-        bench::MakeProxyConfig(core::CachingMode::kPassive, false, budget));
-    ac_eff[i] = ac.proxy_stats.AverageCacheEfficiency();
-    pc_eff[i] = pc.proxy_stats.AverageCacheEfficiency();
+    auto efficiency = [&](core::CachingMode mode) {
+      return experiment
+          .Replay(experiment.trace(),
+                  bench::PaperReplay(bench::MakeProxyConfig(mode, false, budget)))
+          .proxy_stats.AverageCacheEfficiency();
+    };
+    ac_eff[i] = efficiency(core::CachingMode::kActiveFull);
+    pc_eff[i] = efficiency(core::CachingMode::kPassive);
     const std::string key = fraction_keys[i];
     json.Record("table1/ac_" + key, ac_eff[i], "ratio");
     json.Record("table1/pc_" + key, pc_eff[i], "ratio");

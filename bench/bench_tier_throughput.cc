@@ -12,10 +12,9 @@
 // --smoke shrinks the sweep to {1, 4} proxies and 200 queries — the
 // CI/TSan-soak configuration.
 //
-// Each sweep point runs twice: an unpaced calibration replay (virtual time
-// only, client-latency histogram silent — TierRunOptions::calibration) that
-// checks the tier answers the whole trace cleanly, then the paced measured
-// replay the numbers come from. With --json, each point appends one record
+// Each sweep point runs twice: an unpaced single-client calibration replay
+// (virtual time only) that checks the tier answers the whole trace cleanly,
+// then the paced measured replay the numbers come from. With --json, each point appends one record
 // (docs/FORMATS.md): aggregate requests/s plus the peer-hit ratio, the
 // peer-vs-origin p95 latency split (phase_peer_lookup_p95_us vs
 // phase_origin_roundtrip_p95_us) and per-phase columns.
@@ -32,7 +31,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "workload/multi_proxy.h"
 
 using namespace fnproxy;
 
@@ -65,13 +63,13 @@ int main(int argc, char** argv) {
               "peer p95us", "orig p95us", "errors");
   double base_rps = 0.0;
   for (size_t proxies : tier_sizes) {
-    workload::ProxyTierOptions tier_options;
-    tier_options.num_proxies = proxies;
-    tier_options.proxy = bench::MakeProxyConfig(core::CachingMode::kActiveFull);
-    tier_options.proxy.cache_shards = 8;
+    workload::ReplayOptions options;
+    options.tier.num_proxies = proxies;
+    options.tier.proxy = bench::MakeProxyConfig(core::CachingMode::kActiveFull);
+    options.tier.proxy.cache_shards = 8;
     // Each proxy box services two requests at a time — the finite capacity
     // the tier multiplies (sibling probes bypass the pool).
-    tier_options.proxy_workers = 2;
+    options.tier.proxy_workers = 2;
 
     // Calibration: unpaced single-client replay through a fresh tier. Errors
     // here mean the topology is broken, not that the machine is slow, and
@@ -79,16 +77,10 @@ int main(int argc, char** argv) {
     // being measured, so this pass yields the clean modeled peer-vs-origin
     // per-phase latency split (under the measured pass's concurrency, phase
     // timers absorb every other thread's clock advances).
-    workload::TierRunOptions calibrate;
-    calibrate.num_threads = 1;
-    calibrate.real_time_scale = 0.0;
-    calibrate.calibration = true;
-    workload::TierRunOutput dry =
-        workload::RunTraceTier(experiment, experiment.trace(), tier_options,
-                               calibrate);
-    if (dry.driver.errors != 0) {
+    workload::ReplayResult dry = experiment.Replay(experiment.trace(), options);
+    if (dry.rbe.failed != 0) {
       std::printf("  !! calibration replay at %zu proxies saw %lu errors\n",
-                  proxies, static_cast<unsigned long>(dry.driver.errors));
+                  proxies, static_cast<unsigned long>(dry.rbe.failed));
       return 1;
     }
     int64_t peer_p95 = 0, origin_p95 = 0;
@@ -97,37 +89,35 @@ int main(int argc, char** argv) {
       if (row.phase == "origin_roundtrip") origin_p95 = row.p95_micros;
     }
 
-    workload::TierRunOptions measured;
-    measured.num_threads = 8;
-    measured.real_time_scale = pacing;
-    workload::TierRunOutput output =
-        workload::RunTraceTier(experiment, experiment.trace(), tier_options,
-                               measured);
-    const workload::ConcurrentRunResult& run = output.driver;
-    const core::ProxyStats& stats = output.aggregate;
-    if (proxies == tier_sizes.front()) base_rps = run.requests_per_second;
-    double speedup = base_rps > 0.0 ? run.requests_per_second / base_rps : 0.0;
+    options.rbe.clients = 8;
+    options.real_time_scale = pacing;
+    workload::ReplayResult output =
+        experiment.Replay(experiment.trace(), options);
+    const workload::RbeResult& run = output.rbe;
+    const core::ProxyStats& stats = output.proxy_stats;
+    const double rps = run.RequestsPerSecond();
+    if (proxies == tier_sizes.front()) base_rps = rps;
+    double speedup = base_rps > 0.0 ? rps / base_rps : 0.0;
     double peer_hit_ratio =
         stats.template_requests > 0
             ? static_cast<double>(stats.peer_hits) /
                   static_cast<double>(stats.template_requests)
             : 0.0;
     std::printf("%-8zu %10.1f %10.0f %7.2fx %8.1f%% %9lu %11lld %11lld %9lu\n",
-                proxies, run.wall_millis, run.requests_per_second, speedup,
-                100.0 * peer_hit_ratio,
+                proxies, run.wall_millis, rps, speedup, 100.0 * peer_hit_ratio,
                 static_cast<unsigned long>(output.origin_form_queries),
                 static_cast<long long>(peer_p95),
                 static_cast<long long>(origin_p95),
-                static_cast<unsigned long>(run.errors));
+                static_cast<unsigned long>(run.failed));
 
     std::vector<std::pair<std::string, double>> extras = {
         {"proxies", static_cast<double>(proxies)},
-        {"threads", static_cast<double>(measured.num_threads)},
+        {"threads", static_cast<double>(options.rbe.clients)},
         {"wall_ms", run.wall_millis},
-        {"p50_ms", static_cast<double>(run.p50_micros) / 1000.0},
-        {"p95_ms", static_cast<double>(run.p95_micros) / 1000.0},
-        {"p99_ms", static_cast<double>(run.p99_micros) / 1000.0},
-        {"errors", static_cast<double>(run.errors)},
+        {"p50_ms", static_cast<double>(run.WallPercentileMicros(50)) / 1000.0},
+        {"p95_ms", static_cast<double>(run.WallPercentileMicros(95)) / 1000.0},
+        {"p99_ms", static_cast<double>(run.WallPercentileMicros(99)) / 1000.0},
+        {"errors", static_cast<double>(run.failed)},
         {"peer_hit_ratio", peer_hit_ratio},
         {"peer_lookups", static_cast<double>(stats.peer_lookups)},
         {"peer_hits", static_cast<double>(stats.peer_hits)},
@@ -144,8 +134,8 @@ int main(int argc, char** argv) {
       extras.emplace_back("phase_" + row.phase + "_p95_us",
                           static_cast<double>(row.p95_micros));
     }
-    json.Record("tier_throughput/p" + std::to_string(proxies),
-                run.requests_per_second, "req/s", extras);
+    json.Record("tier_throughput/p" + std::to_string(proxies), rps, "req/s",
+                extras);
   }
   std::printf("\nPeer-served lookups ride the %s peer link; expected: req/s "
               "grows 1 -> 4 proxies and peer_lookup p95 << origin_roundtrip "

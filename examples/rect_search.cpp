@@ -6,66 +6,19 @@
 
 #include <cstdio>
 
-#include "catalog/sky_catalog.h"
-#include "core/proxy.h"
-#include "net/network.h"
-#include "server/sky_functions.h"
-#include "server/web_app.h"
 #include "workload/experiment.h"
-#include "workload/rbe.h"
 #include "workload/trace_generator.h"
 
 using namespace fnproxy;
 
-namespace {
-
-struct RectPipeline {
-  RectPipeline(server::Database* db, core::TemplateRegistry* templates,
-               core::CachingMode mode)
-      : app(db, &clock),
-        wan(&app, net::WanLink(), &clock),
-        proxy(MakeConfig(mode), templates, &wan, &clock),
-        lan(&proxy, net::LanLink(), &clock) {
-    (void)app.RegisterForm("/rect", workload::kRectTemplateSql);
-  }
-
-  static core::ProxyConfig MakeConfig(core::CachingMode mode) {
-    core::ProxyConfig config;
-    config.mode = mode;
-    return config;
-  }
-
-  util::SimulatedClock clock;
-  server::OriginWebApp app;
-  net::SimulatedChannel wan;
-  core::FunctionProxy proxy;
-  net::SimulatedChannel lan;
-};
-
-}  // namespace
-
 int main() {
-  // Origin.
-  catalog::SkyCatalogConfig catalog_config;
-  catalog_config.num_objects = 120000;
-  server::Database db;
-  db.AddTable("PhotoPrimary", catalog::GenerateSkyCatalog(catalog_config));
-  server::SkyGrid grid(db.FindTable("PhotoPrimary"));
-  db.RegisterTableFunction(server::MakeGetObjFromRect(&grid));
-
-  // Templates.
-  core::TemplateRegistry templates;
-  if (!templates.RegisterFunctionTemplateXml(workload::kObjFromRectTemplateXml)
-           .ok()) {
-    return 1;
-  }
-  auto qt = core::QueryTemplate::Create("rect", "/rect",
-                                        workload::kRectTemplateSql);
-  if (!qt.ok()) {
-    std::fprintf(stderr, "%s\n", qt.status().ToString().c_str());
-    return 1;
-  }
-  (void)templates.RegisterQueryTemplate(std::move(*qt));
+  // Origin and templates: a 120,000-object catalog with the default
+  // footprint. The experiment registers the rect template pair at both ends.
+  workload::SkyExperiment::Options options;
+  options.catalog = catalog::SkyCatalogConfig();
+  options.catalog.num_objects = 120000;
+  options.trace.num_queries = 1;  // Placeholder; the rect trace is replayed.
+  workload::SkyExperiment experiment(options);
 
   // Trace of 800 rectangle searches.
   workload::RectTraceConfig trace_config;
@@ -85,17 +38,17 @@ int main() {
   for (core::CachingMode mode :
        {core::CachingMode::kNoCache, core::CachingMode::kPassive,
         core::CachingMode::kActiveFull}) {
-    RectPipeline pipeline(&db, &templates, mode);
-    workload::RemoteBrowserEmulator rbe(&pipeline.lan, &pipeline.clock);
-    workload::RbeResult result = rbe.Run(trace);
+    workload::ReplayOptions replay;  // One client, one proxy (paper §4.1).
+    replay.tier.proxy.mode = mode;
+    workload::ReplayResult result = experiment.Replay(trace, replay);
     std::printf("%-28s %12.0f %12.3f %10lu\n",
                 core::CachingModeName(mode),
-                result.AverageResponseMillis(),
-                pipeline.proxy.stats().AverageCacheEfficiency(),
-                static_cast<unsigned long>(pipeline.wan.total_requests()));
-    if (result.errors != 0) {
+                result.rbe.AverageResponseMillis(),
+                result.proxy_stats.AverageCacheEfficiency(),
+                static_cast<unsigned long>(result.origin_requests));
+    if (result.rbe.failed != 0) {
       std::fprintf(stderr, "errors: %lu\n",
-                   static_cast<unsigned long>(result.errors));
+                   static_cast<unsigned long>(result.rbe.failed));
       return 1;
     }
   }

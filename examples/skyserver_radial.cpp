@@ -47,9 +47,9 @@ int main() {
   std::printf("%-28s %12s %12s %12s %10s\n", "scheme", "avg ms", "cache eff.",
               "origin rq", "origin MB");
   for (const Config& config : configs) {
-    core::ProxyConfig proxy_config;
-    proxy_config.mode = config.mode;
-    auto result = experiment.Run(proxy_config);
+    workload::ReplayOptions replay;  // One client, one proxy (paper §4.1).
+    replay.tier.proxy.mode = config.mode;
+    workload::ReplayResult result = experiment.Replay(trace, replay);
     std::printf("%-28s %12.0f %12.3f %12lu %10.1f\n", config.name,
                 result.rbe.AverageResponseMillis(),
                 result.proxy_stats.AverageCacheEfficiency(),

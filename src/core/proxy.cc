@@ -1560,36 +1560,23 @@ std::shared_ptr<const CacheEntry> FunctionProxy::EnsureHot(
 }
 
 void FunctionProxy::MaybeRunMaintenance() {
-  const StorageTierConfig& st = config_.storage;
-  if (!st.enable) return;
+  if (!config_.storage.enable) return;
   const uint64_t tick = maintenance_ticks_.fetch_add(1, kRelaxed) + 1;
-  const bool want_sweep = tick % kSweepEveryRequests == 0;
-  const bool want_snapshot = st.snapshot_every_requests > 0 &&
-                             !st.snapshot_path.empty() &&
-                             tick % st.snapshot_every_requests == 0;
-  if (!want_sweep && !want_snapshot) return;
+  if (tick % kSweepEveryRequests != 0) return;
   const int64_t now = clock_->NowMicros();
   if (maintenance_pool_ == nullptr) {
-    if (want_sweep) RunTierSweep(now);
-    if (want_snapshot) WriteSnapshotAndCount();
+    RunTierSweep(now);
     return;
   }
-  // Background lane: at most one sweep and one snapshot queued or running.
-  // The tasks touch only atomics and internally locked state (cache_,
-  // records_mu_), so they are safe off the request threads.
-  if (want_sweep && !sweep_scheduled_.exchange(true, kRelaxed)) {
+  // Background lane: at most one sweep queued or running. The task touches
+  // only atomics and internally locked state (cache_), so it is safe off
+  // the request threads.
+  if (!sweep_scheduled_.exchange(true, kRelaxed)) {
     bool queued = maintenance_pool_->Submit([this, now] {
       RunTierSweep(now);
       sweep_scheduled_.store(false, kRelaxed);
     });
     if (!queued) sweep_scheduled_.store(false, kRelaxed);
-  }
-  if (want_snapshot && !snapshot_scheduled_.exchange(true, kRelaxed)) {
-    bool queued = maintenance_pool_->Submit([this] {
-      WriteSnapshotAndCount();
-      snapshot_scheduled_.store(false, kRelaxed);
-    });
-    if (!queued) snapshot_scheduled_.store(false, kRelaxed);
   }
 }
 

@@ -103,14 +103,13 @@ struct StorageTierConfig {
   size_t spill_max_bytes = 64ull << 20;
   /// Snapshot file for warm restarts. When set, the proxy restores from it
   /// at construction (if it exists and restore_on_start) and writes it at
-  /// clean shutdown; snapshot_every_requests adds periodic background
-  /// writes so a crash loses at most that window.
+  /// clean shutdown. A crash loses the snapshot's window, which costs a
+  /// cold start, never a wrong answer.
   std::string snapshot_path;
   bool restore_on_start = true;
-  uint64_t snapshot_every_requests = 0;
-  /// Run sweeps and periodic snapshots on a dedicated maintenance thread
-  /// (keeps compression and spill I/O off the request lane). Off = inline
-  /// in Handle(), which keeps single-threaded traces deterministic.
+  /// Run sweeps on a dedicated maintenance thread (keeps compression and
+  /// spill I/O off the request lane). Off = inline in Handle(), which keeps
+  /// single-threaded traces deterministic.
   bool background_maintenance = true;
 };
 
@@ -289,7 +288,7 @@ struct PeerGroup {
 /// statistics counters are atomics (per-query records live behind a small
 /// mutex), and the relationship check hands back shared snapshots so entries
 /// stay usable across concurrent eviction. Many worker threads may drive one
-/// proxy instance (see util::ThreadPool / workload::ConcurrentDriver).
+/// proxy instance (see util::ThreadPool / workload::RemoteBrowserEmulator).
 class FunctionProxy final : public net::HttpHandler {
  public:
   /// `templates`, `origin` and `clock` must outlive the proxy.
@@ -607,14 +606,13 @@ class FunctionProxy final : public net::HttpHandler {
       const std::shared_ptr<const CacheEntry>& entry, obs::QueryTrace* trace);
 
   /// Periodic storage maintenance driven off the request count: tier
-  /// sweeps (freeze + spill) and background snapshot writes, dispatched to
-  /// the maintenance thread when background_maintenance is on.
+  /// sweeps (freeze + spill), dispatched to the maintenance thread when
+  /// background_maintenance is on.
   void MaybeRunMaintenance();
   /// One freeze/spill pass over the cache; records the `spill` phase (wall
   /// time — runs off the virtual-clock request lane).
   void RunTierSweep(int64_t now_micros);
-  /// WriteSnapshot + outcome counters (shared by the periodic writer and
-  /// the clean-shutdown path).
+  /// WriteSnapshot + outcome counters (the clean-shutdown path).
   void WriteSnapshotAndCount() EXCLUDES(records_mu_);
   /// The counters persisted in a snapshot's STATS section, in wire order.
   /// Append-only: reordering or removing a slot breaks old snapshots.
@@ -653,15 +651,13 @@ class FunctionProxy final : public net::HttpHandler {
   double coverage_served_ GUARDED_BY(records_mu_) = 0.0;
 
   // --- Storage tier (docs/STORAGE.md) ---------------------------------------
-  /// Single maintenance worker for sweeps and periodic snapshots (created
-  /// only when storage.enable && background_maintenance). Tasks touch only
-  /// atomics and internally locked state (cache_, records_mu_), per the
-  /// repo's async-capture rules.
+  /// Single maintenance worker for sweeps (created only when
+  /// storage.enable && background_maintenance). Tasks touch only atomics and
+  /// internally locked state (cache_), per the repo's async-capture rules.
   std::unique_ptr<util::ThreadPool> maintenance_pool_;
   std::atomic<uint64_t> maintenance_ticks_{0};
-  /// At most one sweep / one snapshot queued or running at a time.
+  /// At most one sweep queued or running at a time.
   std::atomic<bool> sweep_scheduled_{false};
-  std::atomic<bool> snapshot_scheduled_{false};
   std::atomic<uint64_t> sweeps_run_{0};
   std::atomic<uint64_t> snapshots_written_{0};
   std::atomic<uint64_t> snapshot_errors_{0};

@@ -15,7 +15,7 @@ namespace fnproxy::util {
 /// execution against one shared proxy) can charge costs from any thread.
 /// Under concurrency the clock measures *total* modeled work, not a single
 /// request's latency — per-request timing in threaded runs uses wall-clock
-/// Stopwatches instead (see workload::ConcurrentDriver).
+/// Stopwatches instead (see workload::RemoteBrowserEmulator).
 ///
 /// Real-time pacing (opt-in): with `set_real_time_scale(s)` every Advance
 /// additionally sleeps `micros * s` of real time on the calling thread.

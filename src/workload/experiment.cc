@@ -1,5 +1,6 @@
 #include "workload/experiment.h"
 
+#include <algorithm>
 #include <set>
 
 #include "catalog/sky_catalog.h"
@@ -144,62 +145,103 @@ size_t SkyExperiment::TotalDistinctResultBytes() {
   return total;
 }
 
-SkyExperiment::RunResult SkyExperiment::Run(
-    const core::ProxyConfig& proxy_config) {
-  return RunTrace(trace_, proxy_config);
+ReplayResult SkyExperiment::Replay(const Trace& trace,
+                                   const ReplayOptions& options) {
+  if (options.outage_fractions.empty()) {
+    return RunPipeline(trace, options, /*restore_from=*/"");
+  }
+  // Calibration: the same replay without faults, from the same restored
+  // state. It writes no snapshot, so the measured replay restores what the
+  // caller's file held, not the calibration's end state.
+  ReplayOptions healthy = options;
+  healthy.faults = net::HealthyProfile();
+  healthy.outage_fractions.clear();
+  healthy.tier.proxy.trace_sink = nullptr;  // Calibration is not user-visible.
+  core::StorageTierConfig& storage = healthy.tier.proxy.storage;
+  const std::string restore_from =
+      storage.enable && storage.restore_on_start ? storage.snapshot_path : "";
+  storage.snapshot_path.clear();
+  const double healthy_micros = static_cast<double>(
+      RunPipeline(trace, healthy, restore_from).virtual_duration_micros);
+
+  ReplayOptions measured = options;
+  for (const auto& [start_frac, length_frac] : options.outage_fractions) {
+    net::OutageWindow window;
+    window.start_micros = static_cast<int64_t>(start_frac * healthy_micros);
+    window.end_micros =
+        static_cast<int64_t>((start_frac + length_frac) * healthy_micros);
+    measured.faults.outages.push_back(window);
+  }
+  return RunPipeline(trace, measured, /*restore_from=*/"");
 }
 
-SkyExperiment::RunResult SkyExperiment::RunTrace(
-    const Trace& trace, const core::ProxyConfig& proxy_config) {
+ReplayResult SkyExperiment::RunPipeline(const Trace& trace,
+                                        const ReplayOptions& options,
+                                        const std::string& restore_from) {
   util::SimulatedClock clock;
+  clock.set_real_time_scale(options.real_time_scale);
   server::OriginWebApp app(&db_, &clock, options_.server_costs);
   Check(app.RegisterForm("/radial", kRadialTemplateSql), "register /radial");
   Check(app.RegisterForm("/rect", kRectTemplateSql), "register /rect");
-  net::SimulatedChannel wan_channel(&app, options_.wan, &clock);
-  core::FunctionProxy proxy(proxy_config, &templates_, &wan_channel, &clock);
-  RegisterOriginMetrics(&proxy, &app);
-  net::SimulatedChannel lan_channel(&proxy, options_.lan, &clock);
-  RemoteBrowserEmulator rbe(&lan_channel, &clock);
+  net::FaultInjector injector(&app, options.faults, &clock);
+  ProxyTier tier(options.tier, &templates_, &injector, options_.wan, &clock);
+  for (size_t i = 0; i < tier.num_proxies(); ++i) {
+    tier.origin_channel(i).set_retry_policy(options.origin_retry);
+    RegisterOriginMetrics(&tier.proxy(i), &app);
+    if (!restore_from.empty()) {
+      // A missing or unreadable snapshot is a cold start, as at
+      // construction.
+      (void)tier.proxy(i).RestoreSnapshot(restore_from);
+    }
+  }
+  net::SimulatedChannel lan(&tier, options_.lan, &clock);
+  RemoteBrowserEmulator rbe(&lan, &clock, options.rbe);
 
-  RunResult result;
+  ReplayResult result;
   result.rbe = rbe.Run(trace);
-  result.proxy_stats = proxy.stats();
-  result.origin_requests = wan_channel.total_requests();
-  result.origin_bytes_received = wan_channel.total_bytes_received();
-  result.cache_entries_final = proxy.cache().num_entries();
-  result.cache_bytes_final = proxy.cache().bytes_used();
-  result.evictions = proxy.cache().evictions();
-  result.phases = obs::PhaseBreakdownFromRegistry(
-      proxy.metrics(), "fnproxy_phase_duration_micros");
-  return result;
-}
+  result.virtual_duration_micros = clock.NowMicros();
+  result.proxy_stats = tier.AggregateStats();
+  result.origin_form_queries = app.form_queries_served();
+  result.origin_sql_queries = app.sql_queries_served();
+  result.fault_stats = injector.stats();
+  net::ChannelRetryStats& retries = result.origin_retry_stats;
+  std::vector<obs::PhaseBreakdown>& phases = result.phases;
+  for (size_t i = 0; i < tier.num_proxies(); ++i) {
+    const core::FunctionProxy& proxy = tier.proxy(i);
+    result.per_proxy.push_back(proxy.stats());
+    result.cache_entries_final += proxy.cache().num_entries();
+    result.cache_bytes_final += proxy.cache().bytes_used();
+    result.evictions += proxy.cache().evictions();
 
-SkyExperiment::ConcurrentRunOutput SkyExperiment::RunTraceConcurrent(
-    const Trace& trace, const core::ProxyConfig& proxy_config,
-    size_t num_threads, double real_time_scale) {
-  util::SimulatedClock clock;
-  clock.set_real_time_scale(real_time_scale);
-  server::OriginWebApp app(&db_, &clock, options_.server_costs);
-  Check(app.RegisterForm("/radial", kRadialTemplateSql), "register /radial");
-  Check(app.RegisterForm("/rect", kRectTemplateSql), "register /rect");
-  net::SimulatedChannel wan_channel(&app, options_.wan, &clock);
-  core::FunctionProxy proxy(proxy_config, &templates_, &wan_channel, &clock);
-  RegisterOriginMetrics(&proxy, &app);
-  net::SimulatedChannel lan_channel(&proxy, options_.lan, &clock);
-  ConcurrentDriver driver(&lan_channel, &clock);
-  driver.set_latency_histogram(proxy.metrics().AddHistogram(
-      "fnproxy_client_latency_micros",
-      "Client-observed wall-clock latency per request"));
+    const net::SimulatedChannel& channel = tier.origin_channel(i);
+    result.origin_requests += channel.total_requests();
+    result.origin_bytes_received += channel.total_bytes_received();
+    const net::ChannelRetryStats r = channel.retry_stats();
+    retries.attempts += r.attempts;
+    retries.retries += r.retries;
+    retries.timeouts += r.timeouts;
+    retries.deadline_exhausted += r.deadline_exhausted;
+    retries.failed_round_trips += r.failed_round_trips;
+    retries.backoff_micros_total += r.backoff_micros_total;
 
-  ConcurrentRunOutput result;
-  result.driver = driver.Replay(trace, num_threads);
-  result.proxy_stats = proxy.stats();
-  result.origin_requests = wan_channel.total_requests();
-  result.origin_bytes_received = wan_channel.total_bytes_received();
-  result.cache_entries_final = proxy.cache().num_entries();
-  result.cache_bytes_final = proxy.cache().bytes_used();
-  result.phases = obs::PhaseBreakdownFromRegistry(
-      proxy.metrics(), "fnproxy_phase_duration_micros");
+    // Tier-wide phase view: sum counts and totals, keep the worst
+    // per-proxy percentile (see ReplayResult::phases).
+    for (const obs::PhaseBreakdown& phase : obs::PhaseBreakdownFromRegistry(
+             proxy.metrics(), "fnproxy_phase_duration_micros")) {
+      auto it = std::find_if(
+          phases.begin(), phases.end(),
+          [&](const obs::PhaseBreakdown& m) { return m.phase == phase.phase; });
+      if (it == phases.end()) {
+        phases.push_back(phase);
+        continue;
+      }
+      it->count += phase.count;
+      it->total_micros += phase.total_micros;
+      it->p50_micros = std::max(it->p50_micros, phase.p50_micros);
+      it->p95_micros = std::max(it->p95_micros, phase.p95_micros);
+      it->p99_micros = std::max(it->p99_micros, phase.p99_micros);
+    }
+  }
   return result;
 }
 

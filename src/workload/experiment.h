@@ -3,18 +3,20 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "catalog/sky_catalog.h"
 #include "core/proxy.h"
 #include "core/template_registry.h"
+#include "net/fault.h"
 #include "net/network.h"
 #include "obs/metrics.h"
 #include "server/cost_model.h"
 #include "server/database.h"
 #include "server/sky_functions.h"
 #include "server/web_app.h"
-#include "workload/concurrent_driver.h"
+#include "workload/multi_proxy.h"
 #include "workload/rbe.h"
 #include "workload/trace.h"
 #include "workload/trace_generator.h"
@@ -35,9 +37,67 @@ extern const char kNearbyObjEqTemplateXml[];
 extern const char kRectTemplateSql[];
 extern const char kObjFromRectTemplateXml[];
 
+/// Every setting of one trace replay (see SkyExperiment::Replay).
+struct ReplayOptions {
+  /// The proxies under test: one by default, each configured by
+  /// `tier.proxy`.
+  ProxyTierOptions tier;
+  /// The browsers driving them.
+  RbeOptions rbe;
+  /// Faults injected in front of the origin, behind every proxy's origin
+  /// channel. Outage windows here use absolute virtual time; see
+  /// `outage_fractions` for the usual duration-relative way to place them.
+  net::FaultProfile faults;
+  /// Retry schedule on every proxy's origin channel.
+  net::RetryPolicy origin_retry;
+  /// Outage windows as (start, length) fractions of the replay's virtual
+  /// duration, e.g. {0.3, 0.3} = an outage covering the middle third. Each
+  /// scheme finishes the trace at a different virtual time, so a fault-free
+  /// calibration replay with the same settings first measures that
+  /// duration, and the fractions become absolute windows: "30% outage" hits
+  /// every scheme for the same share of its own timeline. The calibration
+  /// starts from the same restored snapshot as the measured replay but
+  /// writes none and traces nothing.
+  std::vector<std::pair<double, double>> outage_fractions;
+  /// > 0 paces the shared clock: every modeled microsecond also sleeps
+  /// `real_time_scale` real microseconds, so modeled waits overlap across
+  /// clients in wall-clock, the basis of the throughput measurements on any
+  /// host (see SimulatedClock).
+  double real_time_scale = 0.0;
+};
+
+/// What one replay measured.
+struct ReplayResult {
+  RbeResult rbe;
+  /// Tier-wide statistics: the field-wise sum of `per_proxy`, records
+  /// concatenated in proxy order.
+  core::ProxyStats proxy_stats;
+  std::vector<core::ProxyStats> per_proxy;
+  /// Wire traffic on the proxies' origin channels (each retry counts).
+  uint64_t origin_requests = 0;
+  uint64_t origin_bytes_received = 0;
+  net::ChannelRetryStats origin_retry_stats;
+  /// Queries the origin web app executed, by endpoint.
+  uint64_t origin_form_queries = 0;
+  uint64_t origin_sql_queries = 0;
+  net::FaultStats fault_stats;
+  size_t cache_entries_final = 0;
+  size_t cache_bytes_final = 0;
+  /// Entries the replacement policy evicted over the replay.
+  uint64_t evictions = 0;
+  /// The shared clock when the last query was answered.
+  int64_t virtual_duration_micros = 0;
+  /// Per-phase latency breakdown (count/total/p50/p95/p99 in virtual µs)
+  /// from the proxies' fnproxy_phase_duration_micros histograms. Counts and
+  /// totals are summed across proxies; the percentile columns carry the
+  /// worst per-proxy value (histograms cannot be merged exactly, and the
+  /// conservative bound is the right side to gate on).
+  std::vector<obs::PhaseBreakdown> phases;
+};
+
 /// One fully wired sky experiment: synthetic catalog, origin site, trace,
-/// and shared templates. Each `Run` builds a fresh proxy/clock pipeline
-/// (RBE → LAN → proxy → WAN → origin) and replays the trace.
+/// and shared templates. Each `Replay` builds a fresh pipeline on a fresh
+/// clock and replays a trace through it.
 class SkyExperiment {
  public:
   struct Options {
@@ -77,52 +137,22 @@ class SkyExperiment {
   /// involved).
   size_t TotalDistinctResultBytes();
 
-  struct RunResult {
-    RbeResult rbe;
-    core::ProxyStats proxy_stats;
-    uint64_t origin_requests = 0;
-    uint64_t origin_bytes_received = 0;
-    size_t cache_entries_final = 0;
-    size_t cache_bytes_final = 0;
-    /// Entries the replacement policy evicted over the replay.
-    uint64_t evictions = 0;
-    /// Per-phase latency breakdown (count/total/p50/p95/p99 in virtual µs)
-    /// from the proxy's fnproxy_phase_duration_micros histograms.
-    std::vector<obs::PhaseBreakdown> phases;
-  };
-
-  /// Replays the built-in Radial trace through a fresh proxy.
-  RunResult Run(const core::ProxyConfig& proxy_config);
-
-  /// Replays an arbitrary trace (e.g. a rect trace from GenerateRectTrace or
-  /// a file) through a fresh proxy pipeline. The origin registers both the
-  /// /radial and /rect forms, so either workload can be driven.
-  RunResult RunTrace(const Trace& trace, const core::ProxyConfig& proxy_config);
-
-  struct ConcurrentRunOutput {
-    ConcurrentRunResult driver;
-    core::ProxyStats proxy_stats;
-    uint64_t origin_requests = 0;
-    uint64_t origin_bytes_received = 0;
-    size_t cache_entries_final = 0;
-    size_t cache_bytes_final = 0;
-    /// Per-phase latency breakdown, as in RunResult::phases.
-    std::vector<obs::PhaseBreakdown> phases;
-  };
-
-  /// Replays a trace through a fresh proxy pipeline from `num_threads`
-  /// closed-loop workers sharing one proxy (see ConcurrentDriver). With
-  /// num_threads == 1 this issues the same requests as RunTrace, in order.
-  /// `real_time_scale` > 0 paces the shared clock (every modeled
-  /// microsecond also sleeps `scale` real microseconds) so modeled waits
-  /// overlap across threads in wall-clock — the basis of the
-  /// throughput-vs-threads measurement on any host (see SimulatedClock).
-  ConcurrentRunOutput RunTraceConcurrent(const Trace& trace,
-                                         const core::ProxyConfig& proxy_config,
-                                         size_t num_threads,
-                                         double real_time_scale = 0.0);
+  /// Replays `trace` (the built-in Radial trace, a rect trace from
+  /// GenerateRectTrace, or a file) through a fresh pipeline:
+  ///   origin web app (/radial and /rect forms) → FaultInjector →
+  ///   ProxyTier (each proxy on its own WAN channel carrying the retry
+  ///   policy) → LAN → RemoteBrowserEmulator.
+  /// The paper's set-up (§4.1) is the default: one proxy, one client, no
+  /// faults.
+  ReplayResult Replay(const Trace& trace, const ReplayOptions& options);
 
  private:
+  /// One pass of Replay: builds the pipeline, restores `restore_from` (if
+  /// set) into every proxy, and replays the trace. Ignores
+  /// `outage_fractions`.
+  ReplayResult RunPipeline(const Trace& trace, const ReplayOptions& options,
+                           const std::string& restore_from);
+
   Options options_;
   sql::Table* photo_primary_ = nullptr;  // Owned by db_.
   std::unique_ptr<server::SkyGrid> grid_;

@@ -1,10 +1,6 @@
 #include "workload/multi_proxy.h"
 
-#include <algorithm>
 #include <utility>
-
-#include "server/web_app.h"
-#include "util/logging.h"
 
 namespace fnproxy::workload {
 
@@ -14,7 +10,9 @@ std::string ProxyTier::NodeId(size_t index) {
 
 ProxyTier::ProxyTier(const ProxyTierOptions& options,
                      const core::TemplateRegistry* templates,
-                     net::HttpHandler* origin, util::SimulatedClock* clock)
+                     net::HttpHandler* origin,
+                     const net::LinkConfig& wan,
+                     util::SimulatedClock* clock)
     : options_(options), ring_(options.ring_vnodes) {
   const size_t n = options_.num_proxies == 0 ? 1 : options_.num_proxies;
   for (size_t i = 0; i < n; ++i) {
@@ -24,7 +22,7 @@ ProxyTier::ProxyTier(const ProxyTierOptions& options,
   // handler, so per-proxy breaker state and retry accounting stay isolated.
   for (size_t i = 0; i < n; ++i) {
     origin_channels_.push_back(std::make_unique<net::SimulatedChannel>(
-        origin, options_.origin_link, clock));
+        origin, wan, clock));
     proxies_.push_back(std::make_unique<core::FunctionProxy>(
         options_.proxy, templates, origin_channels_.back().get(), clock));
   }
@@ -106,14 +104,6 @@ net::HttpResponse ProxyTier::Handle(const net::HttpRequest& request) {
   return response;
 }
 
-uint64_t ProxyTier::origin_requests_total() const {
-  uint64_t total = 0;
-  for (const auto& channel : origin_channels_) {
-    total += channel->total_requests();
-  }
-  return total;
-}
-
 core::ProxyStats ProxyTier::AggregateStats() const {
   core::ProxyStats sum;
   for (const auto& proxy : proxies_) {
@@ -148,70 +138,6 @@ core::ProxyStats ProxyTier::AggregateStats() const {
     sum.records.insert(sum.records.end(), s.records.begin(), s.records.end());
   }
   return sum;
-}
-
-namespace {
-
-void Check(const util::Status& status, const char* what) {
-  if (!status.ok()) {
-    FNPROXY_LOG(kError) << what << ": " << status.ToString();
-    std::abort();
-  }
-}
-
-}  // namespace
-
-TierRunOutput RunTraceTier(SkyExperiment& sky, const Trace& trace,
-                           const ProxyTierOptions& options,
-                           const TierRunOptions& run) {
-  util::SimulatedClock clock;
-  clock.set_real_time_scale(run.real_time_scale);
-  server::OriginWebApp app(sky.database(), &clock,
-                           sky.options().server_costs);
-  Check(app.RegisterForm("/radial", kRadialTemplateSql), "register /radial");
-  Check(app.RegisterForm("/rect", kRectTemplateSql), "register /rect");
-  ProxyTier tier(options, &sky.templates(), &app, &clock);
-  net::SimulatedChannel lan_channel(&tier, sky.options().lan, &clock);
-  ConcurrentDriver driver(&lan_channel, &clock);
-  driver.set_calibration(run.calibration);
-  driver.set_latency_histogram(tier.proxy(0).metrics().AddHistogram(
-      "fnproxy_client_latency_micros",
-      "Client-observed wall-clock latency per request"));
-
-  TierRunOutput output;
-  output.driver =
-      driver.Replay(trace, run.num_threads, run.deadline_budget_micros);
-  for (size_t i = 0; i < tier.num_proxies(); ++i) {
-    output.per_proxy.push_back(tier.proxy(i).stats());
-    output.cache_entries_final += tier.proxy(i).cache().num_entries();
-  }
-  output.aggregate = tier.AggregateStats();
-  output.origin_form_queries = app.form_queries_served();
-  output.origin_sql_queries = app.sql_queries_served();
-  output.origin_requests = tier.origin_requests_total();
-
-  // Tier-wide phase view: sum counts/totals, keep the worst per-proxy
-  // percentile (conservative — see TierRunOutput::phases).
-  std::vector<obs::PhaseBreakdown> merged;
-  for (size_t i = 0; i < tier.num_proxies(); ++i) {
-    for (const obs::PhaseBreakdown& phase : obs::PhaseBreakdownFromRegistry(
-             tier.proxy(i).metrics(), "fnproxy_phase_duration_micros")) {
-      auto it = std::find_if(
-          merged.begin(), merged.end(),
-          [&](const obs::PhaseBreakdown& m) { return m.phase == phase.phase; });
-      if (it == merged.end()) {
-        merged.push_back(phase);
-        continue;
-      }
-      it->count += phase.count;
-      it->total_micros += phase.total_micros;
-      it->p50_micros = std::max(it->p50_micros, phase.p50_micros);
-      it->p95_micros = std::max(it->p95_micros, phase.p95_micros);
-      it->p99_micros = std::max(it->p99_micros, phase.p99_micros);
-    }
-  }
-  output.phases = std::move(merged);
-  return output;
 }
 
 }  // namespace fnproxy::workload

@@ -16,23 +16,17 @@
 #include "net/http.h"
 #include "net/network.h"
 #include "net/peer_channel.h"
-#include "obs/metrics.h"
 #include "util/clock.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
-#include "workload/concurrent_driver.h"
-#include "workload/experiment.h"
-#include "workload/trace.h"
 
 namespace fnproxy::workload {
 
 /// Topology knobs for a cooperative proxy tier.
 struct ProxyTierOptions {
-  size_t num_proxies = 4;
+  size_t num_proxies = 1;
   /// Per-proxy configuration (every proxy gets a copy).
   core::ProxyConfig proxy;
-  /// Each proxy's own link to the shared origin (the expensive hop).
-  net::LinkConfig origin_link;
   /// Sibling-to-sibling link: same machine room, ~two orders of magnitude
   /// cheaper than the WAN — the whole point of probing a peer first.
   net::LinkConfig peer_link;
@@ -55,7 +49,7 @@ struct ProxyTierOptions {
   /// its own clients). Used by the peer-outage fault tests.
   std::map<size_t, net::FaultProfile> peer_faults;
 
-  ProxyTierOptions() : origin_link(net::WanLink()) {
+  ProxyTierOptions() {
     peer_link.latency_ms = 0.3;
     peer_link.bandwidth_kbps = 200000.0;
     peer_breaker.enabled = true;
@@ -64,19 +58,20 @@ struct ProxyTierOptions {
 
 /// A cooperative tier of FunctionProxy instances behind a round-robin
 /// router. Construction wires the whole topology: per-proxy origin channels
-/// to the shared origin handler, the consistent-hash ring ("proxy-0" ..
-/// "proxy-N-1"), and a breaker-guarded PeerChannel for every ordered sibling
-/// pair (optionally through a FaultInjector on the target's inbound side).
+/// over the `wan` link to the shared origin handler, the consistent-hash ring
+/// ("proxy-0" .. "proxy-N-1"), and a breaker-guarded PeerChannel for every
+/// ordered sibling pair (optionally through a FaultInjector on the target's
+/// inbound side).
 ///
 /// The tier itself is an HttpHandler: Handle() dispatches each request to
-/// the next proxy round-robin, so an unmodified ConcurrentDriver (or a LAN
-/// SimulatedChannel) drives N proxies exactly like one.
+/// the next proxy round-robin, so a LAN SimulatedChannel in front of it
+/// drives N proxies exactly like one.
 class ProxyTier final : public net::HttpHandler {
  public:
   /// `templates`, `origin` and `clock` must outlive the tier.
   ProxyTier(const ProxyTierOptions& options,
             const core::TemplateRegistry* templates, net::HttpHandler* origin,
-            util::SimulatedClock* clock);
+            const net::LinkConfig& wan, util::SimulatedClock* clock);
 
   net::HttpResponse Handle(const net::HttpRequest& request) override;
 
@@ -97,8 +92,6 @@ class ProxyTier final : public net::HttpHandler {
   net::SimulatedChannel& origin_channel(size_t i) {
     return *origin_channels_[i];
   }
-  /// Wire requests the tier sent to the origin, across all proxies.
-  uint64_t origin_requests_total() const;
 
   /// Field-wise sum of every proxy's statistics (records concatenated in
   /// proxy order) — the tier-wide view the invariant tests check.
@@ -126,43 +119,6 @@ class ProxyTier final : public net::HttpHandler {
   };
   std::vector<std::unique_ptr<WorkerPool>> worker_pools_;
 };
-
-/// Per-run knobs for RunTraceTier.
-struct TierRunOptions {
-  size_t num_threads = 8;
-  /// See SkyExperiment::RunTraceConcurrent.
-  double real_time_scale = 0.0;
-  int64_t deadline_budget_micros = 0;
-  /// Calibration replays keep the client-latency histogram silent (see
-  /// ConcurrentDriver::set_calibration).
-  bool calibration = false;
-};
-
-/// What one tier replay measured.
-struct TierRunOutput {
-  ConcurrentRunResult driver;
-  core::ProxyStats aggregate;
-  std::vector<core::ProxyStats> per_proxy;
-  /// Queries the origin web app actually executed, by endpoint.
-  uint64_t origin_form_queries = 0;
-  uint64_t origin_sql_queries = 0;
-  /// Wire requests on the tier's origin channels (each retry counts).
-  uint64_t origin_requests = 0;
-  size_t cache_entries_final = 0;
-  /// Tier-wide per-phase breakdown: counts and totals are summed across
-  /// proxies; the percentile columns carry the *worst* per-proxy value
-  /// (histograms cannot be merged exactly, and the conservative bound is
-  /// the right side to gate on).
-  std::vector<obs::PhaseBreakdown> phases;
-};
-
-/// Replays `trace` through a fresh ProxyTier wired to `sky`'s catalog and
-/// templates: origin web app → per-proxy origin channels → tier router →
-/// one LAN channel → ConcurrentDriver. The single-proxy twin of
-/// SkyExperiment::RunTraceConcurrent, for 1..N proxies.
-TierRunOutput RunTraceTier(SkyExperiment& sky, const Trace& trace,
-                           const ProxyTierOptions& options,
-                           const TierRunOptions& run);
 
 }  // namespace fnproxy::workload
 

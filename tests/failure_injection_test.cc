@@ -11,6 +11,7 @@
 #include "core/proxy.h"
 #include "net/fault.h"
 #include "net/network.h"
+#include "proxy_test_util.h"
 #include "server/sky_functions.h"
 #include "server/web_app.h"
 #include "sql/table_xml.h"
@@ -21,12 +22,6 @@ namespace {
 
 using net::HttpRequest;
 using net::HttpResponse;
-
-/// Every template request counts exactly one outcome.
-uint64_t OutcomeSum(const core::ProxyStats& s) {
-  return s.exact_hits + s.containment_hits + s.region_containments +
-         s.overlaps_handled + s.peer_hits + s.misses + s.collapsed + s.shed;
-}
 
 /// Wraps the origin app, failing requests on demand.
 class FlakyOrigin final : public net::HttpHandler {

@@ -17,6 +17,7 @@
 #include "net/circuit_breaker.h"
 #include "net/fault.h"
 #include "net/http.h"
+#include "proxy_test_util.h"
 #include "server/web_app.h"
 #include "util/clock.h"
 #include "workload/experiment.h"
@@ -44,13 +45,6 @@ workload::TraceQuery MakeQuery(double ra, double dec, double radius_arcmin) {
   return query;
 }
 
-/// Sum the ISSUE's tier-wide stats invariant terms: every template request
-/// is accounted for by exactly one outcome.
-uint64_t OutcomeSum(const core::ProxyStats& s) {
-  return s.exact_hits + s.containment_hits + s.region_containments +
-         s.overlaps_handled + s.peer_hits + s.misses + s.collapsed + s.shed;
-}
-
 /// One self-contained pipeline: origin web app + tier, on a private clock.
 struct TierStack {
   util::SimulatedClock clock;
@@ -62,7 +56,7 @@ struct TierStack {
                                                  sky.options().server_costs);
     EXPECT_TRUE(app->RegisterForm("/radial", workload::kRadialTemplateSql).ok());
     tier = std::make_unique<ProxyTier>(options, &sky.templates(), app.get(),
-                                       &clock);
+                                       sky.options().wan, &clock);
   }
 };
 
@@ -136,13 +130,13 @@ TEST(MultiProxyTier, StatsSumInvariantUnderConcurrentReplay) {
   sky_options.trace.num_queries = 200;
   workload::SkyExperiment sky(sky_options);
 
-  workload::TierRunOptions run;
-  run.num_threads = 4;
-  workload::TierRunOutput output =
-      workload::RunTraceTier(sky, sky.trace(), TierOptions(4), run);
+  workload::ReplayOptions replay;
+  replay.tier = TierOptions(4);
+  replay.rbe.clients = 4;
+  workload::ReplayResult output = sky.Replay(sky.trace(), replay);
 
-  EXPECT_EQ(output.driver.errors, 0u);
-  const core::ProxyStats& stats = output.aggregate;
+  EXPECT_EQ(output.rbe.failed, 0u);
+  const core::ProxyStats& stats = output.proxy_stats;
   EXPECT_EQ(stats.template_requests, 200u);
   EXPECT_EQ(OutcomeSum(stats), stats.template_requests);
   // Peer accounting consistency: every peer hit came from some probe, and
@@ -170,15 +164,15 @@ TEST(MultiProxyTier, CrossProxyThunderingHerdFetchesOriginOnce) {
   for (int i = 0; i < 8; ++i) {
     herd.queries.push_back(MakeQuery(187.0, 31.0, 12.0));
   }
-  workload::TierRunOptions run;
-  run.num_threads = 8;
-  workload::TierRunOutput output =
-      workload::RunTraceTier(sky, herd, TierOptions(4), run);
+  workload::ReplayOptions replay;
+  replay.tier = TierOptions(4);
+  replay.rbe.clients = 8;
+  workload::ReplayResult output = sky.Replay(herd, replay);
 
-  EXPECT_EQ(output.driver.errors, 0u);
+  EXPECT_EQ(output.rbe.failed, 0u);
   EXPECT_EQ(output.origin_form_queries, 1u)
       << "the herd must collapse onto one origin fetch";
-  const core::ProxyStats& stats = output.aggregate;
+  const core::ProxyStats& stats = output.proxy_stats;
   EXPECT_EQ(stats.template_requests, 8u);
   EXPECT_EQ(OutcomeSum(stats), 8u);
   EXPECT_EQ(stats.misses, 1u) << "only the tier-wide leader misses";

@@ -21,6 +21,7 @@
 #include "net/fault.h"
 #include "net/http.h"
 #include "net/network.h"
+#include "proxy_test_util.h"
 #include "server/sky_functions.h"
 #include "server/web_app.h"
 #include "sql/table_xml.h"
@@ -32,12 +33,6 @@ namespace {
 
 using net::HttpRequest;
 using net::HttpResponse;
-
-/// Every template request counts exactly one outcome.
-uint64_t OutcomeSum(const core::ProxyStats& s) {
-  return s.exact_hits + s.containment_hits + s.region_containments +
-         s.overlaps_handled + s.peer_hits + s.misses + s.collapsed + s.shed;
-}
 
 /// Wraps the origin app behind a wall-clock gate: while closed, requests
 /// block inside the handler until OpenGate(). Optionally fails the first

@@ -1,16 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "geometry/celestial.h"
 #include "geometry/hypersphere.h"
 #include "geometry/region.h"
+#include "net/fault.h"
 #include "net/network.h"
-#include "obs/metrics.h"
+#include "proxy_test_util.h"
 #include "server/web_app.h"
 #include "util/clock.h"
 #include "util/string_util.h"
-#include "workload/concurrent_driver.h"
 #include "workload/experiment.h"
 #include "workload/rbe.h"
 #include "workload/trace.h"
@@ -225,13 +228,39 @@ TEST(TraceSerializationTest, RejectsGarbage) {
   EXPECT_FALSE(Trace::Deserialize("/radial\nZ\tra=1\n").ok());
 }
 
-TEST(RbeResultTest, AverageOverPrefix) {
+RbeResult WithLatencies(const std::vector<int64_t>& micros) {
   RbeResult result;
-  result.response_micros = {1000, 2000, 3000, 10000};
+  for (int64_t us : micros) {
+    QueryResult query;
+    query.response_micros = us;
+    query.wall_micros = us;
+    result.queries.push_back(query);
+  }
+  return result;
+}
+
+TEST(RbeResultTest, AverageOverPrefix) {
+  RbeResult result = WithLatencies({1000, 2000, 3000, 10000});
   EXPECT_DOUBLE_EQ(result.AverageResponseMillis(), 4.0);
   EXPECT_DOUBLE_EQ(result.AverageResponseMillis(2), 1.5);
   EXPECT_DOUBLE_EQ(result.AverageResponseMillis(100), 4.0);
   EXPECT_DOUBLE_EQ(RbeResult().AverageResponseMillis(), 0.0);
+}
+
+// Nearest rank is the smallest sample with at least p% of the samples at or
+// below it; a whole p·n/100 must not round up to the next sample.
+TEST(RbeResultTest, WallPercentileIsNearestRank) {
+  RbeResult four = WithLatencies({40, 10, 30, 20});
+  EXPECT_EQ(four.WallPercentileMicros(50), 20);
+  EXPECT_EQ(four.WallPercentileMicros(51), 30);
+  EXPECT_EQ(four.WallPercentileMicros(100), 40);
+  std::vector<int64_t> one_to_hundred;
+  for (int64_t v = 1; v <= 100; ++v) one_to_hundred.push_back(v);
+  RbeResult hundred = WithLatencies(one_to_hundred);
+  EXPECT_EQ(hundred.WallPercentileMicros(99), 99);
+  EXPECT_EQ(hundred.WallPercentileMicros(95), 95);
+  EXPECT_EQ(hundred.WallPercentileMicros(100), 100);
+  EXPECT_EQ(RbeResult().WallPercentileMicros(50), 0);
 }
 
 /// End-to-end smoke over a small experiment: schemes behave sanely relative
@@ -250,20 +279,33 @@ class ExperimentSmokeTest : public ::testing::Test {
     delete experiment_;
     experiment_ = nullptr;
   }
+
+  /// One client, one proxy in `mode`, a healthy origin.
+  static ReplayResult ReplayMode(core::CachingMode mode) {
+    ReplayOptions options;
+    options.tier.proxy.mode = mode;
+    return experiment_->Replay(experiment_->trace(), options);
+  }
+
+  /// The first `n` queries of the experiment's trace.
+  static Trace Prefix(size_t n) {
+    Trace trace;
+    trace.form_path = experiment_->trace().form_path;
+    trace.queries.assign(experiment_->trace().queries.begin(),
+                         experiment_->trace().queries.begin() + n);
+    return trace;
+  }
+
   static SkyExperiment* experiment_;
 };
 
 SkyExperiment* ExperimentSmokeTest::experiment_ = nullptr;
 
 TEST_F(ExperimentSmokeTest, NoCacheSlowerThanActive) {
-  core::ProxyConfig nc;
-  nc.mode = core::CachingMode::kNoCache;
-  core::ProxyConfig ac;
-  ac.mode = core::CachingMode::kActiveFull;
-  auto nc_result = experiment_->Run(nc);
-  auto ac_result = experiment_->Run(ac);
-  EXPECT_EQ(nc_result.rbe.errors, 0u);
-  EXPECT_EQ(ac_result.rbe.errors, 0u);
+  ReplayResult nc_result = ReplayMode(core::CachingMode::kNoCache);
+  ReplayResult ac_result = ReplayMode(core::CachingMode::kActiveFull);
+  EXPECT_EQ(nc_result.rbe.failed, 0u);
+  EXPECT_EQ(ac_result.rbe.failed, 0u);
   EXPECT_LT(ac_result.rbe.AverageResponseMillis(),
             nc_result.rbe.AverageResponseMillis());
   EXPECT_GT(ac_result.proxy_stats.AverageCacheEfficiency(), 0.3);
@@ -271,12 +313,8 @@ TEST_F(ExperimentSmokeTest, NoCacheSlowerThanActive) {
 }
 
 TEST_F(ExperimentSmokeTest, ActiveBeatsPassiveEfficiency) {
-  core::ProxyConfig pc;
-  pc.mode = core::CachingMode::kPassive;
-  core::ProxyConfig ac;
-  ac.mode = core::CachingMode::kActiveFull;
-  auto pc_result = experiment_->Run(pc);
-  auto ac_result = experiment_->Run(ac);
+  ReplayResult pc_result = ReplayMode(core::CachingMode::kPassive);
+  ReplayResult ac_result = ReplayMode(core::CachingMode::kActiveFull);
   EXPECT_GT(ac_result.proxy_stats.AverageCacheEfficiency(),
             pc_result.proxy_stats.AverageCacheEfficiency() + 0.1);
 }
@@ -289,46 +327,154 @@ TEST_F(ExperimentSmokeTest, TotalDistinctResultBytesStable) {
 }
 
 TEST_F(ExperimentSmokeTest, RunsAreDeterministic) {
-  core::ProxyConfig ac;
-  ac.mode = core::CachingMode::kActiveFull;
-  auto r1 = experiment_->Run(ac);
-  auto r2 = experiment_->Run(ac);
+  ReplayResult r1 = ReplayMode(core::CachingMode::kActiveFull);
+  ReplayResult r2 = ReplayMode(core::CachingMode::kActiveFull);
   EXPECT_EQ(r1.rbe.AverageResponseMillis(), r2.rbe.AverageResponseMillis());
   EXPECT_EQ(r1.proxy_stats.AverageCacheEfficiency(),
             r2.proxy_stats.AverageCacheEfficiency());
   EXPECT_EQ(r1.origin_bytes_received, r2.origin_bytes_received);
 }
 
-// Regression: calibration replays must leave the client-latency histogram
-// untouched — the hook used to observe every sample, so warm-up passes
-// polluted the measured fnproxy_client_latency_micros distribution.
-TEST_F(ExperimentSmokeTest, CalibrationReplayKeepsLatencyHistogramSilent) {
+/// Requests recorded in the snapshot at `path`, read back into a fresh
+/// proxy.
+uint64_t SnapshotRequests(SkyExperiment& sky, const std::string& path) {
   util::SimulatedClock clock;
-  server::OriginWebApp app(experiment_->database(), &clock,
-                           experiment_->options().server_costs);
-  ASSERT_TRUE(app.RegisterForm("/radial", kRadialTemplateSql).ok());
-  net::SimulatedChannel lan(&app, experiment_->options().lan, &clock);
-  ConcurrentDriver driver(&lan, &clock);
-  obs::MetricsRegistry registry;
-  obs::Histogram* histogram = registry.AddHistogram(
-      "fnproxy_client_latency_micros", "client latency");
-  driver.set_latency_histogram(histogram);
-
-  driver.set_calibration(true);
-  ConcurrentRunResult calibration = driver.Replay(experiment_->trace(), 2);
-  EXPECT_EQ(calibration.errors, 0u);
-  // The run still measures its own percentiles...
-  EXPECT_EQ(calibration.latencies_micros.size(),
-            experiment_->trace().queries.size());
-  // ...but the shared histogram stays silent.
-  EXPECT_EQ(histogram->snapshot().count, 0u);
-
-  driver.set_calibration(false);
-  ConcurrentRunResult measured = driver.Replay(experiment_->trace(), 2);
-  EXPECT_EQ(measured.errors, 0u);
-  EXPECT_EQ(histogram->snapshot().count,
-            experiment_->trace().queries.size());
+  server::OriginWebApp app(sky.database(), &clock, sky.options().server_costs);
+  net::SimulatedChannel wan(&app, sky.options().wan, &clock);
+  core::FunctionProxy proxy(core::ProxyConfig(), &sky.templates(), &wan,
+                            &clock);
+  EXPECT_TRUE(proxy.RestoreSnapshot(path).ok());
+  return proxy.stats().requests;
 }
+
+// Regression: the outage profile's fault-free calibration replay starts from
+// the restored snapshot but must neither write it nor hand its end state to
+// the measured replay. It used to do both, so the measured replay restored
+// the calibration's cache and statistics and left 3x the trace behind.
+TEST_F(ExperimentSmokeTest, OutageCalibrationLeavesTheSnapshotAlone) {
+  const std::string dir =
+      ::testing::TempDir() + "/fnproxy_outage_calibration_snapshot";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const Trace trace = Prefix(150);
+  ReplayOptions options;
+  core::StorageTierConfig& storage = options.tier.proxy.storage;
+  storage.enable = true;
+  storage.background_maintenance = false;
+  storage.snapshot_path = dir + "/written.snap";
+  storage.restore_on_start = false;
+  ASSERT_EQ(experiment_->Replay(trace, options).rbe.failed, 0u);
+  ASSERT_EQ(SnapshotRequests(*experiment_, storage.snapshot_path),
+            trace.queries.size());
+  // Each restored replay rewrites its file, so each gets its own copy.
+  for (const char* copy : {"/healthy.snap", "/outage.snap"}) {
+    std::filesystem::copy_file(storage.snapshot_path, dir + copy);
+  }
+
+  storage.restore_on_start = true;
+  storage.snapshot_path = dir + "/healthy.snap";
+  const ReplayResult healthy = experiment_->Replay(trace, options);
+  storage.snapshot_path = dir + "/outage.snap";
+  options.outage_fractions = {{0.3, 0.3}};
+  const ReplayResult outage = experiment_->Replay(trace, options);
+
+  EXPECT_EQ(outage.proxy_stats.exact_hits, healthy.proxy_stats.exact_hits);
+  EXPECT_EQ(outage.proxy_stats.containment_hits,
+            healthy.proxy_stats.containment_hits);
+  EXPECT_EQ(outage.proxy_stats.requests, 2 * trace.queries.size());
+  EXPECT_EQ(SnapshotRequests(*experiment_, dir + "/outage.snap"),
+            2 * trace.queries.size());
+  std::filesystem::remove_all(dir);
+}
+
+enum class Profile { kHealthy, kFlaky, kOutage };
+
+struct MatrixCell {
+  size_t proxies;
+  size_t clients;
+  Profile profile;
+};
+
+std::string CellName(const ::testing::TestParamInfo<MatrixCell>& info) {
+  const char* profiles[] = {"healthy", "flaky", "outage"};
+  return std::to_string(info.param.proxies) + "proxies_" +
+         std::to_string(info.param.clients) + "clients_" +
+         profiles[static_cast<int>(info.param.profile)];
+}
+
+/// The combinations the one replay opens: 1 or N proxies, 1 or N clients,
+/// and a healthy, flaky or dark origin, all through SkyExperiment::Replay.
+class ReplayMatrixTest : public ExperimentSmokeTest,
+                         public ::testing::WithParamInterface<MatrixCell> {
+ protected:
+  static ReplayOptions CellOptions(const MatrixCell& cell) {
+    ReplayOptions options;
+    options.tier.num_proxies = cell.proxies;
+    options.rbe.clients = cell.clients;
+    if (cell.profile != Profile::kHealthy) {
+      options.tier.proxy.breaker.enabled = true;
+      options.tier.proxy.breaker.open_cooldown_micros = 120'000'000;
+      options.origin_retry.max_attempts = 3;
+      options.origin_retry.base_backoff_micros = 200'000;
+      options.origin_retry.max_backoff_micros = 2'000'000;
+      options.origin_retry.jitter_seed = 42;
+    }
+    if (cell.profile == Profile::kFlaky) options.faults = net::FlakyProfile();
+    if (cell.profile == Profile::kOutage) {
+      options.outage_fractions = {{0.3, 0.3}};
+      options.rbe.think_time_micros = 30'000'000;
+    }
+    return options;
+  }
+};
+
+TEST_P(ReplayMatrixTest, EveryQueryEndsOnceAndStatsAddUp) {
+  const MatrixCell cell = GetParam();
+  const Trace trace = Prefix(150);
+  const ReplayOptions options = CellOptions(cell);
+  const ReplayResult result = experiment_->Replay(trace, options);
+
+  EXPECT_EQ(result.rbe.ok + result.rbe.partial + result.rbe.failed,
+            trace.queries.size());
+  if (cell.profile == Profile::kHealthy) {
+    EXPECT_EQ(result.rbe.failed, 0u);
+  }
+  ASSERT_EQ(result.per_proxy.size(), cell.proxies);
+  for (const core::ProxyStats& proxy : result.per_proxy) {
+    EXPECT_EQ(OutcomeSum(proxy), proxy.template_requests);
+  }
+  EXPECT_EQ(OutcomeSum(result.proxy_stats),
+            result.proxy_stats.template_requests);
+  EXPECT_EQ(result.proxy_stats.template_requests, trace.queries.size());
+
+  if (cell.clients == 1) {
+    // One client: the virtual clock moves only for the request in flight,
+    // so every per-request time repeats bit for bit.
+    const ReplayResult again = experiment_->Replay(trace, options);
+    ASSERT_EQ(again.rbe.queries.size(), result.rbe.queries.size());
+    for (size_t i = 0; i < result.rbe.queries.size(); ++i) {
+      EXPECT_EQ(again.rbe.queries[i].response_micros,
+                result.rbe.queries[i].response_micros)
+          << "query " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OneReplay, ReplayMatrixTest,
+    ::testing::Values(MatrixCell{1, 1, Profile::kHealthy},
+                      MatrixCell{1, 1, Profile::kFlaky},
+                      MatrixCell{1, 1, Profile::kOutage},
+                      MatrixCell{1, 4, Profile::kHealthy},
+                      MatrixCell{1, 4, Profile::kFlaky},
+                      MatrixCell{1, 4, Profile::kOutage},
+                      MatrixCell{3, 1, Profile::kHealthy},
+                      MatrixCell{3, 1, Profile::kFlaky},
+                      MatrixCell{3, 1, Profile::kOutage},
+                      MatrixCell{3, 4, Profile::kHealthy},
+                      MatrixCell{3, 4, Profile::kFlaky},
+                      MatrixCell{3, 4, Profile::kOutage}),
+    CellName);
 
 }  // namespace
 }  // namespace fnproxy::workload

@@ -1,37 +1,40 @@
 // Replays a Radial trace file through the full simulated pipeline
-// (RBE -> LAN -> function proxy -> WAN -> synthetic SkyServer) under a
+// (RBE -> LAN -> function proxy tier -> WAN -> synthetic SkyServer) under a
 // chosen caching scheme and prints the run summary:
 //
 //   run_trace <trace-file> [scheme] [cache-bytes] [--fault-profile=<name>]
 //             [--threads=N] [--proxies=N] [--trace-out=PATH]
 //             [--snapshot-out=PATH] [--snapshot-in=PATH] [--expect-first-warm]
 //
+// Every combination of the options below runs through the one replay,
+// workload::SkyExperiment::Replay (docs/FORMATS.md §5).
+//
 // scheme: nc | pc | full | region | containment   (default: full)
 // cache-bytes: result-store budget, 0 = unlimited (default).
-// threads: closed-loop client workers sharing one proxy (default 1, the
-//   classic sequential replay). N > 1 replays through the concurrent driver
-//   (sharded cache, wall-clock latencies) and requires the healthy profile.
+// threads: closed-loop clients (default 1, the classic sequential replay,
+//   exact in virtual time). N > 1 shards each proxy's cache 8 ways, paces
+//   the clock and adds wall-clock throughput and latency lines.
 // proxies: size of the cooperative tier (default 1, the classic single
-//   proxy). N > 1 wires a ProxyTier — round-robin router, consistent-hash
-//   ownership, peer lookups before origin trips — and requires the healthy
-//   profile; see docs/FORMATS.md.
+//   proxy). N > 1 wires N proxies behind a round-robin router, with
+//   consistent-hash ownership and peer lookups before origin trips.
 // trace-out: write one JSON span tree per query (JSONL) to PATH; the schema
 //   is documented in docs/OBSERVABILITY.md.
 // snapshot-out: enable the storage tier and write a warm-restart snapshot
-//   (docs/FORMATS.md §13) at clean shutdown.
+//   (docs/FORMATS.md §13) at clean shutdown. Requires --proxies=1.
 // snapshot-in: restore cache + stats from a snapshot before replaying (the
-//   warm-restart half of the round trip; single-threaded replays only).
+//   warm-restart half of the round trip). Requires --proxies=1.
 // expect-first-warm: exit nonzero unless the first query of this replay was
 //   answered from the (restored) cache without an origin round trip — the
-//   CI warm-restart smoke check.
+//   CI warm-restart smoke check. Requires --threads=1.
 // fault-profile:
-//   healthy — no faults (default); the pipeline behaves as before.
+//   healthy — no faults (default); exits 1 if any query failed.
 //   flaky   — intermittent 500s, connection drops, garbage bodies and
-//             latency spikes; the WAN channel retries with jittered backoff
+//             latency spikes; the WAN channels retry with jittered backoff
 //             and a circuit breaker guards the origin.
 //   outage  — a hard origin outage covering 30% of the run's timeline
-//             (placed by a fault-free calibration replay); degraded-mode
-//             serving answers what the cache can.
+//             (placed by a fault-free calibration replay from the same
+//             restored snapshot, which writes none); degraded-mode serving
+//             answers what the cache can.
 
 #include <cstdio>
 #include <cstdlib>
@@ -43,15 +46,13 @@
 #include <vector>
 
 #include "obs/trace.h"
-#include "workload/availability.h"
 #include "workload/experiment.h"
-#include "workload/multi_proxy.h"
 
 using namespace fnproxy;
 
 namespace {
 
-/// Per-phase latency table shared by both replay paths.
+/// Per-phase latency table.
 void PrintPhases(const std::vector<obs::PhaseBreakdown>& phases) {
   if (phases.empty()) return;
   std::printf("phase breakdown (virtual micros):\n");
@@ -108,16 +109,15 @@ int main(int argc, char** argv) {
                  " [--expect-first-warm]\n");
     return 2;
   }
-  if ((num_threads > 1 || num_proxies > 1) && fault_profile != "healthy") {
-    std::fprintf(stderr,
-                 "--threads/--proxies > 1 require --fault-profile=healthy\n");
+  if ((!snapshot_out.empty() || !snapshot_in.empty()) && num_proxies > 1) {
+    // Every proxy of a tier would read and write the one snapshot path.
+    std::fprintf(stderr, "--snapshot-out/--snapshot-in require --proxies=1\n");
     return 2;
   }
-  if ((!snapshot_out.empty() || !snapshot_in.empty() || expect_first_warm) &&
-      (num_threads > 1 || num_proxies > 1)) {
-    std::fprintf(stderr,
-                 "--snapshot-out/--snapshot-in/--expect-first-warm drive the "
-                 "single-threaded replay only\n");
+  if (expect_first_warm && num_threads > 1) {
+    // With several clients the proxy records arrive in completion order, so
+    // the first record is not the first query's.
+    std::fprintf(stderr, "--expect-first-warm requires --threads=1\n");
     return 2;
   }
   if (!snapshot_out.empty() && !snapshot_in.empty() &&
@@ -184,160 +184,67 @@ int main(int argc, char** argv) {
     trace_writer = std::move(*writer);
   }
 
-  if (num_proxies > 1) {
-    workload::ProxyTierOptions tier_options;
-    tier_options.num_proxies = num_proxies;
-    tier_options.proxy.mode = mode;
-    tier_options.proxy.max_cache_bytes = cache_bytes;
-    tier_options.proxy.cache_shards = 8;
-    tier_options.proxy.trace_sink = trace_writer.get();
-    workload::TierRunOptions run_options;
-    run_options.num_threads = num_threads;
-    run_options.real_time_scale = 0.01;
-    workload::TierRunOutput output =
-        workload::RunTraceTier(experiment, *trace, tier_options, run_options);
-    const workload::ConcurrentRunResult& run = output.driver;
-    const core::ProxyStats& stats = output.aggregate;
-    std::printf("scheme:              %s\n", core::CachingModeName(mode));
-    std::printf("proxies:             %zu (threads: %zu)\n", num_proxies,
-                run_options.num_threads);
-    std::printf("queries:             %zu (%lu errors)\n",
-                trace->queries.size(),
-                static_cast<unsigned long>(run.errors));
-    std::printf("wall time:           %.1f ms (%.0f req/s)\n", run.wall_millis,
-                run.requests_per_second);
-    std::printf("latency (wall):      p50 %.2f ms, p95 %.2f ms, p99 %.2f ms, "
-                "max %.2f ms\n",
-                static_cast<double>(run.p50_micros) / 1000.0,
-                static_cast<double>(run.p95_micros) / 1000.0,
-                static_cast<double>(run.p99_micros) / 1000.0,
-                static_cast<double>(run.max_micros) / 1000.0);
-    std::printf("cache efficiency:    %.3f\n", stats.AverageCacheEfficiency());
-    std::printf("hits:                exact %lu, containment %lu, "
-                "region-containment %lu, overlap %lu\n",
-                static_cast<unsigned long>(stats.exact_hits),
-                static_cast<unsigned long>(stats.containment_hits),
-                static_cast<unsigned long>(stats.region_containments),
-                static_cast<unsigned long>(stats.overlaps_handled));
-    std::printf("peer lookups:        %lu (%lu served by a sibling, "
-                "%lu failures)\n",
-                static_cast<unsigned long>(stats.peer_lookups),
-                static_cast<unsigned long>(stats.peer_hits),
-                static_cast<unsigned long>(stats.peer_failures));
-    std::printf("misses:              %lu\n",
-                static_cast<unsigned long>(stats.misses));
-    std::printf("origin queries:      %lu form, %lu sql (%lu wire requests)\n",
-                static_cast<unsigned long>(output.origin_form_queries),
-                static_cast<unsigned long>(output.origin_sql_queries),
-                static_cast<unsigned long>(output.origin_requests));
-    std::printf("final cache:         %zu entries across the tier\n",
-                output.cache_entries_final);
-    PrintPhases(output.phases);
-    return run.errors == 0 ? 0 : 1;
-  }
-
+  workload::ReplayOptions options;
+  options.tier.num_proxies = num_proxies;
+  options.tier.proxy.mode = mode;
+  options.tier.proxy.max_cache_bytes = cache_bytes;
+  options.tier.proxy.trace_sink = trace_writer.get();
+  options.rbe.clients = num_threads;
   if (num_threads > 1) {
-    core::ProxyConfig proxy_config;
-    proxy_config.mode = mode;
-    proxy_config.max_cache_bytes = cache_bytes;
-    proxy_config.cache_shards = 8;  // Spread lock contention across shards.
-    proxy_config.trace_sink = trace_writer.get();
-    workload::SkyExperiment::ConcurrentRunOutput output =
-        experiment.RunTraceConcurrent(*trace, proxy_config, num_threads,
-                                      /*real_time_scale=*/0.01);
-    const workload::ConcurrentRunResult& run = output.driver;
-    const core::ProxyStats& stats = output.proxy_stats;
-    std::printf("scheme:              %s\n", core::CachingModeName(mode));
-    std::printf("threads:             %zu (cache shards: %zu)\n",
-                num_threads, proxy_config.cache_shards);
-    std::printf("queries:             %zu (%lu errors)\n",
-                trace->queries.size(),
-                static_cast<unsigned long>(run.errors));
-    std::printf("wall time:           %.1f ms (%.0f req/s)\n", run.wall_millis,
-                run.requests_per_second);
-    std::printf("latency (wall):      p50 %.2f ms, p95 %.2f ms, p99 %.2f ms, "
-                "max %.2f ms\n",
-                static_cast<double>(run.p50_micros) / 1000.0,
-                static_cast<double>(run.p95_micros) / 1000.0,
-                static_cast<double>(run.p99_micros) / 1000.0,
-                static_cast<double>(run.max_micros) / 1000.0);
-    std::printf("modeled time:        %.1f s total across threads\n",
-                static_cast<double>(run.virtual_micros) / 1e6);
-    std::printf("cache efficiency:    %.3f\n", stats.AverageCacheEfficiency());
-    std::printf("hits:                exact %lu, containment %lu, "
-                "region-containment %lu, overlap %lu\n",
-                static_cast<unsigned long>(stats.exact_hits),
-                static_cast<unsigned long>(stats.containment_hits),
-                static_cast<unsigned long>(stats.region_containments),
-                static_cast<unsigned long>(stats.overlaps_handled));
-    std::printf("misses:              %lu\n",
-                static_cast<unsigned long>(stats.misses));
-    std::printf("origin requests:     %lu (%.1f MB received)\n",
-                static_cast<unsigned long>(output.origin_requests),
-                static_cast<double>(output.origin_bytes_received) /
-                    (1024 * 1024));
-    std::printf("final cache:         %zu entries, %.1f MB\n",
-                output.cache_entries_final,
-                static_cast<double>(output.cache_bytes_final) / (1024 * 1024));
-    PrintPhases(output.phases);
-    return run.errors == 0 ? 0 : 1;
+    // Spread lock contention across shards, and pace the clock so modeled
+    // waits overlap across clients in wall-clock.
+    options.tier.proxy.cache_shards = 8;
+    options.real_time_scale = 0.01;
   }
-
-  workload::AvailabilityExperiment availability(&experiment);
-
-  workload::AvailabilityOptions options;
-  options.proxy.mode = mode;
-  options.proxy.max_cache_bytes = cache_bytes;
-  options.proxy.trace_sink = trace_writer.get();
   if (!snapshot_out.empty() || !snapshot_in.empty()) {
-    options.proxy.storage.enable = true;
+    options.tier.proxy.storage.enable = true;
     // Inline maintenance keeps the single-threaded replay deterministic.
-    options.proxy.storage.background_maintenance = false;
-    options.proxy.storage.snapshot_path =
+    options.tier.proxy.storage.background_maintenance = false;
+    options.tier.proxy.storage.snapshot_path =
         snapshot_out.empty() ? snapshot_in : snapshot_out;
-    options.proxy.storage.restore_on_start = !snapshot_in.empty();
+    options.tier.proxy.storage.restore_on_start = !snapshot_in.empty();
   }
   if (fault_profile != "healthy") {
     // An unreliable origin warrants retries and a breaker.
-    options.proxy.breaker.enabled = true;
-    options.proxy.breaker.open_cooldown_micros = 120'000'000;
-    options.retry.max_attempts = 3;
-    options.retry.base_backoff_micros = 200'000;
-    options.retry.max_backoff_micros = 2'000'000;
-    options.retry.jitter_seed = 42;
+    options.tier.proxy.breaker.enabled = true;
+    options.tier.proxy.breaker.open_cooldown_micros = 120'000'000;
+    options.origin_retry.max_attempts = 3;
+    options.origin_retry.base_backoff_micros = 200'000;
+    options.origin_retry.max_backoff_micros = 2'000'000;
+    options.origin_retry.jitter_seed = 42;
   }
   if (fault_profile == "flaky") {
     options.faults = net::FlakyProfile();
   } else if (fault_profile == "outage") {
     options.outage_fractions = {{0.3, 0.3}};
     // Think time anchors query arrivals to the timeline so the outage
-    // fraction translates into a query fraction (see AvailabilityOptions).
-    options.think_time_micros = 30'000'000;
+    // fraction translates into a query fraction (see RbeOptions).
+    options.rbe.think_time_micros = 30'000'000;
   }
 
-  workload::AvailabilityResult result =
-      availability.RunTrace(*trace, options);
-
+  const workload::ReplayResult result = experiment.Replay(*trace, options);
+  const workload::RbeResult& run = result.rbe;
   const core::ProxyStats& stats = result.proxy_stats;
-  double avg_ms = 0.0, avg_ms_10k = 0.0;
-  for (size_t i = 0; i < result.points.size(); ++i) {
-    double ms = static_cast<double>(result.points[i].response_micros) / 1000.0;
-    avg_ms += ms;
-    if (i < 10000) avg_ms_10k += ms;
-  }
-  if (!result.points.empty()) {
-    avg_ms_10k /= static_cast<double>(std::min<size_t>(result.points.size(),
-                                                       10000));
-    avg_ms /= static_cast<double>(result.points.size());
-  }
-
   std::printf("scheme:              %s\n", core::CachingModeName(mode));
   std::printf("fault profile:       %s\n", fault_profile.c_str());
+  std::printf("tier:                proxies %zu, clients %zu\n", num_proxies,
+              num_threads);
   std::printf("queries:             %zu (%lu failed)\n",
-              trace->queries.size(),
-              static_cast<unsigned long>(result.failed));
-  std::printf("avg response:        %.0f ms (first 10k: %.0f ms)\n", avg_ms,
-              avg_ms_10k);
+              trace->queries.size(), static_cast<unsigned long>(run.failed));
+  std::printf("avg response:        %.0f ms (first 10k: %.0f ms)\n",
+              run.AverageResponseMillis(), run.AverageResponseMillis(10000));
+  if (num_threads > 1) {
+    // Wall-clock numbers only under concurrency: a one-client replay is
+    // exact in virtual time, and its output repeats byte for byte.
+    std::printf("wall time:           %.1f ms (%.0f req/s)\n", run.wall_millis,
+                run.RequestsPerSecond());
+    std::printf("latency (wall):      p50 %.2f ms, p95 %.2f ms, p99 %.2f ms, "
+                "max %.2f ms\n",
+                static_cast<double>(run.WallPercentileMicros(50)) / 1000.0,
+                static_cast<double>(run.WallPercentileMicros(95)) / 1000.0,
+                static_cast<double>(run.WallPercentileMicros(99)) / 1000.0,
+                static_cast<double>(run.WallPercentileMicros(100)) / 1000.0);
+  }
   std::printf("cache efficiency:    %.3f\n", stats.AverageCacheEfficiency());
   std::printf("hits:                exact %lu, containment %lu, "
               "region-containment %lu, overlap %lu\n",
@@ -345,11 +252,20 @@ int main(int argc, char** argv) {
               static_cast<unsigned long>(stats.containment_hits),
               static_cast<unsigned long>(stats.region_containments),
               static_cast<unsigned long>(stats.overlaps_handled));
+  std::printf("peer lookups:        %lu (%lu served by a sibling, "
+              "%lu failures)\n",
+              static_cast<unsigned long>(stats.peer_lookups),
+              static_cast<unsigned long>(stats.peer_hits),
+              static_cast<unsigned long>(stats.peer_failures));
   std::printf("misses:              %lu\n",
               static_cast<unsigned long>(stats.misses));
   std::printf("origin requests:     %lu (%.1f MB received)\n",
-              static_cast<unsigned long>(result.wan_requests),
-              static_cast<double>(result.wan_bytes_received) / (1024 * 1024));
+              static_cast<unsigned long>(result.origin_requests),
+              static_cast<double>(result.origin_bytes_received) /
+                  (1024 * 1024));
+  std::printf("origin queries:      %lu form, %lu sql\n",
+              static_cast<unsigned long>(result.origin_form_queries),
+              static_cast<unsigned long>(result.origin_sql_queries));
   std::printf("final cache:         %zu entries, %.1f MB\n",
               result.cache_entries_final,
               static_cast<double>(result.cache_bytes_final) / (1024 * 1024));
@@ -374,37 +290,35 @@ int main(int argc, char** argv) {
     if (!warm) return 1;
   }
   PrintPhases(result.phases);
-  if (fault_profile != "healthy") {
-    std::printf(
-        "availability:        %.1f%% (%lu ok, %lu partial, %lu failed), "
-        "coverage-weighted %.1f%%\n",
-        100 * result.availability, static_cast<unsigned long>(result.ok),
-        static_cast<unsigned long>(result.partial),
-        static_cast<unsigned long>(result.failed),
-        100 * result.coverage_weighted_availability);
-    std::printf(
-        "degraded answers:    %lu full, %lu partial, %lu unavailable (503)\n",
-        static_cast<unsigned long>(stats.degraded_full),
-        static_cast<unsigned long>(stats.degraded_partial),
-        static_cast<unsigned long>(stats.degraded_unavailable));
-    std::printf(
-        "origin channel:      %lu failures, %lu retries, %lu timeouts, "
-        "%lu breaker rejections, %lu breaker transitions\n",
-        static_cast<unsigned long>(stats.origin_failures),
-        static_cast<unsigned long>(result.wan_retry_stats.retries),
-        static_cast<unsigned long>(result.wan_retry_stats.timeouts),
-        static_cast<unsigned long>(stats.breaker_open_rejections),
-        static_cast<unsigned long>(stats.breaker_transitions));
-    std::printf(
-        "faults injected:     %lu (drops %lu, errors %lu, garbage %lu, "
-        "truncations %lu, outage drops %lu)\n",
-        static_cast<unsigned long>(result.fault_stats.total_faults()),
-        static_cast<unsigned long>(result.fault_stats.injected_drops),
-        static_cast<unsigned long>(result.fault_stats.injected_errors),
-        static_cast<unsigned long>(result.fault_stats.injected_garbage),
-        static_cast<unsigned long>(result.fault_stats.injected_truncations),
-        static_cast<unsigned long>(result.fault_stats.outage_drops));
-    return 0;
-  }
-  return result.failed == 0 ? 0 : 1;
+  if (fault_profile == "healthy") return run.failed == 0 ? 0 : 1;
+  std::printf(
+      "availability:        %.1f%% (%lu ok, %lu partial, %lu failed), "
+      "coverage-weighted %.1f%%\n",
+      100 * run.Availability(), static_cast<unsigned long>(run.ok),
+      static_cast<unsigned long>(run.partial),
+      static_cast<unsigned long>(run.failed),
+      100 * run.CoverageWeightedAvailability());
+  std::printf(
+      "degraded answers:    %lu full, %lu partial, %lu unavailable (503)\n",
+      static_cast<unsigned long>(stats.degraded_full),
+      static_cast<unsigned long>(stats.degraded_partial),
+      static_cast<unsigned long>(stats.degraded_unavailable));
+  std::printf(
+      "origin channel:      %lu failures, %lu retries, %lu timeouts, "
+      "%lu breaker rejections, %lu breaker transitions\n",
+      static_cast<unsigned long>(stats.origin_failures),
+      static_cast<unsigned long>(result.origin_retry_stats.retries),
+      static_cast<unsigned long>(result.origin_retry_stats.timeouts),
+      static_cast<unsigned long>(stats.breaker_open_rejections),
+      static_cast<unsigned long>(stats.breaker_transitions));
+  std::printf(
+      "faults injected:     %lu (drops %lu, errors %lu, garbage %lu, "
+      "truncations %lu, outage drops %lu)\n",
+      static_cast<unsigned long>(result.fault_stats.total_faults()),
+      static_cast<unsigned long>(result.fault_stats.injected_drops),
+      static_cast<unsigned long>(result.fault_stats.injected_errors),
+      static_cast<unsigned long>(result.fault_stats.injected_garbage),
+      static_cast<unsigned long>(result.fault_stats.injected_truncations),
+      static_cast<unsigned long>(result.fault_stats.outage_drops));
+  return 0;
 }
