@@ -17,7 +17,6 @@ int main() {
   workload::SkyExperiment::Options options;
   options.catalog = catalog::SkyCatalogConfig();
   options.catalog.num_objects = 120000;
-  options.trace.num_queries = 1;  // Placeholder; the rect trace is replayed.
   workload::SkyExperiment experiment(options);
 
   // Trace of 800 rectangle searches.

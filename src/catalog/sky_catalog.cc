@@ -111,7 +111,10 @@ sql::Table GenerateSkyCatalog(
       ra = rng.NextDouble(config.ra_min, config.ra_max);
       dec = rng.NextDouble(config.dec_min, config.dec_max);
     }
-    geometry::Point unit = geometry::RaDecToUnitVector(ra, dec);
+    // geometry::RaDecToUnitVector, without its heap-allocated Point.
+    const double ra_rad = geometry::DegreesToRadians(ra);
+    const double dec_rad = geometry::DegreesToRadians(dec);
+    const double cos_dec = std::cos(dec_rad);
 
     // Magnitudes: r roughly uniform over the survey's depth, colors as
     // offsets so predicates like "g - r < 0.5" select sensible subsets.
@@ -137,9 +140,9 @@ sql::Table GenerateSkyCatalog(
     row.push_back(Value::Int(static_cast<int64_t>(1000000 + n)));
     row.push_back(Value::Double(ra));
     row.push_back(Value::Double(dec));
-    row.push_back(Value::Double(unit[0]));
-    row.push_back(Value::Double(unit[1]));
-    row.push_back(Value::Double(unit[2]));
+    row.push_back(Value::Double(std::cos(ra_rad) * cos_dec));
+    row.push_back(Value::Double(std::sin(ra_rad) * cos_dec));
+    row.push_back(Value::Double(std::sin(dec_rad)));
     row.push_back(Value::Double(r_mag + g_r + u_g));
     row.push_back(Value::Double(r_mag + g_r));
     row.push_back(Value::Double(r_mag));

@@ -22,30 +22,55 @@ SkyGrid::SkyGrid(const sql::Table* photo_primary, double cell_deg)
   auto ra_idx = table_->schema().FindColumn("ra");
   auto dec_idx = table_->schema().FindColumn("dec");
   assert(ra_idx.has_value() && dec_idx.has_value());
-  col_ra_ = *ra_idx;
-  col_dec_ = *dec_idx;
-  for (size_t i = 0; i < table_->num_rows(); ++i) {
-    double ra = table_->row(i)[col_ra_].AsDouble();
-    double dec = table_->row(i)[col_dec_].AsDouble();
-    auto key = std::make_pair(static_cast<int64_t>(std::floor(ra / cell_deg_)),
-                              static_cast<int64_t>(std::floor(dec / cell_deg_)));
-    cells_[key].push_back(i);
+  const size_t num_rows = table_->num_rows();
+  std::vector<int64_t> xs(num_rows), ys(num_rows);
+  for (size_t i = 0; i < num_rows; ++i) {
+    const Row& row = table_->row(i);
+    xs[i] = static_cast<int64_t>(
+        std::floor(row[*ra_idx].AsDouble() / cell_deg_));
+    ys[i] = static_cast<int64_t>(
+        std::floor(row[*dec_idx].AsDouble() / cell_deg_));
   }
+  if (num_rows > 0) {
+    const auto [x_lo, x_hi] = std::minmax_element(xs.begin(), xs.end());
+    const auto [y_lo, y_hi] = std::minmax_element(ys.begin(), ys.end());
+    x0_ = *x_lo;
+    nx_ = *x_hi - x0_ + 1;
+    y0_ = *y_lo;
+    ny_ = *y_hi - y0_ + 1;
+  }
+  // Counting pass, prefix sums, then rows in ascending order into their
+  // cells' slots.
+  auto cell = [&](size_t i) {
+    return static_cast<size_t>((xs[i] - x0_) * ny_ + (ys[i] - y0_));
+  };
+  starts_.assign(static_cast<size_t>(nx_ * ny_) + 1, 0);
+  for (size_t i = 0; i < num_rows; ++i) ++starts_[cell(i) + 1];
+  for (size_t c = 1; c < starts_.size(); ++c) starts_[c] += starts_[c - 1];
+  rows_.resize(num_rows);
+  std::vector<size_t> next(starts_.begin(), starts_.end() - 1);
+  for (size_t i = 0; i < num_rows; ++i) rows_[next[cell(i)]++] = i;
 }
 
 std::vector<size_t> SkyGrid::Candidates(double ra_min, double ra_max,
                                         double dec_min, double dec_max) const {
   std::vector<size_t> result;
-  int64_t cx0 = static_cast<int64_t>(std::floor(ra_min / cell_deg_));
-  int64_t cx1 = static_cast<int64_t>(std::floor(ra_max / cell_deg_));
-  int64_t cy0 = static_cast<int64_t>(std::floor(dec_min / cell_deg_));
-  int64_t cy1 = static_cast<int64_t>(std::floor(dec_max / cell_deg_));
+  // Cells outside the occupied block are empty.
+  const int64_t cx0 = std::max(
+      x0_, static_cast<int64_t>(std::floor(ra_min / cell_deg_)));
+  const int64_t cx1 = std::min(
+      x0_ + nx_ - 1, static_cast<int64_t>(std::floor(ra_max / cell_deg_)));
+  const int64_t cy0 = std::max(
+      y0_, static_cast<int64_t>(std::floor(dec_min / cell_deg_)));
+  const int64_t cy1 = std::min(
+      y0_ + ny_ - 1, static_cast<int64_t>(std::floor(dec_max / cell_deg_)));
+  if (cy0 > cy1) return result;
   for (int64_t cx = cx0; cx <= cx1; ++cx) {
-    for (int64_t cy = cy0; cy <= cy1; ++cy) {
-      auto it = cells_.find({cx, cy});
-      if (it == cells_.end()) continue;
-      result.insert(result.end(), it->second.begin(), it->second.end());
-    }
+    const size_t column = static_cast<size_t>((cx - x0_) * ny_);
+    const size_t begin = starts_[column + static_cast<size_t>(cy0 - y0_)];
+    const size_t end = starts_[column + static_cast<size_t>(cy1 - y0_) + 1];
+    result.insert(result.end(), rows_.begin() + static_cast<ptrdiff_t>(begin),
+                  rows_.begin() + static_cast<ptrdiff_t>(end));
   }
   return result;
 }

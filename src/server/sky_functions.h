@@ -1,7 +1,7 @@
 #ifndef FNPROXY_SERVER_SKY_FUNCTIONS_H_
 #define FNPROXY_SERVER_SKY_FUNCTIONS_H_
 
-#include <map>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -13,13 +13,15 @@ namespace fnproxy::server {
 /// Shared spatial access structure over the PhotoPrimary table: a uniform
 /// (ra, dec) grid used by the sky TVFs to prune candidates, standing in for
 /// the HTM index the real SkyServer uses. The referenced table must outlive
-/// this object and not change.
+/// this object and not change, and its ra/dec values must be finite
+/// degrees.
 class SkyGrid {
  public:
   /// `cell_deg` is the grid pitch in degrees.
   explicit SkyGrid(const sql::Table* photo_primary, double cell_deg = 1.0);
 
-  /// Row indices of all objects in cells overlapping the ra/dec window.
+  /// Row indices of all objects in cells overlapping the ra/dec window,
+  /// cell by cell (ra-major) and ascending within a cell.
   /// The window must not wrap around ra=0/360 (survey footprints here don't).
   std::vector<size_t> Candidates(double ra_min, double ra_max, double dec_min,
                                  double dec_max) const;
@@ -29,8 +31,14 @@ class SkyGrid {
  private:
   const sql::Table* table_;
   double cell_deg_;
-  std::map<std::pair<int64_t, int64_t>, std::vector<size_t>> cells_;
-  size_t col_ra_ = 0, col_dec_ = 0;
+  /// A dense table over the cells the rows occupy, [x0_, x0_ + nx_) by
+  /// [y0_, y0_ + ny_) in cell units, ra-major. Cell c holds the row ids
+  /// rows_[starts_[c], starts_[c + 1]), so the cells of one ra column are
+  /// one contiguous run of rows_.
+  int64_t x0_ = 0, y0_ = 0;
+  int64_t nx_ = 0, ny_ = 0;
+  std::vector<size_t> starts_;
+  std::vector<size_t> rows_;
 };
 
 /// fGetNearbyObjEq(ra, dec, radius_arcmin): objects within the angular

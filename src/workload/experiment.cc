@@ -116,15 +116,20 @@ SkyExperiment::SkyExperiment(Options options) : options_(std::move(options)) {
         "register rect query template");
 
   // Trace hotspots follow the catalog's clusters (drop centers outside the
-  // trace footprint).
-  RadialTraceConfig trace_config = options_.trace;
+  // trace footprint). The trace itself waits for the first trace() call.
+  trace_config_ = options_.trace;
   for (const auto& [ra, dec] : clusters) {
-    if (ra >= trace_config.ra_min && ra <= trace_config.ra_max &&
-        dec >= trace_config.dec_min && dec <= trace_config.dec_max) {
-      trace_config.hotspot_centers.emplace_back(ra, dec);
+    if (ra >= trace_config_.ra_min && ra <= trace_config_.ra_max &&
+        dec >= trace_config_.dec_min && dec <= trace_config_.dec_max) {
+      trace_config_.hotspot_centers.emplace_back(ra, dec);
     }
   }
-  trace_ = GenerateRadialTrace(trace_config);
+}
+
+const Trace& SkyExperiment::trace() const {
+  std::call_once(trace_once_,
+                 [this] { trace_ = GenerateRadialTrace(trace_config_); });
+  return trace_;
 }
 
 size_t SkyExperiment::TotalDistinctResultBytes() {
@@ -132,12 +137,13 @@ size_t SkyExperiment::TotalDistinctResultBytes() {
   util::SimulatedClock scratch_clock;
   server::OriginWebApp app(&db_, &scratch_clock, options_.server_costs);
   Check(app.RegisterForm("/radial", kRadialTemplateSql), "register /radial");
+  const Trace& queries = trace();
   std::set<std::string> seen;
   size_t total = 0;
-  for (const TraceQuery& query : trace_.queries) {
+  for (const TraceQuery& query : queries.queries) {
     std::string key = net::BuildQueryString(query.params);
     if (!seen.insert(key).second) continue;
-    net::HttpResponse response = app.Handle(MakeRequest(trace_, query));
+    net::HttpResponse response = app.Handle(MakeRequest(queries, query));
     if (response.ok()) total += response.body.size();
   }
   total_distinct_bytes_ = total;

@@ -2,6 +2,7 @@
 #define FNPROXY_WORKLOAD_EXPERIMENT_H_
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -97,7 +98,9 @@ struct ReplayResult {
 
 /// One fully wired sky experiment: synthetic catalog, origin site, trace,
 /// and shared templates. Each `Replay` builds a fresh pipeline on a fresh
-/// clock and replays a trace through it.
+/// clock and replays a trace through it. The experiment's own trace is
+/// generated on the first call to `trace()`, so callers that replay other
+/// traces never pay for it.
 class SkyExperiment {
  public:
   struct Options {
@@ -126,7 +129,10 @@ class SkyExperiment {
 
   explicit SkyExperiment(Options options);
 
-  const Trace& trace() const { return trace_; }
+  /// The experiment's Radial trace (`options().trace`, aimed at the
+  /// catalog's clusters). Built on the first call; safe to call from
+  /// several threads at once.
+  const Trace& trace() const;
   const core::TemplateRegistry& templates() const { return templates_; }
   server::Database* database() { return &db_; }
   const Options& options() const { return options_; }
@@ -158,7 +164,10 @@ class SkyExperiment {
   std::unique_ptr<server::SkyGrid> grid_;
   server::Database db_;
   core::TemplateRegistry templates_;
-  Trace trace_;
+  /// `options_.trace` with the catalog's cluster centers as hotspots.
+  RadialTraceConfig trace_config_;
+  mutable std::once_flag trace_once_;
+  mutable Trace trace_;
   size_t total_distinct_bytes_ = 0;
   bool total_bytes_computed_ = false;
 };

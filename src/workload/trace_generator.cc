@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <map>
+#include <unordered_map>
 
 #include "geometry/celestial.h"
 #include "geometry/hyperrectangle.h"
@@ -39,46 +40,64 @@ struct Cone {
   }
 };
 
-/// Spatial hash over cone centers for fast disjointness checks.
+/// The emitted cones with their spheres (each computed once), and a hashed
+/// grid over their centers for fast disjointness checks.
 class ConeGrid {
  public:
   explicit ConeGrid(double cell_deg) : cell_deg_(cell_deg) {}
 
-  /// Takes the cone by value: callers may pass references into `cones_`
-  /// itself (exact repeats), which the push_back below would invalidate.
-  void Add(size_t index, Cone cone) {
-    keys_.push_back(Key(cone));
+  void Add(Cone cone, geometry::Hypersphere sphere) {
+    cells_[Key(cone)].push_back(cones_.size());
     cones_.push_back(cone);
-    grid_[keys_.back()].push_back(index);
+    spheres_.push_back(std::move(sphere));
   }
 
-  /// Indexes of cones whose center lies within one cell of `cone`'s.
-  std::vector<size_t> Nearby(const Cone& cone) const {
-    std::vector<size_t> result;
-    auto [kx, ky] = Key(cone);
+  /// Calls `visit(index)` for each cone whose center lies within one cell
+  /// of `cone`'s, cell by cell (ra-major) and in emission order within a
+  /// cell, until `visit` returns true. Returns whether it did.
+  template <typename Visit>
+  bool AnyNearby(const Cone& cone, Visit visit) const {
+    const CellKey key = Key(cone);
     for (int64_t dx = -1; dx <= 1; ++dx) {
       for (int64_t dy = -1; dy <= 1; ++dy) {
-        auto it = grid_.find({kx + dx, ky + dy});
-        if (it == grid_.end()) continue;
-        result.insert(result.end(), it->second.begin(), it->second.end());
+        auto it = cells_.find({key.x + dx, key.y + dy});
+        if (it == cells_.end()) continue;
+        for (size_t index : it->second) {
+          if (visit(index)) return true;
+        }
       }
     }
-    return result;
+    return false;
   }
 
   const Cone& cone(size_t index) const { return cones_[index]; }
+  const geometry::Hypersphere& sphere(size_t index) const {
+    return spheres_[index];
+  }
   size_t size() const { return cones_.size(); }
 
  private:
-  std::pair<int64_t, int64_t> Key(const Cone& cone) const {
+  struct CellKey {
+    int64_t x;
+    int64_t y;
+    bool operator==(const CellKey&) const = default;
+  };
+  struct CellHash {
+    size_t operator()(const CellKey& key) const {
+      return (static_cast<uint64_t>(key.x) * 0x9E3779B97F4A7C15ULL) ^
+             static_cast<uint64_t>(key.y);
+    }
+  };
+
+  CellKey Key(const Cone& cone) const {
     return {static_cast<int64_t>(std::floor(cone.ra / cell_deg_)),
             static_cast<int64_t>(std::floor(cone.dec / cell_deg_))};
   }
 
   double cell_deg_;
   std::vector<Cone> cones_;
-  std::vector<std::pair<int64_t, int64_t>> keys_;
-  std::map<std::pair<int64_t, int64_t>, std::vector<size_t>> grid_;
+  std::vector<geometry::Hypersphere> spheres_;
+  std::unordered_map<CellKey, std::vector<size_t>, CellHash> cells_;
 };
 
 }  // namespace
@@ -106,14 +125,17 @@ Trace GenerateRadialTrace(const RadialTraceConfig& config) {
   double max_radius_deg = config.radius_max_arcmin / 60.0;
   ConeGrid history(std::max(1.0, 4.0 * max_radius_deg));
 
-  auto emit = [&](Cone cone, RegionRelation intended) {
+  // Takes the cone and its sphere by value: exact repeats pass history's
+  // own, which the Add below would invalidate.
+  auto emit = [&](Cone cone, geometry::Hypersphere sphere,
+                  RegionRelation intended) {
     TraceQuery query;
     query.params["ra"] = FormatFixed(cone.ra, 4);
     query.params["dec"] = FormatFixed(cone.dec, 4);
     query.params["radius"] = FormatFixed(cone.radius_arcmin, 2);
     query.intended = intended;
     trace.queries.push_back(std::move(query));
-    history.Add(history.size(), cone);
+    history.Add(cone, std::move(sphere));
   };
 
   auto fresh_cone = [&]() {
@@ -126,6 +148,10 @@ Trace GenerateRadialTrace(const RadialTraceConfig& config) {
     cone.radius_arcmin = RoundTo(
         rng.NextDouble(config.radius_min_arcmin, config.radius_max_arcmin), 2);
     return cone;
+  };
+  auto emit_fresh = [&](RegionRelation intended) {
+    Cone cone = fresh_cone();
+    emit(cone, cone.Sphere(), intended);
   };
 
   /// Offsets `parent`'s center by `offset_arcmin` in a random direction.
@@ -154,7 +180,7 @@ Trace GenerateRadialTrace(const RadialTraceConfig& config) {
       } else {
         index = rng.NextUint64(history.size());
       }
-      emit(history.cone(index), RegionRelation::kEqual);
+      emit(history.cone(index), history.sphere(index), RegionRelation::kEqual);
       continue;
     }
 
@@ -164,21 +190,24 @@ Trace GenerateRadialTrace(const RadialTraceConfig& config) {
       // center offset under (parent_r - child_r).
       bool emitted = false;
       for (int attempt = 0; attempt < 12 && !emitted; ++attempt) {
-        const Cone& parent = history.cone(rng.NextUint64(history.size()));
+        const size_t parent_index = rng.NextUint64(history.size());
+        const Cone& parent = history.cone(parent_index);
         double child_r =
             RoundTo(parent.radius_arcmin * rng.NextDouble(0.35, 0.85), 2);
         if (child_r < 0.5) continue;
         double max_offset = (parent.radius_arcmin - child_r) * 0.85;
         Cone child = offset_center(parent, rng.NextDouble(0.0, max_offset));
         child.radius_arcmin = child_r;
-        if (geometry::Contains(parent.Sphere(), child.Sphere()) &&
-            !geometry::Equals(parent.Sphere(), child.Sphere())) {
-          emit(child, RegionRelation::kContainedBy);
+        const geometry::Hypersphere& outer = history.sphere(parent_index);
+        geometry::Hypersphere inner = child.Sphere();
+        if (geometry::Contains(outer, inner) &&
+            !geometry::Equals(outer, inner)) {
+          emit(child, std::move(inner), RegionRelation::kContainedBy);
           emitted = true;
         }
       }
       if (emitted) continue;
-      emit(fresh_cone(), RegionRelation::kDisjoint);
+      emit_fresh(RegionRelation::kDisjoint);
       continue;
     }
 
@@ -189,7 +218,8 @@ Trace GenerateRadialTrace(const RadialTraceConfig& config) {
       // containment special case).
       bool emitted = false;
       for (int attempt = 0; attempt < 12 && !emitted; ++attempt) {
-        const Cone& parent = history.cone(rng.NextUint64(history.size()));
+        const size_t parent_index = rng.NextUint64(history.size());
+        const Cone& parent = history.cone(parent_index);
         // Modest zoom-outs: the cached cone covers a sizable share of the
         // new region, so the remainder query has real transfer savings.
         double r2 = RoundTo(parent.radius_arcmin * rng.NextDouble(1.25, 1.8), 2);
@@ -197,14 +227,16 @@ Trace GenerateRadialTrace(const RadialTraceConfig& config) {
         double max_offset = (r2 - parent.radius_arcmin) * 0.8;
         Cone cone = offset_center(parent, rng.NextDouble(0.0, max_offset));
         cone.radius_arcmin = r2;
-        if (geometry::Contains(cone.Sphere(), parent.Sphere()) &&
-            !geometry::Equals(cone.Sphere(), parent.Sphere())) {
-          emit(cone, RegionRelation::kContains);
+        geometry::Hypersphere outer = cone.Sphere();
+        const geometry::Hypersphere& inner = history.sphere(parent_index);
+        if (geometry::Contains(outer, inner) &&
+            !geometry::Equals(outer, inner)) {
+          emit(cone, std::move(outer), RegionRelation::kContains);
           emitted = true;
         }
       }
       if (emitted) continue;
-      emit(fresh_cone(), RegionRelation::kDisjoint);
+      emit_fresh(RegionRelation::kDisjoint);
       continue;
     }
 
@@ -219,7 +251,8 @@ Trace GenerateRadialTrace(const RadialTraceConfig& config) {
       // may not be worthwhile).
       bool emitted = false;
       for (int attempt = 0; attempt < 12 && !emitted; ++attempt) {
-        const Cone& parent = history.cone(rng.NextUint64(history.size()));
+        const size_t parent_index = rng.NextUint64(history.size());
+        const Cone& parent = history.cone(parent_index);
         double r2 = RoundTo(
             std::clamp(parent.radius_arcmin * rng.NextDouble(0.6, 1.4),
                        config.radius_min_arcmin, config.radius_max_arcmin),
@@ -230,14 +263,15 @@ Trace GenerateRadialTrace(const RadialTraceConfig& config) {
         if (lo >= hi) continue;
         Cone cone = offset_center(parent, rng.NextDouble(lo, hi));
         cone.radius_arcmin = r2;
-        if (geometry::Relate(cone.Sphere(), parent.Sphere()) ==
+        geometry::Hypersphere sphere = cone.Sphere();
+        if (geometry::Relate(sphere, history.sphere(parent_index)) ==
             RegionRelation::kOverlap) {
-          emit(cone, RegionRelation::kOverlap);
+          emit(cone, std::move(sphere), RegionRelation::kOverlap);
           emitted = true;
         }
       }
       if (emitted) continue;
-      emit(fresh_cone(), RegionRelation::kDisjoint);
+      emit_fresh(RegionRelation::kDisjoint);
       continue;
     }
 
@@ -253,35 +287,30 @@ Trace GenerateRadialTrace(const RadialTraceConfig& config) {
           2);
       return cone;
     };
-    auto is_disjoint = [&](const Cone& cone) {
-      geometry::Hypersphere sphere = cone.Sphere();
-      for (size_t idx : history.Nearby(cone)) {
-        if (geometry::Intersects(sphere, history.cone(idx).Sphere())) {
-          return false;
-        }
-      }
-      return true;
+    auto is_disjoint = [&](const Cone& cone,
+                           const geometry::Hypersphere& sphere) {
+      return !history.AnyNearby(cone, [&](size_t index) {
+        return geometry::Intersects(sphere, history.sphere(index));
+      });
     };
     Cone cone = fresh_cone();
-    bool placed = is_disjoint(cone);
+    geometry::Hypersphere sphere = cone.Sphere();
+    bool placed = is_disjoint(cone, sphere);
     for (int attempt = 0; attempt < 24 && !placed; ++attempt) {
       cone = attempt < 8 ? fresh_cone() : uniform_cone();
-      placed = is_disjoint(cone);
+      sphere = cone.Sphere();
+      placed = is_disjoint(cone, sphere);
     }
     RegionRelation label = RegionRelation::kDisjoint;
     if (!placed) {
-      // Dense sky: accept the intersection and label it truthfully.
-      geometry::Hypersphere sphere = cone.Sphere();
-      for (size_t idx : history.Nearby(cone)) {
-        RegionRelation rel =
-            geometry::Relate(sphere, history.cone(idx).Sphere());
-        if (rel != RegionRelation::kDisjoint) {
-          label = rel;
-          break;
-        }
-      }
+      // Dense sky: accept the intersection and label it truthfully. The
+      // first non-disjoint cone in visiting order names the label.
+      history.AnyNearby(cone, [&](size_t index) {
+        label = geometry::Relate(sphere, history.sphere(index));
+        return label != RegionRelation::kDisjoint;
+      });
     }
-    emit(cone, label);
+    emit(cone, std::move(sphere), label);
   }
   return trace;
 }
@@ -311,6 +340,7 @@ Trace GenerateFlashCrowdTrace(const FlashCrowdTraceConfig& config) {
   hot.ra = RoundTo(config.hot_ra, 4);
   hot.dec = RoundTo(config.hot_dec, 4);
   hot.radius_arcmin = RoundTo(config.hot_radius_arcmin, 2);
+  const geometry::Hypersphere hot_sphere = hot.Sphere();
 
   auto hot_query = [&](const Cone& cone, RegionRelation intended) {
     TraceQuery query;
@@ -336,11 +366,13 @@ Trace GenerateFlashCrowdTrace(const FlashCrowdTraceConfig& config) {
       Cone child = hot;
       child.radius_arcmin =
           RoundTo(hot.radius_arcmin * rng.NextDouble(0.4, 0.9), 2);
-      if (child.radius_arcmin >= 0.5 &&
-          geometry::Contains(hot.Sphere(), child.Sphere()) &&
-          !geometry::Equals(hot.Sphere(), child.Sphere())) {
-        trace.queries[i] = hot_query(child, RegionRelation::kContainedBy);
-        continue;
+      if (child.radius_arcmin >= 0.5) {
+        const geometry::Hypersphere child_sphere = child.Sphere();
+        if (geometry::Contains(hot_sphere, child_sphere) &&
+            !geometry::Equals(hot_sphere, child_sphere)) {
+          trace.queries[i] = hot_query(child, RegionRelation::kContainedBy);
+          continue;
+        }
       }
     }
     trace.queries[i] = hot_query(hot, RegionRelation::kEqual);

@@ -250,6 +250,12 @@ class Parser {
     return out;
   }
 
+  Status NestedTooDeep() const {
+    return Status::ParseError("XML nested deeper than " +
+                              std::to_string(kMaxXmlDepth) +
+                              " levels at offset " + std::to_string(pos_));
+  }
+
   StatusOr<std::unique_ptr<XmlElement>> ParseElement() {
     if (!Match("<")) {
       return Status::ParseError("expected '<' at offset " +
@@ -322,8 +328,11 @@ class Parser {
           return Status::ParseError("unsupported XML construct at offset " +
                                     std::to_string(pos_));
         }
+        if (depth_ == kMaxXmlDepth) return NestedTooDeep();
+        ++depth_;
         FNPROXY_ASSIGN_OR_RETURN(std::unique_ptr<XmlElement> child,
                                  ParseElement());
+        --depth_;
         // Transfer ownership into the tree.
         XmlElement* slot = element->AddChild(child->name());
         *slot = std::move(*child);
@@ -336,6 +345,9 @@ class Parser {
 
   std::string_view input_;
   size_t pos_ = 0;
+  /// Nesting level of the element being parsed; the root is level 1. An
+  /// error abandons the parse, so early returns need not restore it.
+  int depth_ = 1;
 };
 
 }  // namespace

@@ -64,7 +64,15 @@ class XmlElement {
   std::vector<std::unique_ptr<XmlElement>> children_;
 };
 
-/// Parses a complete XML document and returns its root element.
+/// The deepest element nesting ParseXml accepts; the root is level 1. The
+/// parser recurses once per level and trees are freed recursively, so the
+/// bound keeps hostile input (origin bodies, peer bodies, snapshot regions)
+/// from overflowing a thread's stack. The deepest document this repository
+/// writes or ships has 6 levels.
+inline constexpr int kMaxXmlDepth = 64;
+
+/// Parses a complete XML document and returns its root element. Documents
+/// nested deeper than kMaxXmlDepth are a ParseError.
 util::StatusOr<std::unique_ptr<XmlElement>> ParseXml(std::string_view input);
 
 /// Escapes the five predefined XML entities in `text`.

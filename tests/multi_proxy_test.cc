@@ -91,9 +91,7 @@ ProxyTierOptions TierOptions(size_t num_proxies) {
 // and through a single proxy yields byte-identical XML answers per query,
 // with the same number of origin executions.
 TEST(MultiProxyTier, FourProxyTierMatchesSingleProxyByteForByte) {
-  workload::SkyExperiment::Options sky_options;
-  sky_options.trace.num_queries = 1;  // Placeholder; queries are hand-built.
-  workload::SkyExperiment sky(sky_options);
+  workload::SkyExperiment sky{workload::SkyExperiment::Options()};
   const workload::Trace trace = OracleTrace();
 
   TierStack quad(sky, TierOptions(4));
@@ -155,9 +153,7 @@ TEST(MultiProxyTier, StatsSumInvariantUnderConcurrentReplay) {
 // everyone else rides it (local single-flight followers or peer-flight
 // joins on the owning sibling).
 TEST(MultiProxyTier, CrossProxyThunderingHerdFetchesOriginOnce) {
-  workload::SkyExperiment::Options sky_options;
-  sky_options.trace.num_queries = 1;
-  workload::SkyExperiment sky(sky_options);
+  workload::SkyExperiment sky{workload::SkyExperiment::Options()};
 
   workload::Trace herd;
   herd.form_path = "/radial";
@@ -224,9 +220,7 @@ std::pair<size_t, std::vector<workload::TraceQuery>> QueriesOwnedBySibling(
 }
 
 TEST(MultiProxyTier, PeerOutageTripsBreakerFallsBackAndRecovers) {
-  workload::SkyExperiment::Options sky_options;
-  sky_options.trace.num_queries = 1;
-  workload::SkyExperiment sky(sky_options);
+  workload::SkyExperiment sky{workload::SkyExperiment::Options()};
   workload::Trace shape;  // Only provides the form path for MakeRequest.
   shape.form_path = "/radial";
 
@@ -299,9 +293,7 @@ TEST(MultiProxyTier, PeerOutageTripsBreakerFallsBackAndRecovers) {
 // requester: the probe is counted as a peer failure, the request falls back
 // to the origin, and the answer matches a tier that never spoke to a peer.
 TEST(MultiProxyTier, GarbagePeerResponsesAreNeverServed) {
-  workload::SkyExperiment::Options sky_options;
-  sky_options.trace.num_queries = 1;
-  workload::SkyExperiment sky(sky_options);
+  workload::SkyExperiment sky{workload::SkyExperiment::Options()};
   workload::Trace shape;
   shape.form_path = "/radial";
 

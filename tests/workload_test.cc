@@ -1,16 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "catalog/sky_catalog.h"
 #include "geometry/celestial.h"
 #include "geometry/hypersphere.h"
 #include "geometry/region.h"
 #include "net/fault.h"
 #include "net/network.h"
 #include "proxy_test_util.h"
+#include "server/sky_functions.h"
 #include "server/web_app.h"
 #include "util/clock.h"
 #include "util/string_util.h"
@@ -475,6 +480,184 @@ INSTANTIATE_TEST_SUITE_P(
                       MatrixCell{3, 4, Profile::kFlaky},
                       MatrixCell{3, 4, Profile::kOutage}),
     CellName);
+
+// --- Substrate digests -------------------------------------------------------
+//
+// The DeterministicInSeed tests compare a generator with itself, so they
+// cannot see a refactor that changes what it emits. These pin 64-bit FNV-1a
+// digests of the experiment substrate's exact bytes (doubles by bit pattern):
+// the paper-size catalog, the seed-2004 paper trace, bench_e2e's flash-crowd
+// trace and the origin's spatial-index candidate lists. A failure names the
+// artefact that drifted; every paper number and bench/e2e metric rests on
+// it. The digests assume x86-64 with this repository's compiler flags, which
+// allow no FMA contraction: a build that fuses multiply-adds rounds the trig
+// differently and will not match.
+
+/// Streaming 64-bit FNV-1a.
+class Fnv64 {
+ public:
+  void Add(const void* data, size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      hash_ ^= bytes[i];
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void AddU64(uint64_t v) { Add(&v, sizeof v); }
+  void AddDouble(double v) {
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    AddU64(bits);
+  }
+  void AddString(std::string_view s) {
+    AddU64(s.size());
+    Add(s.data(), s.size());
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+uint64_t TableDigest(const sql::Table& table) {
+  Fnv64 fnv;
+  fnv.AddU64(table.num_rows());
+  for (const sql::Row& row : table.rows()) {
+    for (const sql::Value& v : row) {
+      fnv.AddU64(static_cast<uint64_t>(v.type()));
+      switch (v.type()) {
+        case sql::ValueType::kInt:
+          fnv.AddU64(static_cast<uint64_t>(v.AsInt()));
+          break;
+        case sql::ValueType::kDouble:
+          fnv.AddDouble(v.AsDouble());
+          break;
+        case sql::ValueType::kBool:
+          fnv.AddU64(v.AsBool() ? 1 : 0);
+          break;
+        case sql::ValueType::kString:
+          fnv.AddString(v.AsString());
+          break;
+        case sql::ValueType::kNull:
+          break;
+      }
+    }
+  }
+  return fnv.value();
+}
+
+uint64_t TraceDigest(const Trace& trace) {
+  Fnv64 fnv;
+  fnv.AddString(trace.Serialize());
+  return fnv.value();
+}
+
+/// The seed-2004 Radial configuration bench_e2e builds its traces from: the
+/// experiment's footprint, with the catalog's cluster centers as hotspots.
+RadialTraceConfig PaperRadialConfig() {
+  SkyExperiment::Options options;
+  RadialTraceConfig config = options.trace;
+  catalog::SkyCatalogConfig centers_only = options.catalog;
+  centers_only.num_objects = 0;
+  std::vector<std::pair<double, double>> clusters;
+  catalog::GenerateSkyCatalog(centers_only, &clusters);
+  for (const auto& [ra, dec] : clusters) {
+    if (ra >= config.ra_min && ra <= config.ra_max && dec >= config.dec_min &&
+        dec <= config.dec_max) {
+      config.hotspot_centers.emplace_back(ra, dec);
+    }
+  }
+  return config;
+}
+
+/// One paper-size experiment shared by the digest tests; its PhotoPrimary
+/// table is GenerateSkyCatalog(SkyExperiment::Options().catalog).
+class SubstrateDigestTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    experiment_ = new SkyExperiment(SkyExperiment::Options());
+  }
+  static void TearDownTestSuite() {
+    delete experiment_;
+    experiment_ = nullptr;
+  }
+  static const sql::Table& Catalog() {
+    return *experiment_->database()->FindTable("PhotoPrimary");
+  }
+
+  static SkyExperiment* experiment_;
+};
+
+SkyExperiment* SubstrateDigestTest::experiment_ = nullptr;
+
+TEST_F(SubstrateDigestTest, PaperCatalogCells) {
+  ASSERT_EQ(Catalog().num_rows(), 300000u);
+  EXPECT_EQ(TableDigest(Catalog()), 0x8eaa7c8e345b4ed4ULL)
+      << "GenerateSkyCatalog(SkyExperiment::Options().catalog) drifted";
+}
+
+TEST_F(SubstrateDigestTest, PaperTrace) {
+  ASSERT_EQ(experiment_->trace().queries.size(), 11323u);
+  EXPECT_EQ(TraceDigest(experiment_->trace()), 0x5e3a30378cfb7a66ULL)
+      << "the seed-2004 SkyExperiment::trace() drifted";
+  // bench_e2e's trace 0 is the same trace, built outside the experiment.
+  EXPECT_EQ(TraceDigest(GenerateRadialTrace(PaperRadialConfig())),
+            TraceDigest(experiment_->trace()));
+}
+
+TEST_F(SubstrateDigestTest, FlashCrowdTrace) {
+  FlashCrowdTraceConfig crowd;
+  crowd.base = PaperRadialConfig();
+  crowd.seed = 2004 ^ 0x5eedf1a5ULL;
+  crowd.hot_ra = 180.0;
+  crowd.hot_dec = 30.0;
+  crowd.hot_radius_arcmin = 20.0;
+  EXPECT_EQ(TraceDigest(GenerateFlashCrowdTrace(crowd)), 0xe26b0b95d1284fbeULL)
+      << "bench_e2e's seed-2004 flash-crowd trace drifted";
+}
+
+TEST_F(SubstrateDigestTest, SkyGridCandidates) {
+  const server::SkyGrid grid(&Catalog());
+  // 21 x 14 window origins x 2 sizes = 588 windows, some reaching past the
+  // catalog's footprint (ra 130-230, dec 0-60) on every side.
+  Fnv64 fnv;
+  size_t windows = 0;
+  for (int i = 0; i < 21; ++i) {
+    for (int j = 0; j < 14; ++j) {
+      for (double size : {0.37, 2.9}) {
+        const double ra = 123.5 + 5.3 * i;
+        const double dec = -4.25 + 4.9 * j;
+        const std::vector<size_t> ids =
+            grid.Candidates(ra, ra + size * 1.5, dec, dec + size);
+        fnv.AddU64(ids.size());
+        for (size_t id : ids) fnv.AddU64(id);
+        ++windows;
+      }
+    }
+  }
+  ASSERT_EQ(windows, 588u);
+  EXPECT_EQ(fnv.value(), 0xadc6e71da957646aULL)
+      << "SkyGrid::Candidates drifted";
+}
+
+// trace() is built on its first call; concurrent first calls must build it
+// once and all see the same trace (run under TSan in CI).
+TEST(SkyExperimentTest, ConcurrentFirstTraceCallsAgree) {
+  SkyExperiment::Options options;
+  options.catalog.num_objects = 2000;
+  options.trace.num_queries = 300;
+  const SkyExperiment experiment(options);
+  constexpr int kThreads = 8;
+  std::vector<const Trace*> seen(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] { seen[t] = &experiment.trace(); });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const Trace* trace : seen) EXPECT_EQ(trace, seen[0]);
+  EXPECT_EQ(seen[0]->queries.size(), 300u);
+  EXPECT_EQ(seen[0]->Serialize(), SkyExperiment(options).trace().Serialize());
+}
 
 }  // namespace
 }  // namespace fnproxy::workload

@@ -169,9 +169,7 @@ int main(int argc, char** argv) {
                             : 0;
 
   // Build the standard experiment substrate but replay the user's trace.
-  workload::SkyExperiment::Options sky_options;
-  sky_options.trace.num_queries = 1;  // Placeholder; we replay the file.
-  workload::SkyExperiment experiment(sky_options);
+  workload::SkyExperiment experiment{workload::SkyExperiment::Options()};
 
   std::unique_ptr<obs::JsonlTraceWriter> trace_writer;
   if (!trace_out.empty()) {
