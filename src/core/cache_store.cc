@@ -4,8 +4,6 @@
 #include <cassert>
 #include <limits>
 
-#include "storage/wire.h"
-
 namespace fnproxy::core {
 
 const char* EntryTierName(EntryTier tier) {
@@ -14,8 +12,6 @@ const char* EntryTierName(EntryTier tier) {
       return "hot";
     case EntryTier::kFrozen:
       return "frozen";
-    case EntryTier::kSpilled:
-      return "spilled";
   }
   return "?";
 }
@@ -70,19 +66,6 @@ CacheStore::CacheStore(const RegionIndexFactory& factory, size_t num_shards,
   }
 }
 
-CacheStore::~CacheStore() {
-  // Destruction is single-threaded by contract; locks are taken only to
-  // satisfy the thread-safety analysis.
-  for (const auto& shard : shards_) {
-    util::ReaderMutexLock lock(shard->mu);
-    for (const auto& [id, stored] : shard->entries) {
-      if (!stored.entry->spill_file.empty()) {
-        storage::RemoveFileIfExists(stored.entry->spill_file);
-      }
-    }
-  }
-}
-
 uint64_t CacheStore::PickVictim(double* priority) const {
   // One read of the fit per scan, so every entry is priced by the same line.
   const RefetchCost cost = refetch_cost_.Current();
@@ -121,7 +104,7 @@ uint64_t CacheStore::Insert(CacheEntry entry, size_t* comparisons) {
 uint64_t CacheStore::Insert(CacheEntry entry, size_t* comparisons,
                             std::shared_ptr<const CacheEntry>* snapshot_out) {
   assert(entry.region != nullptr);
-  assert(entry.tier != EntryTier::kSpilled);  // Admissions are hot or frozen.
+  assert(entry.tier == EntryTier::kHot || entry.segment != nullptr);
   *comparisons = 0;
   if (snapshot_out != nullptr) snapshot_out->reset();
   // Entry metadata overhead on top of the tier's payload.
@@ -206,11 +189,6 @@ bool CacheStore::Remove(uint64_t id, size_t* comparisons) {
   num_entries_.fetch_sub(1, std::memory_order_relaxed);
   if (removed->tier == EntryTier::kFrozen) {
     frozen_entries_.fetch_sub(1, std::memory_order_relaxed);
-  } else if (removed->tier == EntryTier::kSpilled) {
-    spilled_entries_.fetch_sub(1, std::memory_order_relaxed);
-    spill_bytes_.fetch_sub(removed->spill_file_bytes,
-                           std::memory_order_relaxed);
-    storage::RemoveFileIfExists(removed->spill_file);
   }
   return true;
 }
@@ -240,13 +218,9 @@ bool CacheStore::SwapEntry(uint64_t id,
   }
   if (old_tier == EntryTier::kFrozen) {
     frozen_entries_.fetch_sub(1, std::memory_order_relaxed);
-  } else if (old_tier == EntryTier::kSpilled) {
-    spilled_entries_.fetch_sub(1, std::memory_order_relaxed);
   }
   if (new_tier == EntryTier::kFrozen) {
     frozen_entries_.fetch_add(1, std::memory_order_relaxed);
-  } else if (new_tier == EntryTier::kSpilled) {
-    spilled_entries_.fetch_add(1, std::memory_order_relaxed);
   }
   return true;
 }
@@ -263,48 +237,39 @@ CacheEntry CacheStore::CloneMeta(const CacheEntry& entry) {
   return clone;
 }
 
-std::string CacheStore::SpillPathFor(uint64_t id) {
-  // A fresh name per spill: a reader deleting the file it just faulted back
-  // must never hit a newer spill of the same entry.
-  return tier_config_.spill_dir + "/entry-" + std::to_string(id) + "-" +
-         std::to_string(spill_seq_.fetch_add(1, std::memory_order_relaxed)) +
-         ".seg";
+CacheEntry CacheStore::Thawed(const CacheEntry& entry) {
+  CacheEntry promoted = CloneMeta(entry);
+  promoted.tier = EntryTier::kHot;
+  promoted.result = entry.segment->Thaw();
+  promoted.bytes = promoted.result.ByteSize() + 256;
+  return promoted;
 }
 
-TierSweepResult CacheStore::SweepColdEntries(int64_t now_micros) {
-  TierSweepResult result;
-  const TierConfig& cfg = tier_config_;
-  if (cfg.freeze_idle_micros <= 0 && cfg.spill_idle_micros <= 0) return result;
-
-  // Phase 1: collect demotion candidates under shared locks (snapshots keep
+size_t CacheStore::SweepColdEntries(int64_t now_micros,
+                                    int64_t freeze_idle_micros) {
+  // Phase 1: collect idle hot entries under shared locks (snapshots keep
   // the entries alive after release).
   struct Candidate {
     uint64_t id;
     std::shared_ptr<const CacheEntry> entry;
   };
   std::vector<Candidate> to_freeze;
-  std::vector<Candidate> to_spill;
   for (const auto& shard : shards_) {
     util::ReaderMutexLock lock(shard->mu);
     for (const auto& [id, stored] : shard->entries) {
       int64_t idle =
           now_micros - stored.last_access_micros.load(std::memory_order_relaxed);
-      const std::shared_ptr<const CacheEntry>& entry = stored.entry;
-      if (entry->tier == EntryTier::kHot && cfg.freeze_idle_micros > 0 &&
-          idle >= cfg.freeze_idle_micros) {
-        to_freeze.push_back({id, entry});
-      } else if (entry->tier == EntryTier::kFrozen &&
-                 cfg.spill_idle_micros > 0 && !cfg.spill_dir.empty() &&
-                 idle >= cfg.spill_idle_micros) {
-        to_spill.push_back({id, entry});
+      if (stored.entry->tier == EntryTier::kHot && idle >= freeze_idle_micros) {
+        to_freeze.push_back({id, stored.entry});
       }
     }
   }
 
-  // Phase 2: encode / write outside the locks, then install with a
-  // validate-and-swap (a concurrently promoted or evicted entry loses its
-  // demotion silently). An entry touched between collection and swap may
-  // still freeze — harmless, the next tuple access thaws it.
+  // Phase 2: encode outside the locks, then install with a validate-and-swap
+  // (a concurrently promoted or evicted entry loses its demotion silently).
+  // An entry touched between collection and swap may still freeze —
+  // harmless, the next tuple access thaws it.
+  size_t frozen = 0;
   for (const Candidate& c : to_freeze) {
     auto segment = std::make_shared<const storage::FrozenSegment>(
         storage::FrozenSegment::Freeze(c.entry->result));
@@ -319,91 +284,21 @@ TierSweepResult CacheStore::SweepColdEntries(int64_t now_micros) {
                                   std::memory_order_relaxed);
       frozen_encoded_bytes_.fetch_add(segment->ByteSize(),
                                       std::memory_order_relaxed);
-      ++result.frozen;
+      ++frozen;
     }
   }
-
-  for (const Candidate& c : to_spill) {
-    std::string file = storage::BuildSnapshotFile(
-        {{storage::kSectionEntries, c.entry->segment->Serialize()}});
-    if (cfg.spill_max_bytes != 0 &&
-        spill_bytes_.load(std::memory_order_relaxed) + file.size() >
-            cfg.spill_max_bytes) {
-      break;  // Disk budget exhausted; later sweeps retry as files fault back.
-    }
-    std::string path = SpillPathFor(c.id);
-    if (!storage::WriteFileAtomic(path, file).ok()) {
-      spill_io_errors_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    CacheEntry demoted = CloneMeta(*c.entry);
-    demoted.tier = EntryTier::kSpilled;
-    demoted.spill_file = path;
-    demoted.spill_file_bytes = file.size();
-    demoted.bytes = 256;
-    if (SwapEntry(c.id, c.entry,
-                  std::make_shared<const CacheEntry>(std::move(demoted)))) {
-      spills_.fetch_add(1, std::memory_order_relaxed);
-      spill_bytes_.fetch_add(file.size(), std::memory_order_relaxed);
-      ++result.spilled;
-    } else {
-      storage::RemoveFileIfExists(path);
-    }
-  }
-  return result;
+  return frozen;
 }
 
 std::shared_ptr<const CacheEntry> CacheStore::FindHot(uint64_t id) {
   for (int attempt = 0; attempt < 4; ++attempt) {
     std::shared_ptr<const CacheEntry> snapshot = Find(id);
-    if (snapshot == nullptr) return nullptr;
-    if (snapshot->tier == EntryTier::kHot) return snapshot;
-
-    std::shared_ptr<const storage::FrozenSegment> segment = snapshot->segment;
-    if (snapshot->tier == EntryTier::kSpilled) {
-      // Fault the segment back from disk, without locks. A lost or corrupt
-      // spill file turns the entry into a miss (dropped, not served wrong).
-      auto contents = storage::ReadFileToString(snapshot->spill_file);
-      std::shared_ptr<const storage::FrozenSegment> parsed;
-      if (contents.ok()) {
-        auto sections = storage::ParseSnapshotFile(*contents);
-        if (sections.ok()) {
-          for (const storage::Section& section : *sections) {
-            if (section.id != storage::kSectionEntries) continue;
-            auto seg = storage::FrozenSegment::Parse(section.payload);
-            if (seg.ok()) {
-              parsed = std::make_shared<const storage::FrozenSegment>(
-                  std::move(*seg));
-            }
-            break;
-          }
-        }
-      }
-      if (parsed == nullptr) {
-        // A concurrent reader may have promoted this snapshot and deleted
-        // its file first; then the entry has moved on, so look again.
-        if (Find(id) != snapshot) continue;
-        spill_io_errors_.fetch_add(1, std::memory_order_relaxed);
-        size_t comparisons = 0;
-        Remove(id, &comparisons);
-        return nullptr;
-      }
-      segment = std::move(parsed);
-      spill_faults_.fetch_add(1, std::memory_order_relaxed);
+    if (snapshot == nullptr || snapshot->tier == EntryTier::kHot) {
+      return snapshot;
     }
-
-    CacheEntry promoted = CloneMeta(*snapshot);
-    promoted.tier = EntryTier::kHot;
-    promoted.result = segment->Thaw();
-    promoted.bytes = promoted.result.ByteSize() + 256;
-    auto hot = std::make_shared<const CacheEntry>(std::move(promoted));
+    auto hot = std::make_shared<const CacheEntry>(Thawed(*snapshot));
     if (SwapEntry(id, snapshot, hot)) {
       thaws_.fetch_add(1, std::memory_order_relaxed);
-      if (snapshot->tier == EntryTier::kSpilled) {
-        spill_bytes_.fetch_sub(snapshot->spill_file_bytes,
-                               std::memory_order_relaxed);
-        storage::RemoveFileIfExists(snapshot->spill_file);
-      }
       return hot;
     }
     // Swap lost a race (concurrent promotion or eviction); re-read and retry.
@@ -412,12 +307,7 @@ std::shared_ptr<const CacheEntry> CacheStore::FindHot(uint64_t id) {
   // without installing it.
   std::shared_ptr<const CacheEntry> snapshot = Find(id);
   if (snapshot == nullptr || snapshot->tier == EntryTier::kHot) return snapshot;
-  if (snapshot->segment == nullptr) return nullptr;
-  CacheEntry promoted = CloneMeta(*snapshot);
-  promoted.tier = EntryTier::kHot;
-  promoted.result = snapshot->segment->Thaw();
-  promoted.bytes = promoted.result.ByteSize() + 256;
-  return std::make_shared<const CacheEntry>(std::move(promoted));
+  return std::make_shared<const CacheEntry>(Thawed(*snapshot));
 }
 
 std::shared_ptr<const CacheEntry> CacheStore::Find(uint64_t id) const {

@@ -21,12 +21,11 @@
 namespace fnproxy::core {
 
 /// Storage tier of a cached entry. Entries are admitted hot; the maintenance
-/// sweep demotes idle entries to compressed frozen segments and the coldest
-/// frozen segments to disk. Lookups that need tuples promote back to hot.
+/// sweep demotes idle entries to compressed frozen segments, and lookups
+/// that need tuples thaw them back to hot.
 enum class EntryTier : uint8_t {
   kHot,     ///< Raw ColumnarTable in `result`; zero-cost scans.
   kFrozen,  ///< Compressed FrozenSegment in memory; `result` is empty.
-  kSpilled, ///< Segment on disk at `spill_file`; faulted back on access.
 };
 
 const char* EntryTierName(EntryTier tier);
@@ -54,13 +53,10 @@ struct CacheEntry {
   /// checks read only the region and identity fields, and tuple access goes
   /// through CacheStore::FindHot, which promotes first.
   EntryTier tier = EntryTier::kHot;
-  /// Compressed payload when tier == kFrozen (shared: a reader's snapshot
-  /// stays valid after concurrent promotion or eviction).
+  /// Compressed payload when tier == kFrozen, and never null then (shared:
+  /// a reader's snapshot stays valid after concurrent promotion or
+  /// eviction).
   std::shared_ptr<const storage::FrozenSegment> segment;
-  /// On-disk segment container when tier == kSpilled.
-  std::string spill_file;
-  /// Size of `spill_file` on disk (the spill-budget charge).
-  size_t spill_file_bytes = 0;
   size_t bytes = 0;
   /// Access bookkeeping as of admission; live values are kept by the store
   /// (updated by Touch) so replacement works without mutating the shared
@@ -123,33 +119,13 @@ class RefetchCostFit {
 using RegionIndexFactory =
     std::function<std::unique_ptr<index::RegionIndex>()>;
 
-/// Storage-tier policy: idle thresholds for demotion and the disk budget for
-/// the spill tier. Zero thresholds disable the corresponding demotion.
-struct TierConfig {
-  /// Hot entries idle at least this long are frozen by the sweep.
-  int64_t freeze_idle_micros = 0;
-  /// Frozen entries idle at least this long spill to disk.
-  int64_t spill_idle_micros = 0;
-  /// Directory for spilled segment files; spilling is disabled when empty.
-  std::string spill_dir;
-  /// Cap on total spilled bytes on disk (0 = unlimited). The sweep stops
-  /// spilling when the next file would exceed it.
-  size_t spill_max_bytes = 0;
-};
-
-/// What one maintenance sweep did (for observability counters).
-struct TierSweepResult {
-  size_t frozen = 0;
-  size_t spilled = 0;
-};
-
 /// The proxy's Cache Manager: owns the entries, keeps the cache description
 /// (a RegionIndex over entry bounding boxes) in sync, enforces the byte
 /// budget by evicting per the policy, and tracks statistics.
 ///
 /// Eviction priorities are tier-independent: an entry's size s and row
-/// count are fixed at admission, so freezing, spilling or thawing it never
-/// changes which entry is evicted next.
+/// count are fixed at admission, so freezing or thawing it never changes
+/// which entry is evicted next.
 ///
 /// Threading model: entries are partitioned into shards by id, each shard
 /// guarded by its own shared_mutex — lookups, description probes and
@@ -170,14 +146,6 @@ class CacheStore {
 
   CacheStore(const CacheStore&) = delete;
   CacheStore& operator=(const CacheStore&) = delete;
-
-  /// Removes any remaining spill files.
-  ~CacheStore();
-
-  /// Installs the storage-tier policy. Call during setup, before concurrent
-  /// use (the config itself is not lock-protected).
-  void set_tier_config(TierConfig config) { tier_config_ = std::move(config); }
-  const TierConfig& tier_config() const { return tier_config_; }
 
   /// Inserts a new entry (fields other than id/bytes filled by the caller);
   /// returns its id. May evict other entries to fit; an entry larger than
@@ -203,17 +171,15 @@ class CacheStore {
   /// not thaw entries they end up not serving from).
   std::shared_ptr<const CacheEntry> Find(uint64_t id) const;
 
-  /// Lookup that guarantees tuples: promotes frozen/spilled entries back to
-  /// the hot tier (thaw / disk fault-back) and returns a hot snapshot. Null
-  /// when the id is unknown or a spill file is lost/corrupt (such entries
-  /// are dropped from the cache and counted in spill_io_errors()).
+  /// Lookup that guarantees tuples: thaws a frozen entry back to the hot
+  /// tier and returns a hot snapshot. Null when the id is unknown.
   std::shared_ptr<const CacheEntry> FindHot(uint64_t id);
 
-  /// Demotes idle entries per the tier config: hot -> frozen -> spilled.
-  /// Encoding and disk I/O run outside the shard locks; the swap re-checks
-  /// entry identity, so it is safe to call from a maintenance thread while
-  /// requests are served.
-  TierSweepResult SweepColdEntries(int64_t now_micros);
+  /// Freezes every hot entry idle for at least `freeze_idle_micros` at
+  /// `now_micros`; returns how many it froze. Encoding runs outside the
+  /// shard locks and the swap re-checks entry identity, so it is safe to
+  /// call from a maintenance thread while requests are served.
+  size_t SweepColdEntries(int64_t now_micros, int64_t freeze_idle_micros);
 
   /// Marks an access for replacement bookkeeping: the access time, the
   /// current L as the entry's priority base, and one more access.
@@ -264,21 +230,8 @@ class CacheStore {
   size_t frozen_entries() const {
     return frozen_entries_.load(std::memory_order_relaxed);
   }
-  size_t spilled_entries() const {
-    return spilled_entries_.load(std::memory_order_relaxed);
-  }
-  size_t spill_bytes_used() const {
-    return spill_bytes_.load(std::memory_order_relaxed);
-  }
   uint64_t freezes() const { return freezes_.load(std::memory_order_relaxed); }
   uint64_t thaws() const { return thaws_.load(std::memory_order_relaxed); }
-  uint64_t spills() const { return spills_.load(std::memory_order_relaxed); }
-  uint64_t spill_faults() const {
-    return spill_faults_.load(std::memory_order_relaxed);
-  }
-  uint64_t spill_io_errors() const {
-    return spill_io_errors_.load(std::memory_order_relaxed);
-  }
   /// Cumulative raw bytes of tables frozen and the encoded bytes they became
   /// (a live compression-ratio signal for the metrics endpoint).
   uint64_t frozen_raw_bytes() const {
@@ -336,13 +289,12 @@ class CacheStore {
 
   /// Builds the demoted/promoted twin of `entry` sharing the same identity.
   static CacheEntry CloneMeta(const CacheEntry& entry);
-
-  std::string SpillPathFor(uint64_t id);
+  /// The hot twin of frozen `entry`: its segment thawed into `result`.
+  static CacheEntry Thawed(const CacheEntry& entry);
 
   std::vector<std::unique_ptr<Shard>> shards_;
   size_t max_bytes_;
   ReplacementPolicy policy_;
-  TierConfig tier_config_;
   RefetchCostFit refetch_cost_;
   /// GreedyDual-Size-Frequency L: the priority of the last victim.
   std::atomic<double> inflation_{0};
@@ -351,14 +303,8 @@ class CacheStore {
   std::atomic<uint64_t> next_id_{1};
   std::atomic<uint64_t> evictions_{0};
   std::atomic<size_t> frozen_entries_{0};
-  std::atomic<size_t> spilled_entries_{0};
-  std::atomic<size_t> spill_bytes_{0};
   std::atomic<uint64_t> freezes_{0};
   std::atomic<uint64_t> thaws_{0};
-  std::atomic<uint64_t> spills_{0};
-  std::atomic<uint64_t> spill_faults_{0};
-  std::atomic<uint64_t> spill_io_errors_{0};
-  std::atomic<uint64_t> spill_seq_{0};
   std::atomic<uint64_t> frozen_raw_bytes_{0};
   std::atomic<uint64_t> frozen_encoded_bytes_{0};
 };

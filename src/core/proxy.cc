@@ -18,6 +18,7 @@
 #include "sql/table_xml.h"
 #include "storage/wire.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace fnproxy::core {
 
@@ -119,8 +120,11 @@ constexpr std::chrono::milliseconds kCollapseWait{30'000};
 /// map to the same owning proxy, so exact repeats and concentric contained
 /// variants probe the sibling that actually holds the covering entry.
 constexpr double kPeerOwnershipCell = 0.05;
-/// A storage-tier sweep (freeze + spill pass) runs every N handled requests.
+/// A storage-tier sweep (freeze pass) runs every N handled requests.
 constexpr uint64_t kSweepEveryRequests = 64;
+/// The sweep freezes hot entries idle at least this long (virtual micros
+/// since their last access).
+constexpr int64_t kFreezeIdleMicros = 2'000'000;
 
 // --- Peer wire format helpers ----------------------------------------------
 //
@@ -155,13 +159,11 @@ bool SplitPeerBody(const std::string& body, std::string_view* region_xml,
   return true;
 }
 
+/// A peer token header's value; 0, which no flight has, when it is missing,
+/// malformed or past 2^64 - 1.
 uint64_t ParsePeerToken(const std::string& text) {
-  uint64_t token = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return 0;
-    token = token * 10 + static_cast<uint64_t>(c - '0');
-  }
-  return token;
+  auto token = util::ParseUint64(text);
+  return token.ok() ? *token : 0;
 }
 
 }  // namespace
@@ -185,18 +187,10 @@ FunctionProxy::FunctionProxy(ProxyConfig config,
                                         config_.replacement);
   breaker_ = std::make_unique<net::CircuitBreaker>(config_.breaker, clock_);
   channel_retries_baseline_ = origin_->retry_stats().retries;
-  if (config_.storage.enable) {
-    TierConfig tier;
-    tier.freeze_idle_micros = config_.storage.freeze_idle_micros;
-    tier.spill_idle_micros = config_.storage.spill_idle_micros;
-    tier.spill_dir = config_.storage.spill_dir;
-    tier.spill_max_bytes = config_.storage.spill_max_bytes;
-    cache_->set_tier_config(tier);
-    if (config_.storage.background_maintenance) {
-      util::ThreadPool::Options pool_options;
-      pool_options.num_threads = 1;
-      maintenance_pool_ = std::make_unique<util::ThreadPool>(pool_options);
-    }
+  if (config_.storage.enable && config_.storage.background_maintenance) {
+    util::ThreadPool::Options pool_options;
+    pool_options.num_threads = 1;
+    maintenance_pool_ = std::make_unique<util::ThreadPool>(pool_options);
   }
   RegisterInstruments();
   if (config_.storage.enable && config_.storage.restore_on_start &&
@@ -216,7 +210,7 @@ FunctionProxy::FunctionProxy(ProxyConfig config,
 
 FunctionProxy::~FunctionProxy() {
   // Drain in-flight maintenance first so the shutdown snapshot sees a
-  // quiescent cache and no sweep races the spill-directory teardown.
+  // quiescent cache.
   maintenance_pool_.reset();
   if (config_.storage.enable && !config_.storage.snapshot_path.empty()) {
     WriteSnapshotAndCount();
@@ -348,7 +342,8 @@ void FunctionProxy::RegisterInstruments() {
       {"serialize", &ins_.phase_serialize},
       {"cache_admit", &ins_.phase_cache_admit},
       {"peer_lookup", &ins_.phase_peer_lookup},
-      {"spill", &ins_.phase_spill},
+      // The tier sweep's phase; bench/e2e reads it under this name.
+      {"spill", &ins_.phase_sweep},
       {"restore", &ins_.phase_restore},
   };
   for (const PhaseSlot& s : slots) {
@@ -388,23 +383,18 @@ void FunctionProxy::RegisterInstruments() {
       [cache] { return cache->refetch_cost().Current().per_row_micros; });
 
   // Storage tier (docs/STORAGE.md): entry counts per tier, compression
-  // ratio inputs, tier transitions, spill health, and snapshot lifecycle.
+  // ratio inputs, tier transitions, and snapshot lifecycle.
   const char* tier_help = "Cache entries currently resident per storage tier";
   registry_.AddCallback("fnproxy_storage_tier_entries", tier_help,
                         /*is_counter=*/false, {{"tier", "hot"}}, [cache] {
                           size_t total = cache->num_entries();
-                          size_t cold = cache->frozen_entries() +
-                                        cache->spilled_entries();
+                          size_t cold = cache->frozen_entries();
                           return static_cast<double>(total > cold ? total - cold
                                                                   : 0);
                         });
   registry_.AddCallback("fnproxy_storage_tier_entries", tier_help,
                         /*is_counter=*/false, {{"tier", "frozen"}}, [cache] {
                           return static_cast<double>(cache->frozen_entries());
-                        });
-  registry_.AddCallback("fnproxy_storage_tier_entries", tier_help,
-                        /*is_counter=*/false, {{"tier", "spilled"}}, [cache] {
-                          return static_cast<double>(cache->spilled_entries());
                         });
   const char* transition_help = "Entry tier transitions, by kind";
   registry_.AddCallback("fnproxy_storage_tier_transitions_total",
@@ -417,16 +407,6 @@ void FunctionProxy::RegisterInstruments() {
                         {{"transition", "thaw"}}, [cache] {
                           return static_cast<double>(cache->thaws());
                         });
-  registry_.AddCallback("fnproxy_storage_tier_transitions_total",
-                        transition_help, /*is_counter=*/true,
-                        {{"transition", "spill"}}, [cache] {
-                          return static_cast<double>(cache->spills());
-                        });
-  registry_.AddCallback("fnproxy_storage_tier_transitions_total",
-                        transition_help, /*is_counter=*/true,
-                        {{"transition", "fault"}}, [cache] {
-                          return static_cast<double>(cache->spill_faults());
-                        });
   const char* frozen_bytes_help =
       "Bytes of frozen entries before and after columnar encoding";
   registry_.AddCallback("fnproxy_storage_frozen_bytes", frozen_bytes_help,
@@ -438,18 +418,8 @@ void FunctionProxy::RegisterInstruments() {
                           return static_cast<double>(
                               cache->frozen_encoded_bytes());
                         });
-  registry_.AddCallback("fnproxy_storage_spill_bytes",
-                        "Bytes of spilled segment files on disk",
-                        /*is_counter=*/false, {}, [cache] {
-                          return static_cast<double>(cache->spill_bytes_used());
-                        });
-  registry_.AddCallback(
-      "fnproxy_storage_spill_io_errors_total",
-      "Spill files that failed to write, read, or parse (entry dropped)",
-      /*is_counter=*/true, {},
-      [cache] { return static_cast<double>(cache->spill_io_errors()); });
   registry_.AddCallback("fnproxy_storage_sweeps_total",
-                        "Tier maintenance sweeps (freeze + spill passes) run",
+                        "Tier maintenance sweeps (freeze passes) run",
                         /*is_counter=*/true, {}, [this] {
                           return static_cast<double>(sweeps_run_.load(kRelaxed));
                         });
@@ -1224,13 +1194,12 @@ HttpResponse FunctionProxy::HandleTrace(const HttpRequest& request) {
   size_t last = 16;
   auto it = request.query_params.find("last");
   if (it != request.query_params.end()) {
-    last = 0;
-    for (char c : it->second) {
-      if (c < '0' || c > '9') {
-        return HttpResponse::MakeError(400, "last must be a non-negative integer");
-      }
-      last = last * 10 + static_cast<size_t>(c - '0');
+    auto parsed = util::ParseUint64(it->second);
+    if (!parsed.ok()) {
+      return HttpResponse::MakeError(
+          400, "last must be a non-negative integer below 2^64");
     }
+    last = *parsed;
   }
   HttpResponse response;
   response.content_type = "application/json";
@@ -1312,8 +1281,8 @@ HttpResponse FunctionProxy::HandlePeerLookup(const HttpRequest& request) {
   ChargeMicros(DescriptionCostMicros(rel.description_comparisons) +
                config_.costs.per_relation_check_us *
                    static_cast<double>(rel.regions_checked));
-  // Peer serves hand the full entry body across the wire, so a frozen or
-  // spilled match is promoted first; a vanished-cold entry falls through
+  // Peer serves hand the full entry body across the wire, so a frozen
+  // match is thawed first; a vanished-cold entry falls through
   // to the flight/miss logic below (no peer hit, no wrong data).
   if (rel.status == RegionRelation::kEqual) {
     auto hot = EnsureHot(rel.matched, nullptr);
@@ -1582,16 +1551,16 @@ void FunctionProxy::MaybeRunMaintenance() {
 
 void FunctionProxy::RunTierSweep(int64_t now_micros) {
   const auto wall_start = std::chrono::steady_clock::now();
-  TierSweepResult swept = cache_->SweepColdEntries(now_micros);
+  const size_t frozen = cache_->SweepColdEntries(now_micros, kFreezeIdleMicros);
   sweeps_run_.fetch_add(1, kRelaxed);
-  if (swept.frozen > 0 || swept.spilled > 0) {
+  if (frozen > 0) {
     // Wall time, not virtual: the sweep runs off the request lane, and its
-    // cost is real compression/IO work rather than modeled latency.
+    // cost is real compression work rather than modeled latency.
     const auto wall_micros =
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - wall_start)
             .count();
-    ins_.phase_spill->Observe(wall_micros);
+    ins_.phase_sweep->Observe(wall_micros);
   }
 }
 
@@ -1679,31 +1648,16 @@ util::Status FunctionProxy::WriteSnapshot(const std::string& path) const {
   meta.PutZigzag(clock_->NowMicros());
 
   // ENTRIES: every cache entry as a frozen segment. Hot entries are frozen
-  // on the way out (view-prepared columns are re-prepared on thaw); spilled
-  // entries contribute their on-disk segment payload.
+  // on the way out (view-prepared columns are re-prepared on thaw).
   storage::ByteWriter bodies;
   uint64_t written = 0;
   for (uint64_t id : cache_->AllIds()) {
     auto entry = cache_->Find(id);
     if (entry == nullptr) continue;
-    std::string segment_bytes;
-    if (entry->tier == EntryTier::kHot) {
-      segment_bytes = storage::FrozenSegment::Freeze(entry->result).Serialize();
-    } else if (entry->segment != nullptr) {
-      segment_bytes = entry->segment->Serialize();
-    } else {
-      auto file = storage::ReadFileToString(entry->spill_file);
-      if (!file.ok()) continue;  // Lost spill file: drop from the snapshot.
-      auto sections = storage::ParseSnapshotFile(*file);
-      if (!sections.ok()) continue;
-      for (const storage::Section& section : *sections) {
-        if (section.id == storage::kSectionEntries) {
-          segment_bytes.assign(section.payload);
-          break;
-        }
-      }
-      if (segment_bytes.empty()) continue;
-    }
+    const std::string segment_bytes =
+        entry->tier == EntryTier::kHot
+            ? storage::FrozenSegment::Freeze(entry->result).Serialize()
+            : entry->segment->Serialize();
     bodies.PutString(entry->template_id);
     bodies.PutString(entry->nonspatial_fingerprint);
     bodies.PutString("");  // Reserved slot, written empty (§13.2).

@@ -75,40 +75,27 @@ struct ProxyCostModel {
   double per_merge_tuple_us = 20.0;
   double per_response_tuple_us = 5.0;
   double per_origin_response_tuple_us = 10.0;
-  /// Promoting a frozen/spilled entry back to the hot tier decodes its
+  /// Promoting a frozen entry back to the hot tier decodes its
   /// compressed columns; far cheaper than the XML-parse-dominated cached
   /// scan, but not free.
   double per_frozen_tuple_thaw_us = 2.0;
 };
 
-/// The tiered result store (docs/STORAGE.md): idle entries are compressed
-/// into frozen columnar segments, the coldest frozen segments spill to disk,
-/// and the whole cache (plus the stats baseline) can be snapshotted for a
-/// warm restart.
+/// The tiered result store (docs/STORAGE.md): entries idle for two virtual
+/// seconds are compressed in memory into frozen columnar segments, and the
+/// whole cache (plus the stats baseline) can be snapshotted for a warm
+/// restart.
 struct StorageTierConfig {
   /// Master switch; off = every entry stays hot (pre-tiering behavior).
   bool enable = false;
-  /// Idle time (virtual micros since last access) before a hot entry is
-  /// compressed in place. 0 disables freezing.
-  int64_t freeze_idle_micros = 2'000'000;
-  /// Idle time before a frozen entry's segment moves to the spill
-  /// directory. 0 (or an empty spill_dir) disables spilling.
-  int64_t spill_idle_micros = 10'000'000;
-  /// Directory receiving spilled segment files (one file per entry). Must
-  /// exist; shared directories need distinct proxies' files to coexist, so
-  /// point each proxy at its own subdirectory.
-  std::string spill_dir;
-  /// Bytes of spill files kept on disk; a sweep stops spilling at the cap.
-  /// 0 = unlimited.
-  size_t spill_max_bytes = 64ull << 20;
   /// Snapshot file for warm restarts. When set, the proxy restores from it
   /// at construction (if it exists and restore_on_start) and writes it at
   /// clean shutdown. A crash loses the snapshot's window, which costs a
   /// cold start, never a wrong answer.
   std::string snapshot_path;
   bool restore_on_start = true;
-  /// Run sweeps on a dedicated maintenance thread (keeps compression and
-  /// spill I/O off the request lane). Off = inline in Handle(), which keeps
+  /// Run sweeps on a dedicated maintenance thread (keeps compression off
+  /// the request lane). Off = inline in Handle(), which keeps
   /// single-threaded traces deterministic.
   bool background_maintenance = true;
 };
@@ -156,7 +143,7 @@ struct ProxyConfig {
   /// outlive the proxy). `run_trace --trace-out=PATH` plugs a JSONL writer
   /// in here for offline analysis.
   obs::TraceSink* trace_sink = nullptr;
-  /// Tiered storage: freeze / spill / warm-restart snapshots.
+  /// Tiered storage: freeze / thaw and warm-restart snapshots.
   StorageTierConfig storage;
 };
 
@@ -401,9 +388,9 @@ class FunctionProxy final : public net::HttpHandler {
     obs::Histogram* phase_serialize = nullptr;
     obs::Histogram* phase_cache_admit = nullptr;
     obs::Histogram* phase_peer_lookup = nullptr;
-    /// Storage tier: sweep (freeze+spill) wall time and on-demand
-    /// promotion (thaw / spill fault-back) virtual time.
-    obs::Histogram* phase_spill = nullptr;
+    /// Storage tier: sweep (freeze) wall time, under the phase label
+    /// `spill`, and on-demand promotion (thaw) virtual time.
+    obs::Histogram* phase_sweep = nullptr;
     obs::Histogram* phase_restore = nullptr;
     /// Relationship-check cost by resulting relation, indexed by
     /// geometry::RegionRelation.
@@ -598,18 +585,18 @@ class FunctionProxy final : public net::HttpHandler {
   }
 
   /// Returns a tier-hot version of `entry` whose `result` holds tuples,
-  /// promoting (thaw / spill fault-back) through the cache when the
-  /// relationship check handed back a frozen or spilled snapshot. Null when
-  /// the entry vanished and its tuples are unrecoverable (treat as a
-  /// miss). Charges thaw cost and records the `restore` phase.
+  /// thawing it through the cache when the relationship check handed back
+  /// a frozen snapshot. Null when the entry vanished and its tuples are
+  /// unrecoverable (treat as a miss). Charges thaw cost and records the
+  /// `restore` phase.
   std::shared_ptr<const CacheEntry> EnsureHot(
       const std::shared_ptr<const CacheEntry>& entry, obs::QueryTrace* trace);
 
   /// Periodic storage maintenance driven off the request count: tier
-  /// sweeps (freeze + spill), dispatched to the maintenance thread when
+  /// sweeps (freeze), dispatched to the maintenance thread when
   /// background_maintenance is on.
   void MaybeRunMaintenance();
-  /// One freeze/spill pass over the cache; records the `spill` phase (wall
+  /// One freeze pass over the cache; records the `spill` phase (wall
   /// time — runs off the virtual-clock request lane).
   void RunTierSweep(int64_t now_micros);
   /// WriteSnapshot + outcome counters (the clean-shutdown path).

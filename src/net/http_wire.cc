@@ -38,6 +38,8 @@ struct HeaderBlock {
   std::string start_line;
   std::map<std::string, std::string> headers;  // Keys lowercased.
   size_t body_offset = 0;
+  /// The value of the one Content-Length header; 0 without one.
+  uint64_t body_length = 0;
 };
 
 StatusOr<HeaderBlock> ParseHeaders(std::string_view text) {
@@ -62,18 +64,24 @@ StatusOr<HeaderBlock> ParseHeaders(std::string_view text) {
     }
     std::string key = util::ToLower(util::Trim(line.substr(0, colon)));
     std::string value(util::Trim(line.substr(colon + 1)));
+    if (key == "content-length") {
+      // The body's framing must be unambiguous: one header, one number.
+      auto length = util::ParseUint64(value);
+      if (!length.ok() || block.headers.count(key) != 0) {
+        return Status::ParseError("invalid or repeated Content-Length: " +
+                                  value);
+      }
+      block.body_length = *length;
+    }
     block.headers[std::move(key)] = std::move(value);
     pos = next + 2;
   }
   return block;
 }
 
-size_t ContentLength(const HeaderBlock& block) {
-  auto it = block.headers.find("content-length");
-  if (it == block.headers.end()) return 0;
-  auto parsed = util::ParseInt64(it->second);
-  if (!parsed.ok() || *parsed < 0) return 0;
-  return static_cast<size_t>(*parsed);
+/// True when `text` holds the whole body `block` declares.
+bool HasBody(std::string_view text, const HeaderBlock& block) {
+  return block.body_length <= text.size() - block.body_offset;
 }
 
 }  // namespace
@@ -108,11 +116,11 @@ StatusOr<HttpRequest> ParseWireRequest(std::string_view text) {
     }
     request.headers[key] = value;  // Keys arrive lowercased from the parser.
   }
-  size_t length = ContentLength(block);
-  if (text.size() < block.body_offset + length) {
+  if (!HasBody(text, block)) {
     return Status::ParseError("truncated HTTP request body");
   }
-  request.body = std::string(text.substr(block.body_offset, length));
+  request.body =
+      std::string(text.substr(block.body_offset, block.body_length));
   return request;
 }
 
@@ -151,20 +159,20 @@ StatusOr<HttpResponse> ParseWireResponse(std::string_view text) {
     }
     response.headers[key] = value;
   }
-  size_t length = ContentLength(block);
-  if (text.size() < block.body_offset + length) {
+  if (!HasBody(text, block)) {
     return Status::ParseError("truncated HTTP response body");
   }
-  response.body = std::string(text.substr(block.body_offset, length));
+  response.body =
+      std::string(text.substr(block.body_offset, block.body_length));
   return response;
 }
 
 bool IsCompleteMessage(std::string_view text) {
-  size_t end = text.find("\r\n\r\n");
-  if (end == std::string_view::npos) return false;
   auto block = ParseHeaders(text);
-  if (!block.ok()) return false;
-  return text.size() >= block->body_offset + ContentLength(*block);
+  if (block.ok()) return HasBody(text, *block);
+  // A header block that ended but does not parse stays malformed whatever
+  // follows: the reader stops, and the parser rejects the message.
+  return text.find("\r\n\r\n") != std::string_view::npos;
 }
 
 }  // namespace fnproxy::net

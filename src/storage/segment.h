@@ -45,14 +45,13 @@ struct FreezeOptions {
 /// Most rows Parse accepts. Constant and all-NULL columns encode any row
 /// count in a few bytes, so bytes from disk could otherwise make a thaw size
 /// columns from a lie. Freeze and Thaw take a hot table of any size; a
-/// spill file holding a larger one faults back as a miss, and a snapshot
-/// holding one does not load.
+/// snapshot holding a larger one does not load.
 inline constexpr size_t kMaxSegmentRows = size_t{1} << 24;
 
 /// An immutable, compressed form of one cached ColumnarTable, held as its
 /// wire form (docs/FORMATS.md §13.3) and nothing else: Freeze encodes
-/// straight into the bytes, Thaw decodes from them, and spill files and
-/// snapshots store them as they are. Freezing is lossless and bit-exact:
+/// straight into the bytes, Thaw decodes from them, and snapshots store
+/// them as they are. Freezing is lossless and bit-exact:
 /// Thaw() rebuilds a table whose cells, null bitmaps, dictionary order and
 /// prepared views are identical to the original, so XML serialization and
 /// dedup hashes cannot observe the tier an entry lives in.

@@ -106,9 +106,4 @@ Status WriteFileAtomic(const std::string& path, std::string_view contents) {
   return Status::Ok();
 }
 
-Status RemoveFileIfExists(const std::string& path) {
-  std::remove(path.c_str());
-  return Status::Ok();
-}
-
 }  // namespace fnproxy::storage

@@ -11,8 +11,8 @@
 
 namespace fnproxy::storage {
 
-/// FNV-1a over `data`, the checksum primitive for snapshot sections and
-/// spill files. Stable across platforms (byte-wise, no endianness).
+/// FNV-1a over `data`, the checksum primitive for snapshot sections.
+/// Stable across platforms (byte-wise, no endianness).
 uint64_t Fnv1a(const void* data, size_t size);
 inline uint64_t Fnv1a(std::string_view bytes) {
   return Fnv1a(bytes.data(), bytes.size());
@@ -198,8 +198,7 @@ uint32_t BitWidthFor(uint64_t max_value);
 
 // --- Sectioned snapshot container -------------------------------------------
 //
-// The on-disk layout shared by warm-restart snapshots and spill files
-// (docs/FORMATS.md §13):
+// The on-disk layout of warm-restart snapshots (docs/FORMATS.md §13):
 //
 //   magic   "FPSNAP02"                       8 bytes
 //   u32     section count
@@ -236,13 +235,12 @@ std::string BuildSnapshotFile(
 /// keeps the backing bytes alive.
 util::StatusOr<std::vector<Section>> ParseSnapshotFile(std::string_view file);
 
-// --- Small file helpers (spill tier + snapshots) -----------------------------
+// --- Small file helpers (snapshots) ------------------------------------------
 
 util::StatusOr<std::string> ReadFileToString(const std::string& path);
 /// Writes via a temp file + rename so readers never observe a torn file.
 util::Status WriteFileAtomic(const std::string& path,
                              std::string_view contents);
-util::Status RemoveFileIfExists(const std::string& path);
 
 }  // namespace fnproxy::storage
 

@@ -93,6 +93,17 @@ StatusOr<int64_t> ParseInt64(std::string_view s) {
   return value;
 }
 
+StatusOr<uint64_t> ParseUint64(std::string_view s) {
+  uint64_t value = 0;
+  // Unsigned from_chars takes digits only: no sign, no whitespace.
+  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+  if (ec != std::errc() || ptr != s.data() + s.size()) {
+    return Status::ParseError("invalid unsigned integer: '" + std::string(s) +
+                              "'");
+  }
+  return value;
+}
+
 StatusOr<double> ParseDouble(std::string_view s) {
   std::string_view trimmed = Trim(s);
   if (trimmed.empty()) {

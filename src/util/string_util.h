@@ -35,6 +35,9 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 /// Strict numeric parsers: the entire (trimmed) string must be consumed.
 StatusOr<int64_t> ParseInt64(std::string_view s);
 StatusOr<double> ParseDouble(std::string_view s);
+/// Decimal digits only (no sign, no whitespace, not empty), at most
+/// 2^64 - 1: a value past that is an error, never a wrapped number.
+StatusOr<uint64_t> ParseUint64(std::string_view s);
 
 /// Formats a double with enough precision to round-trip, trimming trailing
 /// zeros (used when printing SQL literals for remainder queries).

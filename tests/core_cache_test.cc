@@ -161,13 +161,10 @@ TEST(CostAwareEvictionTest, FreezingDoesNotChangeTheNextVictim) {
   // p is the next victim while hot (more bytes, same access count). If its
   // frozen size priced it, p would outrank q and q would go instead. The
   // budget needs one eviction to admit r in either state.
-  TierConfig tier;
-  tier.freeze_idle_micros = 500;
   size_t budget = EntryBytes(100) + EntryBytes(90) + EntryBytes(10) / 2;
   for (bool freeze : {false, true}) {
     SCOPED_TRACE(freeze ? "p frozen" : "all hot");
     auto store = MakeStore(budget, ReplacementPolicy::kCostAware);
-    store->set_tier_config(tier);
     CacheEntry p_entry = MakeEntry(0, 1, 100);
     p_entry.last_access_micros = 0;
     CacheEntry q_entry = MakeEntry(10, 1, 90);
@@ -175,7 +172,9 @@ TEST(CostAwareEvictionTest, FreezingDoesNotChangeTheNextVictim) {
     uint64_t p = store->Insert(std::move(p_entry));
     uint64_t q = store->Insert(std::move(q_entry));
     if (freeze) {
-      EXPECT_EQ(store->SweepColdEntries(1000).frozen, 1u);
+      EXPECT_EQ(store->SweepColdEntries(/*now_micros=*/1000,
+                                        /*freeze_idle_micros=*/500),
+                1u);
       ASSERT_EQ(store->Find(p)->tier, EntryTier::kFrozen);
       ASSERT_LT(store->Find(p)->bytes, store->Find(q)->bytes);
     }

@@ -81,6 +81,12 @@ TEST(HttpWireTest, IsCompleteMessage) {
   EXPECT_TRUE(IsCompleteMessage(wire));
   EXPECT_FALSE(IsCompleteMessage(wire.substr(0, wire.size() - 1)));
   EXPECT_FALSE(IsCompleteMessage("GET / HTTP/1.1\r\n"));
+  // A header block that ended but does not parse is complete: no later byte
+  // mends it, so a socket reader stops and the server answers 400 instead
+  // of waiting for the client to close.
+  EXPECT_TRUE(IsCompleteMessage("GET / HTTP/1.1\r\nNoColon\r\n\r\n"));
+  EXPECT_TRUE(
+      IsCompleteMessage("GET / HTTP/1.1\r\nContent-Length: 4x\r\n\r\nbody"));
 }
 
 class EchoHandler : public HttpHandler {

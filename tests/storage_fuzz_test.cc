@@ -1,12 +1,12 @@
 // Seeded mutation fuzzing of the parsers of bytes that come back from disk
-// (docs/FORMATS.md §13): frozen segments, spill files and warm-restart
-// snapshots. Segments of radial, rect, string and mixed-type tables get bit
-// flips, truncations and length-field lies, and each result is fed to
-// FrozenSegment::Parse, to spill fault-back inside a checksum-valid spill
-// file, and to FunctionProxy::RestoreSnapshot inside a checksum-valid
-// snapshot, as are mutated ENTRIES and STATS sections. Every input must be
-// rejected with a status or decode to a table whose every cell reads back,
-// and a failed restore must leave the proxy as it was. The inputs in
+// (docs/FORMATS.md §13): frozen segments and warm-restart snapshots.
+// Segments of radial, rect, string and mixed-type tables get bit flips,
+// truncations and length-field lies, and each result is fed to
+// FrozenSegment::Parse and to FunctionProxy::RestoreSnapshot inside a
+// checksum-valid snapshot, as are mutated ENTRIES and STATS sections.
+// Every input must be rejected with a status or decode to a table whose
+// every cell reads back, and a failed restore must leave the proxy as it
+// was. The inputs in
 // storage_fuzz_fixtures/ once got past a parser; they are replayed first.
 // The seed and the mutation budget are fixed, so a run is reproducible and
 // stays within a few seconds under the sanitizers.
@@ -21,11 +21,9 @@
 
 #include "catalog/sky_catalog.h"
 #include "core/cache_snapshot.h"
-#include "core/cache_store.h"
 #include "core/proxy.h"
 #include "geometry/hyperrectangle.h"
 #include "geometry/hypersphere.h"
-#include "index/array_index.h"
 #include "net/network.h"
 #include "server/database.h"
 #include "server/web_app.h"
@@ -123,7 +121,9 @@ std::vector<Source> Sources() {
     Value m;
     switch (i % 5) {
       case 0: m = Value::Int(i); break;
-      case 1: m = Value::String("s" + std::to_string(i)); break;
+      // std::string("s"): GCC 12 at -O3 misreports `"s" + std::string`
+      // as an overlapping memcpy (-Wrestrict), which -Werror fails.
+      case 1: m = Value::String(std::string("s") + std::to_string(i)); break;
       case 2: m = Value::Double(i * 0.5); break;
       case 3: m = Value::Bool(i % 2 == 0); break;
       default: m = Value::Null(); break;
@@ -239,44 +239,6 @@ void ExpectReadable(const ColumnarTable& table) {
   EXPECT_EQ(sql::TableToXml(again->Thaw()), xml);
 }
 
-/// Spill fault-back of `wire` inside a checksum-valid spill file: the entry
-/// thaws to the parsed segment's table, or is dropped as a counted error.
-void ExpectFaultBack(const Source& source, const std::string& wire,
-                     const util::StatusOr<FrozenSegment>& parsed,
-                     const std::string& dir) {
-  CacheStore store([] { return std::make_unique<index::ArrayRegionIndex>(); },
-                   /*num_shards=*/1, /*max_bytes=*/0, ReplacementPolicy::kLru);
-  TierConfig tier;
-  tier.freeze_idle_micros = 1;
-  tier.spill_idle_micros = 1;
-  tier.spill_dir = dir;
-  store.set_tier_config(tier);
-  CacheEntry entry;
-  entry.template_id = source.name;
-  entry.region = source.region->Clone();
-  entry.result = source.table;
-  const uint64_t id = store.Insert(std::move(entry));
-  ASSERT_NE(id, 0u);
-  ASSERT_EQ(store.SweepColdEntries(10).frozen, 1u);
-  ASSERT_EQ(store.SweepColdEntries(20).spilled, 1u);
-  auto cold = store.Find(id);
-  ASSERT_NE(cold, nullptr);
-  ASSERT_TRUE(storage::WriteFileAtomic(
-                  cold->spill_file,
-                  storage::BuildSnapshotFile({{storage::kSectionEntries, wire}}))
-                  .ok());
-  auto hot = store.FindHot(id);
-  if (parsed.ok()) {
-    ASSERT_NE(hot, nullptr);
-    EXPECT_EQ(sql::TableToXml(hot->result), sql::TableToXml(parsed->Thaw()));
-    EXPECT_EQ(store.spill_io_errors(), 0u);
-  } else {
-    EXPECT_EQ(hot, nullptr);
-    EXPECT_EQ(store.spill_io_errors(), 1u);
-    EXPECT_EQ(store.num_entries(), 0u);
-  }
-}
-
 /// A proxy environment whose only use is restoring snapshots.
 class RestoreHarness {
  public:
@@ -379,19 +341,17 @@ std::string FreshTempDir(const char* name) {
   return dir;
 }
 
-/// Runs one segment input through every parser: Parse, spill fault-back
-/// and a restore with the other sources' valid segments around it. Returns
-/// whether Parse accepted it.
+/// Runs one segment input through both parsers: Parse and a restore with
+/// the other sources' valid segments around it. Returns whether Parse
+/// accepted it.
 bool FeedSegment(const std::vector<Source>& sources, size_t index,
-                 const std::string& wire, const std::string& dir,
-                 RestoreHarness* restore) {
+                 const std::string& wire, RestoreHarness* restore) {
   const auto parsed = FrozenSegment::Parse(wire);
   if (parsed.ok()) {
     const ColumnarTable table = parsed->Thaw();
     EXPECT_EQ(table.num_rows(), parsed->num_rows());
     ExpectReadable(table);
   }
-  ExpectFaultBack(sources[index], wire, parsed, dir);
   std::vector<std::string> segments;
   for (const Source& source : sources) {
     segments.push_back(FrozenSegment::Freeze(source.table).Serialize());
@@ -420,7 +380,7 @@ TEST(StorageFuzzTest, CommittedFixturesAreRejectedOrDecode) {
     auto bytes = storage::ReadFileToString(file.path().string());
     ASSERT_TRUE(bytes.ok());
     if (file.path().extension() == ".seg") {
-      FeedSegment(sources, 1, *bytes, dir, &restore);
+      FeedSegment(sources, 1, *bytes, &restore);
     } else if (file.path().extension() == ".stats") {
       restore.ExpectAllOrNothing(RestoreHarness::Entries(sources, segments),
                                  *bytes);
@@ -444,8 +404,7 @@ TEST(StorageFuzzTest, MutatedSegmentsAreRejectedOrDecode) {
     for (int i = 0; i < kMutationsPerTable; ++i) {
       SCOPED_TRACE(std::string(sources[index].name) + " mutation " +
                    std::to_string(i));
-      accepted += FeedSegment(sources, index, Mutate(wire, &rng), dir,
-                              &restore);
+      accepted += FeedSegment(sources, index, Mutate(wire, &rng), &restore);
       if (HasFatalFailure()) return;
     }
   }

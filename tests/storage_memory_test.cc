@@ -137,15 +137,12 @@ TEST(StorageMemoryTest, SegmentByteSizeCoversItsHeap) {
 }
 
 TEST(StorageMemoryTest, FrozenEntryHoldsLessHeapThanHotEntry) {
-  TierConfig tier;
-  tier.freeze_idle_micros = 1;
   for (size_t rows : kRowCounts) {
     SCOPED_TRACE(rows);
     const Table source = RadialResult(rows);
     CacheStore store([] { return std::make_unique<index::ArrayRegionIndex>(); },
                      /*num_shards=*/1, /*max_bytes=*/0,
                      ReplacementPolicy::kCostAware);
-    store.set_tier_config(tier);
 
     // Both measurements include the store's bookkeeping for the entry (its
     // map node and description slot), which freezing leaves as it was.
@@ -161,7 +158,9 @@ TEST(StorageMemoryTest, FrozenEntryHoldsLessHeapThanHotEntry) {
     ASSERT_NE(id, 0u);
     const int64_t hot = LiveBytes() - empty;
 
-    ASSERT_EQ(store.SweepColdEntries(/*now_micros=*/10).frozen, 1u);
+    ASSERT_EQ(store.SweepColdEntries(/*now_micros=*/10,
+                                     /*freeze_idle_micros=*/1),
+              1u);
     const int64_t frozen = LiveBytes() - empty;
     EXPECT_LT(frozen, hot) << "hot " << hot << " B, frozen " << frozen << " B";
 

@@ -103,6 +103,18 @@ TEST(StringUtilTest, ParseInt64Strict) {
   EXPECT_FALSE(ParseInt64("1.5").ok());
 }
 
+TEST(StringUtilTest, ParseUint64DigitsOnlyWithoutWrapping) {
+  EXPECT_EQ(*ParseUint64("0"), 0u);
+  EXPECT_EQ(*ParseUint64("18446744073709551615"), ~uint64_t{0});
+  // 2^64 and 2^64 + 1 used to wrap to 0 and 1 in hand-rolled digit loops.
+  EXPECT_FALSE(ParseUint64("18446744073709551616").ok());
+  EXPECT_FALSE(ParseUint64("18446744073709551617").ok());
+  EXPECT_FALSE(ParseUint64("99999999999999999999999").ok());
+  for (const char* bad : {"", " 1", "1 ", "+1", "-1", "-0", "1x", "0x1"}) {
+    EXPECT_FALSE(ParseUint64(bad).ok()) << "'" << bad << "'";
+  }
+}
+
 TEST(StringUtilTest, ParseDoubleStrict) {
   EXPECT_DOUBLE_EQ(*ParseDouble("1.5"), 1.5);
   EXPECT_DOUBLE_EQ(*ParseDouble("-2e3"), -2000.0);

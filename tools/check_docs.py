@@ -20,11 +20,19 @@ Two gates, run from the repo root (CI's docs job):
    src/storage/segment.cc). Adding an encoder without a byte-layout doc,
    or documenting one that no longer exists, fails the check.
 
+4. Measured paper tables. EXPERIMENTS.md's measured cells of Table 1 (the
+   AC and PC rows), Figure 5 (NC, PC, ACNR and ACR at cache 1/6 -> 1) and
+   Figure 6 (ms and efficiency per scheme) must equal the committed
+   table1/*, fig5/* and fig6/* records in BENCH_results.json (the last
+   record of each name), rounded as the tables print them. A record or a
+   cell that changes without the other fails the check.
+
 Usage:
   check_docs.py [--root DIR]
 """
 
 import argparse
+import json
 import pathlib
 import re
 import sys
@@ -162,6 +170,87 @@ def check_encoding_catalog(root):
     return errors
 
 
+def bench_records(root):
+    """The last committed record of each name in BENCH_results.json."""
+    values = {}
+    path = root / "BENCH_results.json"
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if line.strip():
+            record = json.loads(line)
+            values[record["name"]] = record["value"]
+    return values
+
+
+def table_rows(section):
+    """Label -> measured cells of every markdown table row in `section`."""
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("|") and not line.startswith("|---"):
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            rows[cells[0]] = cells[1:]
+    return rows
+
+
+def check_experiment_tables(root):
+    errors = []
+    doc = (root / "EXPERIMENTS.md").read_text(encoding="utf-8")
+    # "## Figure 5 — average ..." is section "Figure 5".
+    sections = {
+        " ".join(chunk.split(" ", 2)[:2]): chunk
+        for chunk in doc.split("\n## ")[1:]
+    }
+    values = bench_records(root)
+
+    def cell(name, decimals):
+        if name not in values:
+            return None
+        return f"{values[name]:.{decimals}f}"
+
+    def span(first, last):
+        """Figure 5's "1/6 -> 1" cell: one number when both ends agree."""
+        a, b = cell(first, 0), cell(last, 0)
+        if a is None or b is None:
+            return None
+        return a if a == b else f"{a} \u2192 {b}"
+
+    # (section, row label, column, record name(s), rendering)
+    expected = []
+    for scheme in ("AC", "PC"):
+        for i, size in enumerate(("1_6", "1_3", "1_2", "1")):
+            name = f"table1/{scheme.lower()}_{size}"
+            expected.append(("Table 1", f"{scheme} (measured)", i,
+                             name, cell(name, 3)))
+    for scheme in ("NC", "PC", "ACNR", "ACR"):
+        first = f"fig5/{scheme.lower()}_1_6"
+        last = f"fig5/{scheme.lower()}_1"
+        expected.append(("Figure 5", scheme, 1, f"{first} -> {last}",
+                         span(first, last)))
+    for label in ("First (full semantic)", "Second (region containment)",
+                  "Third (containment only)"):
+        scheme = label.split(" ", 1)[0].lower()
+        for column, metric, decimals in ((1, "ms", 0), (3, "efficiency", 3)):
+            name = f"fig6/{scheme}_{metric}"
+            expected.append(("Figure 6", label, column, name,
+                             cell(name, decimals)))
+
+    for section, label, column, name, want in expected:
+        if want is None:
+            errors.append(f"BENCH_results.json has no record for {name} "
+                          f"(EXPERIMENTS.md {section}, {label})")
+            continue
+        row = table_rows(sections.get(section, "")).get(label)
+        if row is None or column >= len(row):
+            errors.append(f"EXPERIMENTS.md {section} has no complete "
+                          f"'{label}' row")
+            continue
+        got = row[column]
+        if got != want:
+            errors.append(f"EXPERIMENTS.md {section} '{label}' reads "
+                          f"'{got}' but {name} in BENCH_results.json "
+                          f"prints as '{want}'")
+    return errors
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--root", default=".")
@@ -172,6 +261,7 @@ def main():
         check_links(root)
         + check_metric_catalog(root)
         + check_encoding_catalog(root)
+        + check_experiment_tables(root)
     )
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
@@ -179,7 +269,8 @@ def main():
         sys.exit(f"{len(errors)} documentation problem(s)")
     print(
         "docs ok: links resolve, metric catalog matches src/, "
-        "encoding catalog matches segment.cc"
+        "encoding catalog matches segment.cc, EXPERIMENTS.md tables match "
+        "BENCH_results.json"
     )
 
 

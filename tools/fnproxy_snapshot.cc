@@ -1,5 +1,5 @@
-// Command-line utility for warm-restart snapshot and spill files
-// (docs/FORMATS.md §13, docs/STORAGE.md):
+// Command-line utility for warm-restart snapshot files (docs/FORMATS.md §13,
+// docs/STORAGE.md):
 //
 //   fnproxy_snapshot inspect <file>   section map, entries, stats summary
 //   fnproxy_snapshot verify  <file>   full integrity check (exit 0 = intact)
