@@ -7,10 +7,15 @@ namespace fnproxy::geometry {
 double DegreesToRadians(double degrees) { return degrees * M_PI / 180.0; }
 
 Point RaDecToUnitVector(double ra_deg, double dec_deg) {
-  double ra = DegreesToRadians(ra_deg);
-  double dec = DegreesToRadians(dec_deg);
-  return Point{std::cos(ra) * std::cos(dec), std::sin(ra) * std::cos(dec),
-               std::sin(dec)};
+  const std::array<double, 3> v = RaDecToUnitArray(ra_deg, dec_deg);
+  return Point(v.begin(), v.end());
+}
+
+std::array<double, 3> RaDecToUnitArray(double ra_deg, double dec_deg) {
+  const double ra = DegreesToRadians(ra_deg);
+  const double dec = DegreesToRadians(dec_deg);
+  const double cos_dec = std::cos(dec);
+  return {std::cos(ra) * cos_dec, std::sin(ra) * cos_dec, std::sin(dec)};
 }
 
 double ArcminToChord(double radius_arcmin) {

@@ -1,6 +1,8 @@
 #ifndef FNPROXY_GEOMETRY_CELESTIAL_H_
 #define FNPROXY_GEOMETRY_CELESTIAL_H_
 
+#include <array>
+
 #include "geometry/hypersphere.h"
 #include "geometry/point.h"
 
@@ -20,6 +22,10 @@ double DegreesToRadians(double degrees);
 
 /// Maps (ra, dec) in degrees to the 3-D unit vector (cx, cy, cz).
 Point RaDecToUnitVector(double ra_deg, double dec_deg);
+
+/// RaDecToUnitVector's values in a fixed-size array, with no heap
+/// allocation, for loops that map many positions.
+std::array<double, 3> RaDecToUnitArray(double ra_deg, double dec_deg);
 
 /// Chord distance on the unit sphere subtending `radius_arcmin` arcminutes.
 double ArcminToChord(double radius_arcmin);

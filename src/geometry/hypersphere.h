@@ -2,6 +2,7 @@
 #define FNPROXY_GEOMETRY_HYPERSPHERE_H_
 
 #include <memory>
+#include <span>
 #include <string>
 
 #include "geometry/hyperrectangle.h"
@@ -35,6 +36,23 @@ class Hypersphere final : public Region {
   Point center_;
   double radius_;
 };
+
+/// The sphere-sphere intersection test on plain coordinates: true when the
+/// closed balls with centers `a`, `b` (of equal dimension) and radii `ra`,
+/// `rb` share a point within kGeomEpsilon, that is when
+/// sum_i (a_i - b_i)^2 <= (ra + rb + kGeomEpsilon)^2. Intersects decides
+/// every sphere pair with it; code that keeps balls as flat arrays calls it
+/// directly.
+inline bool SpheresIntersect(std::span<const double> a, double ra,
+                             std::span<const double> b, double rb) {
+  double sum = 0.0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    const double d = a[i] - b[i];
+    sum += d * d;
+  }
+  const double limit = ra + rb + kGeomEpsilon;
+  return sum <= limit * limit;
+}
 
 }  // namespace fnproxy::geometry
 

@@ -162,8 +162,8 @@ bool Intersects(const Region& a, const Region& b) {
       b.kind() == ShapeKind::kHypersphere) {
     const auto& sa = static_cast<const Hypersphere&>(a);
     const auto& sb = static_cast<const Hypersphere&>(b);
-    double limit = sa.radius() + sb.radius() + kGeomEpsilon;
-    return DistanceSquared(sa.center(), sb.center()) <= limit * limit;
+    return SpheresIntersect(sa.center(), sa.radius(), sb.center(),
+                            sb.radius());
   }
   {
     const Region* rect = nullptr;

@@ -14,25 +14,11 @@ uint64_t SplitMix64(uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-uint64_t RotL(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Random::Random(uint64_t seed) {
   uint64_t sm = seed;
   for (uint64_t& s : state_) s = SplitMix64(sm);
-}
-
-uint64_t Random::NextUint64() {
-  const uint64_t result = RotL(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = RotL(state_[3], 45);
-  return result;
 }
 
 uint64_t Random::NextUint64(uint64_t bound) {
@@ -44,31 +30,24 @@ uint64_t Random::NextUint64(uint64_t bound) {
   }
 }
 
-double Random::NextDouble() {
-  return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
-}
-
-double Random::NextDouble(double lo, double hi) {
-  return lo + (hi - lo) * NextDouble();
-}
-
 double Random::NextGaussian() {
   if (have_gaussian_) {
     have_gaussian_ = false;
     return cached_gaussian_;
   }
   double u1 = 0.0;
-  do {
-    u1 = NextDouble();
-  } while (u1 <= 1e-300);
-  double u2 = NextDouble();
-  double mag = std::sqrt(-2.0 * std::log(u1));
-  cached_gaussian_ = mag * std::sin(2.0 * M_PI * u2);
+  double u2 = 0.0;
+  NextGaussianUniforms(&u1, &u2);
+  const GaussianPair pair = BoxMuller(u1, u2);
+  cached_gaussian_ = pair.sin;
   have_gaussian_ = true;
-  return mag * std::cos(2.0 * M_PI * u2);
+  return pair.cos;
 }
 
-bool Random::NextBool(double p) { return NextDouble() < p; }
+GaussianPair BoxMuller(double u1, double u2) {
+  const double mag = std::sqrt(-2.0 * std::log(u1));
+  return {mag * std::cos(2.0 * M_PI * u2), mag * std::sin(2.0 * M_PI * u2)};
+}
 
 ZipfDistribution::ZipfDistribution(size_t n, double theta) {
   cdf_.resize(n);

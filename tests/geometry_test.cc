@@ -225,6 +225,49 @@ TEST(CelestialTest, ConeContainmentMatchesAngularGeometry) {
   }
 }
 
+// SpheresIntersect is the one sphere-sphere test: Intersects calls it, and
+// the trace generator calls it on flat arrays. Both must decide exactly as
+// the squared-distance comparison Intersects made before it was factored
+// out, also within an ulp of the limit, where a change in the order of the
+// arithmetic would flip the answer. Half the pairs are tuned onto the limit
+// and then stepped up to three ulps either way.
+TEST(SpheresIntersectTest, MatchesIntersectsAtTheLimit) {
+  util::Random rng(21);
+  int tuned_touching = 0;
+  int tuned_apart = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    const size_t dims = 1 + rng.NextUint64(4);
+    Point a(dims);
+    Point b(dims);
+    for (size_t d = 0; d < dims; ++d) {
+      a[d] = rng.NextDouble(-1.0, 1.0);
+      b[d] = rng.NextDouble(-1.0, 1.0);
+    }
+    const double ra = rng.NextDouble(0.0, 0.5);
+    const double rb = rng.NextDouble(0.0, 0.5);
+    const double limit = ra + rb + kGeomEpsilon;
+    const bool tuned = iter % 2 == 1;
+    if (tuned) {
+      const double scale = limit / Distance(a, b);
+      for (size_t d = 0; d < dims; ++d) b[d] = a[d] + (b[d] - a[d]) * scale;
+      const int ulps = static_cast<int>(rng.NextUint64(7)) - 3;
+      const double toward = ulps > 0 ? HUGE_VAL : -HUGE_VAL;
+      for (int k = 0; k < std::abs(ulps); ++k) {
+        b[dims - 1] = std::nextafter(b[dims - 1], toward);
+      }
+    }
+    const bool expected = DistanceSquared(a, b) <= limit * limit;
+    EXPECT_EQ(SpheresIntersect(a, ra, b, rb), expected);
+    EXPECT_EQ(SpheresIntersect(b, rb, a, ra), expected);
+    EXPECT_EQ(Intersects(Hypersphere(a, ra), Hypersphere(b, rb)), expected);
+    EXPECT_EQ(Intersects(Hypersphere(b, rb), Hypersphere(a, ra)), expected);
+    if (tuned) ++(expected ? tuned_touching : tuned_apart);
+  }
+  // The tuned pairs fall on both sides of the limit.
+  EXPECT_GT(tuned_touching, 200);
+  EXPECT_GT(tuned_apart, 200);
+}
+
 /// Property sweep: Relate is consistent with its defining predicates for
 /// random sphere/rect pairs in several dimensions.
 class RelatePropertyTest : public ::testing::TestWithParam<int> {};

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -638,6 +641,101 @@ TEST_F(SubstrateDigestTest, SkyGridCandidates) {
   ASSERT_EQ(windows, 588u);
   EXPECT_EQ(fnv.value(), 0xadc6e71da957646aULL)
       << "SkyGrid::Candidates drifted";
+}
+
+// The catalog derives its rows in chunks of 8192 objects on a pool, so
+// these pin configurations beyond the paper's: no clusters, clustering off
+// and all-clustered, and sizes below, at and across chunk boundaries. Every
+// digest was taken at the parent of the chunked generator.
+TEST_F(SubstrateDigestTest, CatalogVariants) {
+  struct Case {
+    const char* name;
+    size_t objects;
+    size_t clusters;
+    double cluster_fraction;
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {"no clusters", 20000, 0, 0.75, 0x19b6382df33f351eULL},
+      {"cluster_fraction 0", 20000, 40, 0.0, 0x7cf1512f6b8c6e2cULL},
+      {"cluster_fraction 1", 20000, 40, 1.0, 0xe1cc74855a31aa60ULL},
+      {"empty", 0, 40, 0.75, 0xa8c7f832281a39c5ULL},
+      {"one object", 1, 40, 0.75, 0xc78e696ff139a6caULL},
+      {"under one chunk", 5000, 40, 0.75, 0x583001d371a60cb8ULL},
+      {"one chunk", 8192, 40, 0.75, 0x240873efa7c95698ULL},
+      {"one chunk and one", 8193, 40, 0.75, 0x1667840a595f3d89ULL},
+      {"ragged", 100003, 40, 0.75, 0xea463f3cd04fc738ULL},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    catalog::SkyCatalogConfig config = SkyExperiment::Options().catalog;
+    config.num_objects = c.objects;
+    config.num_clusters = c.clusters;
+    config.cluster_fraction = c.cluster_fraction;
+    const sql::Table table = catalog::GenerateSkyCatalog(config);
+    ASSERT_EQ(table.num_rows(), c.objects);
+    EXPECT_EQ(TableDigest(table), c.digest);
+  }
+}
+
+// A small footprint and a long trace: most fresh queries find no disjoint
+// spot and take the label path, whose first non-disjoint cone names the
+// label.
+TEST_F(SubstrateDigestTest, DenseSkyTrace) {
+  RadialTraceConfig config;
+  config.num_queries = 4000;
+  config.ra_min = 180.0;
+  config.ra_max = 184.0;
+  config.dec_min = 30.0;
+  config.dec_max = 34.0;
+  config.seed = 9;
+  const Trace trace = GenerateRadialTrace(config);
+  ASSERT_EQ(trace.queries.size(), 4000u);
+  // About 40% of the queries are fresh; nearly all of them land on cones
+  // already there.
+  EXPECT_LT(trace.IntendedFraction(RegionRelation::kDisjoint), 0.05);
+  EXPECT_EQ(TraceDigest(trace), 0x2d9d7021c74928a5ULL)
+      << "the dense-sky GenerateRadialTrace drifted";
+}
+
+TEST_F(SubstrateDigestTest, FlashCrowdTraceSecondSeed) {
+  FlashCrowdTraceConfig crowd;
+  crowd.base = PaperRadialConfig();
+  crowd.base.seed = 1;
+  crowd.seed = 1 ^ 0x5eedf1a5ULL;
+  crowd.hot_ra = 180.0;
+  crowd.hot_dec = 30.0;
+  crowd.hot_radius_arcmin = 20.0;
+  EXPECT_EQ(TraceDigest(GenerateFlashCrowdTrace(crowd)),
+            0xaa5265780944ef0eULL)
+      << "bench_e2e's seed-1 flash-crowd trace drifted";
+}
+
+// `trace_tool gen-paper` writes the experiment's own trace, the one
+// PaperTrace pins, query for query.
+TEST_F(SubstrateDigestTest, GenPaperWritesTheExperimentTrace) {
+  const std::filesystem::path path =
+      std::filesystem::path(testing::TempDir()) / "gen_paper_2004.trace";
+  const std::string command = std::string(FNPROXY_TRACE_TOOL) +
+                              " gen-paper '" + path.string() + "' > /dev/null";
+  ASSERT_EQ(std::system(command.c_str()), 0) << command;
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  std::filesystem::remove(path);
+  const util::StatusOr<Trace> file = Trace::Deserialize(text.str());
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  const Trace& trace = experiment_->trace();
+  EXPECT_EQ(file->form_path, trace.form_path);
+  ASSERT_EQ(file->queries.size(), trace.queries.size());
+  size_t mismatches = 0;
+  for (size_t i = 0; i < trace.queries.size(); ++i) {
+    if (file->queries[i].params != trace.queries[i].params ||
+        file->queries[i].intended != trace.queries[i].intended) {
+      ADD_FAILURE_AT(__FILE__, __LINE__) << "query " << i << " differs";
+      if (++mismatches == 5) break;
+    }
+  }
 }
 
 // trace() is built on its first call; concurrent first calls must build it
