@@ -104,6 +104,17 @@ StatusOr<uint64_t> ParseUint64(std::string_view s) {
   return value;
 }
 
+StatusOr<uint64_t> ParseUint64InRange(std::string_view s, uint64_t lo,
+                                      uint64_t hi) {
+  const StatusOr<uint64_t> value = ParseUint64(s);
+  if (!value.ok() || *value < lo || *value > hi) {
+    return Status::OutOfRange("expected a number from " + std::to_string(lo) +
+                              " to " + std::to_string(hi) + ", got '" +
+                              std::string(s) + "'");
+  }
+  return value;
+}
+
 StatusOr<double> ParseDouble(std::string_view s) {
   std::string_view trimmed = Trim(s);
   if (trimmed.empty()) {

@@ -38,6 +38,11 @@ StatusOr<double> ParseDouble(std::string_view s);
 /// Decimal digits only (no sign, no whitespace, not empty), at most
 /// 2^64 - 1: a value past that is an error, never a wrapped number.
 StatusOr<uint64_t> ParseUint64(std::string_view s);
+/// ParseUint64 whose value must also lie in [lo, hi]. The error says so:
+/// "expected a number from <lo> to <hi>, got '<s>'". For command-line
+/// counts, where "-1" or "8x" is a mistake and never a huge or a short number.
+StatusOr<uint64_t> ParseUint64InRange(std::string_view s, uint64_t lo,
+                                      uint64_t hi);
 
 /// Formats a double with enough precision to round-trip, trimming trailing
 /// zeros (used when printing SQL literals for remainder queries).
