@@ -12,6 +12,9 @@
 //                       [--radius=R] [--reps=K] [--smoke] [--json[=path]]
 //                       [--git-sha=SHA] [--encoding=auto|raw|decimal|shuffle]
 //
+// --tuples runs from 1 to 10,000,000, --radius (degrees) from 0 to 360 and
+// --reps from 1 to 1000; any other value, or an unknown flag, exits 2 with
+// the usage text.
 // --smoke shrinks the workload for CI (also verifies the two layouts emit
 // byte-identical XML). --json appends machine-readable records to
 // BENCH_results.json (see docs/FORMATS.md), each naming --git-sha and the
@@ -168,6 +171,14 @@ double BestMillis(size_t reps, const Fn& fn) {
   return best;
 }
 
+constexpr char kUsage[] =
+    "usage: bench_columnar_scan [--layout=row|columnar|both]"
+    " [--tuples=1-10000000] [--radius=0-360] [--reps=1-1000] [--smoke]"
+    " [--json[=path]] [--git-sha=SHA]"
+    " [--encoding=auto|raw|decimal|shuffle]\n";
+constexpr uint64_t kMaxTuples = 10'000'000;
+constexpr uint64_t kMaxReps = 1000;
+
 }  // namespace
 }  // namespace fnproxy
 
@@ -190,18 +201,18 @@ int main(int argc, char** argv) {
     if (arg.rfind("--layout=", 0) == 0) {
       layout = arg.substr(9);
     } else if (arg.rfind("--tuples=", 0) == 0) {
-      tuples = static_cast<size_t>(std::atoll(arg.c_str() + 9));
+      tuples = bench::CountArg(kUsage, "--tuples", argv[i] + 9, 1,
+                               kMaxTuples);
     } else if (arg.rfind("--radius=", 0) == 0) {
-      radius = std::atof(arg.c_str() + 9);
+      radius = bench::RealArg(kUsage, "--radius", argv[i] + 9, 0.0, 360.0);
     } else if (arg.rfind("--reps=", 0) == 0) {
-      reps = static_cast<size_t>(std::atoll(arg.c_str() + 7));
+      reps = bench::CountArg(kUsage, "--reps", argv[i] + 7, 1, kMaxReps);
     } else if (arg.rfind("--encoding=", 0) == 0) {
       encoding = arg.substr(11);
     } else if (arg == "--smoke") {
       smoke = true;
     } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return 1;
+      bench::BadArgument(kUsage, argv[i], "unknown flag");
     }
   }
   storage::DoubleEncodingPolicy double_policy;

@@ -1,7 +1,9 @@
 #ifndef FNPROXY_BENCH_BENCH_COMMON_H_
 #define FNPROXY_BENCH_BENCH_COMMON_H_
 
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -135,6 +137,43 @@ class BenchJson {
   std::string git_sha_ = "unknown";
   std::string command_;
 };
+
+/// Client threads and queries a sweep may ask for on the command line: the
+/// clients match run_trace's bound, the queries trace_tool's.
+inline constexpr uint64_t kMaxClients = 256;
+inline constexpr uint64_t kMaxQueries = 10'000'000;
+
+/// Says which argument `why` rejects, prints `usage` and exits 2.
+[[noreturn]] inline void BadArgument(const char* usage, const char* what,
+                                     const std::string& why) {
+  std::fprintf(stderr, "%s: %s\n%s", what, why.c_str(), usage);
+  std::exit(2);
+}
+
+/// Command-line count `text` (named `what`): a plain decimal in [lo, hi].
+/// A sign, a suffix or a value past 2^64 - 1 or the range is rejected
+/// through BadArgument, never wrapped or cut short.
+inline uint64_t CountArg(const char* usage, const char* what,
+                         const char* text, uint64_t lo, uint64_t hi) {
+  const util::StatusOr<uint64_t> value =
+      util::ParseUint64InRange(text, lo, hi);
+  if (!value.ok()) BadArgument(usage, what, value.status().message());
+  return *value;
+}
+
+/// Command-line number `text` (named `what`): a finite decimal in
+/// [lo, hi], rejected through BadArgument otherwise.
+inline double RealArg(const char* usage, const char* what, const char* text,
+                      double lo, double hi) {
+  const util::StatusOr<double> value = util::ParseDouble(text);
+  if (!value.ok() || !(*value >= lo && *value <= hi)) {
+    BadArgument(usage, what,
+                std::string("expected a number from ") +
+                    util::FormatDouble(lo) + " to " + util::FormatDouble(hi) +
+                    ", got '" + text + "'");
+  }
+  return *value;
+}
 
 /// The paper-scale experiment: 11,323-query Radial trace over the synthetic
 /// SkyServer. Shared by the Table 1 / Figure 5 / Figure 6 benches so their

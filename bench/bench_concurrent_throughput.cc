@@ -8,6 +8,8 @@
 //                               [--smoke] [--json[=path]]
 //
 // Defaults: 600 queries, threads swept over {1, 2, 4, 8, 16}, pacing 0.02.
+// Queries run from 1 to 10,000,000, threads from 1 to 256 and pacing from
+// 0 to 1; anything else exits 2 with the usage text.
 // --smoke runs the CI thread-scaling check instead of the full sweep:
 // full-semantic scheme only, threads {1, 8}, recording
 // async_overlap/t8_speedup (8-thread vs 1-thread requests/s). The record
@@ -38,6 +40,15 @@
 
 using namespace fnproxy;
 
+namespace {
+
+constexpr char kUsage[] =
+    "usage: bench_concurrent_throughput [num-queries 1-10000000]"
+    " [max-threads 1-256] [pacing 0-1] [--smoke] [--json[=path]]"
+    " [--git-sha=SHA]\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   bench::BenchJson json =
       bench::BenchJson::FromArgs(&argc, argv, "bench_concurrent_throughput");
@@ -53,11 +64,17 @@ int main(int argc, char** argv) {
     }
     argc = out;
   }
-  size_t num_queries = argc > 1 ? static_cast<size_t>(std::atoll(argv[1]))
-                                : (smoke ? 400 : 600);
-  size_t max_threads = argc > 2 ? static_cast<size_t>(std::atoll(argv[2]))
-                                : 16;
-  double pacing = argc > 3 ? std::atof(argv[3]) : 0.02;
+  if (argc > 4) bench::BadArgument(kUsage, argv[4], "unexpected argument");
+  const size_t num_queries =
+      argc > 1 ? bench::CountArg(kUsage, "num-queries", argv[1], 1,
+                                 bench::kMaxQueries)
+               : (smoke ? 400 : 600);
+  const size_t max_threads =
+      argc > 2 ? bench::CountArg(kUsage, "max-threads", argv[2], 1,
+                                 bench::kMaxClients)
+               : 16;
+  const double pacing =
+      argc > 3 ? bench::RealArg(kUsage, "pacing", argv[3], 0.0, 1.0) : 0.02;
 
   if (smoke) {
     std::printf("=== Thread scaling (full-semantic, %zu queries, "

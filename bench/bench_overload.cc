@@ -16,6 +16,8 @@
 //                  [--json[=path]]
 //
 // Defaults: 2400 queries, threads swept over {1, 4, 16, 64}, pacing 0.02.
+// Queries run from 1 to 10,000,000, threads from 1 to 256 and pacing from
+// 0 to 1; anything else exits 2 with the usage text.
 // --smoke shrinks to 500 queries / {4, 16} threads for CI. With --json each
 // sweep point appends one JSON-lines record (see docs/FORMATS.md); the
 // regression gate watches overload/goodput.
@@ -104,6 +106,10 @@ OverloadPoint RunPoint(workload::SkyExperiment& experiment,
   return point;
 }
 
+constexpr char kUsage[] =
+    "usage: bench_overload [num-queries 1-10000000] [max-threads 1-256]"
+    " [pacing 0-1] [--smoke] [--json[=path]] [--git-sha=SHA]\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -121,11 +127,17 @@ int main(int argc, char** argv) {
     }
     argc = out;
   }
-  size_t num_queries =
-      argc > 1 ? static_cast<size_t>(std::atoll(argv[1])) : (smoke ? 500 : 2400);
-  size_t max_threads =
-      argc > 2 ? static_cast<size_t>(std::atoll(argv[2])) : (smoke ? 16 : 64);
-  double pacing = argc > 3 ? std::atof(argv[3]) : 0.02;
+  if (argc > 4) bench::BadArgument(kUsage, argv[4], "unexpected argument");
+  const size_t num_queries =
+      argc > 1 ? bench::CountArg(kUsage, "num-queries", argv[1], 1,
+                                 bench::kMaxQueries)
+               : (smoke ? 500 : 2400);
+  const size_t max_threads =
+      argc > 2 ? bench::CountArg(kUsage, "max-threads", argv[2], 1,
+                                 bench::kMaxClients)
+               : (smoke ? 16 : 64);
+  const double pacing =
+      argc > 3 ? bench::RealArg(kUsage, "pacing", argv[3], 0.0, 1.0) : 0.02;
 
   std::printf("=== Overload resilience: flash crowd (%zu queries, up to %zu "
               "clients, pacing %.3f) ===\n",
@@ -208,7 +220,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(point.origin_hot_requests),
                 collapse_ratio, p50_ms, p99_ms);
     json.Record(
-        "overload/t" + std::to_string(threads), goodput_rps, "req/s",
+        std::string("overload/t") + std::to_string(threads), goodput_rps,
+        "req/s",
         {{"threads", static_cast<double>(threads)},
          {"goodput_rps", goodput_rps},
          {"requests", requests},

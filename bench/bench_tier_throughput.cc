@@ -9,6 +9,8 @@
 //   bench_tier_throughput [num-queries] [pacing] [--smoke] [--json[=path]]
 //
 // Defaults: 600 queries, pacing 0.02, proxies swept over {1, 2, 4, 8}.
+// Queries run from 1 to 10,000,000 and pacing from 0 to 1; anything else
+// exits 2 with the usage text.
 // --smoke shrinks the sweep to {1, 4} proxies and 200 queries — the
 // CI/TSan-soak configuration.
 //
@@ -34,6 +36,14 @@
 
 using namespace fnproxy;
 
+namespace {
+
+constexpr char kUsage[] =
+    "usage: bench_tier_throughput [num-queries 1-10000000] [pacing 0-1]"
+    " [--smoke] [--json[=path]] [--git-sha=SHA]\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   bench::BenchJson json =
       bench::BenchJson::FromArgs(&argc, argv, "bench_tier_throughput");
@@ -47,9 +57,13 @@ int main(int argc, char** argv) {
     }
   }
   argc = out;
-  size_t num_queries = argc > 1 ? static_cast<size_t>(std::atoll(argv[1]))
-                                : (smoke ? 200 : 600);
-  double pacing = argc > 2 ? std::atof(argv[2]) : 0.02;
+  if (argc > 3) bench::BadArgument(kUsage, argv[3], "unexpected argument");
+  const size_t num_queries =
+      argc > 1 ? bench::CountArg(kUsage, "num-queries", argv[1], 1,
+                                 bench::kMaxQueries)
+               : (smoke ? 200 : 600);
+  const double pacing =
+      argc > 2 ? bench::RealArg(kUsage, "pacing", argv[2], 0.0, 1.0) : 0.02;
   const std::vector<size_t> tier_sizes =
       smoke ? std::vector<size_t>{1, 4} : std::vector<size_t>{1, 2, 4, 8};
 
@@ -134,8 +148,8 @@ int main(int argc, char** argv) {
       extras.emplace_back("phase_" + row.phase + "_p95_us",
                           static_cast<double>(row.p95_micros));
     }
-    json.Record("tier_throughput/p" + std::to_string(proxies), rps, "req/s",
-                extras);
+    json.Record(std::string("tier_throughput/p") + std::to_string(proxies),
+                rps, "req/s", extras);
   }
   std::printf("\nPeer-served lookups ride the %s peer link; expected: req/s "
               "grows 1 -> 4 proxies and peer_lookup p95 << origin_roundtrip "

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <memory>
 #include <thread>
 
 #include "geometry/celestial.h"
@@ -12,11 +11,7 @@
 
 namespace fnproxy::catalog {
 
-using sql::Column;
-using sql::Row;
 using sql::Schema;
-using sql::Table;
-using sql::Value;
 using sql::ValueType;
 
 sql::Schema SkyCatalogSchema() {
@@ -83,97 +78,102 @@ struct Center {
   double dec;
 };
 
-/// Every random draw one object makes, taken in the generator's stream
-/// order. Gaussian draws stay uniform pairs (util::BoxMuller turns them into
-/// normals later), so this record is all the serial pass computes.
-struct ObjectDraws {
-  bool clustered;
-  bool galaxy;
-  size_t center;
-  /// Clustered: the Box-Muller pair of the (ra, dec) offset. Background:
-  /// ra and dec themselves.
-  double position[2];
-  double r_mag;
-  /// The Box-Muller pairs of (g - r, u - g) and (r - i, i - z).
-  double colors[2][2];
-  int64_t flags;
+/// The 13 pre-sized columns of SkyCatalogSchema, as raw arrays. The draw
+/// pass parks each object's random draws in the object's own cells, and
+/// the derive pass replaces them with its values in place:
+///   objID    the drawn cluster index, or -1 for a background object
+///   ra, dec  clustered: the Box-Muller pair of the (ra, dec) offset;
+///            background: ra and dec themselves
+///   u, g     the Box-Muller pair of (g - r, u - g)
+///   i, z     the Box-Muller pair of (r - i, i - z)
+///   r, type and flags are final when drawn; cx, cy and cz wait unset.
+/// Gaussian draws stay uniform pairs (util::BoxMuller turns them into
+/// normals), so the serial pass only draws.
+struct CatalogColumns {
+  int64_t* obj_id;
+  double* ra;
+  double* dec;
+  double* cx;
+  double* cy;
+  double* cz;
+  double* u;
+  double* g;
+  double* r;
+  double* i;
+  double* z;
+  int64_t* type;
+  int64_t* flags;
 };
 
-ObjectDraws DrawObject(const SkyCatalogConfig& config, size_t num_centers,
-                       util::Random& rng) {
-  ObjectDraws d;
-  d.clustered = num_centers > 0 && rng.NextBool(config.cluster_fraction);
-  d.center = 0;
-  if (d.clustered) {
-    d.center = rng.NextUint64(num_centers);
-    rng.NextGaussianUniforms(&d.position[0], &d.position[1]);
+/// Makes every random draw of object `n`, in the generator's stream order.
+void DrawObject(const SkyCatalogConfig& config, size_t num_centers,
+                util::Random& rng, const CatalogColumns& out, size_t n) {
+  const bool clustered =
+      num_centers > 0 && rng.NextBool(config.cluster_fraction);
+  out.obj_id[n] = -1;
+  if (clustered) {
+    out.obj_id[n] = static_cast<int64_t>(rng.NextUint64(num_centers));
+    rng.NextGaussianUniforms(&out.ra[n], &out.dec[n]);
   } else {
-    d.position[0] = rng.NextDouble(config.ra_min, config.ra_max);
-    d.position[1] = rng.NextDouble(config.dec_min, config.dec_max);
+    out.ra[n] = rng.NextDouble(config.ra_min, config.ra_max);
+    out.dec[n] = rng.NextDouble(config.dec_min, config.dec_max);
   }
   // Magnitudes: r roughly uniform over the survey's depth, colors as
   // offsets so predicates like "g - r < 0.5" select sensible subsets.
-  d.r_mag = rng.NextDouble(14.0, 23.0);
-  rng.NextGaussianUniforms(&d.colors[0][0], &d.colors[0][1]);
-  rng.NextGaussianUniforms(&d.colors[1][0], &d.colors[1][1]);
+  out.r[n] = rng.NextDouble(14.0, 23.0);
+  rng.NextGaussianUniforms(&out.u[n], &out.g[n]);
+  rng.NextGaussianUniforms(&out.i[n], &out.z[n]);
   // Type: 3 = galaxy, 6 = star (SDSS convention).
-  d.galaxy = rng.NextBool(0.6);
-  d.flags = 0;
-  if (rng.NextBool(0.05)) d.flags |= 0x40000;      // SATURATED
-  if (rng.NextBool(0.10)) d.flags |= 0x2;          // BRIGHT
-  if (rng.NextBool(0.08)) d.flags |= 0x4;          // EDGE
-  if (rng.NextBool(0.15)) d.flags |= 0x8;          // BLENDED
-  if (rng.NextBool(0.50)) d.flags |= 0x10000000;   // BINNED1
-  if (rng.NextBool(0.02)) d.flags |= 0x1000;       // COSMIC_RAY
-  return d;
+  out.type[n] = rng.NextBool(0.6) ? 3 : 6;
+  int64_t flags = 0;
+  if (rng.NextBool(0.05)) flags |= 0x40000;      // SATURATED
+  if (rng.NextBool(0.10)) flags |= 0x2;          // BRIGHT
+  if (rng.NextBool(0.08)) flags |= 0x4;          // EDGE
+  if (rng.NextBool(0.15)) flags |= 0x8;          // BLENDED
+  if (rng.NextBool(0.50)) flags |= 0x10000000;   // BINNED1
+  if (rng.NextBool(0.02)) flags |= 0x1000;       // COSMIC_RAY
+  out.flags[n] = flags;
 }
 
-/// The catalog row of object `n`: a pure function of its draws.
-Row DeriveRow(const SkyCatalogConfig& config,
-              const std::vector<Center>& centers, const ObjectDraws& d,
-              size_t n) {
-  double ra = d.position[0];
-  double dec = d.position[1];
-  if (d.clustered) {
-    const Center& c = centers[d.center];
-    const util::GaussianPair offset =
-        util::BoxMuller(d.position[0], d.position[1]);
+/// Replaces object `n`'s parked draws with its catalog values: a pure
+/// function of those draws.
+void DeriveObject(const SkyCatalogConfig& config,
+                  const std::vector<Center>& centers,
+                  const CatalogColumns& out, size_t n) {
+  double ra = out.ra[n];
+  double dec = out.dec[n];
+  if (out.obj_id[n] >= 0) {
+    const Center& c = centers[static_cast<size_t>(out.obj_id[n])];
+    const util::GaussianPair offset = util::BoxMuller(ra, dec);
     ra = std::clamp(c.ra + offset.cos * config.cluster_sigma_deg,
                     config.ra_min, config.ra_max);
     dec = std::clamp(c.dec + offset.sin * config.cluster_sigma_deg,
                      config.dec_min, config.dec_max);
   }
   const std::array<double, 3> unit = geometry::RaDecToUnitArray(ra, dec);
-  const util::GaussianPair blue =
-      util::BoxMuller(d.colors[0][0], d.colors[0][1]);
-  const util::GaussianPair red =
-      util::BoxMuller(d.colors[1][0], d.colors[1][1]);
+  const util::GaussianPair blue = util::BoxMuller(out.u[n], out.g[n]);
+  const util::GaussianPair red = util::BoxMuller(out.i[n], out.z[n]);
   const double g_r = blue.cos * 0.4 + 0.6;
   const double u_g = blue.sin * 0.5 + 1.2;
   const double r_i = red.cos * 0.25 + 0.3;
   const double i_z = red.sin * 0.25 + 0.2;
+  const double r_mag = out.r[n];
 
-  Row row;
-  row.reserve(13);
-  row.push_back(Value::Int(static_cast<int64_t>(1000000 + n)));
-  row.push_back(Value::Double(ra));
-  row.push_back(Value::Double(dec));
-  row.push_back(Value::Double(unit[0]));
-  row.push_back(Value::Double(unit[1]));
-  row.push_back(Value::Double(unit[2]));
-  row.push_back(Value::Double(d.r_mag + g_r + u_g));
-  row.push_back(Value::Double(d.r_mag + g_r));
-  row.push_back(Value::Double(d.r_mag));
-  row.push_back(Value::Double(d.r_mag - r_i));
-  row.push_back(Value::Double(d.r_mag - r_i - i_z));
-  row.push_back(Value::Int(d.galaxy ? 3 : 6));
-  row.push_back(Value::Int(d.flags));
-  return row;
+  out.obj_id[n] = static_cast<int64_t>(1000000 + n);
+  out.ra[n] = ra;
+  out.dec[n] = dec;
+  out.cx[n] = unit[0];
+  out.cy[n] = unit[1];
+  out.cz[n] = unit[2];
+  out.u[n] = r_mag + g_r + u_g;
+  out.g[n] = r_mag + g_r;
+  out.i[n] = r_mag - r_i;
+  out.z[n] = r_mag - r_i - i_z;
 }
 
 }  // namespace
 
-sql::Table GenerateSkyCatalog(
+sql::ColumnarTable GenerateSkyCatalog(
     const SkyCatalogConfig& config,
     std::vector<std::pair<double, double>>* cluster_centers) {
   util::Random rng(config.seed);
@@ -196,39 +196,58 @@ sql::Table GenerateSkyCatalog(
     for (const Center& c : centers) cluster_centers->emplace_back(c.ra, c.dec);
   }
 
-  // Two phases. The draws must come from one stream in object order, so
-  // this thread makes them all; each row is then a pure function of its
-  // object's draws (the Box-Muller and trig arithmetic, most of the work),
-  // so contiguous chunks derive their rows on a pool, each chunk as soon as
-  // its draws are in, into pre-sized slots. The bytes do not depend on the
-  // worker count or on which worker derives which chunk.
   const size_t n = config.num_objects;
-  const auto draws = std::make_unique_for_overwrite<ObjectDraws[]>(n);
-  std::vector<Row> rows(n);
-  auto draw = [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      draws[i] = DrawObject(config, centers.size(), rng);
-    }
-  };
-  auto derive = [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      rows[i] = DeriveRow(config, centers, draws[i], i);
-    }
-  };
   const size_t chunks = (n + kChunkObjects - 1) / kChunkObjects;
   util::ThreadPool pool(std::min<size_t>(
       chunks, std::clamp<size_t>(std::thread::hardware_concurrency(), 1, 8)));
+
+  // Sizing a column zero-fills it, and the page faults of that first touch
+  // cost about as much as all the draws, so the workers size one column
+  // each while this thread waits.
+  Schema schema = SkyCatalogSchema();
+  std::vector<sql::ColumnarTable::ColumnData> data(schema.num_columns());
+  for (size_t c = 0; c < data.size(); ++c) {
+    sql::ColumnarTable::ColumnData& column = data[c];
+    const bool is_int = schema.column(c).type == ValueType::kInt;
+    column.kind = is_int ? sql::ColumnarTable::StorageKind::kInt
+                         : sql::ColumnarTable::StorageKind::kDouble;
+    pool.Submit([&column, is_int, n] {
+      if (is_int) {
+        column.ints.resize(n);
+      } else {
+        column.doubles.resize(n);
+      }
+    });
+  }
+  pool.Wait();
+  const CatalogColumns columns{
+      data[0].ints.data(),     data[1].doubles.data(),  data[2].doubles.data(),
+      data[3].doubles.data(),  data[4].doubles.data(),  data[5].doubles.data(),
+      data[6].doubles.data(),  data[7].doubles.data(),  data[8].doubles.data(),
+      data[9].doubles.data(),  data[10].doubles.data(), data[11].ints.data(),
+      data[12].ints.data()};
+
+  // Two phases. The draws must come from one stream in object order, so
+  // this thread makes them all; each object's values are then a pure
+  // function of its draws (the Box-Muller and trig arithmetic, most of the
+  // work), so contiguous chunks derive in place on a pool, each chunk as
+  // soon as its draws are in. The bytes do not depend on the worker count
+  // or on which worker derives which chunk.
+  auto derive = [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      DeriveObject(config, centers, columns, i);
+    }
+  };
   for (size_t begin = 0; begin < n; begin += kChunkObjects) {
     const size_t end = std::min(n, begin + kChunkObjects);
-    draw(begin, end);
+    for (size_t i = begin; i < end; ++i) {
+      DrawObject(config, centers.size(), rng, columns, i);
+    }
     pool.Submit([&derive, begin, end] { derive(begin, end); });
   }
   pool.Wait();
-
-  Table table(SkyCatalogSchema());
-  table.Reserve(n);
-  for (Row& row : rows) table.AddRow(std::move(row));
-  return table;
+  return sql::ColumnarTable::FromColumns(std::move(schema), n,
+                                         std::move(data));
 }
 
 }  // namespace fnproxy::catalog

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "sql/columnar.h"
 #include "sql/schema.h"
 #include "util/status.h"
 
@@ -38,11 +39,11 @@ struct SkyCatalogConfig {
 /// requires in cached result tuples.
 sql::Schema SkyCatalogSchema();
 
-/// Generates the catalog; deterministic in the seed. When `cluster_centers`
-/// is non-null it receives the (ra, dec) of each cluster — workload
-/// generators target them as query hotspots (users query where the
-/// interesting objects are).
-sql::Table GenerateSkyCatalog(
+/// Generates the catalog as typed columns (8 bytes a cell); deterministic in
+/// the seed. When `cluster_centers` is non-null it receives the (ra, dec) of
+/// each cluster — workload generators target them as query hotspots (users
+/// query where the interesting objects are).
+sql::ColumnarTable GenerateSkyCatalog(
     const SkyCatalogConfig& config,
     std::vector<std::pair<double, double>>* cluster_centers = nullptr);
 

@@ -1,6 +1,7 @@
 #ifndef FNPROXY_GEOMETRY_HYPERSPHERE_H_
 #define FNPROXY_GEOMETRY_HYPERSPHERE_H_
 
+#include <cmath>
 #include <memory>
 #include <span>
 #include <string>
@@ -37,12 +38,13 @@ class Hypersphere final : public Region {
   double radius_;
 };
 
-/// The sphere-sphere intersection test on plain coordinates: true when the
-/// closed balls with centers `a`, `b` (of equal dimension) and radii `ra`,
-/// `rb` share a point within kGeomEpsilon, that is when
-/// sum_i (a_i - b_i)^2 <= (ra + rb + kGeomEpsilon)^2. Intersects decides
-/// every sphere pair with it; code that keeps balls as flat arrays calls it
-/// directly.
+// The sphere-sphere predicates on plain coordinates. Equals, Contains and
+// Intersects decide every sphere pair with them, and code that keeps balls
+// as flat arrays calls them directly. Centers are of equal dimension.
+
+/// True when the closed balls with centers `a`, `b` and radii `ra`, `rb`
+/// share a point within kGeomEpsilon, that is when
+/// sum_i (a_i - b_i)^2 <= (ra + rb + kGeomEpsilon)^2.
 inline bool SpheresIntersect(std::span<const double> a, double ra,
                              std::span<const double> b, double rb) {
   double sum = 0.0;
@@ -52,6 +54,28 @@ inline bool SpheresIntersect(std::span<const double> a, double ra,
   }
   const double limit = ra + rb + kGeomEpsilon;
   return sum <= limit * limit;
+}
+
+/// True when the ball (`inner`, `ri`) lies in the ball (`outer`, `ro`)
+/// within kGeomEpsilon: |outer - inner| + ri <= ro + kGeomEpsilon.
+inline bool SphereContains(std::span<const double> outer, double ro,
+                           std::span<const double> inner, double ri) {
+  double sum = 0.0;
+  for (size_t i = 0; i < outer.size(); ++i) {
+    const double d = outer[i] - inner[i];
+    sum += d * d;
+  }
+  return std::sqrt(sum) + ri <= ro + kGeomEpsilon;
+}
+
+/// True when the two balls' centers and radii are NearlyEqual coordinate
+/// by coordinate.
+inline bool SpheresEqual(std::span<const double> a, double ra,
+                         std::span<const double> b, double rb) {
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!NearlyEqual(a[i], b[i])) return false;
+  }
+  return NearlyEqual(ra, rb);
 }
 
 }  // namespace fnproxy::geometry

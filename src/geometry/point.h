@@ -1,6 +1,7 @@
 #ifndef FNPROXY_GEOMETRY_POINT_H_
 #define FNPROXY_GEOMETRY_POINT_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <vector>
@@ -16,6 +17,14 @@ using Point = std::vector<double>;
 /// this system are O(1) magnitudes (unit-sphere coordinates, degrees), so an
 /// absolute epsilon is appropriate.
 inline constexpr double kGeomEpsilon = 1e-9;
+
+/// Equality of two coordinates within kGeomEpsilon, relative to their
+/// magnitude: |a - b| <= kGeomEpsilon * (1 + max(|a|, |b|)). Equals compares
+/// rectangle corners and sphere centers and radii with it.
+inline bool NearlyEqual(double a, double b) {
+  return std::abs(a - b) <=
+         kGeomEpsilon * (1.0 + std::max(std::abs(a), std::abs(b)));
+}
 
 /// Euclidean distance between two points of equal dimension.
 inline double Distance(const Point& a, const Point& b) {

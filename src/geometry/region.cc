@@ -40,10 +40,6 @@ const char* RegionRelationName(RegionRelation relation) {
 
 namespace {
 
-bool NearlyEqual(double a, double b) {
-  return std::abs(a - b) <= kGeomEpsilon * (1.0 + std::max(std::abs(a), std::abs(b)));
-}
-
 bool PointsNearlyEqual(const Point& a, const Point& b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
@@ -99,8 +95,8 @@ bool Equals(const Region& a, const Region& b) {
       case ShapeKind::kHypersphere: {
         const auto& sa = static_cast<const Hypersphere&>(a);
         const auto& sb = static_cast<const Hypersphere&>(b);
-        return PointsNearlyEqual(sa.center(), sb.center()) &&
-               NearlyEqual(sa.radius(), sb.radius());
+        return SpheresEqual(sa.center(), sa.radius(), sb.center(),
+                            sb.radius());
       }
       case ShapeKind::kPolytope:
         break;  // Fall through to the mutual-containment test.
@@ -135,9 +131,8 @@ bool Contains(const Region& outer, const Region& inner) {
                                     sphere);
         case ShapeKind::kHypersphere: {
           const auto& out_sphere = static_cast<const Hypersphere&>(outer);
-          return Distance(out_sphere.center(), sphere.center()) +
-                     sphere.radius() <=
-                 out_sphere.radius() + kGeomEpsilon;
+          return SphereContains(out_sphere.center(), out_sphere.radius(),
+                                sphere.center(), sphere.radius());
         }
         case ShapeKind::kPolytope:
           return PolytopeContainsSphere(static_cast<const Polytope&>(outer),

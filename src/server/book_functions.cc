@@ -5,7 +5,6 @@
 
 namespace fnproxy::server {
 
-using sql::Row;
 using sql::Schema;
 using sql::Table;
 using sql::Value;
@@ -17,7 +16,7 @@ namespace {
 
 class GetSimilarBooks final : public TableValuedFunction {
  public:
-  explicit GetSimilarBooks(const sql::Table* books)
+  explicit GetSimilarBooks(const sql::ColumnarTable* books)
       : books_(books),
         schema_(Schema({{"bookID", ValueType::kInt},
                         {"distance", ValueType::kDouble}})) {
@@ -49,20 +48,25 @@ class GetSimilarBooks final : public TableValuedFunction {
     result.table = Table(schema_);
     result.tuples_examined = books_->num_rows();
     double max_sq = max_dist * max_dist;
-    for (const Row& row : books_->rows()) {
-      double d1 = row[col_f1_].AsDouble() - f[0];
-      double d2 = row[col_f2_].AsDouble() - f[1];
-      double d3 = row[col_f3_].AsDouble() - f[2];
+    const int64_t* ids = books_->RawInts(col_id_);
+    const double* f1 = books_->RawDoubles(col_f1_);
+    const double* f2 = books_->RawDoubles(col_f2_);
+    const double* f3 = books_->RawDoubles(col_f3_);
+    for (size_t i = 0; i < books_->num_rows(); ++i) {
+      double d1 = f1[i] - f[0];
+      double d2 = f2[i] - f[1];
+      double d3 = f3[i] - f[2];
       double d_sq = d1 * d1 + d2 * d2 + d3 * d3;
       if (d_sq <= max_sq) {
-        result.table.AddRow({row[col_id_], Value::Double(std::sqrt(d_sq))});
+        result.table.AddRow(
+            {Value::Int(ids[i]), Value::Double(std::sqrt(d_sq))});
       }
     }
     return result;
   }
 
  private:
-  const sql::Table* books_;
+  const sql::ColumnarTable* books_;
   std::string name_ = "fGetSimilarBooks";
   Schema schema_;
   size_t col_id_, col_f1_, col_f2_, col_f3_;
@@ -71,7 +75,7 @@ class GetSimilarBooks final : public TableValuedFunction {
 }  // namespace
 
 std::unique_ptr<TableValuedFunction> MakeGetSimilarBooks(
-    const sql::Table* books) {
+    const sql::ColumnarTable* books) {
   return std::make_unique<GetSimilarBooks>(books);
 }
 

@@ -4,7 +4,7 @@
 #include <memory>
 
 #include "server/table_function.h"
-#include "sql/schema.h"
+#include "sql/columnar.h"
 
 namespace fnproxy::server {
 
@@ -12,9 +12,10 @@ namespace fnproxy::server {
 /// vector lies within Euclidean `distance` of (f1, f2, f3) — the paper's
 /// "books similar to a given book" hypersphere example (§3.1, property 2).
 /// Returns (bookID INT, distance DOUBLE). The referenced Books table must
-/// outlive the function.
+/// outlive the function and not change; its bookID column must be INT and
+/// its f1, f2 and f3 columns DOUBLE, without NULLs.
 std::unique_ptr<TableValuedFunction> MakeGetSimilarBooks(
-    const sql::Table* books);
+    const sql::ColumnarTable* books);
 
 }  // namespace fnproxy::server
 

@@ -29,11 +29,11 @@ std::string Database::NormalizeName(std::string_view name) {
   return lower;
 }
 
-void Database::AddTable(std::string name, sql::Table table) {
+void Database::AddTable(std::string name, sql::ColumnarTable table) {
   tables_[NormalizeName(name)] = std::move(table);
 }
 
-const sql::Table* Database::FindTable(std::string_view name) const {
+const sql::ColumnarTable* Database::FindTable(std::string_view name) const {
   auto it = tables_.find(NormalizeName(name));
   return it == tables_.end() ? nullptr : &it->second;
 }
@@ -49,19 +49,21 @@ const TableValuedFunction* Database::FindTableFunction(
   return it == functions_.end() ? nullptr : it->second.get();
 }
 
-const Database::HashIndex* Database::GetHashIndex(const std::string& table_name,
-                                                  const sql::Table& table,
-                                                  size_t column) const {
+const Database::HashIndex* Database::GetHashIndex(
+    const std::string& table_name, const sql::ColumnarTable& table,
+    size_t column) const {
   HashIndexKey key{NormalizeName(table_name), table.schema().column(column).name};
   util::MutexLock lock(hash_index_mu_);
   auto it = hash_indexes_.find(key);
   if (it != hash_indexes_.end()) return &it->second;
-  if (table.schema().column(column).type != ValueType::kInt) return nullptr;
+  if (table.storage_kind(column) != sql::ColumnarTable::StorageKind::kInt) {
+    return nullptr;
+  }
   HashIndex index;
   index.reserve(table.num_rows());
+  const int64_t* keys = table.RawInts(column);
   for (size_t i = 0; i < table.num_rows(); ++i) {
-    const Value& v = table.row(i)[column];
-    if (!v.is_null()) index.emplace(v.AsInt(), i);
+    if (!table.CellIsNull(i, column)) index.emplace(keys[i], i);
   }
   auto [inserted, unused] = hash_indexes_.emplace(key, std::move(index));
   (void)unused;
@@ -133,7 +135,7 @@ ValueType InferType(const Expr& expr, const std::vector<Source>& sources) {
 std::string DeriveName(const Expr& expr, size_t index) {
   if (expr.kind == Expr::Kind::kColumnRef) return expr.name;
   if (expr.kind == Expr::Kind::kFunctionCall) return expr.name;
-  return "col" + std::to_string(index + 1);
+  return std::string("col") + std::to_string(index + 1);
 }
 
 /// If `condition` is `a.x = b.y` with exactly one side resolving to the new
@@ -235,15 +237,15 @@ StatusOr<Database::ExecResult> Database::ExecuteSelect(
       tuples.push_back(JoinedRow{row});
     }
   } else {
-    const Table* table = FindTable(from.name);
+    const sql::ColumnarTable* table = FindTable(from.name);
     if (table == nullptr) {
       return Status::NotFound("unknown table " + from.name);
     }
     sources.push_back({from.EffectiveName(), &table->schema()});
     tuples_examined += table->num_rows();
-    tuples.reserve(table->num_rows());
-    for (const Row& row : table->rows()) {
-      tuples.push_back(JoinedRow{row});
+    tuples.resize(table->num_rows());
+    for (size_t r = 0; r < table->num_rows(); ++r) {
+      tuples[r].push_back(table->RowAt(r));
     }
   }
 
@@ -253,7 +255,7 @@ StatusOr<Database::ExecResult> Database::ExecuteSelect(
       return Status::Unsupported(
           "table-valued functions are only supported in the FROM clause");
     }
-    const Table* right = FindTable(join.table.name);
+    const sql::ColumnarTable* right = FindTable(join.table.name);
     if (right == nullptr) {
       return Status::NotFound("unknown table " + join.table.name);
     }
@@ -281,17 +283,17 @@ StatusOr<Database::ExecResult> Database::ExecuteSelect(
         auto [begin, end] = index->equal_range(key.AsInt());
         for (auto it = begin; it != end; ++it) {
           JoinedRow combined = tuple;
-          combined.push_back(right->row(it->second));
+          combined.push_back(right->RowAt(it->second));
           joined.push_back(std::move(combined));
         }
       }
     } else {
       // Nested-loop join.
       for (JoinedRow& tuple : tuples) {
-        for (const Row& right_row : right->rows()) {
+        for (size_t r = 0; r < right->num_rows(); ++r) {
           ++tuples_examined;
           JoinedRow combined = tuple;
-          combined.push_back(right_row);
+          combined.push_back(right->RowAt(r));
           RowBinding binding;
           for (size_t i = 0; i < sources.size(); ++i) {
             binding.AddSource(sources[i].qualifier, sources[i].schema,

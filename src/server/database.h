@@ -8,6 +8,7 @@
 
 #include "server/table_function.h"
 #include "sql/ast.h"
+#include "sql/columnar.h"
 #include "sql/eval.h"
 #include "sql/schema.h"
 #include "util/mutex.h"
@@ -19,6 +20,8 @@ namespace fnproxy::server {
 /// The origin site's database engine: named base tables, registered
 /// table-valued functions, scalar functions, and an executor for the SELECT
 /// subset the web application and the remainder-query facility accept.
+/// Base tables are stored as typed columns; the executor materializes a
+/// base-table row only when a scan or a join reaches it.
 ///
 /// ExecuteSelect is const and thread-safe (the lazily built join hash
 /// indexes are mutex-guarded); configuration (AddTable,
@@ -33,11 +36,12 @@ class Database {
  public:
   Database();
 
-  /// Registers a base table; replaces any table of the same name.
-  void AddTable(std::string name, sql::Table table);
+  /// Registers a base table; replaces any table of the same name. A
+  /// row-wise sql::Table converts on the way in.
+  void AddTable(std::string name, sql::ColumnarTable table);
   /// Returns nullptr when unknown. Lookup is case-insensitive and ignores a
   /// leading "dbo." qualifier, as SkyServer queries write both forms.
-  const sql::Table* FindTable(std::string_view name) const;
+  const sql::ColumnarTable* FindTable(std::string_view name) const;
 
   /// Registers a table-valued function (keyed by its name()).
   void RegisterTableFunction(std::unique_ptr<TableValuedFunction> fn);
@@ -72,12 +76,13 @@ class Database {
 
   /// Lazily builds/fetches a hash index over an INT column of a base table.
   const HashIndex* GetHashIndex(const std::string& table_name,
-                                const sql::Table& table, size_t column) const
+                                const sql::ColumnarTable& table,
+                                size_t column) const
       EXCLUDES(hash_index_mu_);
 
   static std::string NormalizeName(std::string_view name);
 
-  std::map<std::string, sql::Table> tables_;  // Keys normalized.
+  std::map<std::string, sql::ColumnarTable> tables_;  // Keys normalized.
   std::map<std::string, std::unique_ptr<TableValuedFunction>> functions_;
   sql::ScalarFunctionRegistry scalars_;
   /// Lazily built under hash_index_mu_ so concurrent ExecuteSelect calls

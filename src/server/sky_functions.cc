@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <optional>
+#include <type_traits>
 
 #include "geometry/celestial.h"
 #include "geometry/point.h"
 
 namespace fnproxy::server {
 
-using sql::Row;
 using sql::Schema;
 using sql::Table;
 using sql::Value;
@@ -17,19 +18,42 @@ using sql::ValueType;
 using util::Status;
 using util::StatusOr;
 
-SkyGrid::SkyGrid(const sql::Table* photo_primary, double cell_deg)
-    : table_(photo_primary), cell_deg_(cell_deg) {
-  auto ra_idx = table_->schema().FindColumn("ra");
-  auto dec_idx = table_->schema().FindColumn("dec");
-  assert(ra_idx.has_value() && dec_idx.has_value());
-  const size_t num_rows = table_->num_rows();
+namespace {
+
+/// Column `name` of `table` as an array of T; asserts that it holds one.
+template <typename T>
+const T* ColumnArray(const sql::ColumnarTable& table, const char* name) {
+  const std::optional<size_t> col = table.schema().FindColumn(name);
+  assert(col.has_value());
+  size_t null_words = 0;
+  (void)table.RawNullBits(*col, &null_words);
+  assert(null_words == 0);
+  (void)null_words;
+  if constexpr (std::is_same_v<T, int64_t>) {
+    assert(table.storage_kind(*col) == sql::ColumnarTable::StorageKind::kInt);
+    return table.RawInts(*col);
+  } else {
+    assert(table.storage_kind(*col) ==
+           sql::ColumnarTable::StorageKind::kDouble);
+    return table.RawDoubles(*col);
+  }
+}
+
+}  // namespace
+
+SkyGrid::SkyGrid(const sql::ColumnarTable* photo_primary, double cell_deg)
+    : obj_ids_(ColumnArray<int64_t>(*photo_primary, "objID")),
+      ra_(ColumnArray<double>(*photo_primary, "ra")),
+      dec_(ColumnArray<double>(*photo_primary, "dec")),
+      cx_(ColumnArray<double>(*photo_primary, "cx")),
+      cy_(ColumnArray<double>(*photo_primary, "cy")),
+      cz_(ColumnArray<double>(*photo_primary, "cz")),
+      cell_deg_(cell_deg) {
+  const size_t num_rows = photo_primary->num_rows();
   std::vector<int64_t> xs(num_rows), ys(num_rows);
   for (size_t i = 0; i < num_rows; ++i) {
-    const Row& row = table_->row(i);
-    xs[i] = static_cast<int64_t>(
-        std::floor(row[*ra_idx].AsDouble() / cell_deg_));
-    ys[i] = static_cast<int64_t>(
-        std::floor(row[*dec_idx].AsDouble() / cell_deg_));
+    xs[i] = static_cast<int64_t>(std::floor(ra_[i] / cell_deg_));
+    ys[i] = static_cast<int64_t>(std::floor(dec_[i] / cell_deg_));
   }
   if (num_rows > 0) {
     const auto [x_lo, x_hi] = std::minmax_element(xs.begin(), xs.end());
@@ -93,15 +117,7 @@ class GetNearbyObjEq final : public TableValuedFunction {
   explicit GetNearbyObjEq(const SkyGrid* grid)
       : grid_(grid),
         schema_(Schema({{"objID", ValueType::kInt},
-                        {"distance", ValueType::kDouble}})) {
-    const Schema& cat = grid_->table().schema();
-    col_objid_ = *cat.FindColumn("objID");
-    col_cx_ = *cat.FindColumn("cx");
-    col_cy_ = *cat.FindColumn("cy");
-    col_cz_ = *cat.FindColumn("cz");
-    col_ra_ = *cat.FindColumn("ra");
-    col_dec_ = *cat.FindColumn("dec");
-  }
+                        {"distance", ValueType::kDouble}})) {}
 
   const std::string& name() const override { return name_; }
   size_t num_params() const override { return 3; }
@@ -134,19 +150,20 @@ class GetNearbyObjEq final : public TableValuedFunction {
     TvfResult result;
     result.table = Table(schema_);
     result.tuples_examined = candidates.size();
-    const Table& cat = grid_->table();
+    const double* cx = grid_->cx();
+    const double* cy = grid_->cy();
+    const double* cz = grid_->cz();
     for (size_t idx : candidates) {
-      const Row& row = cat.row(idx);
-      double dx = row[col_cx_].AsDouble() - center[0];
-      double dy = row[col_cy_].AsDouble() - center[1];
-      double dz = row[col_cz_].AsDouble() - center[2];
+      double dx = cx[idx] - center[0];
+      double dy = cy[idx] - center[1];
+      double dz = cz[idx] - center[2];
       double d_sq = dx * dx + dy * dy + dz * dz;
       if (d_sq <= chord_sq) {
         double sep_arcmin = geometry::AngularSeparationDeg(
-                                ra, dec, row[col_ra_].AsDouble(),
-                                row[col_dec_].AsDouble()) *
+                                ra, dec, grid_->ra()[idx], grid_->dec()[idx]) *
                             60.0;
-        result.table.AddRow({row[col_objid_], Value::Double(sep_arcmin)});
+        result.table.AddRow({Value::Int(grid_->obj_ids()[idx]),
+                             Value::Double(sep_arcmin)});
       }
     }
     return result;
@@ -156,19 +173,13 @@ class GetNearbyObjEq final : public TableValuedFunction {
   const SkyGrid* grid_;
   std::string name_ = "fGetNearbyObjEq";
   Schema schema_;
-  size_t col_objid_, col_cx_, col_cy_, col_cz_, col_ra_, col_dec_;
 };
 
 /// fGetObjFromRect over the grid.
 class GetObjFromRect final : public TableValuedFunction {
  public:
   explicit GetObjFromRect(const SkyGrid* grid)
-      : grid_(grid), schema_(Schema({{"objID", ValueType::kInt}})) {
-    const Schema& cat = grid_->table().schema();
-    col_objid_ = *cat.FindColumn("objID");
-    col_ra_ = *cat.FindColumn("ra");
-    col_dec_ = *cat.FindColumn("dec");
-  }
+      : grid_(grid), schema_(Schema({{"objID", ValueType::kInt}})) {}
 
   const std::string& name() const override { return name_; }
   size_t num_params() const override { return 4; }
@@ -191,13 +202,11 @@ class GetObjFromRect final : public TableValuedFunction {
     TvfResult result;
     result.table = Table(schema_);
     result.tuples_examined = candidates.size();
-    const Table& cat = grid_->table();
     for (size_t idx : candidates) {
-      const Row& row = cat.row(idx);
-      double ra = row[col_ra_].AsDouble();
-      double dec = row[col_dec_].AsDouble();
+      double ra = grid_->ra()[idx];
+      double dec = grid_->dec()[idx];
       if (ra >= ra_min && ra <= ra_max && dec >= dec_min && dec <= dec_max) {
-        result.table.AddRow({row[col_objid_]});
+        result.table.AddRow({Value::Int(grid_->obj_ids()[idx])});
       }
     }
     return result;
@@ -207,19 +216,13 @@ class GetObjFromRect final : public TableValuedFunction {
   const SkyGrid* grid_;
   std::string name_ = "fGetObjFromRect";
   Schema schema_;
-  size_t col_objid_, col_ra_, col_dec_;
 };
 
 /// fGetObjInTriangle over the grid.
 class GetObjInTriangle final : public TableValuedFunction {
  public:
   explicit GetObjInTriangle(const SkyGrid* grid)
-      : grid_(grid), schema_(Schema({{"objID", ValueType::kInt}})) {
-    const Schema& cat = grid_->table().schema();
-    col_objid_ = *cat.FindColumn("objID");
-    col_ra_ = *cat.FindColumn("ra");
-    col_dec_ = *cat.FindColumn("dec");
-  }
+      : grid_(grid), schema_(Schema({{"objID", ValueType::kInt}})) {}
 
   const std::string& name() const override { return name_; }
   size_t num_params() const override { return 6; }
@@ -256,11 +259,9 @@ class GetObjInTriangle final : public TableValuedFunction {
     TvfResult result;
     result.table = Table(schema_);
     result.tuples_examined = candidates.size();
-    const Table& cat = grid_->table();
     for (size_t idx : candidates) {
-      const Row& row = cat.row(idx);
-      double qx = row[col_ra_].AsDouble();
-      double qy = row[col_dec_].AsDouble();
+      double qx = grid_->ra()[idx];
+      double qy = grid_->dec()[idx];
       bool inside = true;
       for (int i = 0; i < 3 && inside; ++i) {
         int j = (i + 1) % 3;
@@ -268,7 +269,7 @@ class GetObjInTriangle final : public TableValuedFunction {
             (x[j] - x[i]) * (qy - y[i]) - (y[j] - y[i]) * (qx - x[i]);
         inside = cross >= 0;
       }
-      if (inside) result.table.AddRow({row[col_objid_]});
+      if (inside) result.table.AddRow({Value::Int(grid_->obj_ids()[idx])});
     }
     return result;
   }
@@ -277,7 +278,6 @@ class GetObjInTriangle final : public TableValuedFunction {
   const SkyGrid* grid_;
   std::string name_ = "fGetObjInTriangle";
   Schema schema_;
-  size_t col_objid_, col_ra_, col_dec_;
 };
 
 }  // namespace

@@ -6,19 +6,21 @@
 #include <vector>
 
 #include "server/table_function.h"
-#include "sql/schema.h"
+#include "sql/columnar.h"
 
 namespace fnproxy::server {
 
 /// Shared spatial access structure over the PhotoPrimary table: a uniform
 /// (ra, dec) grid used by the sky TVFs to prune candidates, standing in for
 /// the HTM index the real SkyServer uses. The referenced table must outlive
-/// this object and not change, and its ra/dec values must be finite
-/// degrees.
+/// this object and not change. Its objID column must be INT and its ra,
+/// dec, cx, cy and cz columns DOUBLE, without NULLs (the TVFs read them as
+/// arrays), and its ra/dec values must be finite degrees.
 class SkyGrid {
  public:
   /// `cell_deg` is the grid pitch in degrees.
-  explicit SkyGrid(const sql::Table* photo_primary, double cell_deg = 1.0);
+  explicit SkyGrid(const sql::ColumnarTable* photo_primary,
+                   double cell_deg = 1.0);
 
   /// Row indices of all objects in cells overlapping the ra/dec window,
   /// cell by cell (ra-major) and ascending within a cell.
@@ -26,10 +28,21 @@ class SkyGrid {
   std::vector<size_t> Candidates(double ra_min, double ra_max, double dec_min,
                                  double dec_max) const;
 
-  const sql::Table& table() const { return *table_; }
+  /// The catalog's columns as arrays, indexed by row.
+  const int64_t* obj_ids() const { return obj_ids_; }
+  const double* ra() const { return ra_; }
+  const double* dec() const { return dec_; }
+  const double* cx() const { return cx_; }
+  const double* cy() const { return cy_; }
+  const double* cz() const { return cz_; }
 
  private:
-  const sql::Table* table_;
+  const int64_t* obj_ids_;
+  const double* ra_;
+  const double* dec_;
+  const double* cx_;
+  const double* cy_;
+  const double* cz_;
   double cell_deg_;
   /// A dense table over the cells the rows occupy, [x0_, x0_ + nx_) by
   /// [y0_, y0_ + ny_) in cell units, ra-major. Cell c holds the row ids

@@ -572,15 +572,15 @@ const Value& ColumnarTable::CellMixed(size_t row, size_t col) const {
 Table ColumnarTable::ToTable() const {
   Table table(schema_);
   table.Reserve(num_rows_);
-  for (size_t r = 0; r < num_rows_; ++r) {
-    Row row;
-    row.reserve(columns_.size());
-    for (size_t c = 0; c < columns_.size(); ++c) {
-      row.push_back(CellValue(r, c));
-    }
-    table.AddRow(std::move(row));
-  }
+  for (size_t r = 0; r < num_rows_; ++r) table.AddRow(RowAt(r));
   return table;
+}
+
+Row ColumnarTable::RowAt(size_t row) const {
+  Row out;
+  out.reserve(columns_.size());
+  for (size_t c = 0; c < columns_.size(); ++c) out.push_back(CellValue(row, c));
+  return out;
 }
 
 ColumnarTable ColumnarTable::FromColumns(Schema schema, size_t num_rows,

@@ -84,6 +84,8 @@ class ColumnarTable {
 
   /// Lossless conversion back to the row-wise representation.
   Table ToTable() const;
+  /// Row `row` of ToTable(), materialized alone.
+  Row RowAt(size_t row) const;
 
   /// Direct column payloads for rebuilding a table without per-cell appends
   /// (the storage tier's thaw path). Field meanings mirror the internal

@@ -80,10 +80,9 @@ void RegisterOriginMetrics(core::FunctionProxy* proxy,
 SkyExperiment::SkyExperiment(Options options) : options_(std::move(options)) {
   // Catalog and origin database.
   std::vector<std::pair<double, double>> clusters;
-  sql::Table photo = catalog::GenerateSkyCatalog(options_.catalog, &clusters);
-  db_.AddTable("PhotoPrimary", std::move(photo));
-  const sql::Table* stored = db_.FindTable("PhotoPrimary");
-  grid_ = std::make_unique<server::SkyGrid>(stored);
+  db_.AddTable("PhotoPrimary",
+                catalog::GenerateSkyCatalog(options_.catalog, &clusters));
+  grid_ = std::make_unique<server::SkyGrid>(db_.FindTable("PhotoPrimary"));
   db_.RegisterTableFunction(server::MakeGetNearbyObjEq(grid_.get()));
   db_.RegisterTableFunction(server::MakeGetObjFromRect(grid_.get()));
   db_.RegisterTableFunction(server::MakeGetObjInTriangle(grid_.get()));

@@ -133,6 +133,9 @@ class SkyExperiment {
   /// catalog's clusters). Built on the first call; safe to call from
   /// several threads at once.
   const Trace& trace() const;
+  /// The configuration trace() generates from: `options().trace` with the
+  /// catalog's cluster centers inside the trace footprint as hotspots.
+  const RadialTraceConfig& trace_config() const { return trace_config_; }
   const core::TemplateRegistry& templates() const { return templates_; }
   server::Database* database() { return &db_; }
   const Options& options() const { return options_; }
@@ -160,7 +163,6 @@ class SkyExperiment {
                            const std::string& restore_from);
 
   Options options_;
-  sql::Table* photo_primary_ = nullptr;  // Owned by db_.
   std::unique_ptr<server::SkyGrid> grid_;
   server::Database db_;
   core::TemplateRegistry templates_;

@@ -39,18 +39,37 @@ double RoundTo(double value, int decimals) {
 
 /// A cone's 3-D ball as plain numbers: its center's unit vector and its
 /// chord radius, the values geometry::ConeToHypersphere puts in a sphere.
+/// The predicates below decide exactly as geometry::Intersects, Contains,
+/// Equals and Relate on those spheres, through the same flat tests.
 struct Ball {
   std::array<double, 3> center;
   double radius;
-
-  geometry::Hypersphere Sphere() const {
-    return geometry::Hypersphere(geometry::Point(center.begin(), center.end()),
-                                 radius);
-  }
 };
 
 bool Intersects(const Ball& a, const Ball& b) {
   return geometry::SpheresIntersect(a.center, a.radius, b.center, b.radius);
+}
+
+bool Contains(const Ball& outer, const Ball& inner) {
+  return geometry::SphereContains(outer.center, outer.radius, inner.center,
+                                  inner.radius);
+}
+
+bool Equals(const Ball& a, const Ball& b) {
+  return geometry::SpheresEqual(a.center, a.radius, b.center, b.radius);
+}
+
+/// Contained in `cached` and not equal to it.
+bool StrictlyInside(const Ball& inner, const Ball& cached) {
+  return Contains(cached, inner) && !Equals(cached, inner);
+}
+
+RegionRelation Relate(const Ball& new_ball, const Ball& cached) {
+  if (Equals(new_ball, cached)) return RegionRelation::kEqual;
+  if (Contains(cached, new_ball)) return RegionRelation::kContainedBy;
+  if (Contains(new_ball, cached)) return RegionRelation::kContains;
+  if (Intersects(new_ball, cached)) return RegionRelation::kOverlap;
+  return RegionRelation::kDisjoint;
 }
 
 /// A generated cone, kept in rounded form (exactly what the form request
@@ -64,39 +83,53 @@ struct Cone {
     return {geometry::RaDecToUnitArray(ra, dec),
             geometry::ArcminToChord(radius_arcmin)};
   }
-  geometry::Hypersphere Sphere() const {
-    return geometry::ConeToHypersphere(ra, dec, radius_arcmin);
-  }
 };
 
-/// The emitted cones with their balls in one flat array (each computed
-/// once), and a hashed grid over their centers for fast disjointness checks.
+/// The emitted cones and their balls (each computed once), and a hashed
+/// grid over their centers for fast disjointness checks. Each cell keeps
+/// copies of its balls in one contiguous array, in emission order.
 class ConeGrid {
  public:
   explicit ConeGrid(double cell_deg) : cell_deg_(cell_deg) {}
 
   void Add(const Cone& cone, const Ball& ball) {
-    cells_[Key(cone)].push_back(cones_.size());
+    cells_[Key(cone)].push_back(ball);
     cones_.push_back(cone);
     balls_.push_back(ball);
   }
 
-  /// Calls `visit(index)` for each cone whose center lies within one cell
+  /// True when `ball` (of `cone`) intersects a ball whose center lies
+  /// within one cell of `cone`'s. The cone's own cell, where such a ball
+  /// most likely lies, is checked first.
+  bool AnyIntersecting(const Cone& cone, const Ball& ball) const {
+    const CellKey key = Key(cone);
+    if (CellIntersects(key, ball)) return true;
+    for (int64_t dx = -1; dx <= 1; ++dx) {
+      for (int64_t dy = -1; dy <= 1; ++dy) {
+        if ((dx != 0 || dy != 0) &&
+            CellIntersects({key.x + dx, key.y + dy}, ball)) {
+          return true;
+        }
+      }
+    }
+    return false;
+  }
+
+  /// Calls `visit(ball)` for each ball whose center lies within one cell
   /// of `cone`'s, cell by cell (ra-major) and in emission order within a
-  /// cell, until `visit` returns true. Returns whether it did.
+  /// cell, until `visit` returns true.
   template <typename Visit>
-  bool AnyNearby(const Cone& cone, Visit visit) const {
+  void VisitNearby(const Cone& cone, Visit visit) const {
     const CellKey key = Key(cone);
     for (int64_t dx = -1; dx <= 1; ++dx) {
       for (int64_t dy = -1; dy <= 1; ++dy) {
         auto it = cells_.find({key.x + dx, key.y + dy});
         if (it == cells_.end()) continue;
-        for (size_t index : it->second) {
-          if (visit(index)) return true;
+        for (const Ball& ball : it->second) {
+          if (visit(ball)) return;
         }
       }
     }
-    return false;
   }
 
   const Cone& cone(size_t index) const { return cones_[index]; }
@@ -121,10 +154,19 @@ class ConeGrid {
             static_cast<int64_t>(std::floor(cone.dec / cell_deg_))};
   }
 
+  bool CellIntersects(const CellKey& key, const Ball& ball) const {
+    auto it = cells_.find(key);
+    if (it == cells_.end()) return false;
+    for (const Ball& other : it->second) {
+      if (Intersects(ball, other)) return true;
+    }
+    return false;
+  }
+
   double cell_deg_;
   std::vector<Cone> cones_;
   std::vector<Ball> balls_;
-  std::unordered_map<CellKey, std::vector<size_t>, CellHash> cells_;
+  std::unordered_map<CellKey, std::vector<Ball>, CellHash> cells_;
 };
 
 }  // namespace
@@ -224,13 +266,9 @@ Trace GenerateRadialTrace(const RadialTraceConfig& config) {
         double max_offset = (parent.radius_arcmin - child_r) * 0.85;
         Cone child = offset_center(parent, rng.NextDouble(0.0, max_offset));
         child.radius_arcmin = child_r;
-        const geometry::Hypersphere outer =
-            history.ball(parent_index).Sphere();
-        const Ball inner_ball = child.ToBall();
-        const geometry::Hypersphere inner = inner_ball.Sphere();
-        if (geometry::Contains(outer, inner) &&
-            !geometry::Equals(outer, inner)) {
-          emit(child, inner_ball, RegionRelation::kContainedBy);
+        const Ball inner = child.ToBall();
+        if (StrictlyInside(inner, history.ball(parent_index))) {
+          emit(child, inner, RegionRelation::kContainedBy);
           emitted = true;
         }
       }
@@ -255,13 +293,9 @@ Trace GenerateRadialTrace(const RadialTraceConfig& config) {
         double max_offset = (r2 - parent.radius_arcmin) * 0.8;
         Cone cone = offset_center(parent, rng.NextDouble(0.0, max_offset));
         cone.radius_arcmin = r2;
-        const Ball outer_ball = cone.ToBall();
-        const geometry::Hypersphere outer = outer_ball.Sphere();
-        const geometry::Hypersphere inner =
-            history.ball(parent_index).Sphere();
-        if (geometry::Contains(outer, inner) &&
-            !geometry::Equals(outer, inner)) {
-          emit(cone, outer_ball, RegionRelation::kContains);
+        const Ball outer = cone.ToBall();
+        if (StrictlyInside(history.ball(parent_index), outer)) {
+          emit(cone, outer, RegionRelation::kContains);
           emitted = true;
         }
       }
@@ -294,8 +328,7 @@ Trace GenerateRadialTrace(const RadialTraceConfig& config) {
         Cone cone = offset_center(parent, rng.NextDouble(lo, hi));
         cone.radius_arcmin = r2;
         const Ball ball = cone.ToBall();
-        if (geometry::Relate(ball.Sphere(),
-                             history.ball(parent_index).Sphere()) ==
+        if (Relate(ball, history.ball(parent_index)) ==
             RegionRelation::kOverlap) {
           emit(cone, ball, RegionRelation::kOverlap);
           emitted = true;
@@ -319,9 +352,7 @@ Trace GenerateRadialTrace(const RadialTraceConfig& config) {
       return cone;
     };
     auto is_disjoint = [&](const Cone& cone, const Ball& ball) {
-      return !history.AnyNearby(cone, [&](size_t index) {
-        return Intersects(ball, history.ball(index));
-      });
+      return !history.AnyIntersecting(cone, ball);
     };
     Cone cone = fresh_cone();
     Ball ball = cone.ToBall();
@@ -339,10 +370,9 @@ Trace GenerateRadialTrace(const RadialTraceConfig& config) {
       // it finds no equality or containment either, except between balls
       // of radius under about 1e-9, which no cone of 0.01 arcmin or more
       // has.
-      const geometry::Hypersphere sphere = ball.Sphere();
-      history.AnyNearby(cone, [&](size_t index) {
-        if (!Intersects(ball, history.ball(index))) return false;
-        label = geometry::Relate(sphere, history.ball(index).Sphere());
+      history.VisitNearby(cone, [&](const Ball& other) {
+        if (!Intersects(ball, other)) return false;
+        label = Relate(ball, other);
         return label != RegionRelation::kDisjoint;
       });
     }
@@ -376,7 +406,7 @@ Trace GenerateFlashCrowdTrace(const FlashCrowdTraceConfig& config) {
   hot.ra = RoundTo(config.hot_ra, 4);
   hot.dec = RoundTo(config.hot_dec, 4);
   hot.radius_arcmin = RoundTo(config.hot_radius_arcmin, 2);
-  const geometry::Hypersphere hot_sphere = hot.Sphere();
+  const Ball hot_ball = hot.ToBall();
 
   auto hot_query = [&](const Cone& cone, RegionRelation intended) {
     TraceQuery query;
@@ -403,9 +433,7 @@ Trace GenerateFlashCrowdTrace(const FlashCrowdTraceConfig& config) {
       child.radius_arcmin =
           RoundTo(hot.radius_arcmin * rng.NextDouble(0.4, 0.9), 2);
       if (child.radius_arcmin >= 0.5) {
-        const geometry::Hypersphere child_sphere = child.Sphere();
-        if (geometry::Contains(hot_sphere, child_sphere) &&
-            !geometry::Equals(hot_sphere, child_sphere)) {
+        if (StrictlyInside(child.ToBall(), hot_ball)) {
           trace.queries[i] = hot_query(child, RegionRelation::kContainedBy);
           continue;
         }

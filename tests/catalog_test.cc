@@ -9,6 +9,7 @@
 namespace fnproxy::catalog {
 namespace {
 
+using sql::ColumnarTable;
 using sql::Table;
 using sql::Value;
 
@@ -21,37 +22,46 @@ SkyCatalogConfig SmallSky() {
 }
 
 TEST(SkyCatalogTest, SchemaMatchesDeclared) {
-  Table table = GenerateSkyCatalog(SmallSky());
+  ColumnarTable table = GenerateSkyCatalog(SmallSky());
   EXPECT_TRUE(table.schema().SameColumns(SkyCatalogSchema()));
   EXPECT_EQ(table.num_rows(), 5000u);
+  // Every column is stored as its declared type, without NULLs.
+  for (size_t col = 0; col < table.num_columns(); ++col) {
+    EXPECT_EQ(table.storage_kind(col),
+              table.schema().column(col).type == sql::ValueType::kInt
+                  ? ColumnarTable::StorageKind::kInt
+                  : ColumnarTable::StorageKind::kDouble);
+    size_t null_words = 0;
+    EXPECT_EQ(table.RawNullBits(col, &null_words), nullptr);
+  }
 }
 
 TEST(SkyCatalogTest, DeterministicInSeed) {
-  Table a = GenerateSkyCatalog(SmallSky());
-  Table b = GenerateSkyCatalog(SmallSky());
+  ColumnarTable a = GenerateSkyCatalog(SmallSky());
+  ColumnarTable b = GenerateSkyCatalog(SmallSky());
   ASSERT_EQ(a.num_rows(), b.num_rows());
   for (size_t i = 0; i < 100; ++i) {
-    EXPECT_TRUE(a.row(i)[1].EqualsValue(b.row(i)[1]));
-    EXPECT_TRUE(a.row(i)[12].EqualsValue(b.row(i)[12]));
+    EXPECT_TRUE(a.CellValue(i, 1).EqualsValue(b.CellValue(i, 1)));
+    EXPECT_TRUE(a.CellValue(i, 12).EqualsValue(b.CellValue(i, 12)));
   }
   SkyCatalogConfig other = SmallSky();
   other.seed = 124;
-  Table c = GenerateSkyCatalog(other);
+  ColumnarTable c = GenerateSkyCatalog(other);
   bool differs = false;
   for (size_t i = 0; i < 100 && !differs; ++i) {
-    differs = !a.row(i)[1].EqualsValue(c.row(i)[1]);
+    differs = !a.CellValue(i, 1).EqualsValue(c.CellValue(i, 1));
   }
   EXPECT_TRUE(differs);
 }
 
 TEST(SkyCatalogTest, ObjectsInsideFootprint) {
   SkyCatalogConfig config = SmallSky();
-  Table table = GenerateSkyCatalog(config);
+  ColumnarTable table = GenerateSkyCatalog(config);
   auto ra_idx = *table.schema().FindColumn("ra");
   auto dec_idx = *table.schema().FindColumn("dec");
-  for (const auto& row : table.rows()) {
-    double ra = row[ra_idx].AsDouble();
-    double dec = row[dec_idx].AsDouble();
+  for (size_t row = 0; row < table.num_rows(); ++row) {
+    double ra = table.CellDouble(row, ra_idx);
+    double dec = table.CellDouble(row, dec_idx);
     EXPECT_GE(ra, config.ra_min);
     EXPECT_LE(ra, config.ra_max);
     EXPECT_GE(dec, config.dec_min);
@@ -60,17 +70,17 @@ TEST(SkyCatalogTest, ObjectsInsideFootprint) {
 }
 
 TEST(SkyCatalogTest, UnitVectorsMatchRaDec) {
-  Table table = GenerateSkyCatalog(SmallSky());
+  ColumnarTable table = GenerateSkyCatalog(SmallSky());
   const auto& schema = table.schema();
   size_t ra = *schema.FindColumn("ra"), dec = *schema.FindColumn("dec");
   size_t cx = *schema.FindColumn("cx"), cy = *schema.FindColumn("cy"),
          cz = *schema.FindColumn("cz");
   for (size_t i = 0; i < 200; ++i) {
     geometry::Point expected = geometry::RaDecToUnitVector(
-        table.row(i)[ra].AsDouble(), table.row(i)[dec].AsDouble());
-    EXPECT_NEAR(table.row(i)[cx].AsDouble(), expected[0], 1e-12);
-    EXPECT_NEAR(table.row(i)[cy].AsDouble(), expected[1], 1e-12);
-    EXPECT_NEAR(table.row(i)[cz].AsDouble(), expected[2], 1e-12);
+        table.CellDouble(i, ra), table.CellDouble(i, dec));
+    EXPECT_NEAR(table.CellDouble(i, cx), expected[0], 1e-12);
+    EXPECT_NEAR(table.CellDouble(i, cy), expected[1], 1e-12);
+    EXPECT_NEAR(table.CellDouble(i, cz), expected[2], 1e-12);
   }
 }
 
@@ -78,17 +88,17 @@ TEST(SkyCatalogTest, ClusteringConcentratesObjects) {
   SkyCatalogConfig config = SmallSky();
   config.num_objects = 20000;
   std::vector<std::pair<double, double>> centers;
-  Table table = GenerateSkyCatalog(config, &centers);
+  ColumnarTable table = GenerateSkyCatalog(config, &centers);
   ASSERT_EQ(centers.size(), config.num_clusters);
   // Count objects within 2 sigma of any cluster center; with 70% clustered
   // this should be far above the uniform expectation.
   size_t ra = *table.schema().FindColumn("ra");
   size_t dec = *table.schema().FindColumn("dec");
   size_t near_cluster = 0;
-  for (const auto& row : table.rows()) {
+  for (size_t row = 0; row < table.num_rows(); ++row) {
     for (const auto& [cra, cdec] : centers) {
-      double dr = row[ra].AsDouble() - cra;
-      double dd = row[dec].AsDouble() - cdec;
+      double dr = table.CellDouble(row, ra) - cra;
+      double dd = table.CellDouble(row, dec) - cdec;
       if (std::sqrt(dr * dr + dd * dd) < 2 * config.cluster_sigma_deg) {
         ++near_cluster;
         break;
@@ -101,10 +111,10 @@ TEST(SkyCatalogTest, ClusteringConcentratesObjects) {
 }
 
 TEST(SkyCatalogTest, TypesAreGalaxyOrStar) {
-  Table table = GenerateSkyCatalog(SmallSky());
+  ColumnarTable table = GenerateSkyCatalog(SmallSky());
   size_t type = *table.schema().FindColumn("type");
-  for (const auto& row : table.rows()) {
-    int64_t t = row[type].AsInt();
+  for (size_t row = 0; row < table.num_rows(); ++row) {
+    int64_t t = table.CellInt(row, type);
     EXPECT_TRUE(t == 3 || t == 6);
   }
 }
@@ -117,11 +127,11 @@ TEST(PhotoFlagTest, KnownFlagsResolve) {
 }
 
 TEST(PhotoFlagTest, SomeObjectsSaturated) {
-  Table table = GenerateSkyCatalog(SmallSky());
+  ColumnarTable table = GenerateSkyCatalog(SmallSky());
   size_t flags = *table.schema().FindColumn("flags");
   size_t saturated = 0;
-  for (const auto& row : table.rows()) {
-    if (row[flags].AsInt() & 0x40000) ++saturated;
+  for (size_t row = 0; row < table.num_rows(); ++row) {
+    if (table.CellInt(row, flags) & 0x40000) ++saturated;
   }
   // ~5% expected.
   EXPECT_GT(saturated, 100u);

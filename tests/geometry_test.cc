@@ -268,6 +268,76 @@ TEST(SpheresIntersectTest, MatchesIntersectsAtTheLimit) {
   EXPECT_GT(tuned_apart, 200);
 }
 
+// SphereContains and SpheresEqual are the one sphere containment and
+// equality tests: Contains and Equals call them, and the trace generator
+// calls them on flat arrays. Both must decide exactly as the formulas
+// Contains and Equals used before they were factored out, also within an
+// ulp of the limit. Half the pairs are tuned onto the limit and then
+// stepped up to three ulps either way.
+TEST(SpherePredicatesTest, MatchContainsAndEqualsAtTheLimit) {
+  util::Random rng(22);
+  auto step_ulps = [&rng](double value) {
+    const int ulps = static_cast<int>(rng.NextUint64(7)) - 3;
+    const double toward = ulps > 0 ? HUGE_VAL : -HUGE_VAL;
+    for (int k = 0; k < std::abs(ulps); ++k) {
+      value = std::nextafter(value, toward);
+    }
+    return value;
+  };
+  auto nearly_equal = [](double x, double y) {
+    return std::abs(x - y) <=
+           kGeomEpsilon * (1.0 + std::max(std::abs(x), std::abs(y)));
+  };
+  int tuned_inside = 0;
+  int tuned_outside = 0;
+  int tuned_equal = 0;
+  int tuned_unequal = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    const size_t dims = 1 + rng.NextUint64(4);
+    Point a(dims);
+    Point b(dims);
+    for (size_t d = 0; d < dims; ++d) {
+      a[d] = rng.NextDouble(-1.0, 1.0);
+      b[d] = rng.NextDouble(-1.0, 1.0);
+    }
+    const double ra = rng.NextDouble(0.2, 0.5);
+    const double rb = rng.NextDouble(0.0, ra);
+    const bool tuned = iter % 2 == 1;
+
+    // Is the ball (b, rb) inside (a, ra)?
+    if (tuned) {
+      const double scale = (ra + kGeomEpsilon - rb) / Distance(a, b);
+      for (size_t d = 0; d < dims; ++d) b[d] = a[d] + (b[d] - a[d]) * scale;
+      b[dims - 1] = step_ulps(b[dims - 1]);
+    }
+    const bool inside = Distance(a, b) + rb <= ra + kGeomEpsilon;
+    EXPECT_EQ(SphereContains(a, ra, b, rb), inside);
+    EXPECT_EQ(Contains(Hypersphere(a, ra), Hypersphere(b, rb)), inside);
+    if (tuned) ++(inside ? tuned_inside : tuned_outside);
+
+    // Is (a, ra) equal to a copy with one coordinate or the radius moved
+    // by about the tolerance (onto it, when tuned)?
+    Point c = a;
+    double rc = ra;
+    const size_t moved = rng.NextUint64(dims + 1);
+    double& value = moved < dims ? c[moved] : rc;
+    value = tuned ? step_ulps(value + kGeomEpsilon * (1.0 + std::abs(value)))
+                  : value + rng.NextDouble(-3e-9, 3e-9);
+    bool equal = nearly_equal(ra, rc);
+    for (size_t d = 0; d < dims; ++d) equal = equal && nearly_equal(a[d], c[d]);
+    EXPECT_EQ(SpheresEqual(a, ra, c, rc), equal);
+    EXPECT_EQ(SpheresEqual(c, rc, a, ra), equal);
+    EXPECT_EQ(Equals(Hypersphere(a, ra), Hypersphere(c, rc)), equal);
+    EXPECT_EQ(Equals(Hypersphere(c, rc), Hypersphere(a, ra)), equal);
+    if (tuned) ++(equal ? tuned_equal : tuned_unequal);
+  }
+  // The tuned pairs fall on both sides of each limit.
+  EXPECT_GT(tuned_inside, 200);
+  EXPECT_GT(tuned_outside, 200);
+  EXPECT_GT(tuned_equal, 200);
+  EXPECT_GT(tuned_unequal, 200);
+}
+
 /// Property sweep: Relate is consistent with its defining predicates for
 /// random sphere/rect pairs in several dimensions.
 class RelatePropertyTest : public ::testing::TestWithParam<int> {};

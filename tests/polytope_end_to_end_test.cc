@@ -155,7 +155,7 @@ TEST_F(PolytopeEndToEndTest, TvfMatchesBruteForce) {
                              Value::Double(186), Value::Double(30),
                              Value::Double(183), Value::Double(36)});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const sql::Table& cat = *db_->FindTable("PhotoPrimary");
+  const sql::Table cat = db_->FindTable("PhotoPrimary")->ToTable();
   size_t ra_col = *cat.schema().FindColumn("ra");
   size_t dec_col = *cat.schema().FindColumn("dec");
   size_t id_col = *cat.schema().FindColumn("objID");

@@ -74,7 +74,7 @@ std::set<int64_t> BruteForceCone(const Table& catalog_table, double ra,
 TEST_F(SkyServerTest, NearbyObjEqMatchesBruteForce) {
   const TableValuedFunction* fn = db_->FindTableFunction("fGetNearbyObjEq");
   ASSERT_NE(fn, nullptr);
-  const Table& catalog_table = *db_->FindTable("PhotoPrimary");
+  const Table catalog_table = db_->FindTable("PhotoPrimary")->ToTable();
   struct Probe {
     double ra, dec, radius;
   };
@@ -114,7 +114,7 @@ TEST_F(SkyServerTest, NearbyObjEqRejectsBadArgs) {
 TEST_F(SkyServerTest, ObjFromRectMatchesBruteForce) {
   const TableValuedFunction* fn = db_->FindTableFunction("fGetObjFromRect");
   ASSERT_NE(fn, nullptr);
-  const Table& catalog_table = *db_->FindTable("PhotoPrimary");
+  const Table catalog_table = db_->FindTable("PhotoPrimary")->ToTable();
   auto result =
       fn->Execute({Value::Double(170.0), Value::Double(175.0),
                    Value::Double(20.0), Value::Double(28.0)});
@@ -350,8 +350,8 @@ TEST(BookServerTest, SimilarBooksMatchesBruteForce) {
   config.num_books = 5000;
   Database db;
   db.AddTable("Books", catalog::GenerateBookCatalog(config));
-  const Table& books = *db.FindTable("Books");
-  db.RegisterTableFunction(MakeGetSimilarBooks(&books));
+  db.RegisterTableFunction(MakeGetSimilarBooks(db.FindTable("Books")));
+  const Table books = db.FindTable("Books")->ToTable();
 
   const TableValuedFunction* fn = db.FindTableFunction("fGetSimilarBooks");
   ASSERT_NE(fn, nullptr);

@@ -59,7 +59,7 @@ Table Catalog() {
   config.num_objects = 40;
   config.num_clusters = 2;
   config.seed = 11;
-  return catalog::GenerateSkyCatalog(config);
+  return catalog::GenerateSkyCatalog(config).ToTable();
 }
 
 /// The catalog's columns at `indexes`, with views prepared on `coords`.

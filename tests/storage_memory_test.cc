@@ -96,7 +96,7 @@ Table RadialResult(size_t rows) {
   config.num_objects = 100;
   config.num_clusters = 2;
   config.seed = 7;
-  const Table catalog = catalog::GenerateSkyCatalog(config);
+  const Table catalog = catalog::GenerateSkyCatalog(config).ToTable();
   std::vector<sql::Column> columns(catalog.schema().columns().begin(),
                                    catalog.schema().columns().begin() + 11);
   Table result{Schema(columns)};

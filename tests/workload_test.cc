@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -555,24 +557,6 @@ uint64_t TraceDigest(const Trace& trace) {
   return fnv.value();
 }
 
-/// The seed-2004 Radial configuration bench_e2e builds its traces from: the
-/// experiment's footprint, with the catalog's cluster centers as hotspots.
-RadialTraceConfig PaperRadialConfig() {
-  SkyExperiment::Options options;
-  RadialTraceConfig config = options.trace;
-  catalog::SkyCatalogConfig centers_only = options.catalog;
-  centers_only.num_objects = 0;
-  std::vector<std::pair<double, double>> clusters;
-  catalog::GenerateSkyCatalog(centers_only, &clusters);
-  for (const auto& [ra, dec] : clusters) {
-    if (ra >= config.ra_min && ra <= config.ra_max && dec >= config.dec_min &&
-        dec <= config.dec_max) {
-      config.hotspot_centers.emplace_back(ra, dec);
-    }
-  }
-  return config;
-}
-
 /// One paper-size experiment shared by the digest tests; its PhotoPrimary
 /// table is GenerateSkyCatalog(SkyExperiment::Options().catalog).
 class SubstrateDigestTest : public ::testing::Test {
@@ -584,8 +568,14 @@ class SubstrateDigestTest : public ::testing::Test {
     delete experiment_;
     experiment_ = nullptr;
   }
-  static const sql::Table& Catalog() {
+  static const sql::ColumnarTable& Catalog() {
     return *experiment_->database()->FindTable("PhotoPrimary");
+  }
+  /// The seed-2004 Radial configuration bench_e2e builds its traces from:
+  /// the experiment's footprint, with the catalog's cluster centers as
+  /// hotspots.
+  static const RadialTraceConfig& PaperRadialConfig() {
+    return experiment_->trace_config();
   }
 
   static SkyExperiment* experiment_;
@@ -595,7 +585,7 @@ SkyExperiment* SubstrateDigestTest::experiment_ = nullptr;
 
 TEST_F(SubstrateDigestTest, PaperCatalogCells) {
   ASSERT_EQ(Catalog().num_rows(), 300000u);
-  EXPECT_EQ(TableDigest(Catalog()), 0x8eaa7c8e345b4ed4ULL)
+  EXPECT_EQ(TableDigest(Catalog().ToTable()), 0x8eaa7c8e345b4ed4ULL)
       << "GenerateSkyCatalog(SkyExperiment::Options().catalog) drifted";
 }
 
@@ -643,6 +633,78 @@ TEST_F(SubstrateDigestTest, SkyGridCandidates) {
       << "SkyGrid::Candidates drifted";
 }
 
+// What the origin answers over the paper catalog, byte for byte: the
+// response bodies and the virtual microseconds each request is charged (so
+// also tuples_examined), for the paper trace's first 1,000 distinct Radial
+// queries and for /sql statements on the executor's other paths: a
+// remainder with negated region predicates, a PhotoPrimary scan with TOP
+// and ORDER BY, and a nested-loop join. Taken at the parent of the
+// columnar base tables.
+TEST_F(SubstrateDigestTest, OriginAnswers) {
+  util::SimulatedClock clock;
+  server::OriginWebApp app(experiment_->database(), &clock,
+                           experiment_->options().server_costs);
+  ASSERT_TRUE(app.RegisterForm("/radial", kRadialTemplateSql).ok());
+  Fnv64 fnv;
+  size_t lines = 0;
+  auto answer = [&](const net::HttpRequest& request) {
+    const int64_t before = clock.NowMicros();
+    const net::HttpResponse response = app.Handle(request);
+    fnv.AddU64(static_cast<uint64_t>(response.status_code));
+    fnv.AddString(response.body);
+    fnv.AddU64(static_cast<uint64_t>(clock.NowMicros() - before));
+    lines += static_cast<size_t>(
+        std::count(response.body.begin(), response.body.end(), '\n'));
+    return response.status_code;
+  };
+
+  const Trace& trace = experiment_->trace();
+  std::set<std::map<std::string, std::string>> seen;
+  for (const TraceQuery& query : trace.queries) {
+    if (!seen.insert(query.params).second) continue;
+    ASSERT_EQ(answer(MakeRequest(trace, query)), 200);
+    if (seen.size() == 1000) break;
+  }
+  ASSERT_EQ(seen.size(), 1000u);
+
+  // The nested loop's outer side: the objects within 0.2 arcmin of the
+  // catalog's first object (the object itself, at least).
+  const std::string near_first =
+      std::string("fGetNearbyObjEq(") +
+      util::FormatDouble(Catalog().CellDouble(0, 1)) + ", " +
+      util::FormatDouble(Catalog().CellDouble(0, 2)) + ", 0.2)";
+  const std::string statements[] = {
+      "SELECT p.objID, p.ra, p.dec, p.cx, p.cy, p.cz, p.u, p.g, p.r, p.i, p.z "
+      "FROM fGetNearbyObjEq(185.0, 33.0, 25.0) AS n "
+      "JOIN PhotoPrimary AS p ON n.objID = p.objID "
+      "WHERE (p.flags & fPhotoFlags('SATURATED')) = 0 "
+      "AND NOT (((p.cx - -0.834876602419) * (p.cx - -0.834876602419) + "
+      "(p.cy - -0.074510751735) * (p.cy - -0.074510751735) + "
+      "(p.cz - 0.545370705676) * (p.cz - 0.545370705676)) <= "
+      "8.46158902753e-06) "
+      "AND NOT (((p.cx - -0.836078707377) * (p.cx - -0.836078707377) + "
+      "(p.cy - -0.071677229729) * (p.cy - -0.071677229729) + "
+      "(p.cz - 0.543906949587) * (p.cz - 0.543906949587)) <= "
+      "5.41541835231e-06)",
+      "SELECT TOP 40 * FROM PhotoPrimary "
+      "WHERE ra BETWEEN 180.0 AND 185.0 AND dec BETWEEN 30.0 AND 35.0 "
+      "ORDER BY r DESC",
+      std::string("SELECT n.objID, n.distance, p.objID, p.r, p.flags FROM ") +
+          near_first +
+          " AS n JOIN PhotoPrimary AS p "
+          "ON p.objID BETWEEN n.objID - 1 AND n.objID + 1",
+  };
+  for (const std::string& statement : statements) {
+    net::HttpRequest request;
+    request.path = "/sql";
+    request.query_params["q"] = statement;
+    ASSERT_EQ(answer(request), 200) << statement;
+  }
+  EXPECT_GT(lines, 10000u);
+  EXPECT_EQ(fnv.value(), 0x11b4bdddb13a0ffdULL)
+      << "the origin's answers drifted";
+}
+
 // The catalog derives its rows in chunks of 8192 objects on a pool, so
 // these pin configurations beyond the paper's: no clusters, clustering off
 // and all-clustered, and sizes below, at and across chunk boundaries. Every
@@ -672,7 +734,7 @@ TEST_F(SubstrateDigestTest, CatalogVariants) {
     config.num_objects = c.objects;
     config.num_clusters = c.clusters;
     config.cluster_fraction = c.cluster_fraction;
-    const sql::Table table = catalog::GenerateSkyCatalog(config);
+    const sql::Table table = catalog::GenerateSkyCatalog(config).ToTable();
     ASSERT_EQ(table.num_rows(), c.objects);
     EXPECT_EQ(TableDigest(table), c.digest);
   }
