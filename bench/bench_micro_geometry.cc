@@ -9,7 +9,6 @@
 #include "geometry/hyperrectangle.h"
 #include "geometry/hypersphere.h"
 #include "geometry/polytope.h"
-#include "geometry/rect_difference.h"
 #include "geometry/region.h"
 #include "util/random.h"
 
@@ -104,20 +103,6 @@ void BM_ConeToHypersphere(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConeToHypersphere);
-
-void BM_SubtractRects(benchmark::State& state) {
-  util::Random rng(7);
-  Hyperrectangle base({0, 0}, {10, 10});
-  std::vector<Hyperrectangle> holes;
-  for (int i = 0; i < state.range(0); ++i) {
-    double x = rng.NextDouble(0, 8), y = rng.NextDouble(0, 8);
-    holes.push_back(Hyperrectangle({x, y}, {x + 1.5, y + 1.5}));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(SubtractRects(base, holes));
-  }
-}
-BENCHMARK(BM_SubtractRects)->Arg(1)->Arg(4)->Arg(16);
 
 }  // namespace
 }  // namespace fnproxy::geometry

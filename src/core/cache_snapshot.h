@@ -10,7 +10,7 @@
 
 namespace fnproxy::core {
 
-/// Region (de)serialization for the peer wire (/peer/lookup, /peer/entry)
+/// Region (de)serialization for the entries /peer/lookup answers carry
 /// and the regions of warm-restart snapshot entries (docs/FORMATS.md §4):
 ///   <Region shape="hypersphere" dims="3"><Center>..</Center><Radius>..</Radius>
 ///   <Region shape="hyperrectangle" ...><Lo>..</Lo><Hi>..</Hi>

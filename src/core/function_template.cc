@@ -1,5 +1,7 @@
 #include "core/function_template.h"
 
+#include <cmath>
+
 #include "geometry/hyperrectangle.h"
 #include "geometry/hypersphere.h"
 #include "geometry/polytope.h"
@@ -251,11 +253,17 @@ StatusOr<std::unique_ptr<geometry::Region>> FunctionTemplate::BuildRegion(
   sql::ExprEvaluator evaluator(&registry);
   sql::RowBinding no_rows;
 
+  // A NaN or infinite argument (`radius=nan`, `ra=1e999`) yields no
+  // region: geometry compares such bounds as neither inside nor outside.
   auto eval_double = [&](const Expr& expr) -> StatusOr<double> {
     FNPROXY_ASSIGN_OR_RETURN(std::unique_ptr<Expr> bound,
                              sql::SubstituteParameters(expr, bindings));
     FNPROXY_ASSIGN_OR_RETURN(Value v, evaluator.Eval(*bound, no_rows));
-    return v.ToNumeric();
+    FNPROXY_ASSIGN_OR_RETURN(double value, v.ToNumeric());
+    if (!std::isfinite(value)) {
+      return Status::InvalidArgument("template region value is not finite");
+    }
+    return value;
   };
 
   switch (shape_) {

@@ -55,7 +55,7 @@ class HashRing {
 /// a grid of `cell_size` per dimension. Exact repeats hash identically, and
 /// a concentric contained variant (same center, smaller radius) maps to the
 /// same owner as its subsuming entry, so peer lookups find the covering
-/// entry where pushes deposited it.
+/// entry where the owner's fetch admitted it.
 std::string RegionOwnershipKey(std::string_view template_id,
                                std::string_view nonspatial_fingerprint,
                                const geometry::Region& region,

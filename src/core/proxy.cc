@@ -26,7 +26,6 @@ using geometry::RegionRelation;
 using net::HttpRequest;
 using net::HttpResponse;
 using sql::Table;
-using sql::Value;
 using util::Status;
 using util::StatusOr;
 
@@ -110,10 +109,9 @@ constexpr auto kRelaxed = std::memory_order_relaxed;
 /// Retry-After on 503s when no breaker cooldown gives a better value.
 constexpr int64_t kRetryAfterSeconds = 30;
 /// How long a single-flight follower waits (wall clock) for its leader
-/// before fetching on its own, and how long an owner holds a remote
-/// leader's flight open (virtual clock). Generous: a leader that dies
-/// completes its flight as failed at once, so the bound only guards against
-/// a leader wedged inside the origin channel.
+/// before fetching on its own. Generous: a leader that dies completes its
+/// flight as failed at once, so the bound only guards against a leader
+/// wedged inside the origin channel.
 constexpr std::chrono::milliseconds kCollapseWait{30'000};
 /// Cooperative tier: quantization cell (per dimension) of the region
 /// ownership key. Queries whose bounding-box centers fall in the same cell
@@ -128,9 +126,11 @@ constexpr int64_t kFreezeIdleMicros = 2'000'000;
 
 // --- Peer wire format helpers ----------------------------------------------
 //
-// Peer metadata travels in X-Peer-* headers; the body is the entry's region
-// document followed by its result document, split at the first "<Result "
-// (neither document nests the other, so the split is unambiguous).
+// A lookup is the prober's client request: its query string, its form path
+// in X-Peer-Form. An answer's metadata travels in X-Peer-* headers; its body
+// is the entry's region document followed by its result document, split at
+// the first "<Result " (neither document nests the other, so the split is
+// unambiguous).
 
 /// Header lookup tolerant of the wire parser's lowercasing.
 const std::string* PeerHeader(const std::map<std::string, std::string>& headers,
@@ -157,13 +157,6 @@ bool SplitPeerBody(const std::string& body, std::string_view* region_xml,
   *region_xml = view.substr(0, pos);
   *result_xml = view.substr(pos);
   return true;
-}
-
-/// A peer token header's value; 0, which no flight has, when it is missing,
-/// malformed or past 2^64 - 1.
-uint64_t ParsePeerToken(const std::string& text) {
-  auto token = util::ParseUint64(text);
-  return token.ok() ? *token : 0;
 }
 
 }  // namespace
@@ -286,8 +279,9 @@ void FunctionProxy::RegisterInstruments() {
       "fnproxy_peer_lookups_total", peer_lookup_help, {{"outcome", "hit"}});
   ins_.peer_lookup_flight = registry_.AddCounter(
       "fnproxy_peer_lookups_total", peer_lookup_help, {{"outcome", "flight"}});
-  ins_.peer_lookup_lead = registry_.AddCounter(
-      "fnproxy_peer_lookups_total", peer_lookup_help, {{"outcome", "lead"}});
+  ins_.peer_lookup_fetched = registry_.AddCounter(
+      "fnproxy_peer_lookups_total", peer_lookup_help,
+      {{"outcome", "fetched"}});
   ins_.peer_lookup_miss = registry_.AddCounter(
       "fnproxy_peer_lookups_total", peer_lookup_help, {{"outcome", "miss"}});
   ins_.peer_lookup_error = registry_.AddCounter(
@@ -298,14 +292,6 @@ void FunctionProxy::RegisterInstruments() {
   ins_.peer_failures = registry_.AddCounter(
       "fnproxy_peer_failures_total",
       "Peer round trips that failed or returned an unusable body");
-  const char* peer_entries_help =
-      "Cache entries exchanged with tier siblings, by direction";
-  ins_.peer_entries_pushed = registry_.AddCounter(
-      "fnproxy_peer_entries_total", peer_entries_help,
-      {{"direction", "pushed"}});
-  ins_.peer_entries_received = registry_.AddCounter(
-      "fnproxy_peer_entries_total", peer_entries_help,
-      {{"direction", "received"}});
   ins_.peer_flight_joins = registry_.AddCounter(
       "fnproxy_peer_flight_joins_total",
       "Remote probers served off this proxy's in-flight origin fetches");
@@ -534,7 +520,7 @@ ProxyStats FunctionProxy::stats() const {
   s.deadline_exceeded = ins_.deadline_exceeded->Value();
   s.peer_lookups = ins_.peer_lookup_hit->Value() +
                    ins_.peer_lookup_flight->Value() +
-                   ins_.peer_lookup_lead->Value() +
+                   ins_.peer_lookup_fetched->Value() +
                    ins_.peer_lookup_miss->Value() +
                    ins_.peer_lookup_error->Value() +
                    ins_.peer_lookup_breaker_open->Value();
@@ -668,7 +654,7 @@ StatusOr<Table> FunctionProxy::FetchTable(const HttpRequest& request,
   if (!response.ok()) {
     bool origin_down = net::RetryPolicy::Retryable(response);
     NoteOriginOutcome(!origin_down);
-    std::string message = "origin error " +
+    std::string message = std::string("origin error ") +
                           std::to_string(response.status_code) + ": " +
                           response.body;
     return origin_down ? Status::Unavailable(std::move(message))
@@ -779,32 +765,42 @@ std::optional<QueryPlan> FunctionProxy::CollapseOrLead(const TemplateQuery& q,
   return std::nullopt;  // Rounds exhausted: fetch solo without leading.
 }
 
+StatusOr<FunctionProxy::Instance> FunctionProxy::Instantiate(
+    const HttpRequest& request, const QueryTemplate& qt,
+    const FunctionTemplate& ft) const {
+  Instance instance;
+  for (const auto& [key, text] : request.query_params) {
+    instance.params[key] = sql::ParseValueFromText(text);
+  }
+  FNPROXY_ASSIGN_OR_RETURN(auto args, qt.FunctionArgs(instance.params));
+  FNPROXY_ASSIGN_OR_RETURN(instance.region, ft.BuildRegion(args));
+  // Passive caching compares the whole query string, so an entry can
+  // match only a request of the identical URL (DESIGN.md §18).
+  if (config_.mode == CachingMode::kPassive) {
+    instance.nonspatial_fp = net::BuildQueryString(request.query_params);
+  } else {
+    FNPROXY_ASSIGN_OR_RETURN(instance.nonspatial_fp,
+                             qt.NonSpatialFingerprint(instance.params));
+  }
+  return instance;
+}
+
 HttpResponse FunctionProxy::HandleTemplate(const HttpRequest& request,
                                            const QueryTemplate& qt,
                                            const FunctionTemplate& ft,
                                            int64_t deadline_micros,
                                            QueryRecord* record,
                                            obs::QueryTrace* trace) {
-  // --- Instantiate: parameters, region, fingerprints. ---
-  std::map<std::string, Value> params;
-  for (const auto& [key, text] : request.query_params) {
-    params[key] = sql::ParseValueFromText(text);
-  }
-  auto args = qt.FunctionArgs(params);
-  auto region = args.ok() ? ft.BuildRegion(*args) : args.status();
-  // Passive caching compares the whole query string, so an entry can
-  // match only a request of the identical URL (DESIGN.md §18).
-  auto nonspatial_fp = config_.mode == CachingMode::kPassive
-                           ? net::BuildQueryString(request.query_params)
-                           : qt.NonSpatialFingerprint(params);
-  if (!region.ok() || !nonspatial_fp.ok()) {
+  auto instance = Instantiate(request, qt, ft);
+  if (!instance.ok()) {
     HttpResponse response = Forward(request, deadline_micros, record, trace);
     if (!record->shed) ins_.misses->Increment();
     return response;
   }
-  const TemplateQuery q{request, qt, ft, **region, std::move(params),
-                        std::move(*nonspatial_fp), deadline_micros, record,
-                        trace};
+  const TemplateQuery q{request, qt, ft, *instance->region,
+                        std::move(instance->params),
+                        std::move(instance->nonspatial_fp), deadline_micros,
+                        record, trace};
 
   // --- Relationship check against the cache description. The returned
   // snapshots stay valid even if a concurrent admission evicts the entries
@@ -870,17 +866,21 @@ HttpResponse FunctionProxy::HandleTemplate(const HttpRequest& request,
 HttpResponse FunctionProxy::Execute(QueryPlan plan, const TemplateQuery& q) {
   HttpResponse response = RunPlan(&plan, q);
   q.record->collapsed = plan.source == QueryPlan::Source::kLeader;
-  q.record->peer_hit = plan.from_peer();
+  q.record->peer_hit = plan.peer_hit();
   if (q.record->shed) return response;
   // fnproxy_cache_outcomes_total in geometry::RegionRelation order (as
   // region_compare is indexed), then the outcome of each QueryPlan::Source.
+  // A sibling's origin fetch is a miss, and its lookup's outcome.
   obs::Counter* const by_relation[] = {
       ins_.exact_hits, ins_.containment_hits, ins_.region_containments,
       ins_.overlaps_handled, ins_.misses};
   obs::Counter* const by_source[] = {
       by_relation[static_cast<size_t>(plan.relation)], ins_.inflight_collapsed,
-      ins_.peer_lookup_hit, ins_.peer_lookup_flight};
+      ins_.peer_lookup_hit, ins_.peer_lookup_flight, ins_.misses};
   by_source[static_cast<size_t>(plan.source)]->Increment();
+  if (plan.source == QueryPlan::Source::kPeerFetch) {
+    ins_.peer_lookup_fetched->Increment();
+  }
   return response;
 }
 
@@ -913,15 +913,13 @@ HttpResponse FunctionProxy::RunPlan(QueryPlan* plan, const TemplateQuery& q) {
   // covering this query or leads (the guard completes the flight as failed
   // on every early exit, so followers are never stranded); past the
   // backlog watermark it is shed while the cheap cache-served lane keeps
-  // draining; and a miss asks the sibling owning the region, whose "lead"
-  // outcome arms peer_flight — this request must then push its origin
-  // result, or its failure, back to the owner. ---
+  // draining; and a miss asks the sibling owning the region, which answers
+  // from its cache or its flight, or fetches the query itself. ---
   if (plan->origin == Origin::kNone) {
     heat();
     if (plan->slices.empty()) *plan = QueryPlan{};
   }
   FlightGuard flight;
-  PeerFlightGuard peer_flight;
   if (plan->origin != Origin::kNone) {
     std::optional<QueryPlan> served;
     if (config_.collapse_inflight) served = CollapseOrLead(q, &flight);
@@ -931,7 +929,7 @@ HttpResponse FunctionProxy::RunPlan(QueryPlan* plan, const TemplateQuery& q) {
       return Unavailable("origin-backlog");
     }
     if (!served && plan->relation == RegionRelation::kDisjoint) {
-      served = ProbePeer(q, &flight, &peer_flight);
+      served = ProbePeer(q, &flight);
     }
     if (served) *plan = std::move(*served);  // Its entry is hot already.
     heat();
@@ -1113,14 +1111,13 @@ HttpResponse FunctionProxy::RunPlan(QueryPlan* plan, const TemplateQuery& q) {
     auto admitted = CacheResult(q.qt, q.nonspatial_fp, q.region, *answer,
                                 coords, truncated, trace);
     flight.Fulfill({admitted != nullptr, admitted});
-    peer_flight.Fulfill(admitted);
     if (elided) ins_.remainders_elided->Increment();
   }
 
   // --- 6. Order/top: every answer takes the template's ORDER BY and TOP
   // (neither takes parameters); a complete entry of a TOP template holds
   // more than its top N. An origin answer counts its complete tuples, a
-  // cached one the tuples it serves. ---
+  // cached one the tuples it serves, and a sibling's fetch none as cached. ---
   const sql::ColumnarTable& table = answer ? *answer : *parts.front().table;
   std::vector<uint32_t> rows;
   if (!answer && !selections.empty()) {
@@ -1133,6 +1130,9 @@ HttpResponse FunctionProxy::RunPlan(QueryPlan* plan, const TemplateQuery& q) {
   if (!ordered.ok()) return fall_back();
   record->tuples_total = from_origin ? answer->num_rows() : ordered->size();
   record->tuples_from_cache = from_origin ? from_cache : ordered->size();
+  if (plan->source == QueryPlan::Source::kPeerFetch) {
+    record->tuples_from_cache = 0;
+  }
   if (attrs.partial) {
     // Coverage counts every region the probe read, contributing or not: a
     // region without tuples is known to hold none.
@@ -1164,7 +1164,7 @@ HttpResponse FunctionProxy::HandleStats() {
   ProxyStats snapshot = stats();
   HttpResponse response;
   response.body = snapshot.ToXml();
-  response.body += "<Cache entries=\"" +
+  response.body += std::string("<Cache entries=\"") +
                    std::to_string(cache_->num_entries()) + "\" bytes=\"" +
                    std::to_string(cache_->bytes_used()) + "\" evictions=\"" +
                    std::to_string(cache_->evictions()) + "\" description=\"" +
@@ -1216,198 +1216,101 @@ HttpResponse FunctionProxy::HandleTrace(const HttpRequest& request) {
 
 // --- Cooperative tier -------------------------------------------------------
 
-void FunctionProxy::ReapExpiredPeerFlights() {
-  std::vector<uint64_t> expired;
-  {
-    util::MutexLock lock(peer_mu_);
-    if (pending_peer_flights_.empty()) return;
-    const int64_t now = clock_->NowMicros();
-    for (auto it = pending_peer_flights_.begin();
-         it != pending_peer_flights_.end();) {
-      if (it->second <= now) {
-        expired.push_back(it->first);
-        it = pending_peer_flights_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  // Complete() on an already-completed token is a no-op, so racing with a
-  // late /peer/entry push is safe: whichever side wins resolves the flight.
-  for (uint64_t token : expired) {
-    inflight_.Complete(token, FlightOutcome{});
-  }
-}
-
 HttpResponse FunctionProxy::HandlePeerLookup(const HttpRequest& request) {
-  ReapExpiredPeerFlights();
-  const std::string* template_id = PeerHeader(request.headers, "X-Peer-Template");
-  const std::string* fp = PeerHeader(request.headers, "X-Peer-Fp");
-  if (template_id == nullptr || fp == nullptr) {
-    return HttpResponse::MakeError(400, "missing X-Peer-Template / X-Peer-Fp");
+  // The prober's client request: its form path and query string. A request
+  // that does not instantiate is refused before any work, so nothing is
+  // ever fetched for it.
+  const std::string* form_path = PeerHeader(request.headers, "X-Peer-Form");
+  const QueryTemplate* qt =
+      form_path != nullptr ? templates_->FindByPath(*form_path) : nullptr;
+  const FunctionTemplate* ft =
+      qt != nullptr ? templates_->FindFunctionTemplate(qt->function_name())
+                    : nullptr;
+  if (ft == nullptr) {
+    return HttpResponse::MakeError(400, "X-Peer-Form names no template");
   }
-  const QueryTemplate* qt = templates_->FindById(*template_id);
-  auto region_or = RegionFromXml(request.body);
-  if (qt == nullptr || !region_or.ok()) {
-    return HttpResponse::MakeError(400, "unknown template or bad region");
+  HttpRequest form;
+  form.path = *form_path;
+  form.query_params = request.query_params;
+  auto instance = Instantiate(form, *qt, *ft);
+  if (!instance.ok()) {
+    return HttpResponse::MakeError(400, instance.status().ToString());
   }
-  std::unique_ptr<geometry::Region> region = std::move(*region_or);
-  const bool exact_only = qt->function_dependent_projection();
+  const int64_t budget = net::DeadlineBudgetMicros(request);
+  QueryRecord record;  // Sibling traffic is not query traffic.
+  const TemplateQuery q{form, *qt, *ft, *instance->region,
+                        std::move(instance->params),
+                        std::move(instance->nonspatial_fp),
+                        budget > 0 ? clock_->NowMicros() + budget : 0, &record,
+                        /*trace=*/nullptr};
 
-  // Serves a covering entry: the full entry (its region and result), never a
-  // locally filtered subset — the prober runs its own spatial selection, so
-  // this proxy pays serialization only, not the scan.
-  auto serve = [&](const CacheEntry& entry,
-                   const char* outcome) -> HttpResponse {
+  // Serves a whole entry, its region and result, never a locally filtered
+  // subset: the prober runs its own spatial selection, so this proxy pays
+  // serialization only, not the scan.
+  auto serve = [&](const geometry::Region& region,
+                   const sql::ColumnarTable& result, bool truncated,
+                   const char* outcome) {
     ChargeMicros(config_.costs.per_response_tuple_us *
-                 static_cast<double>(entry.result.num_rows()));
+                 static_cast<double>(result.num_rows()));
     HttpResponse response;
     response.headers["X-Peer-Outcome"] = outcome;
-    response.headers["X-Peer-Truncated"] = entry.truncated ? "1" : "0";
-    response.body = RegionToXml(*entry.region);
-    response.body += sql::TableToXml(entry.result);
-    return response;
-  };
-  auto miss = [](const char* outcome) -> HttpResponse {
-    HttpResponse response;
-    response.status_code = 404;
-    response.headers["X-Peer-Outcome"] = outcome;
-    response.body = "<PeerMiss/>\n";
+    response.headers["X-Peer-Truncated"] = truncated ? "1" : "0";
+    response.body = RegionToXml(region);
+    response.body += sql::TableToXml(result);
     return response;
   };
 
   RelationshipResult rel =
-      CheckRelationship(*cache_, qt->id(), *fp, *region);
+      CheckRelationship(*cache_, qt->id(), q.nonspatial_fp, q.region);
   ChargeMicros(DescriptionCostMicros(rel.description_comparisons) +
                config_.costs.per_relation_check_us *
                    static_cast<double>(rel.regions_checked));
-  // Peer serves hand the full entry body across the wire, so a frozen
-  // match is thawed first; a vanished-cold entry falls through
-  // to the flight/miss logic below (no peer hit, no wrong data).
-  if (rel.status == RegionRelation::kEqual) {
+  // A covering entry is thawed first, since its tuples cross the wire; one
+  // that vanished cold falls through to the flight and the fetch.
+  if (rel.status == RegionRelation::kEqual ||
+      (rel.status == RegionRelation::kContainedBy &&
+       !qt->function_dependent_projection() && !rel.matched->truncated)) {
     auto hot = EnsureHot(rel.matched, nullptr);
     if (hot != nullptr) {
       cache_->Touch(hot->id, clock_->NowMicros());
-      return serve(*hot, "hit");
-    }
-  } else if (rel.status == RegionRelation::kContainedBy && !exact_only &&
-             !rel.matched->truncated) {
-    auto hot = EnsureHot(rel.matched, nullptr);
-    if (hot != nullptr) {
-      cache_->Touch(hot->id, clock_->NowMicros());
-      return serve(*hot, "hit");
+      return serve(*hot->region, hot->result, hot->truncated, "hit");
     }
   }
 
-  // No covering entry. Fold the prober into this proxy's single-flight
-  // table: join an in-flight fetch for a covering region, or hand the
-  // prober a peer-flight ticket making it the tier-wide leader.
-  SingleFlightTable::Ticket ticket =
-      inflight_.JoinOrLead(qt->id(), *fp, *region);
-  if (ticket.leader) {
-    {
-      util::MutexLock lock(peer_mu_);
-      pending_peer_flights_[ticket.token] =
-          clock_->NowMicros() +
-          std::chrono::microseconds(kCollapseWait).count();
-    }
-    HttpResponse response = miss("lead");
-    response.headers["X-Peer-Flight-Token"] = std::to_string(ticket.token);
-    return response;
+  // No covering entry: join an in-flight fetch covering the region, or
+  // lead this proxy's own flight, so the tier's herd on one region costs
+  // one origin trip. A failed fetch is a clean miss: the prober fetches on
+  // its own, and its breaker for this peer is not charged for the origin.
+  FlightGuard flight;
+  std::optional<QueryPlan> joined;
+  if (config_.collapse_inflight) joined = CollapseOrLead(q, &flight);
+  if (joined) {
+    ins_.peer_flight_joins->Increment();
+    const CacheEntry& entry = *joined->slices.front().entry;
+    return serve(*entry.region, entry.result, entry.truncated, "flight");
   }
-  if (ticket.result.wait_for(kCollapseWait) == std::future_status::ready) {
-    FlightOutcome outcome = ticket.result.get();
-    if (outcome.ok && outcome.entry != nullptr) {
-      const CacheEntry& entry = *outcome.entry;
-      const bool equal = geometry::Equals(*entry.region, *region);
-      const bool usable =
-          equal || (!exact_only && !entry.truncated &&
-                    geometry::Contains(*entry.region, *region));
-      if (usable) {
-        ins_.peer_flight_joins->Increment();
-        return serve(entry, "flight");
-      }
-    }
-  }
-  return miss("miss");
-}
-
-HttpResponse FunctionProxy::HandlePeerEntry(const HttpRequest& request) {
-  ReapExpiredPeerFlights();
-  const uint64_t token =
-      ParsePeerToken(PeerHeaderOr(request.headers, "X-Peer-Token", ""));
-  if (token == 0) {
-    return HttpResponse::MakeError(400, "missing X-Peer-Token");
-  }
-  {
-    util::MutexLock lock(peer_mu_);
-    pending_peer_flights_.erase(token);
-  }
-  if (PeerHeaderOr(request.headers, "X-Peer-Failed", "0") == "1") {
-    inflight_.Complete(token, FlightOutcome{});
+  auto fetched = FetchTable(form, q.deadline_micros, &record, nullptr);
+  if (!fetched.ok()) {
     HttpResponse response;
-    response.body = "<PeerAck/>\n";
+    response.status_code = 404;
+    response.headers["X-Peer-Outcome"] = "miss";
+    response.body = "<PeerMiss/>\n";
     return response;
   }
-  const std::string* template_id = PeerHeader(request.headers, "X-Peer-Template");
-  const std::string* fp = PeerHeader(request.headers, "X-Peer-Fp");
-  const QueryTemplate* qt =
-      template_id != nullptr ? templates_->FindById(*template_id) : nullptr;
-  const FunctionTemplate* ft =
-      qt != nullptr ? templates_->FindFunctionTemplate(qt->function_name())
-                    : nullptr;
-  std::string_view region_xml, result_xml;
-  if (fp == nullptr || ft == nullptr ||
-      !SplitPeerBody(request.body, &region_xml, &result_xml)) {
-    inflight_.Complete(token, FlightOutcome{});
-    return HttpResponse::MakeError(400, "malformed peer entry");
-  }
-  auto region_or = RegionFromXml(region_xml);
-  auto table = sql::TableFromXml(result_xml);
-  if (!region_or.ok() || !table.ok()) {
-    inflight_.Complete(token, FlightOutcome{});
-    return HttpResponse::MakeError(400, "unparseable peer entry");
-  }
-  ins_.peer_entries_received->Increment();
-  auto admitted = CacheResult(
-      *qt, *fp, **region_or, std::move(*table), ft->coordinate_columns(),
-      PeerHeaderOr(request.headers, "X-Peer-Truncated", "0") == "1",
-      /*trace=*/nullptr);
-  inflight_.Complete(token, FlightOutcome{admitted != nullptr, admitted});
-  HttpResponse response;
-  response.body = "<PeerAck/>\n";
-  return response;
+  // The original query's answer; a TOP template's is cached truncated, as
+  // RunPlan admits it.
+  const std::optional<int64_t>& top_n = qt->statement().top_n;
+  const bool truncated = top_n.has_value() &&
+                         fetched->num_rows() == static_cast<size_t>(*top_n);
+  const sql::ColumnarTable result(std::move(*fetched));
+  auto admitted = CacheResult(*qt, q.nonspatial_fp, q.region, result,
+                              ft->coordinate_columns(), truncated, nullptr);
+  flight.Fulfill({admitted != nullptr, admitted});
+  return serve(q.region, result, truncated, "fetched");
 }
 
-void FunctionProxy::PushPeerEntry(
-    net::PeerChannel* peer, uint64_t token,
-    const std::shared_ptr<const CacheEntry>& entry) {
-  // A refused push is fine: the owner reaps the expired flight on its own
-  // virtual deadline, so followers are delayed, never stranded.
-  if (!peer->Allow()) return;
-  HttpRequest push;
-  push.method = "POST";
-  push.path = "/peer/entry";
-  push.headers["X-Peer-Token"] = std::to_string(token);
-  if (entry == nullptr) {
-    push.headers["X-Peer-Failed"] = "1";
-  } else {
-    push.headers["X-Peer-Template"] = entry->template_id;
-    push.headers["X-Peer-Fp"] = entry->nonspatial_fingerprint;
-    push.headers["X-Peer-Truncated"] = entry->truncated ? "1" : "0";
-    push.body = RegionToXml(*entry->region);
-    push.body += sql::TableToXml(entry->result);
-  }
-  ins_.peer_entries_pushed->Increment();
-  HttpResponse response = peer->RoundTrip(push, /*deadline_micros=*/0);
-  if (net::RetryPolicy::Retryable(response)) {
-    ins_.peer_failures->Increment();
-  }
-}
-
-std::optional<QueryPlan> FunctionProxy::ProbePeer(
-    const TemplateQuery& q, FlightGuard* local_flight,
-    PeerFlightGuard* peer_flight) {
+std::optional<QueryPlan> FunctionProxy::ProbePeer(const TemplateQuery& q,
+                                                  FlightGuard* local_flight) {
   if (!has_peers_) return std::nullopt;
   QueryRecord* record = q.record;
   const std::string key = RegionOwnershipKey(q.qt.id(), q.nonspatial_fp,
@@ -1423,16 +1326,22 @@ std::optional<QueryPlan> FunctionProxy::ProbePeer(
     return std::nullopt;
   }
 
+  // The client's own form request, with what is left of its budget. The
+  // owner holds its fetch to that budget, so the round trip is not capped
+  // here too: a fetch that overran the budget is the origin's fault, and
+  // the owner answers it with a clean miss.
   HttpRequest probe;
-  probe.method = "POST";
   probe.path = "/peer/lookup";
-  probe.headers["X-Peer-Template"] = q.qt.id();
-  probe.headers["X-Peer-Fp"] = q.nonspatial_fp;
-  probe.body = RegionToXml(q.region);
+  probe.query_params = q.request.query_params;
+  probe.headers["X-Peer-Form"] = q.request.path;
+  if (q.deadline_micros > 0) {
+    probe.headers[net::kDeadlineBudgetHeader] = std::to_string(
+        std::max<int64_t>(q.deadline_micros - clock_->NowMicros(), 1));
+  }
   obs::ScopedSpan span(q.trace, "peer_lookup", clock_,
                        ins_.phase_peer_lookup);
   span.AddAttr("owner", *owner);
-  HttpResponse response = peer->RoundTrip(probe, q.deadline_micros);
+  HttpResponse response = peer->RoundTrip(probe, /*deadline_micros=*/0);
   span.AddAttr("status", std::to_string(response.status_code));
   if (net::RetryPolicy::Retryable(response)) {
     // Outage or overload on the sibling: fall back to the origin. The
@@ -1446,23 +1355,12 @@ std::optional<QueryPlan> FunctionProxy::ProbePeer(
       PeerHeaderOr(response.headers, "X-Peer-Outcome", "miss");
   span.AddAttr("outcome", outcome);
   if (!response.ok()) {
-    if (outcome == "lead") {
-      const uint64_t token = ParsePeerToken(
-          PeerHeaderOr(response.headers, "X-Peer-Flight-Token", ""));
-      if (token != 0) {
-        // This request is now the tier-wide leader: remote followers block
-        // on the owner's flight until the guard pushes our origin result.
-        ins_.peer_lookup_lead->Increment();
-        peer_flight->Arm(this, peer, token);
-        return std::nullopt;
-      }
-    }
     ins_.peer_lookup_miss->Increment();
     return std::nullopt;
   }
 
-  // 200 with a covering entry (direct hit or completed flight join).
-  std::string_view region_xml, result_xml;
+  // 200 with a whole entry: cached, from a completed flight, or fetched by
+  // the owner for this request. Anything else is an unusable body.
   auto garbage = [&]() -> std::optional<QueryPlan> {
     peer->NoteGarbage();
     ins_.peer_lookup_error->Increment();
@@ -1470,15 +1368,28 @@ std::optional<QueryPlan> FunctionProxy::ProbePeer(
     record->peer_degraded = true;
     return std::nullopt;
   };
-  if (!SplitPeerBody(response.body, &region_xml, &result_xml)) {
+  QueryPlan::Source source;
+  if (outcome == "hit") {
+    source = QueryPlan::Source::kPeerHit;
+  } else if (outcome == "flight") {
+    source = QueryPlan::Source::kPeerFlight;
+  } else if (outcome == "fetched") {
+    source = QueryPlan::Source::kPeerFetch;
+  } else {
+    return garbage();
+  }
+  const std::string truncated_flag =
+      PeerHeaderOr(response.headers, "X-Peer-Truncated", "");
+  std::string_view region_xml, result_xml;
+  if ((truncated_flag != "0" && truncated_flag != "1") ||
+      !SplitPeerBody(response.body, &region_xml, &result_xml)) {
     return garbage();
   }
   auto peer_region_or = RegionFromXml(region_xml);
   auto table = sql::TableFromXml(result_xml);
   if (!peer_region_or.ok() || !table.ok()) return garbage();
   std::unique_ptr<geometry::Region> peer_region = std::move(*peer_region_or);
-  const bool truncated =
-      PeerHeaderOr(response.headers, "X-Peer-Truncated", "0") == "1";
+  const bool truncated = truncated_flag == "1";
   const bool equal = geometry::Equals(*peer_region, q.region);
   if (!equal && (q.qt.function_dependent_projection() || truncated ||
                  !geometry::Contains(*peer_region, q.region))) {
@@ -1490,6 +1401,8 @@ std::optional<QueryPlan> FunctionProxy::ProbePeer(
   }
   ChargeMicros(config_.costs.per_origin_response_tuple_us *
                static_cast<double>(table->num_rows()));
+  // The owner's fetch made this request's origin trip.
+  if (source == QueryPlan::Source::kPeerFetch) record->contacted_origin = true;
 
   // Admit the sibling's entry locally — future queries in this region hit
   // without the hop, and local single-flight followers get the snapshot.
@@ -1505,10 +1418,7 @@ std::optional<QueryPlan> FunctionProxy::ProbePeer(
   // executor counts the lookup's outcome once the answer is certain, so
   // every probe lands in exactly one fnproxy_peer_lookups_total series.
   return QueryPlan::FromEntry(admitted != nullptr ? admitted : local,
-                              /*scan=*/!equal,
-                              outcome == "flight"
-                                  ? QueryPlan::Source::kPeerFlight
-                                  : QueryPlan::Source::kPeerHit);
+                              /*scan=*/!equal, source);
 }
 
 // --- Storage tier (docs/STORAGE.md) -----------------------------------------
@@ -1597,13 +1507,13 @@ std::vector<obs::Counter*> FunctionProxy::SnapshotCounters() const {
       ins_.deadline_exceeded,
       ins_.peer_lookup_hit,
       ins_.peer_lookup_flight,
-      ins_.peer_lookup_lead,
+      ins_.peer_lookup_fetched,  // Once the `lead` outcome.
       ins_.peer_lookup_miss,
       ins_.peer_lookup_error,
       ins_.peer_lookup_breaker_open,
       ins_.peer_failures,
-      ins_.peer_entries_pushed,
-      ins_.peer_entries_received,
+      nullptr,  // Retired: entries pushed to an owner.
+      nullptr,  // Retired: entries received from a leader.
       ins_.peer_flight_joins,
       ins_.check_micros,
       ins_.local_eval_micros,
@@ -1678,7 +1588,9 @@ util::Status FunctionProxy::WriteSnapshot(const std::string& path) const {
   storage::ByteWriter stats_w;
   std::vector<obs::Counter*> counters = SnapshotCounters();
   stats_w.PutVarint(counters.size());
-  for (obs::Counter* counter : counters) stats_w.PutVarint(counter->Value());
+  for (obs::Counter* counter : counters) {
+    stats_w.PutVarint(counter != nullptr ? counter->Value() : 0);
+  }
   stats_w.PutVarint(origin_->retry_stats().retries - channel_retries_baseline_ +
                     restored_origin_retries_.load(kRelaxed));
   stats_w.PutVarint(breaker_->transitions() +
@@ -1813,7 +1725,7 @@ util::StatusOr<size_t> FunctionProxy::RestoreSnapshot(const std::string& path) {
     std::vector<obs::Counter*> counters = SnapshotCounters();
     for (size_t i = 0; i < counter_values.size() && i < counters.size();
          ++i) {
-      counters[i]->Increment(counter_values[i]);
+      if (counters[i] != nullptr) counters[i]->Increment(counter_values[i]);
     }
     restored_origin_retries_.fetch_add(origin_retries, kRelaxed);
     restored_breaker_transitions_.fetch_add(breaker_transitions, kRelaxed);
@@ -1833,12 +1745,10 @@ HttpResponse FunctionProxy::Handle(const HttpRequest& request) {
   if (request.path == "/proxy/stats") return HandleStats();
   if (request.path == "/metrics") return HandleMetrics();
   if (request.path == "/proxy/trace") return HandleTrace(request);
-  // Cooperative-tier endpoints: sibling traffic, never counted as query
+  // Cooperative-tier endpoint: sibling traffic, never counted as query
   // traffic and never subject to client admission control.
   if (request.path == "/peer/lookup") return HandlePeerLookup(request);
-  if (request.path == "/peer/entry") return HandlePeerEntry(request);
 
-  if (has_peers_) ReapExpiredPeerFlights();
   ins_.requests->Increment();
   MaybeRunMaintenance();
 

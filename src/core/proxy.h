@@ -163,7 +163,7 @@ struct QueryRecord {
   bool collapsed = false;
   /// Rejected by admission control (overload / origin backlog / deadline).
   bool shed = false;
-  /// Served from a cooperative-tier sibling (peer hit or peer-flight join)
+  /// Served from a cooperative-tier sibling's cache or in-flight fetch
   /// — no origin round trip of its own.
   bool peer_hit = false;
   /// A peer probe failed (outage, garbage, or open peer breaker) and the
@@ -302,7 +302,6 @@ class FunctionProxy final : public net::HttpHandler {
     has_peers_ =
         peer_group_.ring != nullptr && !peer_group_.peers.empty();
   }
-  const PeerGroup& peer_group() const { return peer_group_; }
 
   /// The metrics registry behind GET /metrics. All proxy counters and
   /// per-phase latency histograms live here (see docs/OBSERVABILITY.md for
@@ -359,16 +358,14 @@ class FunctionProxy final : public net::HttpHandler {
     obs::Counter* shed_deadline = nullptr;
     obs::Counter* deadline_exceeded = nullptr;
     /// Cooperative tier: peer lookups by outcome, failed peer round trips,
-    /// entries exchanged by direction, and remote single-flight joins.
+    /// and remote single-flight joins.
     obs::Counter* peer_lookup_hit = nullptr;
     obs::Counter* peer_lookup_flight = nullptr;
-    obs::Counter* peer_lookup_lead = nullptr;
+    obs::Counter* peer_lookup_fetched = nullptr;
     obs::Counter* peer_lookup_miss = nullptr;
     obs::Counter* peer_lookup_error = nullptr;
     obs::Counter* peer_lookup_breaker_open = nullptr;
     obs::Counter* peer_failures = nullptr;
-    obs::Counter* peer_entries_pushed = nullptr;
-    obs::Counter* peer_entries_received = nullptr;
     obs::Counter* peer_flight_joins = nullptr;
     /// Modeled virtual-time totals (exact computed costs, deterministic even
     /// under concurrency — unlike span durations read off the shared clock).
@@ -416,8 +413,22 @@ class FunctionProxy final : public net::HttpHandler {
                                    int64_t deadline_micros, QueryRecord* record,
                                    obs::QueryTrace* trace);
 
+  /// A template request's parameters, region and the fingerprint the
+  /// relationship check compares: the non-spatial parameters, or under
+  /// passive caching the whole query string (DESIGN.md §18).
+  struct Instance {
+    std::map<std::string, sql::Value> params;
+    std::unique_ptr<geometry::Region> region;
+    std::string nonspatial_fp;
+  };
+  /// Instantiates `request` against its template. An error when a
+  /// parameter is missing or malformed: the request has no region.
+  util::StatusOr<Instance> Instantiate(const net::HttpRequest& request,
+                                       const QueryTemplate& qt,
+                                       const FunctionTemplate& ft) const;
+
   /// A template request after instantiation: what planning and execution
-  /// read. The references point into HandleTemplate's frame.
+  /// read. The references point into the caller's frame.
   struct TemplateQuery {
     const net::HttpRequest& request;
     const QueryTemplate& qt;
@@ -452,63 +463,21 @@ class FunctionProxy final : public net::HttpHandler {
   net::HttpResponse HandleMetrics();
   net::HttpResponse HandleTrace(const net::HttpRequest& request);
 
-  /// RAII for a peer-flight ticket: the remote owner made this request the
-  /// tier-wide leader for its subsumption class (X-Peer-Outcome: lead), so
-  /// remote followers block on the owner's flight until this request pushes
-  /// its origin result — or its failure — via /peer/entry. Unless Fulfill()
-  /// ran with an admitted entry, the destructor pushes a failure so no exit
-  /// path (error return, shed, exception) strands remote followers past the
-  /// owner's reap deadline.
-  class PeerFlightGuard {
-   public:
-    PeerFlightGuard() = default;
-    PeerFlightGuard(const PeerFlightGuard&) = delete;
-    PeerFlightGuard& operator=(const PeerFlightGuard&) = delete;
-    ~PeerFlightGuard() {
-      if (proxy_ != nullptr) proxy_->PushPeerEntry(peer_, token_, entry_);
-    }
-    void Arm(FunctionProxy* proxy, net::PeerChannel* peer, uint64_t token) {
-      proxy_ = proxy;
-      peer_ = peer;
-      token_ = token;
-    }
-    void Fulfill(std::shared_ptr<const CacheEntry> entry) {
-      entry_ = std::move(entry);
-    }
-
-   private:
-    FunctionProxy* proxy_ = nullptr;
-    net::PeerChannel* peer_ = nullptr;
-    uint64_t token_ = 0;
-    std::shared_ptr<const CacheEntry> entry_;
-  };
-
-  /// Cooperative-tier peer endpoints (reserved paths; siblings only).
-  /// /peer/lookup: serves a covering cached entry, joins an in-flight local
-  /// fetch on the caller's behalf, or hands the caller a peer-flight ticket.
+  /// Cooperative-tier endpoint (reserved path; siblings only). /peer/lookup
+  /// carries a prober's client request: its query string, its form path in
+  /// X-Peer-Form and its remaining budget in X-Deadline-Micros. This proxy
+  /// owns the request's region, so it answers with a covering cached entry,
+  /// with the entry of an in-flight fetch it joins, or by fetching the
+  /// original query itself and admitting the answer. 400 when the request
+  /// does not instantiate, 404 when the fetch failed.
   net::HttpResponse HandlePeerLookup(const net::HttpRequest& request);
-  /// /peer/entry: a tier leader pushing its origin result (or failure) back
-  /// to complete the flight this proxy holds open for it.
-  net::HttpResponse HandlePeerEntry(const net::HttpRequest& request);
 
-  /// Local miss: probes the sibling owning this query's region key before
+  /// Local miss: asks the sibling owning this query's region key before
   /// paying the origin round trip. Returns the plan serving the sibling's
-  /// entry when it covers the query (entry admitted locally, local flight
-  /// fulfilled); nullopt means proceed to the origin — with `peer_flight`
-  /// armed when the owner made this request the tier-wide leader.
+  /// entry (entry admitted locally, local flight fulfilled); nullopt means
+  /// fetch from the origin.
   std::optional<QueryPlan> ProbePeer(const TemplateQuery& q,
-                                     FlightGuard* local_flight,
-                                     PeerFlightGuard* peer_flight);
-
-  /// Pushes `entry` (null = the fetch failed) to the owner holding flight
-  /// `token` open. Called by PeerFlightGuard.
-  void PushPeerEntry(net::PeerChannel* peer, uint64_t token,
-                     const std::shared_ptr<const CacheEntry>& entry);
-
-  /// Completes (as failed) peer-led flights whose leader never pushed
-  /// within the collapse-wait bound, so local followers are not stranded by
-  /// a crashed or partitioned remote leader.
-  void ReapExpiredPeerFlights();
+                                     FlightGuard* local_flight);
 
   /// The one origin call for a table: sends `request` — the client's form
   /// request or a /sql remainder the caller built — parses the XML result
@@ -602,7 +571,8 @@ class FunctionProxy final : public net::HttpHandler {
   /// WriteSnapshot + outcome counters (the clean-shutdown path).
   void WriteSnapshotAndCount() EXCLUDES(records_mu_);
   /// The counters persisted in a snapshot's STATS section, in wire order.
-  /// Append-only: reordering or removing a slot breaks old snapshots.
+  /// Append-only: reordering or removing a slot breaks old snapshots. A
+  /// retired slot is null: written as 0 and skipped on read.
   std::vector<obs::Counter*> SnapshotCounters() const;
 
   ProxyConfig config_;
@@ -621,10 +591,6 @@ class FunctionProxy final : public net::HttpHandler {
   /// Cooperative-tier membership (empty when running standalone).
   PeerGroup peer_group_;
   bool has_peers_ = false;
-  /// Flights led by a remote prober: token -> virtual-clock deadline by
-  /// which the /peer/entry push must arrive before the flight is reaped.
-  util::Mutex peer_mu_;
-  std::map<uint64_t, int64_t> pending_peer_flights_ GUARDED_BY(peer_mu_);
 
   /// Registry first: instruments in ins_ point into it, and callbacks it
   /// holds read cache_/breaker_/origin_ (all outlive renders).

@@ -28,10 +28,11 @@ struct QueryPlan {
   /// original query when none did and the template has no TOP.
   enum class Origin { kNone, kOriginal, kRemainder };
   /// Where the answer comes from: the cache, a single-flight leader's
-  /// entry, or a sibling's entry (served directly or from its flight).
+  /// entry, or a sibling's entry: cached, from its flight, or fetched from
+  /// the origin for this request (a miss that contacted the origin).
   /// Decides the outcome counter (FunctionProxy::Execute indexes its
   /// counters in this order) and the record's collapsed / peer_hit flags.
-  enum class Source { kCache, kLeader, kPeerHit, kPeerFlight };
+  enum class Source { kCache, kLeader, kPeerHit, kPeerFlight, kPeerFetch };
 
   /// One entry answers the query alone: whole when its region equals the
   /// query's, scanned when it contains it.
@@ -47,6 +48,11 @@ struct QueryPlan {
   }
 
   bool from_peer() const {
+    return source == Source::kPeerHit || source == Source::kPeerFlight ||
+           source == Source::kPeerFetch;
+  }
+  /// A sibling served the answer without an origin trip.
+  bool peer_hit() const {
     return source == Source::kPeerHit || source == Source::kPeerFlight;
   }
 

@@ -138,8 +138,11 @@ int64_t DeadlineBudgetMicros(const HttpRequest& request) {
   int64_t budget = 0;
   for (char c : it->second) {
     if (c < '0' || c > '9') return 0;
-    budget = budget * 10 + (c - '0');
-    if (budget > (int64_t{1} << 60)) return 0;  // Absurd; treat as malformed.
+    const int64_t digit = c - '0';
+    // Past 2^60 is absurd: malformed. Checked before the product, which
+    // could overflow.
+    if (budget > ((int64_t{1} << 60) - digit) / 10) return 0;
+    budget = budget * 10 + digit;
   }
   return budget;
 }

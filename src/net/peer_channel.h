@@ -43,7 +43,7 @@ class PeerChannel {
   HttpResponse RoundTrip(const HttpRequest& request, int64_t deadline_micros);
 
   /// Records a breaker failure for a response that was transport-clean but
-  /// semantically unusable (unparseable body, bad token).
+  /// semantically unusable (unparseable body, unknown outcome).
   void NoteGarbage();
 
   const std::string& peer_id() const { return peer_id_; }

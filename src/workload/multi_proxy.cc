@@ -4,8 +4,20 @@
 
 namespace fnproxy::workload {
 
+namespace {
+
+/// Virtual nodes per proxy on the consistent-hash ring.
+constexpr size_t kRingVnodes = 128;
+/// Sibling-to-sibling link: same machine room, ~two orders of magnitude
+/// cheaper than the WAN — the whole point of asking a peer first. Peer
+/// channels keep the default retry policy, no retries: a failed lookup
+/// falls back to the origin instead of waiting on a sick sibling.
+constexpr net::LinkConfig kPeerLink{0.3, 200000.0};
+
+}  // namespace
+
 std::string ProxyTier::NodeId(size_t index) {
-  return "proxy-" + std::to_string(index);
+  return std::string("proxy-") + std::to_string(index);
 }
 
 ProxyTier::ProxyTier(const ProxyTierOptions& options,
@@ -13,7 +25,7 @@ ProxyTier::ProxyTier(const ProxyTierOptions& options,
                      net::HttpHandler* origin,
                      const net::LinkConfig& wan,
                      util::SimulatedClock* clock)
-    : options_(options), ring_(options.ring_vnodes) {
+    : options_(options), ring_(kRingVnodes) {
   const size_t n = options_.num_proxies == 0 ? 1 : options_.num_proxies;
   for (size_t i = 0; i < n; ++i) {
     ring_.AddNode(NodeId(i));
@@ -46,9 +58,8 @@ ProxyTier::ProxyTier(const ProxyTierOptions& options,
           peer_inbound_faults_[to] != nullptr
               ? static_cast<net::HttpHandler*>(peer_inbound_faults_[to].get())
               : proxies_[to].get();
-      auto link = std::make_unique<net::SimulatedChannel>(
-          inbound, options_.peer_link, clock);
-      link->set_retry_policy(options_.peer_retry);
+      auto link =
+          std::make_unique<net::SimulatedChannel>(inbound, kPeerLink, clock);
       peer_channels_[from * n + to] = std::make_unique<net::PeerChannel>(
           NodeId(to), link.get(), options_.peer_breaker, clock);
       peer_links_[from * n + to] = std::move(link);

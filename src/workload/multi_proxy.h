@@ -27,21 +27,14 @@ struct ProxyTierOptions {
   size_t num_proxies = 1;
   /// Per-proxy configuration (every proxy gets a copy).
   core::ProxyConfig proxy;
-  /// Sibling-to-sibling link: same machine room, ~two orders of magnitude
-  /// cheaper than the WAN — the whole point of probing a peer first.
-  net::LinkConfig peer_link;
-  /// Retry schedule on every peer channel (default: no retries — a failed
-  /// probe falls back to the origin instead of waiting on a sick sibling).
-  net::RetryPolicy peer_retry;
   /// Per-peer circuit breaker configuration (enabled by default).
   net::CircuitBreakerConfig peer_breaker;
-  size_t ring_vnodes = 128;
   /// Closed worker pool per proxy: at most this many router requests are in
   /// service on one proxy at a time (0 = unlimited). Models the finite
   /// capacity of a single proxy box — the thing a tier multiplies — so the
   /// throughput bench sees real scaling instead of a free infinite server.
-  /// Sibling /peer/* traffic bypasses the pool (a worker blocked on a full
-  /// sibling must not be able to deadlock the tier).
+  /// Sibling /peer/lookup traffic bypasses the pool (a worker blocked on a
+  /// full sibling must not be able to deadlock the tier).
   size_t proxy_workers = 0;
   /// Scripted faults on a proxy's *inbound* peer traffic, keyed by proxy
   /// index: every sibling probing that proxy goes through the injector
@@ -49,18 +42,15 @@ struct ProxyTierOptions {
   /// its own clients). Used by the peer-outage fault tests.
   std::map<size_t, net::FaultProfile> peer_faults;
 
-  ProxyTierOptions() {
-    peer_link.latency_ms = 0.3;
-    peer_link.bandwidth_kbps = 200000.0;
-    peer_breaker.enabled = true;
-  }
+  ProxyTierOptions() { peer_breaker.enabled = true; }
 };
 
 /// A cooperative tier of FunctionProxy instances behind a round-robin
 /// router. Construction wires the whole topology: per-proxy origin channels
 /// over the `wan` link to the shared origin handler, the consistent-hash ring
-/// ("proxy-0" .. "proxy-N-1"), and a breaker-guarded PeerChannel for every
-/// ordered sibling pair (optionally through a FaultInjector on the target's
+/// ("proxy-0" .. "proxy-N-1", 128 virtual nodes each), and a breaker-guarded
+/// PeerChannel for every ordered sibling pair over a 0.3 ms machine-room
+/// link without retries (optionally through a FaultInjector on the target's
 /// inbound side).
 ///
 /// The tier itself is an HttpHandler: Handle() dispatches each request to
@@ -78,15 +68,9 @@ class ProxyTier final : public net::HttpHandler {
   size_t num_proxies() const { return proxies_.size(); }
   core::FunctionProxy& proxy(size_t i) { return *proxies_[i]; }
   const core::FunctionProxy& proxy(size_t i) const { return *proxies_[i]; }
-  const core::HashRing& ring() const { return ring_; }
   /// The channel proxy `from` uses to probe proxy `to` (from != to).
   net::PeerChannel& peer_channel(size_t from, size_t to) {
     return *peer_channels_[from * proxies_.size() + to];
-  }
-  /// Fault injector on proxy `i`'s inbound peer traffic (null when no
-  /// profile was configured for it).
-  net::FaultInjector* peer_fault_injector(size_t i) {
-    return peer_inbound_faults_[i].get();
   }
   /// Proxy `i`'s private channel to the origin.
   net::SimulatedChannel& origin_channel(size_t i) {

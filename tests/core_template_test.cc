@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "core/function_template.h"
 #include "core/query_template.h"
 #include "core/template_registry.h"
@@ -49,6 +52,29 @@ TEST(FunctionTemplateTest, NegativeRadiusRejected) {
   ASSERT_TRUE(tmpl.ok());
   EXPECT_FALSE(tmpl->BuildRegion({Value::Double(1.0), Value::Double(2.0),
                                   Value::Double(-3.0)})
+                   .ok());
+}
+
+// NaN passed the sign check and an infinite argument made a NaN center;
+// the region's bounding box then asserted lo <= hi in a debug build.
+TEST(FunctionTemplateTest, NonFiniteArgumentsRejected) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  auto sphere = FunctionTemplate::FromXml(workload::kNearbyObjEqTemplateXml);
+  ASSERT_TRUE(sphere.ok());
+  for (const std::vector<Value>& args :
+       {std::vector<Value>{Value::Double(1), Value::Double(2),
+                           Value::Double(nan)},
+        std::vector<Value>{Value::Double(inf), Value::Double(2),
+                           Value::Double(3)},
+        std::vector<Value>{Value::Double(1), Value::Double(-inf),
+                           Value::Double(3)}}) {
+    EXPECT_FALSE(sphere->BuildRegion(args).ok());
+  }
+  auto rect = FunctionTemplate::FromXml(workload::kObjFromRectTemplateXml);
+  ASSERT_TRUE(rect.ok());
+  EXPECT_FALSE(rect->BuildRegion({Value::Double(10.0), Value::Double(nan),
+                                  Value::Double(-5.0), Value::Double(5.0)})
                    .ok());
 }
 

@@ -44,16 +44,10 @@ std::vector<HttpRequest> Requests() {
   radial->headers["X-Deadline-Micros"] = "2500000";
   requests.push_back(*radial);
 
-  HttpRequest push;
-  push.method = "POST";
-  push.path = "/peer/entry";
-  push.headers["X-Peer-Token"] = "17";
-  push.headers["X-Peer-Template"] = "radial";
-  push.headers["X-Peer-Fp"] = "";
-  push.body =
-      "<Region kind=\"sphere\"/><Result rows=\"1\"><Schema/>"
-      "<Row>\r\n\r\n</Row></Result>";
-  requests.push_back(push);
+  HttpRequest lookup = *radial;
+  lookup.path = "/peer/lookup";
+  lookup.headers["X-Peer-Form"] = "/radial";
+  requests.push_back(lookup);
 
   HttpRequest sql;
   sql.method = "POST";
@@ -74,11 +68,13 @@ std::vector<HttpResponse> Responses() {
   busy.headers["Retry-After"] = "30";
   responses.push_back(busy);
 
-  HttpResponse miss;
-  miss.status_code = 404;
-  miss.headers["X-Peer-Outcome"] = "lead";
-  miss.headers["X-Peer-Flight-Token"] = "3";
-  responses.push_back(miss);
+  HttpResponse fetched;
+  fetched.headers["X-Peer-Outcome"] = "fetched";
+  fetched.headers["X-Peer-Truncated"] = "0";
+  fetched.body =
+      "<Region kind=\"sphere\"/><Result rows=\"1\"><Schema/>"
+      "<Row>\r\n\r\n</Row></Result>";
+  responses.push_back(fetched);
   return responses;
 }
 
@@ -155,7 +151,8 @@ std::string Mutate(const std::string& wire, util::Random* rng) {
       const size_t at = starts[rng->NextUint64(starts.size() - 1)];
       const uint64_t value = kValues[rng->NextUint64(std::size(kValues))];
       return out.insert(at,
-                        "Content-Length: " + std::to_string(value) + "\r\n");
+                        std::string("Content-Length: ") +
+                            std::to_string(value) + "\r\n");
     }
     default: {  // An oversized or malformed Content-Length value.
       const char* const kLies[] = {
@@ -313,8 +310,8 @@ TEST(HttpWireFuzzTest, MutatedMessagesAreRejectedOrFramed) {
   for (size_t index = 0; index < wires.size(); ++index) {
     for (int i = 0; i < kMutationsPerMessage; ++i, ++total) {
       const std::string in = Mutate(wires[index], &rng);
-      SCOPED_TRACE("message " + std::to_string(index) + " mutation " +
-                   std::to_string(i) + ": " + in);
+      SCOPED_TRACE(std::string("message ") + std::to_string(index) +
+                   " mutation " + std::to_string(i) + ": " + in);
       accepted += Feed(in);
       if (HasFatalFailure()) return;
     }

@@ -1,9 +1,10 @@
 // Tier-wide oracle and invariant suite for the cooperative proxy tier:
-// a 4-proxy tier answers byte-for-byte what a single proxy answers, the
-// aggregated statistics respect the stats-sum invariant, a cross-proxy
-// thundering herd fetches the origin exactly once, and a scripted peer
-// outage trips the prober's per-peer breaker, falls back to the origin
-// (never serving garbage), and recovers through half-open.
+// a 4-proxy tier answers byte-for-byte what a single proxy answers, for a
+// TOP template too, the aggregated statistics respect the stats-sum
+// invariant, a cross-proxy thundering herd fetches the origin exactly once,
+// and a scripted peer outage trips the prober's per-peer breaker, falls
+// back to the origin (never serving garbage), and recovers through
+// half-open.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,8 @@
 #include <vector>
 
 #include "core/proxy.h"
+#include "core/query_template.h"
+#include "core/template_registry.h"
 #include "net/circuit_breaker.h"
 #include "net/fault.h"
 #include "net/http.h"
@@ -45,17 +48,27 @@ workload::TraceQuery MakeQuery(double ra, double dec, double radius_arcmin) {
   return query;
 }
 
+/// A search form the origin serves: its path and query template.
+struct Form {
+  const char* path;
+  const char* sql;
+};
+
 /// One self-contained pipeline: origin web app + tier, on a private clock.
+/// By default the experiment's templates and its Radial form.
 struct TierStack {
   util::SimulatedClock clock;
   std::unique_ptr<server::OriginWebApp> app;
   std::unique_ptr<ProxyTier> tier;
 
-  TierStack(workload::SkyExperiment& sky, const ProxyTierOptions& options) {
+  TierStack(workload::SkyExperiment& sky, const ProxyTierOptions& options,
+            const core::TemplateRegistry* templates = nullptr,
+            Form form = {"/radial", workload::kRadialTemplateSql}) {
+    if (templates == nullptr) templates = &sky.templates();
     app = std::make_unique<server::OriginWebApp>(sky.database(), &clock,
                                                  sky.options().server_costs);
-    EXPECT_TRUE(app->RegisterForm("/radial", workload::kRadialTemplateSql).ok());
-    tier = std::make_unique<ProxyTier>(options, &sky.templates(), app.get(),
+    EXPECT_TRUE(app->RegisterForm(form.path, form.sql).ok());
+    tier = std::make_unique<ProxyTier>(options, templates, app.get(),
                                        sky.options().wan, &clock);
   }
 };
@@ -115,10 +128,64 @@ TEST(MultiProxyTier, FourProxyTierMatchesSingleProxyByteForByte) {
   // other than their base's were served by the owning sibling).
   EXPECT_GT(quad_stats.peer_hits, 0u);
   EXPECT_EQ(solo_stats.peer_hits, 0u);
+  // A base an owner fetched for its prober is that prober's miss, with no
+  // cached tuple, as the base is on one proxy.
+  EXPECT_EQ(quad_stats.misses, solo_stats.misses);
+  EXPECT_DOUBLE_EQ(quad_stats.AverageCacheEfficiency(),
+                   solo_stats.AverageCacheEfficiency());
   // Stats-sum invariant on the aggregate.
   EXPECT_EQ(OutcomeSum(quad_stats), quad_stats.template_requests);
   EXPECT_EQ(quad_stats.template_requests, trace.queries.size());
   EXPECT_EQ(OutcomeSum(solo_stats), solo_stats.template_requests);
+}
+
+// A TOP template through the tier: an entry whose answer the TOP cut is
+// cached truncated, wherever it is admitted, so it serves exact repeats
+// only, and a concentric subset misses instead of selecting from it. The
+// owner fetches for a prober and answers with the truncated entry; the tier
+// answers byte for byte what one proxy answers, with the same origin trips.
+TEST(MultiProxyTier, TopTemplateMatchesSingleProxyByteForByte) {
+  workload::SkyExperiment sky{workload::SkyExperiment::Options()};
+  constexpr Form kTopForm = {
+      "/top_magnitude",
+      "SELECT TOP 10 p.objID, p.ra, p.dec, p.cx, p.cy, p.cz, p.r "
+      "FROM fGetNearbyObjEq($ra, $dec, $radius) AS n "
+      "JOIN PhotoPrimary AS p ON n.objID = p.objID "
+      "ORDER BY p.r"};
+  core::TemplateRegistry templates;
+  ASSERT_TRUE(
+      templates.RegisterFunctionTemplateXml(workload::kNearbyObjEqTemplateXml)
+          .ok());
+  auto qt = core::QueryTemplate::Create("top_magnitude", kTopForm.path,
+                                        kTopForm.sql);
+  ASSERT_TRUE(qt.ok());
+  ASSERT_TRUE(templates.RegisterQueryTemplate(std::move(*qt)).ok());
+
+  workload::Trace trace = OracleTrace();
+  trace.form_path = kTopForm.path;
+  TierStack quad(sky, TierOptions(4), &templates, kTopForm);
+  TierStack solo(sky, TierOptions(1), &templates, kTopForm);
+  for (size_t i = 0; i < trace.queries.size(); ++i) {
+    net::HttpRequest request = workload::MakeRequest(trace, trace.queries[i]);
+    net::HttpResponse from_quad = quad.tier->Handle(request);
+    net::HttpResponse from_solo = solo.tier->Handle(request);
+    ASSERT_EQ(from_quad.status_code, 200) << "query " << i;
+    ASSERT_EQ(from_solo.status_code, 200) << "query " << i;
+    ASSERT_EQ(from_quad.body, from_solo.body) << "query " << i;
+  }
+
+  // The cut bit: some base held more than ten objects.
+  const core::CacheStore& solo_cache = solo.tier->proxy(0).cache();
+  size_t truncated = 0;
+  for (uint64_t id : solo_cache.AllIds()) {
+    truncated += solo_cache.Find(id)->truncated ? 1 : 0;
+  }
+  EXPECT_GT(truncated, 0u);
+  const core::ProxyStats quad_stats = quad.tier->AggregateStats();
+  EXPECT_EQ(quad.app->form_queries_served(), solo.app->form_queries_served());
+  EXPECT_EQ(quad_stats.misses, solo.tier->AggregateStats().misses);
+  EXPECT_GT(quad_stats.peer_hits, 0u);
+  EXPECT_EQ(OutcomeSum(quad_stats), quad_stats.template_requests);
 }
 
 // The invariant holds under a concurrent replay of a generated trace with
@@ -149,9 +216,9 @@ TEST(MultiProxyTier, StatsSumInvariantUnderConcurrentReplay) {
 }
 
 // Cross-proxy thundering herd: eight concurrent clients ask four proxies
-// for the same cold region; the tier elects exactly one origin fetch and
-// everyone else rides it (local single-flight followers or peer-flight
-// joins on the owning sibling).
+// for the same cold region; the owning proxy makes the one origin fetch and
+// everyone else rides it (local single-flight followers, or lookups that
+// join the owner's flight).
 TEST(MultiProxyTier, CrossProxyThunderingHerdFetchesOriginOnce) {
   workload::SkyExperiment sky{workload::SkyExperiment::Options()};
 
@@ -171,7 +238,7 @@ TEST(MultiProxyTier, CrossProxyThunderingHerdFetchesOriginOnce) {
   const core::ProxyStats& stats = output.proxy_stats;
   EXPECT_EQ(stats.template_requests, 8u);
   EXPECT_EQ(OutcomeSum(stats), 8u);
-  EXPECT_EQ(stats.misses, 1u) << "only the tier-wide leader misses";
+  EXPECT_EQ(stats.misses, 1u) << "only the request the owner fetched for misses";
 }
 
 // --- Peer-fault suite -------------------------------------------------------
@@ -276,9 +343,9 @@ TEST(MultiProxyTier, PeerOutageTripsBreakerFallsBackAndRecovers) {
   EXPECT_EQ(breaker.state(), net::BreakerState::kClosed);
   EXPECT_GT(tier.peer_channel(0, owner).requests(), wire_before);
 
-  // The recovered path serves peer hits again: proxy 0 fetched owned[3]
-  // from the origin as tier leader and pushed the entry to the owner, so a
-  // different prober now gets it from the owner without an origin trip.
+  // The recovered path serves peer hits again: the owner fetched owned[3]
+  // for proxy 0's trial lookup and kept the entry, so a different prober
+  // now gets it from the owner without an origin trip.
   const size_t other = owner == 1 ? 2 : 1;
   const uint64_t origin_mid = stack.app->form_queries_served();
   net::HttpResponse peer_served =
@@ -287,6 +354,31 @@ TEST(MultiProxyTier, PeerOutageTripsBreakerFallsBackAndRecovers) {
   EXPECT_EQ(peer_served.headers.at("X-Peer-Served"), "1");
   EXPECT_EQ(stack.app->form_queries_served(), origin_mid);
   EXPECT_GT(tier.proxy(other).stats().peer_hits, 0u);
+}
+
+// A client budget the owner's origin fetch overruns is the origin's fault:
+// the owner answers a clean miss, the prober refuses the request for its
+// deadline, and no peer is charged a failure.
+TEST(MultiProxyTier, BudgetOverrunByOwnerFetchChargesNoPeer) {
+  workload::SkyExperiment sky{workload::SkyExperiment::Options()};
+  workload::Trace shape;
+  shape.form_path = "/radial";
+  auto [owner, owned] = QueriesOwnedBySibling(sky, shape, 3);
+  ASSERT_GE(owned.size(), 3u);
+
+  TierStack stack(sky, TierOptions(4));
+  ProxyTier& tier = *stack.tier;
+  for (const workload::TraceQuery& query : owned) {
+    net::HttpRequest request = workload::MakeRequest(shape, query);
+    // Past the cheapest WAN trip, short of a whole answer's.
+    request.headers[net::kDeadlineBudgetHeader] = "600000";
+    EXPECT_EQ(tier.proxy(0).Handle(request).status_code, 503);
+  }
+  const core::ProxyStats stats = tier.proxy(0).stats();
+  EXPECT_EQ(stats.peer_lookups, owned.size());
+  EXPECT_EQ(stats.peer_failures, 0u);
+  EXPECT_EQ(tier.peer_channel(0, owner).failures(), 0u);
+  EXPECT_EQ(stats.deadline_exceeded, owned.size());
 }
 
 // A sibling that answers 200s full of garbage must never poison the

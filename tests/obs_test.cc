@@ -9,16 +9,12 @@
 #include <vector>
 
 #include "catalog/sky_catalog.h"
-#include "core/cache_snapshot.h"
-#include "core/hash_ring.h"
 #include "core/proxy.h"
 #include "net/network.h"
-#include "net/peer_channel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "server/sky_functions.h"
 #include "server/web_app.h"
-#include "sql/table_xml.h"
 #include "workload/experiment.h"
 
 namespace fnproxy::obs {
@@ -208,13 +204,13 @@ TEST(PrometheusRenderTest, GoldenOutput) {
   for (size_t i = 0; i < Histogram::kNumFiniteBuckets; ++i) {
     if (i == 0) cumulative = 1;
     if (i == 2) cumulative = 2;
-    expected += "test_lat_micros_bucket{le=\"" +
+    expected += std::string("test_lat_micros_bucket{le=\"") +
                 std::to_string(Histogram::BucketUpperBoundMicros(i)) + "\"} " +
                 std::to_string(cumulative) + "\n";
   }
   expected += "test_lat_micros_bucket{le=\"+Inf\"} 3\n";
-  expected += "test_lat_micros_sum " + std::to_string(4 + (int64_t{1} << 30)) +
-              "\n";
+  expected += std::string("test_lat_micros_sum ") +
+              std::to_string(4 + (int64_t{1} << 30)) + "\n";
   expected += "test_lat_micros_count 3\n";
   expected +=
       "# HELP test_cb_total Callback counter\n"
@@ -446,15 +442,18 @@ TEST_F(ObsEndpointTest, StatsAndMetricsAgree) {
   net::HttpRequest scrape;
   scrape.path = "/metrics";
   std::string text = proxy_->Handle(scrape).body;
-  EXPECT_NE(text.find("fnproxy_requests_total " +
+  EXPECT_NE(text.find(std::string("fnproxy_requests_total ") +
                       std::to_string(stats.requests)),
             std::string::npos);
-  EXPECT_NE(text.find("fnproxy_cache_outcomes_total{outcome=\"miss\"} " +
-                      std::to_string(stats.misses)),
-            std::string::npos);
-  EXPECT_NE(text.find("fnproxy_origin_requests_total{endpoint=\"form\"} " +
-                      std::to_string(stats.origin_form_requests)),
-            std::string::npos);
+  EXPECT_NE(
+      text.find(std::string("fnproxy_cache_outcomes_total{outcome=\"miss\"} ") +
+                std::to_string(stats.misses)),
+      std::string::npos);
+  EXPECT_NE(
+      text.find(
+          std::string("fnproxy_origin_requests_total{endpoint=\"form\"} ") +
+          std::to_string(stats.origin_form_requests)),
+      std::string::npos);
 }
 
 TEST_F(ObsEndpointTest, TraceEndpointReturnsSpanTrees) {
@@ -509,95 +508,6 @@ TEST_F(ObsEndpointTest, TraceSinkReceivesCompletedTraces) {
   ASSERT_TRUE(proxy->Handle(Radial(191.0, 36.0, 18.0)).ok());
   EXPECT_EQ(sink.consumed, 1);
   EXPECT_GE(sink.last_spans, 3u);  // request, template_match, cache_lookup...
-}
-
-// ---------------------------------------------------------------------------
-// Peer endpoints: flight tokens past 2^64 - 1 are malformed, never wrapped
-// onto a live flight.
-// ---------------------------------------------------------------------------
-
-using PeerEndpointTest = ObsEndpointTest;
-
-TEST_F(PeerEndpointTest, EntryTokenPastUint64IsRejected) {
-  // What a tier leader pushes: the entry another proxy cached for a query.
-  core::ProxyConfig donor_config;
-  donor_config.mode = core::CachingMode::kActiveFull;
-  core::FunctionProxy donor(donor_config, templates_.get(), channel_.get(),
-                            clock_.get());
-  ASSERT_TRUE(donor.Handle(Radial(190.0, 35.0, 20.0)).ok());
-  auto entry = donor.cache().Find(donor.cache().AllIds().at(0));
-  ASSERT_NE(entry, nullptr);
-
-  // A lookup nothing covers makes the prober the leader of flight 1.
-  net::HttpRequest lookup;
-  lookup.method = "POST";
-  lookup.path = "/peer/lookup";
-  lookup.headers["X-Peer-Template"] = entry->template_id;
-  lookup.headers["X-Peer-Fp"] = entry->nonspatial_fingerprint;
-  lookup.body = core::RegionToXml(*entry->region);
-  net::HttpResponse lead = proxy_->Handle(lookup);
-  ASSERT_EQ(lead.headers["X-Peer-Outcome"], "lead");
-  ASSERT_EQ(lead.headers["X-Peer-Flight-Token"], "1");
-
-  net::HttpRequest push;
-  push.method = "POST";
-  push.path = "/peer/entry";
-  push.headers["X-Peer-Template"] = entry->template_id;
-  push.headers["X-Peer-Fp"] = entry->nonspatial_fingerprint;
-  push.body = core::RegionToXml(*entry->region) +
-              sql::TableToXml(entry->result);
-  // 2^64 used to wrap to token 0 (a 400) and 2^64 + 1 to token 1, which
-  // completed flight 1 and cached the pushed entry.
-  for (const char* huge : {"18446744073709551616", "18446744073709551617"}) {
-    push.headers["X-Peer-Token"] = huge;
-    EXPECT_EQ(proxy_->Handle(push).status_code, 400) << huge;
-    EXPECT_EQ(proxy_->cache().num_entries(), 0u) << huge;
-  }
-  push.headers["X-Peer-Token"] = "1";
-  EXPECT_EQ(proxy_->Handle(push).status_code, 200);
-  EXPECT_EQ(proxy_->cache().num_entries(), 1u);
-}
-
-/// A sibling that answers every lookup by making the prober the leader of a
-/// flight whose token is 2^64 + 1, and records the paths it is sent.
-class HugeTokenSibling final : public net::HttpHandler {
- public:
-  net::HttpResponse Handle(const net::HttpRequest& request) override {
-    paths.push_back(request.path);
-    net::HttpResponse response;
-    response.status_code = 404;
-    response.headers["X-Peer-Outcome"] = "lead";
-    response.headers["X-Peer-Flight-Token"] = "18446744073709551617";
-    return response;
-  }
-  std::vector<std::string> paths;
-};
-
-TEST_F(PeerEndpointTest, FlightTokenPastUint64IsAMiss) {
-  HugeTokenSibling sibling;
-  net::SimulatedChannel wire(&sibling, net::LinkConfig{0.0, 1e9},
-                             clock_.get());
-  net::PeerChannel peer("sibling", &wire, net::CircuitBreakerConfig{},
-                        clock_.get());
-  core::HashRing ring;
-  ring.AddNode("sibling");  // The only node: it owns every key.
-  core::ProxyConfig config;
-  config.mode = core::CachingMode::kActiveFull;
-  core::FunctionProxy proxy(config, templates_.get(), channel_.get(),
-                            clock_.get());
-  proxy.set_peer_group({"self", &ring, {{"sibling", &peer}}});
-
-  ASSERT_TRUE(proxy.Handle(Radial(190.0, 35.0, 20.0)).ok());
-  // 2^64 + 1 used to read as token 1, which made the request a tier leader
-  // that pushed its origin result to the sibling's /peer/entry.
-  EXPECT_EQ(sibling.paths, std::vector<std::string>{"/peer/lookup"});
-  net::HttpRequest scrape;
-  scrape.path = "/metrics";
-  const std::string text = proxy.Handle(scrape).body;
-  EXPECT_NE(text.find("fnproxy_peer_lookups_total{outcome=\"miss\"} 1"),
-            std::string::npos);
-  EXPECT_NE(text.find("fnproxy_peer_lookups_total{outcome=\"lead\"} 0"),
-            std::string::npos);
 }
 
 }  // namespace

@@ -499,8 +499,16 @@ TEST_F(OverloadTest, ChannelDeadlineCapsRetriesAndBackoff) {
 
 TEST_F(OverloadTest, MalformedDeadlineHeaderIgnored) {
   HttpRequest request = Radial(185, 33, 20);
+  // Twenty nines overflowed int64_t while being read (UBSan), before the
+  // bound could reject them.
+  for (const char* bad : {"not-a-number", "1152921504606846977",
+                          "99999999999999999999"}) {
+    request.headers[net::kDeadlineBudgetHeader] = bad;
+    EXPECT_EQ(net::DeadlineBudgetMicros(request), 0) << bad;
+  }
+  request.headers[net::kDeadlineBudgetHeader] = "1152921504606846976";
+  EXPECT_EQ(net::DeadlineBudgetMicros(request), int64_t{1} << 60);
   request.headers[net::kDeadlineBudgetHeader] = "not-a-number";
-  EXPECT_EQ(net::DeadlineBudgetMicros(request), 0);
   HttpResponse response = proxy_->Handle(request);
   EXPECT_TRUE(response.ok());
 }

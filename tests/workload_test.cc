@@ -456,6 +456,9 @@ TEST_P(ReplayMatrixTest, EveryQueryEndsOnceAndStatsAddUp) {
   EXPECT_EQ(OutcomeSum(result.proxy_stats),
             result.proxy_stats.template_requests);
   EXPECT_EQ(result.proxy_stats.template_requests, trace.queries.size());
+  // Siblings never fail each other: an owner whose origin fetch failed
+  // answers a clean miss, so a sick origin charges no peer.
+  EXPECT_EQ(result.proxy_stats.peer_failures, 0u);
 
   if (cell.clients == 1) {
     // One client: the virtual clock moves only for the request in flight,
