@@ -64,7 +64,7 @@ sql::Table GenerateBookCatalog(const BookCatalogConfig& config) {
     Row row;
     row.reserve(10);
     row.push_back(Value::Int(static_cast<int64_t>(n + 1)));
-    row.push_back(Value::String("Book #" + std::to_string(n + 1)));
+    row.push_back(Value::String(std::string("Book #") + std::to_string(n + 1)));
     row.push_back(Value::Int(static_cast<int64_t>(genre)));
     row.push_back(Value::Double(price));
     row.push_back(Value::Int(static_cast<int64_t>(pages)));

@@ -30,7 +30,7 @@ StatusOr<geometry::Point> PointFromText(std::string_view text, size_t dims) {
     if (!util::Trim(part).empty()) parts.push_back(part);
   }
   if (parts.size() != dims) {
-    return Status::ParseError("expected " + std::to_string(dims) +
+    return Status::ParseError(std::string("expected ") + std::to_string(dims) +
                               " coordinates, got " +
                               std::to_string(parts.size()));
   }
@@ -46,7 +46,8 @@ StatusOr<geometry::Point> PointFromText(std::string_view text, size_t dims) {
 std::string RegionToXml(const Region& region) {
   std::string out = "<Region shape=\"";
   out += geometry::ShapeKindName(region.kind());
-  out += "\" dims=\"" + std::to_string(region.dimensions()) + "\">";
+  out += "\" dims=\"";
+  out += std::to_string(region.dimensions()) + "\">";
   switch (region.kind()) {
     case ShapeKind::kHypersphere: {
       const auto& sphere = static_cast<const geometry::Hypersphere&>(region);

@@ -184,7 +184,7 @@ std::string FunctionTemplate::ToXml() const {
   out += "</Params>\n";
   out += std::string("  <Shape>") + geometry::ShapeKindName(shape_) +
          "</Shape>\n";
-  out += "  <NumDimensions>" + std::to_string(num_dimensions_) +
+  out += std::string("  <NumDimensions>") + std::to_string(num_dimensions_) +
          "</NumDimensions>\n";
   switch (shape_) {
     case ShapeKind::kHypersphere:

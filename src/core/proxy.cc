@@ -1404,21 +1404,16 @@ std::optional<QueryPlan> FunctionProxy::ProbePeer(const TemplateQuery& q,
   // The owner's fetch made this request's origin trip.
   if (source == QueryPlan::Source::kPeerFetch) record->contacted_origin = true;
 
-  // Admit the sibling's entry locally — future queries in this region hit
-  // without the hop, and local single-flight followers get the snapshot.
-  auto local = std::make_shared<CacheEntry>();
-  local->region = std::move(peer_region);
-  local->result = sql::ColumnarTable(std::move(*table));
-  auto admitted =
-      CacheResult(q.qt, q.nonspatial_fp, *local->region, local->result,
-                  q.ft.coordinate_columns(), truncated, q.trace);
-  local_flight->Fulfill(FlightOutcome{admitted != nullptr, admitted});
-  // Serve from the admitted snapshot when possible (its coordinate views
-  // are pre-resolved); the local entry covers the not-cacheable case. The
+  // The region stays cached with its owner only: the sibling's entry serves
+  // this request and the local flight's followers, and is not admitted. The
   // executor counts the lookup's outcome once the answer is certain, so
   // every probe lands in exactly one fnproxy_peer_lookups_total series.
-  return QueryPlan::FromEntry(admitted != nullptr ? admitted : local,
-                              /*scan=*/!equal, source);
+  auto entry = std::make_shared<CacheEntry>();
+  entry->region = std::move(peer_region);
+  entry->result = sql::ColumnarTable(std::move(*table));
+  entry->truncated = truncated;
+  local_flight->Fulfill(FlightOutcome{true, entry});
+  return QueryPlan::FromEntry(std::move(entry), /*scan=*/!equal, source);
 }
 
 // --- Storage tier (docs/STORAGE.md) -----------------------------------------

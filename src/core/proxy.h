@@ -474,8 +474,8 @@ class FunctionProxy final : public net::HttpHandler {
 
   /// Local miss: asks the sibling owning this query's region key before
   /// paying the origin round trip. Returns the plan serving the sibling's
-  /// entry (entry admitted locally, local flight fulfilled); nullopt means
-  /// fetch from the origin.
+  /// entry (not admitted locally; the local flight's followers get it too);
+  /// nullopt means fetch from the origin.
   std::optional<QueryPlan> ProbePeer(const TemplateQuery& q,
                                      FlightGuard* local_flight);
 
@@ -515,7 +515,7 @@ class FunctionProxy final : public net::HttpHandler {
 
   /// Single-flight collapsing: joins an in-flight leader whose region
   /// covers (template, fingerprint, region) and returns the plan serving
-  /// this request from the leader's admitted entry, or arms `guard` as the
+  /// this request from the leader's entry, or arms `guard` as the
   /// new leader (nullopt, guard armed), or decides this request should
   /// fetch solo — collapsing off for this query shape, unusable leader
   /// result, or retry rounds exhausted (nullopt, guard unarmed).

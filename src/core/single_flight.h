@@ -17,7 +17,7 @@
 namespace fnproxy::core {
 
 /// What a completed flight hands to its followers: the cache entry the
-/// leader admitted (its region covers every follower's query region), or a
+/// leader obtained (its region covers every follower's query region), or a
 /// failure (`ok == false`, e.g. the origin was unreachable or the result was
 /// too large to cache). Followers of a failed flight retry on their own.
 struct FlightOutcome {
@@ -29,7 +29,7 @@ struct FlightOutcome {
 /// several origin-bound requests for the same (template, non-spatial
 /// fingerprint) subsumption class arrive concurrently, exactly one — the
 /// leader — performs the origin fetch; the rest — followers — block on a
-/// shared future of the admitted cache entry and then serve locally. A
+/// shared future of the leader's cache entry and then serve locally. A
 /// follower joins any in-flight leader whose region equals or contains its
 /// own query region, so identical *and* subsumed misses collapse.
 ///

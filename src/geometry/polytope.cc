@@ -111,8 +111,8 @@ std::unique_ptr<Region> Polytope::Clone() const {
 }
 
 std::string Polytope::ToString() const {
-  return "Polytope{" + std::to_string(halfspaces_.size()) + " halfspaces, " +
-         std::to_string(vertices_.size()) + " vertices}";
+  return std::string("Polytope{") + std::to_string(halfspaces_.size()) +
+         " halfspaces, " + std::to_string(vertices_.size()) + " vertices}";
 }
 
 }  // namespace fnproxy::geometry

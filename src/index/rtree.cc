@@ -373,8 +373,9 @@ util::Status RTreeIndex::Validate() const {
       if (node->entries.size() < min_entries_ ||
           node->entries.size() > max_entries_) {
         return util::Status::Internal(
-            "rtree node fill " + std::to_string(node->entries.size()) +
-            " outside [" + std::to_string(min_entries_) + ", " +
+            std::string("rtree node fill ") +
+            std::to_string(node->entries.size()) + " outside [" +
+            std::to_string(min_entries_) + ", " +
             std::to_string(max_entries_) + "]");
       }
     } else if (node->entries.size() > max_entries_) {
@@ -406,7 +407,7 @@ util::Status RTreeIndex::Validate() const {
   }
   if (total_entries != size_) {
     return util::Status::Internal(
-        "rtree entry count " + std::to_string(total_entries) +
+        std::string("rtree entry count ") + std::to_string(total_entries) +
         " does not match size " + std::to_string(size_));
   }
   if (boxes_.size() != size_) {

@@ -315,7 +315,7 @@ void CheckDisjointRegions(const XmlElement& elem, const TemplateContext& ctx,
     }
   }
   ctx.Warn("disjoint-regions",
-           "all " + std::to_string(regions.size()) +
+           std::string("all ") + std::to_string(regions.size()) +
                " regions built from sampled parameter bindings (including "
                "minimally perturbed ones) are pairwise disjoint; no "
                "containment or overlap cache hit is possible",
@@ -421,7 +421,7 @@ void LintFunctionTemplate(const XmlElement& elem, const TemplateContext& ctx,
               "function template is missing <CoordinateColumns>", start_line);
   } else if (dims != 0 && ListChildren(*coords_elem).size() != dims) {
     ctx.Error("shape-dims",
-              "<CoordinateColumns> lists " +
+              std::string("<CoordinateColumns> lists ") +
                   std::to_string(ListChildren(*coords_elem).size()) +
                   " columns but <NumDimensions> is " + std::to_string(dims),
               ctx.TagLine("CoordinateColumns"));
@@ -520,7 +520,7 @@ void LintFunctionTemplate(const XmlElement& elem, const TemplateContext& ctx,
             const std::vector<const XmlElement*> comps = ListChildren(*normal);
             if (dims != 0 && comps.size() != dims) {
               ctx.Error("shape-dims",
-                        "halfspace <Normal> lists " +
+                        std::string("halfspace <Normal> lists ") +
                             std::to_string(comps.size()) +
                             " components but <NumDimensions> is " +
                             std::to_string(dims),
@@ -538,7 +538,8 @@ void LintFunctionTemplate(const XmlElement& elem, const TemplateContext& ctx,
           const std::vector<const XmlElement*> comps = ListChildren(*v);
           if (dims != 0 && comps.size() != dims) {
             ctx.Error("shape-dims",
-                      "vertex lists " + std::to_string(comps.size()) +
+                      std::string("vertex lists ") +
+                          std::to_string(comps.size()) +
                           " coordinates but <NumDimensions> is " +
                           std::to_string(dims),
                       ctx.TagLine("V", v_index));

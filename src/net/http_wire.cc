@@ -92,7 +92,8 @@ std::string SerializeRequest(const HttpRequest& request,
   std::string out = method + " " + request.ToUrl() + " HTTP/1.1\r\n";
   out += "Host: " + std::string(host) + "\r\n";
   out += "Connection: close\r\n";
-  out += "Content-Length: " + std::to_string(request.body.size()) + "\r\n";
+  out += "Content-Length: ";
+  out += std::to_string(request.body.size()) + "\r\n";
   for (const auto& [key, value] : request.headers) {
     out += key + ": " + value + "\r\n";
   }
@@ -125,10 +126,12 @@ StatusOr<HttpRequest> ParseWireRequest(std::string_view text) {
 }
 
 std::string SerializeResponse(const HttpResponse& response) {
-  std::string out = "HTTP/1.1 " + std::to_string(response.status_code) + " " +
+  std::string out = std::string("HTTP/1.1 ") +
+                    std::to_string(response.status_code) + " " +
                     ReasonPhrase(response.status_code) + "\r\n";
   out += "Content-Type: " + response.content_type + "\r\n";
-  out += "Content-Length: " + std::to_string(response.body.size()) + "\r\n";
+  out += "Content-Length: ";
+  out += std::to_string(response.body.size()) + "\r\n";
   for (const auto& [key, value] : response.headers) {
     out += key + ": " + value + "\r\n";
   }

@@ -92,8 +92,9 @@ StatusOr<std::vector<Token>> Tokenize(std::string_view input) {
         ++pos;
       }
       if (!closed) {
-        return Status::ParseError("unterminated string literal at offset " +
-                                  std::to_string(start));
+        return Status::ParseError(
+            std::string("unterminated string literal at offset ") +
+            std::to_string(start));
       }
       tokens.push_back({TokenType::kString, std::move(text), start});
       continue;

@@ -88,7 +88,7 @@ std::string TableRefToSql(const TableRef& ref) {
 std::string SelectToSql(const SelectStatement& stmt) {
   std::string out = "SELECT ";
   if (stmt.top_n.has_value()) {
-    out += "TOP " + std::to_string(*stmt.top_n) + " ";
+    out += std::string("TOP ") + std::to_string(*stmt.top_n) + " ";
   }
   for (size_t i = 0; i < stmt.items.size(); ++i) {
     if (i > 0) out += ", ";

@@ -716,13 +716,13 @@ Status DecodeWire(std::string_view wire, size_t max_rows, size_t* num_rows,
   ColumnarTable::ColumnData reused;
   for (size_t col = 0; col < defs->size(); ++col) {
     if (!ReadFrame(&in, &frame)) {
-      return Status::ParseError("segment: truncated column " +
+      return Status::ParseError(std::string("segment: truncated column ") +
                                 std::to_string(col));
     }
     ColumnarTable::ColumnData* out =
         columns != nullptr ? &(*columns)[col] : &reused;
     if (!DecodeColumn(frame, *num_rows, (*defs)[col].type, out)) {
-      return Status::ParseError("segment: bad payload in column " +
+      return Status::ParseError(std::string("segment: bad payload in column ") +
                                 std::to_string(col));
     }
   }

@@ -58,12 +58,14 @@ StatusOr<std::vector<Section>> ParseSnapshotFile(std::string_view file) {
     uint64_t checksum = in.GetU64();
     section.payload = in.GetBytes(length);
     if (!in.ok()) {
-      return Status::InvalidArgument("snapshot: truncated section " +
-                                     std::to_string(section.id));
+      return Status::InvalidArgument(
+          std::string("snapshot: truncated section ") +
+          std::to_string(section.id));
     }
     if (Fnv1a(section.payload) != checksum) {
-      return Status::ParseError("snapshot: checksum mismatch in section " +
-                                std::to_string(section.id));
+      return Status::ParseError(
+          std::string("snapshot: checksum mismatch in section ") +
+          std::to_string(section.id));
     }
     sections.push_back(section);
   }

@@ -108,8 +108,9 @@ StatusOr<uint64_t> ParseUint64InRange(std::string_view s, uint64_t lo,
                                       uint64_t hi) {
   const StatusOr<uint64_t> value = ParseUint64(s);
   if (!value.ok() || *value < lo || *value > hi) {
-    return Status::OutOfRange("expected a number from " + std::to_string(lo) +
-                              " to " + std::to_string(hi) + ", got '" +
+    return Status::OutOfRange(std::string("expected a number from ") +
+                              std::to_string(lo) + " to " +
+                              std::to_string(hi) + ", got '" +
                               std::string(s) + "'");
   }
   return value;

@@ -70,7 +70,7 @@ StatusOr<Trace> Trace::Deserialize(std::string_view text) {
     if (line.empty()) continue;
     size_t tab = line.find('\t');
     if (tab == std::string_view::npos) {
-      return Status::ParseError("trace line " + std::to_string(i) +
+      return Status::ParseError(std::string("trace line ") + std::to_string(i) +
                                 " lacks a tab separator");
     }
     TraceQuery query;

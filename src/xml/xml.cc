@@ -185,7 +185,7 @@ class Parser {
     size_t start = pos_;
     while (!AtEnd() && IsNameChar(Peek())) ++pos_;
     if (pos_ == start) {
-      return Status::ParseError("expected XML name at offset " +
+      return Status::ParseError(std::string("expected XML name at offset ") +
                                 std::to_string(pos_));
     }
     return std::string(input_.substr(start, pos_ - start));
@@ -251,14 +251,14 @@ class Parser {
   }
 
   Status NestedTooDeep() const {
-    return Status::ParseError("XML nested deeper than " +
+    return Status::ParseError(std::string("XML nested deeper than ") +
                               std::to_string(kMaxXmlDepth) +
                               " levels at offset " + std::to_string(pos_));
   }
 
   StatusOr<std::unique_ptr<XmlElement>> ParseElement() {
     if (!Match("<")) {
-      return Status::ParseError("expected '<' at offset " +
+      return Status::ParseError(std::string("expected '<' at offset ") +
                                 std::to_string(pos_));
     }
     FNPROXY_ASSIGN_OR_RETURN(std::string name, ParseName());
@@ -325,8 +325,9 @@ class Parser {
           return element;
         }
         if (input_.substr(pos_, 2) == "<!") {
-          return Status::ParseError("unsupported XML construct at offset " +
-                                    std::to_string(pos_));
+          return Status::ParseError(
+              std::string("unsupported XML construct at offset ") +
+              std::to_string(pos_));
         }
         if (depth_ == kMaxXmlDepth) return NestedTooDeep();
         ++depth_;

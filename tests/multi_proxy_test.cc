@@ -2,16 +2,22 @@
 // a 4-proxy tier answers byte-for-byte what a single proxy answers, for a
 // TOP template too, the aggregated statistics respect the stats-sum
 // invariant, a cross-proxy thundering herd fetches the origin exactly once,
+// a herd at a proxy that does not own its region is served the owner's
+// entry without keeping a copy (and never selects from one the TOP cut),
 // and a scripted peer outage trips the prober's per-peer breaker, falls
 // back to the origin (never serving garbage), and recovers through
 // half-open.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/proxy.h"
@@ -22,6 +28,7 @@
 #include "net/http.h"
 #include "proxy_test_util.h"
 #include "server/web_app.h"
+#include "sql/table_xml.h"
 #include "util/clock.h"
 #include "workload/experiment.h"
 #include "workload/multi_proxy.h"
@@ -55,10 +62,12 @@ struct Form {
 };
 
 /// One self-contained pipeline: origin web app + tier, on a private clock.
-/// By default the experiment's templates and its Radial form.
+/// By default the experiment's templates and its Radial form. The tier
+/// reaches the origin through a gate, open unless a test closes it.
 struct TierStack {
   util::SimulatedClock clock;
   std::unique_ptr<server::OriginWebApp> app;
+  std::unique_ptr<GatedOrigin> gate;
   std::unique_ptr<ProxyTier> tier;
 
   TierStack(workload::SkyExperiment& sky, const ProxyTierOptions& options,
@@ -68,7 +77,8 @@ struct TierStack {
     app = std::make_unique<server::OriginWebApp>(sky.database(), &clock,
                                                  sky.options().server_costs);
     EXPECT_TRUE(app->RegisterForm(form.path, form.sql).ok());
-    tier = std::make_unique<ProxyTier>(options, templates, app.get(),
+    gate = std::make_unique<GatedOrigin>(app.get());
+    tier = std::make_unique<ProxyTier>(options, templates, gate.get(),
                                        sky.options().wan, &clock);
   }
 };
@@ -98,6 +108,25 @@ ProxyTierOptions TierOptions(size_t num_proxies) {
   options.num_proxies = num_proxies;
   options.proxy.mode = core::CachingMode::kActiveFull;
   return options;
+}
+
+/// A TOP template over the experiment's function: a cone's ten brightest
+/// objects, so a cone holding more than ten is cached truncated.
+constexpr Form kTopForm = {
+    "/top_magnitude",
+    "SELECT TOP 10 p.objID, p.ra, p.dec, p.cx, p.cy, p.cz, p.r "
+    "FROM fGetNearbyObjEq($ra, $dec, $radius) AS n "
+    "JOIN PhotoPrimary AS p ON n.objID = p.objID "
+    "ORDER BY p.r"};
+
+void RegisterTopTemplate(core::TemplateRegistry* templates) {
+  ASSERT_TRUE(
+      templates->RegisterFunctionTemplateXml(workload::kNearbyObjEqTemplateXml)
+          .ok());
+  auto qt = core::QueryTemplate::Create("top_magnitude", kTopForm.path,
+                                        kTopForm.sql);
+  ASSERT_TRUE(qt.ok());
+  ASSERT_TRUE(templates->RegisterQueryTemplate(std::move(*qt)).ok());
 }
 
 // The oracle: replaying the same trace sequentially through a 4-proxy tier
@@ -146,20 +175,8 @@ TEST(MultiProxyTier, FourProxyTierMatchesSingleProxyByteForByte) {
 // answers byte for byte what one proxy answers, with the same origin trips.
 TEST(MultiProxyTier, TopTemplateMatchesSingleProxyByteForByte) {
   workload::SkyExperiment sky{workload::SkyExperiment::Options()};
-  constexpr Form kTopForm = {
-      "/top_magnitude",
-      "SELECT TOP 10 p.objID, p.ra, p.dec, p.cx, p.cy, p.cz, p.r "
-      "FROM fGetNearbyObjEq($ra, $dec, $radius) AS n "
-      "JOIN PhotoPrimary AS p ON n.objID = p.objID "
-      "ORDER BY p.r"};
   core::TemplateRegistry templates;
-  ASSERT_TRUE(
-      templates.RegisterFunctionTemplateXml(workload::kNearbyObjEqTemplateXml)
-          .ok());
-  auto qt = core::QueryTemplate::Create("top_magnitude", kTopForm.path,
-                                        kTopForm.sql);
-  ASSERT_TRUE(qt.ok());
-  ASSERT_TRUE(templates.RegisterQueryTemplate(std::move(*qt)).ok());
+  ASSERT_NO_FATAL_FAILURE(RegisterTopTemplate(&templates));
 
   workload::Trace trace = OracleTrace();
   trace.form_path = kTopForm.path;
@@ -284,6 +301,136 @@ std::pair<size_t, std::vector<workload::TraceQuery>> QueriesOwnedBySibling(
   }
   ADD_FAILURE() << "discovery did not find enough sibling-owned queries";
   return {1, {}};
+}
+
+// A herd at a prober: concurrent requests for one region at a proxy that
+// does not own it. The first leads the proxy's flight and asks the owner,
+// the rest join that flight. One origin fetch answers them all with the
+// owner's entry, and the prober keeps no copy of it: the region stays
+// cached with its owner only.
+TEST(MultiProxyTier, ProberHerdIsServedTheOwnersEntryWithoutCachingIt) {
+  workload::SkyExperiment sky{workload::SkyExperiment::Options()};
+  workload::Trace shape;
+  shape.form_path = "/radial";
+  auto [owner, owned] = QueriesOwnedBySibling(sky, shape, 1);
+  ASSERT_FALSE(owned.empty());
+
+  TierStack stack(sky, TierOptions(4));
+  ProxyTier& tier = *stack.tier;
+  GatedOrigin& gate = *stack.gate;
+  const net::HttpRequest request = workload::MakeRequest(shape, owned[0]);
+
+  constexpr size_t kHerd = 6;
+  std::vector<net::HttpResponse> responses(kHerd);
+  std::vector<std::thread> clients;
+  gate.CloseGate();
+  clients.emplace_back([&] { responses[0] = tier.proxy(0).Handle(request); });
+  gate.AwaitRequests(1);  // The owner fetches inside proxy 0's lookup.
+  for (size_t i = 1; i < kHerd; ++i) {
+    clients.emplace_back(
+        [&, i] { responses[i] = tier.proxy(0).Handle(request); });
+  }
+  // Give the followers time to join proxy 0's flight, then release the
+  // owner's fetch.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  gate.OpenGate();
+  for (std::thread& client : clients) client.join();
+
+  EXPECT_EQ(gate.requests(), 1u) << "the herd must make one origin fetch";
+  const core::ProxyStats stats = tier.proxy(0).stats();
+  EXPECT_EQ(stats.misses, 1u) << "the owner's fetch is the leader's miss";
+  // A follower that raced past the flight's completion finds no copy at
+  // proxy 0 and asks the owner again, which answers from its cache; either
+  // way it is served the owner's entry without a second origin trip.
+  EXPECT_EQ(stats.collapsed + stats.peer_hits, kHerd - 1);
+  EXPECT_EQ(stats.peer_lookups, 1 + stats.peer_hits);
+  EXPECT_EQ(tier.peer_channel(0, owner).requests(), stats.peer_lookups);
+  // The owner keeps the region and answers it from its cache, with the
+  // bytes every member of the herd got.
+  const uint64_t owner_hits = tier.proxy(owner).stats().exact_hits;
+  const net::HttpResponse from_owner = tier.proxy(owner).Handle(request);
+  ASSERT_EQ(from_owner.status_code, 200);
+  EXPECT_EQ(tier.proxy(owner).stats().exact_hits, owner_hits + 1);
+  for (const net::HttpResponse& response : responses) {
+    ASSERT_EQ(response.status_code, 200);
+    EXPECT_EQ(response.body, from_owner.body);
+  }
+  EXPECT_EQ(tier.proxy(0).cache().num_entries(), 0u)
+      << "the prober kept a copy of the owner's entry";
+}
+
+/// The objID column of a result document, in document order.
+std::vector<int64_t> ObjIds(const std::string& body) {
+  std::vector<int64_t> ids;
+  auto table = sql::TableFromXml(body);
+  EXPECT_TRUE(table.ok());
+  if (!table.ok()) return ids;
+  for (const sql::Row& row : table->rows()) ids.push_back(row[0].AsInt());
+  return ids;
+}
+
+// A TOP template's herd at a prober. The owner fetches a cone whose answer
+// the TOP cuts, and the prober hands that entry to its followers marked
+// truncated, as X-Peer-Truncated says: a follower asking a concentric
+// subset that holds an object the cut dropped fetches on its own instead
+// of selecting from the cut entry, and both answers equal one proxy's.
+TEST(MultiProxyTier, TopTemplateProberHerdKeepsTheCut) {
+  workload::SkyExperiment sky{workload::SkyExperiment::Options()};
+  core::TemplateRegistry templates;
+  ASSERT_NO_FATAL_FAILURE(RegisterTopTemplate(&templates));
+  workload::Trace shape;
+  shape.form_path = kTopForm.path;
+
+  // A cone on a catalog cluster that a sibling of proxy 0 owns, and its
+  // concentric subset, whose own ten brightest include an object outside
+  // the cone's ten brightest.
+  TierStack discovery(sky, TierOptions(4), &templates, kTopForm);
+  TierStack solo(sky, TierOptions(1), &templates, kTopForm);
+  workload::TraceQuery cone, subset;
+  std::string cone_answer, subset_answer;
+  bool found = false;
+  for (const auto& [ra, dec] : sky.trace_config().hotspot_centers) {
+    cone = MakeQuery(ra, dec, 24.0);
+    subset = MakeQuery(ra, dec, 9.0);
+    if (ProbeTarget(*discovery.tier, 0, shape, cone) == 0) continue;
+    cone_answer = solo.tier->Handle(workload::MakeRequest(shape, cone)).body;
+    subset_answer =
+        solo.tier->Handle(workload::MakeRequest(shape, subset)).body;
+    const std::vector<int64_t> top = ObjIds(cone_answer);
+    const std::vector<int64_t> sub = ObjIds(subset_answer);
+    found = top.size() == 10 &&
+            std::any_of(sub.begin(), sub.end(), [&](int64_t id) {
+              return std::find(top.begin(), top.end(), id) == top.end();
+            });
+    if (found) break;
+  }
+  ASSERT_TRUE(found) << "no sibling-owned cluster cone fits the case";
+
+  TierStack stack(sky, TierOptions(4), &templates, kTopForm);
+  ProxyTier& tier = *stack.tier;
+  GatedOrigin& gate = *stack.gate;
+  net::HttpResponse from_leader, from_follower;
+  gate.CloseGate();
+  std::thread leader([&] {
+    from_leader = tier.proxy(0).Handle(workload::MakeRequest(shape, cone));
+  });
+  gate.AwaitRequests(1);  // The owner fetches the cone for proxy 0.
+  std::thread follower([&] {
+    from_follower =
+        tier.proxy(0).Handle(workload::MakeRequest(shape, subset));
+  });
+  // Give the follower time to join proxy 0's flight, then release it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  gate.OpenGate();
+  leader.join();
+  follower.join();
+
+  EXPECT_EQ(from_leader.body, cone_answer);
+  EXPECT_EQ(from_follower.body, subset_answer)
+      << "a follower selected from the cut entry";
+  EXPECT_EQ(gate.requests(), 2u) << "the follower fetches its own answer";
+  EXPECT_EQ(tier.proxy(0).stats().collapsed, 0u);
+  EXPECT_EQ(tier.proxy(0).cache().num_entries(), 0u);
 }
 
 TEST(MultiProxyTier, PeerOutageTripsBreakerFallsBackAndRecovers) {

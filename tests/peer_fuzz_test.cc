@@ -7,8 +7,9 @@
 // swapped documents and regions that do not cover the query. A fake sibling
 // serves each to a prober. The prober's answer must hold the tuples a
 // peerless proxy's holds; a body it cannot use counts one
-// fnproxy_peer_failures_total; and the only entry it may admit besides the
-// peerless proxy's is the owner's. Mutations change framing and markup,
+// fnproxy_peer_failures_total; a sibling answer it serves leaves its cache
+// empty, and otherwise it admits only the peerless proxy's entries, as
+// regions stay cached with their owners. Mutations change framing and markup,
 // never a value's digits: the wire carries no checksum, so a sibling that
 // sends well-formed wrong values is trusted, as the origin is.
 //
@@ -89,7 +90,7 @@ void SetHeader(std::map<std::string, std::string>* headers,
   (*headers)[name] = value;
 }
 
-/// The owner's entry an answer carries, as the cache would serialize it.
+/// A cache entry, as the cache would serialize it.
 struct EntryText {
   std::string region;
   std::string result;
@@ -268,11 +269,9 @@ class PeerFuzzTest : public ::testing::Test {
   }
 
   /// Serves `answer` to a prober asking `query` and checks the contract in
-  /// the file comment. `owner_entry` is the entry the unmutated answer
-  /// carried. Returns what the contract expected.
+  /// the file comment. Returns what the contract expected.
   static Expect CheckAnswer(const HttpResponse& answer,
                             const HttpRequest& query,
-                            const EntryText& owner_entry,
                             const std::string& what) {
     SCOPED_TRACE(what);
     Stack peerless(nullptr);
@@ -297,17 +296,14 @@ class PeerFuzzTest : public ::testing::Test {
     const std::vector<EntryText> peerless_entries = peerless.Entries();
     for (const EntryText& entry : prober.Entries()) {
       const bool known =
-          entry == owner_entry ||
           std::find(peerless_entries.begin(), peerless_entries.end(),
                     entry) != peerless_entries.end();
       EXPECT_TRUE(known) << "admitted an entry no correct proxy holds:\n"
                          << entry.region << entry.result;
     }
     if (expect == Expect::kServed) {
-      const std::vector<EntryText> entries = prober.Entries();
-      EXPECT_NE(std::find(entries.begin(), entries.end(), owner_entry),
-                entries.end())
-          << "a usable entry was not admitted";
+      EXPECT_EQ(prober.proxy->cache().num_entries(), 0u)
+          << "a served sibling answer left an entry in the prober's cache";
       // A sibling's fetch is this request's miss; a hit or flight is the
       // sibling's answer.
       const bool fetched =
@@ -378,7 +374,6 @@ class PeerFuzzTest : public ::testing::Test {
   struct Source {
     HttpRequest query;
     HttpResponse answer;
-    EntryText entry;
   };
   static std::vector<Source> Sources() {
     const HttpRequest cone = Radial(185, 33, 20);  // Six objects.
@@ -388,14 +383,11 @@ class PeerFuzzTest : public ::testing::Test {
     for (const HttpRequest& query : {cone, cone, subset}) {
       HttpResponse answer = owner.proxy->Handle(LookupFor(query));
       EXPECT_EQ(answer.status_code, 200);
-      const size_t split = answer.body.find("<Result ");
-      if (split == std::string::npos) {
+      if (answer.body.find("<Result ") == std::string::npos) {
         ADD_FAILURE() << "an answer without a result document";
         return {};
       }
-      sources.push_back({query, answer,
-                         {answer.body.substr(0, split),
-                          answer.body.substr(split)}});
+      sources.push_back({query, answer});
     }
     const char* const outcomes[] = {"fetched", "hit", "hit"};
     for (size_t i = 0; i < sources.size(); ++i) {
@@ -589,8 +581,7 @@ HttpRequest MutateLookupHeader(HttpRequest lookup, util::Random& rng) {
 
 TEST_F(PeerFuzzTest, UnmutatedAnswersAndLookupsKeepTheContract) {
   for (const Source& source : Sources()) {
-    EXPECT_EQ(CheckAnswer(source.answer, source.query, source.entry,
-                          "unmutated"),
+    EXPECT_EQ(CheckAnswer(source.answer, source.query, "unmutated"),
               Expect::kServed);
     EXPECT_TRUE(CheckLookup(LookupFor(source.query), "unmutated lookup"));
   }
@@ -615,8 +606,7 @@ TEST_F(PeerFuzzTest, CommittedFixturesKeepTheContract) {
       const Expect expect = name.rfind("answer-failure-", 0) == 0
                                 ? Expect::kFailure
                                 : Expect::kMiss;
-      EXPECT_EQ(CheckAnswer(*answer, query, EntryText{}, name), expect)
-          << name;
+      EXPECT_EQ(CheckAnswer(*answer, query, name), expect) << name;
     } else {
       auto lookup = net::ParseWireRequest(*bytes);
       ASSERT_TRUE(lookup.ok()) << name;
@@ -656,7 +646,6 @@ TEST_F(PeerFuzzTest, MutatedAnswersNeverServeOrAdmitWrongData) {
       for (int k = 0; k < kMutationsPerKind; ++k) {
         const Expect expect = CheckAnswer(
             mutate(sources[s].answer, rng), sources[s].query,
-            sources[s].entry,
             std::string(name) + " #" + std::to_string(k) + " of source " +
                 std::to_string(s));
         ++seen[expect];
