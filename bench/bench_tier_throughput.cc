@@ -1,10 +1,10 @@
 // Cooperative-tier throughput sweep: replays the Radial trace through a
 // ProxyTier of 1..8 proxies behind a round-robin router, 8 closed-loop
 // client threads throughout. Each proxy owns a consistent-hash slice of the
-// template/region key space; a local miss asks the owning sibling over the
-// (cheap) peer link, which answers from its cache or its in-flight fetch,
-// or fetches the query from the origin itself, so the aggregate throughput
-// should scale with the tier size.
+// template/region key space; a request bound for the origin first asks the
+// owning sibling over the (cheap) peer link, which answers it under its own
+// plan: from its cache, from its in-flight fetch, or with its own origin
+// trip, so the aggregate throughput should scale with the tier size.
 //
 //   bench_tier_throughput [num-queries] [pacing] [--smoke] [--json[=path]]
 //

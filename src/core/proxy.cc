@@ -1,7 +1,6 @@
 #include "core/proxy.h"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <future>
 #include <numeric>
@@ -108,6 +107,11 @@ constexpr auto kRelaxed = std::memory_order_relaxed;
 
 /// Retry-After on 503s when no breaker cooldown gives a better value.
 constexpr int64_t kRetryAfterSeconds = 30;
+/// Why an answer is refused or partial (X-Shed-Reason, docs/FORMATS.md §7).
+constexpr std::string_view kOverload = "overload";
+constexpr std::string_view kOriginBacklog = "origin-backlog";
+constexpr std::string_view kDeadlineExceeded = "deadline-exceeded";
+constexpr std::string_view kOriginUnreachable = "origin-unreachable";
 /// How long a single-flight follower waits (wall clock) for its leader
 /// before fetching on its own. Generous: a leader that dies completes its
 /// flight as failed at once, so the bound only guards against a leader
@@ -127,19 +131,14 @@ constexpr int64_t kFreezeIdleMicros = 2'000'000;
 // --- Peer wire format helpers ----------------------------------------------
 //
 // A lookup is the prober's client request: its query string, its form path
-// in X-Peer-Form. An answer's metadata travels in X-Peer-* headers; its body
-// is the entry's region document followed by its result document, split at
-// the first "<Result " (neither document nests the other, so the split is
-// unambiguous).
+// in X-Peer-Form. An answer is the owner's result document for that request,
+// with its outcome and tuple counts in X-Peer-* headers.
 
 /// Header lookup tolerant of the wire parser's lowercasing.
 const std::string* PeerHeader(const std::map<std::string, std::string>& headers,
                               const std::string& name) {
   auto it = headers.find(name);
-  if (it != headers.end()) return &it->second;
-  std::string lower = name;
-  for (char& c : lower) c = static_cast<char>(std::tolower(c));
-  it = headers.find(lower);
+  if (it == headers.end()) it = headers.find(util::ToLower(name));
   return it != headers.end() ? &it->second : nullptr;
 }
 
@@ -149,14 +148,12 @@ std::string PeerHeaderOr(const std::map<std::string, std::string>& headers,
   return value != nullptr ? *value : fallback;
 }
 
-bool SplitPeerBody(const std::string& body, std::string_view* region_xml,
-                   std::string_view* result_xml) {
-  size_t pos = body.find("<Result ");
-  if (pos == std::string::npos) return false;
-  std::string_view view(body);
-  *region_xml = view.substr(0, pos);
-  *result_xml = view.substr(pos);
-  return true;
+HttpResponse PeerMiss() {
+  HttpResponse response;
+  response.status_code = 404;
+  response.headers["X-Peer-Outcome"] = "miss";
+  response.body = "<PeerMiss/>\n";
+  return response;
 }
 
 }  // namespace
@@ -274,7 +271,8 @@ void FunctionProxy::RegisterInstruments() {
       "Requests whose client deadline expired before an answer could fit");
 
   const char* peer_lookup_help =
-      "Probes sent to the owning tier sibling on a local miss, by outcome";
+      "Probes sent to the owning tier sibling before an origin trip, by "
+      "outcome";
   ins_.peer_lookup_hit = registry_.AddCounter(
       "fnproxy_peer_lookups_total", peer_lookup_help, {{"outcome", "hit"}});
   ins_.peer_lookup_flight = registry_.AddCounter(
@@ -583,16 +581,43 @@ bool FunctionProxy::DeadlineTooTightForOrigin(int64_t deadline_micros,
   return remaining < floor;
 }
 
-HttpResponse FunctionProxy::Unavailable(const std::string& reason) {
+HttpResponse FunctionProxy::Unavailable(std::string_view reason,
+                                        QueryRecord* record) {
+  (reason == kOriginUnreachable ? record->degraded : record->shed) = true;
+  record->reason = reason;
   HttpResponse response;
   response.status_code = 503;
-  response.body = "<Error code=\"503\" reason=\"" + reason + "\"/>\n";
+  response.body = std::string("<Error code=\"503\" reason=\"") +
+                  std::string(reason) + "\"/>\n";
   int64_t cooldown = breaker_->CooldownRemainingMicros();
   int64_t seconds = cooldown > 0 ? (cooldown + 999'999) / 1'000'000
                                  : kRetryAfterSeconds;
   response.headers["Retry-After"] = std::to_string(seconds);
-  response.headers["X-Shed-Reason"] = reason;
+  response.headers["X-Shed-Reason"] = std::string(reason);
   return response;
+}
+
+void FunctionProxy::RecordAnswer(const QueryRecord& record) {
+  const bool deadline = record.reason == kDeadlineExceeded;
+  const bool partial =
+      record.degraded && !record.failed && !record.reason.empty();
+  if (record.shed) {
+    (record.reason == kOverload   ? ins_.shed_overload
+     : deadline                   ? ins_.shed_deadline
+                                  : ins_.shed_origin_backlog)
+        ->Increment();
+  } else if (record.degraded) {
+    (record.failed ? ins_.degraded_unavailable
+     : partial     ? ins_.degraded_partial
+                   : ins_.degraded_full)
+        ->Increment();
+  }
+  if (deadline && (record.shed || partial)) {
+    ins_.deadline_exceeded->Increment();
+  }
+  util::MutexLock lock(records_mu_);
+  if (partial) coverage_served_ += record.coverage;
+  records_.push_back(record);
 }
 
 HttpResponse FunctionProxy::Forward(const HttpRequest& request,
@@ -601,20 +626,11 @@ HttpResponse FunctionProxy::Forward(const HttpRequest& request,
                                     obs::QueryTrace* trace) {
   if (!OriginAllowed()) {
     ins_.breaker_open_rejections->Increment();
-    ins_.degraded_unavailable->Increment();
-    record->degraded = true;
-    return Unavailable("origin-unreachable");
+    return Unavailable(kOriginUnreachable, record);
   }
-  if (OriginBacklogged()) {
-    ins_.shed_origin_backlog->Increment();
-    record->shed = true;
-    return Unavailable("origin-backlog");
-  }
+  if (OriginBacklogged()) return Unavailable(kOriginBacklog, record);
   if (DeadlineTooTightForOrigin(deadline_micros, request.ByteSize())) {
-    ins_.deadline_exceeded->Increment();
-    ins_.shed_deadline->Increment();
-    record->shed = true;
-    return Unavailable("deadline-exceeded");
+    return Unavailable(kDeadlineExceeded, record);
   }
   record->contacted_origin = true;
   ins_.origin_form_requests->Increment();
@@ -801,21 +817,24 @@ HttpResponse FunctionProxy::HandleTemplate(const HttpRequest& request,
                         std::move(instance->params),
                         std::move(instance->nonspatial_fp), deadline_micros,
                         record, trace};
+  return Execute(PlanFor(q), q);
+}
 
+QueryPlan FunctionProxy::PlanFor(const TemplateQuery& q) {
   // --- Relationship check against the cache description. The returned
   // snapshots stay valid even if a concurrent admission evicts the entries
   // before this request finishes using them. ---
-  obs::ScopedSpan lookup(trace, "cache_lookup", clock_,
+  obs::ScopedSpan lookup(q.trace, "cache_lookup", clock_,
                          ins_.phase_cache_lookup);
   RelationshipResult rel =
-      CheckRelationship(*cache_, qt.id(), q.nonspatial_fp, q.region);
+      CheckRelationship(*cache_, q.qt.id(), q.nonspatial_fp, q.region);
   double check_micros =
       DescriptionCostMicros(rel.description_comparisons) +
       config_.costs.per_relation_check_us *
           static_cast<double>(rel.regions_checked);
   ins_.check_micros->Increment(static_cast<uint64_t>(check_micros));
   ChargeMicros(check_micros);
-  record->status = rel.status;
+  q.record->status = rel.status;
   ins_.region_compare[static_cast<size_t>(rel.status)]->Observe(
       static_cast<int64_t>(check_micros));
   lookup.AddAttr("relation", geometry::RegionRelationName(rel.status));
@@ -829,7 +848,7 @@ HttpResponse FunctionProxy::HandleTemplate(const HttpRequest& request,
   // reuse cached tuples for a different query region: those values would
   // be stale. Exact matches remain safe. A case the scheme does not handle
   // is a miss (the default plan). ---
-  const bool exact_only = qt.function_dependent_projection();
+  const bool exact_only = q.qt.function_dependent_projection();
   const bool full = config_.mode == CachingMode::kActiveFull;
   QueryPlan plan;
   switch (rel.status) {
@@ -860,7 +879,7 @@ HttpResponse FunctionProxy::HandleTemplate(const HttpRequest& request,
     case RegionRelation::kDisjoint:  // (d) Fetch the original query.
       break;
   }
-  return Execute(std::move(plan), q);
+  return plan;
 }
 
 HttpResponse FunctionProxy::Execute(QueryPlan plan, const TemplateQuery& q) {
@@ -913,8 +932,8 @@ HttpResponse FunctionProxy::RunPlan(QueryPlan* plan, const TemplateQuery& q) {
   // covering this query or leads (the guard completes the flight as failed
   // on every early exit, so followers are never stranded); past the
   // backlog watermark it is shed while the cheap cache-served lane keeps
-  // draining; and a miss asks the sibling owning the region, which answers
-  // from its cache or its flight, or fetches the query itself. ---
+  // draining; and it asks the sibling owning the region, which answers the
+  // query under its own plan. ---
   if (plan->origin == Origin::kNone) {
     heat();
     if (plan->slices.empty()) *plan = QueryPlan{};
@@ -924,13 +943,9 @@ HttpResponse FunctionProxy::RunPlan(QueryPlan* plan, const TemplateQuery& q) {
     std::optional<QueryPlan> served;
     if (config_.collapse_inflight) served = CollapseOrLead(q, &flight);
     if (!served && OriginBacklogged()) {
-      ins_.shed_origin_backlog->Increment();
-      record->shed = true;
-      return Unavailable("origin-backlog");
+      return Unavailable(kOriginBacklog, record);
     }
-    if (!served && plan->relation == RegionRelation::kDisjoint) {
-      served = ProbePeer(q, &flight);
-    }
+    if (!served) served = ProbePeer(q, &flight);
     if (served) *plan = std::move(*served);  // Its entry is hot already.
     heat();
   }
@@ -1041,29 +1056,24 @@ HttpResponse FunctionProxy::RunPlan(QueryPlan* plan, const TemplateQuery& q) {
       // origin trip. kInternal: the origin answered with a client error —
       // not unavailability, so not eligible for degradation.
       const util::StatusCode code = fetched.status().code();
-      const bool deadline = code == util::StatusCode::kResourceExhausted;
-      if (deadline) ins_.deadline_exceeded->Increment();
       if (code == util::StatusCode::kInternal) {
         return HttpResponse::MakeError(502, fetched.status().ToString());
       }
+      const std::string_view reason =
+          code == util::StatusCode::kResourceExhausted ? kDeadlineExceeded
+                                                       : kOriginUnreachable;
       if (probe && !parts.empty()) {
         // Degraded mode: the probe's tuples are known-correct for their
         // regions, so the plan drops its origin request and serves them as
         // a partial answer annotated with the covered volume fraction.
         plan->origin = Origin::kNone;
         attrs.partial = true;
-        attrs.degraded_reason =
-            deadline ? "deadline-exceeded" : "origin-unreachable";
-      } else if (deadline) {
-        ins_.shed_deadline->Increment();
-        record->shed = true;
-        return Unavailable("deadline-exceeded");
+        attrs.degraded_reason = reason;
+        record->reason = reason;
       } else {
         // The cache contributes nothing to this query: refuse honestly with
         // a Retry-After instead of a bare gateway error.
-        ins_.degraded_unavailable->Increment();
-        record->degraded = true;
-        return Unavailable("origin-unreachable");
+        return Unavailable(reason, record);
       }
     }
   }
@@ -1117,7 +1127,8 @@ HttpResponse FunctionProxy::RunPlan(QueryPlan* plan, const TemplateQuery& q) {
   // --- 6. Order/top: every answer takes the template's ORDER BY and TOP
   // (neither takes parameters); a complete entry of a TOP template holds
   // more than its top N. An origin answer counts its complete tuples, a
-  // cached one the tuples it serves, and a sibling's fetch none as cached. ---
+  // cached one the tuples it serves; a sibling's answer came with its
+  // owner's counts. ---
   const sql::ColumnarTable& table = answer ? *answer : *parts.front().table;
   std::vector<uint32_t> rows;
   if (!answer && !selections.empty()) {
@@ -1128,27 +1139,27 @@ HttpResponse FunctionProxy::RunPlan(QueryPlan* plan, const TemplateQuery& q) {
   }
   auto ordered = ApplyOrderAndTop(table, std::move(rows), q.qt.statement());
   if (!ordered.ok()) return fall_back();
-  record->tuples_total = from_origin ? answer->num_rows() : ordered->size();
-  record->tuples_from_cache = from_origin ? from_cache : ordered->size();
-  if (plan->source == QueryPlan::Source::kPeerFetch) {
-    record->tuples_from_cache = 0;
+  if (plan->from_peer()) {
+    // The owner's plan made this request's origin trip, if any.
+    if (plan->source == QueryPlan::Source::kPeerFetch) {
+      record->contacted_origin = true;
+    }
+    record->tuples_total = plan->peer_tuples_total;
+    record->tuples_from_cache = plan->peer_tuples_from_cache;
+  } else {
+    record->tuples_total = from_origin ? answer->num_rows() : ordered->size();
+    record->tuples_from_cache = from_origin ? from_cache : ordered->size();
   }
   if (attrs.partial) {
     // Coverage counts every region the probe read, contributing or not: a
     // region without tuples is known to hold none.
     attrs.coverage = geometry::EstimateCoverageFraction(q.region, read);
-    ins_.degraded_partial->Increment();
-    {
-      util::MutexLock lock(records_mu_);
-      coverage_served_ += attrs.coverage;
-    }
     record->degraded = true;
     record->coverage = attrs.coverage;
   } else if (!from_origin && plan->source == QueryPlan::Source::kCache &&
              BreakerOpen()) {
     // Served entirely from cache while the origin is down: a degraded
     // answer that happens to be complete.
-    ins_.degraded_full->Increment();
     record->degraded = true;
   }
 
@@ -1243,79 +1254,40 @@ HttpResponse FunctionProxy::HandlePeerLookup(const HttpRequest& request) {
                         std::move(instance->nonspatial_fp),
                         budget > 0 ? clock_->NowMicros() + budget : 0, &record,
                         /*trace=*/nullptr};
+  // A region another member owns is a miss, so a lookup never makes a
+  // second hop: an owner never probes for its own regions.
+  const std::string* owner = RegionOwner(q);
+  if (owner != nullptr && *owner != peer_group_.self_id) return PeerMiss();
 
-  // Serves a whole entry, its region and result, never a locally filtered
-  // subset: the prober runs its own spatial selection, so this proxy pays
-  // serialization only, not the scan.
-  auto serve = [&](const geometry::Region& region,
-                   const sql::ColumnarTable& result, bool truncated,
-                   const char* outcome) {
-    ChargeMicros(config_.costs.per_response_tuple_us *
-                 static_cast<double>(result.num_rows()));
-    HttpResponse response;
-    response.headers["X-Peer-Outcome"] = outcome;
-    response.headers["X-Peer-Truncated"] = truncated ? "1" : "0";
-    response.body = RegionToXml(region);
-    response.body += sql::TableToXml(result);
-    return response;
-  };
+  // The owner answers as it answers its own client: the plan its scheme
+  // makes of the query, run by the one executor. A refusal, an error or a
+  // partial answer is a clean miss, so the prober plans on its own and its
+  // breaker for this peer is not charged for the origin's fault; a complete
+  // answer served while this proxy's breaker is open is a hit.
+  QueryPlan plan = PlanFor(q);
+  HttpResponse answer = RunPlan(&plan, q);
+  if (!answer.ok() || !record.reason.empty()) return PeerMiss();
+  const bool joined = plan.source == QueryPlan::Source::kLeader;
+  if (joined) ins_.peer_flight_joins->Increment();
+  answer.headers["X-Peer-Outcome"] = joined                    ? "flight"
+                                     : record.contacted_origin ? "fetched"
+                                                               : "hit";
+  answer.headers["X-Peer-Tuples-Total"] = std::to_string(record.tuples_total);
+  answer.headers["X-Peer-Tuples-From-Cache"] =
+      std::to_string(record.tuples_from_cache);
+  return answer;
+}
 
-  RelationshipResult rel =
-      CheckRelationship(*cache_, qt->id(), q.nonspatial_fp, q.region);
-  ChargeMicros(DescriptionCostMicros(rel.description_comparisons) +
-               config_.costs.per_relation_check_us *
-                   static_cast<double>(rel.regions_checked));
-  // A covering entry is thawed first, since its tuples cross the wire; one
-  // that vanished cold falls through to the flight and the fetch.
-  if (rel.status == RegionRelation::kEqual ||
-      (rel.status == RegionRelation::kContainedBy &&
-       !qt->function_dependent_projection() && !rel.matched->truncated)) {
-    auto hot = EnsureHot(rel.matched, nullptr);
-    if (hot != nullptr) {
-      cache_->Touch(hot->id, clock_->NowMicros());
-      return serve(*hot->region, hot->result, hot->truncated, "hit");
-    }
-  }
-
-  // No covering entry: join an in-flight fetch covering the region, or
-  // lead this proxy's own flight, so the tier's herd on one region costs
-  // one origin trip. A failed fetch is a clean miss: the prober fetches on
-  // its own, and its breaker for this peer is not charged for the origin.
-  FlightGuard flight;
-  std::optional<QueryPlan> joined;
-  if (config_.collapse_inflight) joined = CollapseOrLead(q, &flight);
-  if (joined) {
-    ins_.peer_flight_joins->Increment();
-    const CacheEntry& entry = *joined->slices.front().entry;
-    return serve(*entry.region, entry.result, entry.truncated, "flight");
-  }
-  auto fetched = FetchTable(form, q.deadline_micros, &record, nullptr);
-  if (!fetched.ok()) {
-    HttpResponse response;
-    response.status_code = 404;
-    response.headers["X-Peer-Outcome"] = "miss";
-    response.body = "<PeerMiss/>\n";
-    return response;
-  }
-  // The original query's answer; a TOP template's is cached truncated, as
-  // RunPlan admits it.
-  const std::optional<int64_t>& top_n = qt->statement().top_n;
-  const bool truncated = top_n.has_value() &&
-                         fetched->num_rows() == static_cast<size_t>(*top_n);
-  const sql::ColumnarTable result(std::move(*fetched));
-  auto admitted = CacheResult(*qt, q.nonspatial_fp, q.region, result,
-                              ft->coordinate_columns(), truncated, nullptr);
-  flight.Fulfill({admitted != nullptr, admitted});
-  return serve(q.region, result, truncated, "fetched");
+const std::string* FunctionProxy::RegionOwner(const TemplateQuery& q) const {
+  if (!has_peers_) return nullptr;
+  return peer_group_.ring->Owner(RegionOwnershipKey(
+      q.qt.id(), q.nonspatial_fp, q.region, kPeerOwnershipCell));
 }
 
 std::optional<QueryPlan> FunctionProxy::ProbePeer(const TemplateQuery& q,
                                                   FlightGuard* local_flight) {
-  if (!has_peers_) return std::nullopt;
   QueryRecord* record = q.record;
-  const std::string key = RegionOwnershipKey(q.qt.id(), q.nonspatial_fp,
-                                             q.region, kPeerOwnershipCell);
-  const std::string* owner = peer_group_.ring->Owner(key);
+  const std::string* owner = RegionOwner(q);
   if (owner == nullptr || *owner == peer_group_.self_id) return std::nullopt;
   auto peer_it = peer_group_.peers.find(*owner);
   if (peer_it == peer_group_.peers.end()) return std::nullopt;
@@ -1327,7 +1299,7 @@ std::optional<QueryPlan> FunctionProxy::ProbePeer(const TemplateQuery& q,
   }
 
   // The client's own form request, with what is left of its budget. The
-  // owner holds its fetch to that budget, so the round trip is not capped
+  // owner holds its plan to that budget, so the round trip is not capped
   // here too: a fetch that overran the budget is the origin's fault, and
   // the owner answers it with a clean miss.
   HttpRequest probe;
@@ -1344,8 +1316,8 @@ std::optional<QueryPlan> FunctionProxy::ProbePeer(const TemplateQuery& q,
   HttpResponse response = peer->RoundTrip(probe, /*deadline_micros=*/0);
   span.AddAttr("status", std::to_string(response.status_code));
   if (net::RetryPolicy::Retryable(response)) {
-    // Outage or overload on the sibling: fall back to the origin. The
-    // channel already fed the per-peer breaker.
+    // Outage or overload on the sibling: the plan goes on to the origin.
+    // The channel already fed the per-peer breaker.
     ins_.peer_lookup_error->Increment();
     ins_.peer_failures->Increment();
     record->peer_degraded = true;
@@ -1359,8 +1331,9 @@ std::optional<QueryPlan> FunctionProxy::ProbePeer(const TemplateQuery& q,
     return std::nullopt;
   }
 
-  // 200 with a whole entry: cached, from a completed flight, or fetched by
-  // the owner for this request. Anything else is an unusable body.
+  // 200: the owner's complete answer to this very query, from its cache,
+  // from a flight it joined, or from its own origin trip, with the tuple
+  // counts of its record. Anything else is an unusable answer.
   auto garbage = [&]() -> std::optional<QueryPlan> {
     peer->NoteGarbage();
     ins_.peer_lookup_error->Increment();
@@ -1378,42 +1351,39 @@ std::optional<QueryPlan> FunctionProxy::ProbePeer(const TemplateQuery& q,
   } else {
     return garbage();
   }
-  const std::string truncated_flag =
-      PeerHeaderOr(response.headers, "X-Peer-Truncated", "");
-  std::string_view region_xml, result_xml;
-  if ((truncated_flag != "0" && truncated_flag != "1") ||
-      !SplitPeerBody(response.body, &region_xml, &result_xml)) {
+  auto total = util::ParseUint64(
+      PeerHeaderOr(response.headers, "X-Peer-Tuples-Total", ""));
+  auto cached = util::ParseUint64(
+      PeerHeaderOr(response.headers, "X-Peer-Tuples-From-Cache", ""));
+  sql::ResultXmlAttrs attrs;
+  auto table = sql::TableFromXml(response.body, &attrs);
+  if (!total.ok() || !cached.ok() || *cached > *total || !table.ok() ||
+      attrs.partial) {
     return garbage();
-  }
-  auto peer_region_or = RegionFromXml(region_xml);
-  auto table = sql::TableFromXml(result_xml);
-  if (!peer_region_or.ok() || !table.ok()) return garbage();
-  std::unique_ptr<geometry::Region> peer_region = std::move(*peer_region_or);
-  const bool truncated = truncated_flag == "1";
-  const bool equal = geometry::Equals(*peer_region, q.region);
-  if (!equal && (q.qt.function_dependent_projection() || truncated ||
-                 !geometry::Contains(*peer_region, q.region))) {
-    // Transport-clean but not usable for this query (e.g. the owner served
-    // under rules a newer config disagrees with): treat as a miss, not as a
-    // faulty peer.
-    ins_.peer_lookup_miss->Increment();
-    return std::nullopt;
   }
   ChargeMicros(config_.costs.per_origin_response_tuple_us *
                static_cast<double>(table->num_rows()));
-  // The owner's fetch made this request's origin trip.
-  if (source == QueryPlan::Source::kPeerFetch) record->contacted_origin = true;
 
-  // The region stays cached with its owner only: the sibling's entry serves
-  // this request and the local flight's followers, and is not admitted. The
-  // executor counts the lookup's outcome once the answer is certain, so
-  // every probe lands in exactly one fnproxy_peer_lookups_total series.
+  // An entry of the query's own region, served whole; a TOP answer that
+  // filled its N rows holds the region's top N only. The region stays
+  // cached with its owner: the entry serves this request and the local
+  // flight's followers, and is not admitted. The executor counts the
+  // lookup's outcome and copies the owner's counts once the answer is
+  // certain, so every probe lands in exactly one fnproxy_peer_lookups_total
+  // series and a fallen-back answer keeps none of the owner's counts.
   auto entry = std::make_shared<CacheEntry>();
-  entry->region = std::move(peer_region);
+  entry->region = q.region.Clone();
   entry->result = sql::ColumnarTable(std::move(*table));
-  entry->truncated = truncated;
+  const std::optional<int64_t>& top_n = q.qt.statement().top_n;
+  entry->truncated =
+      top_n.has_value() &&
+      entry->result.num_rows() == static_cast<size_t>(*top_n);
   local_flight->Fulfill(FlightOutcome{true, entry});
-  return QueryPlan::FromEntry(std::move(entry), /*scan=*/!equal, source);
+  QueryPlan plan =
+      QueryPlan::FromEntry(std::move(entry), /*scan=*/false, source);
+  plan.peer_tuples_total = *total;
+  plan.peer_tuples_from_cache = *cached;
+  return plan;
 }
 
 // --- Storage tier (docs/STORAGE.md) -----------------------------------------
@@ -1756,15 +1726,11 @@ HttpResponse FunctionProxy::Handle(const HttpRequest& request) {
   const int64_t depth = inflight_requests_.fetch_add(1, kRelaxed) + 1;
   if (config_.max_queue_depth > 0 &&
       depth > static_cast<int64_t>(config_.max_queue_depth)) {
-    ins_.shed_overload->Increment();
     QueryRecord record;
-    record.shed = true;
+    HttpResponse response = Unavailable(kOverload, &record);
     record.failed = true;
-    {
-      util::MutexLock lock(records_mu_);
-      records_.push_back(record);
-    }
-    return Unavailable("overload");
+    RecordAnswer(record);
+    return response;
   }
 
   // Client deadline: a relative budget header, pinned to an absolute
@@ -1816,10 +1782,7 @@ HttpResponse FunctionProxy::Handle(const HttpRequest& request) {
   // forced by a failed or breaker-opened peer path.
   if (record.peer_hit) response.headers["X-Peer-Served"] = "1";
   if (record.peer_degraded) response.headers["X-Peer-Degraded"] = "1";
-  {
-    util::MutexLock lock(records_mu_);
-    records_.push_back(record);
-  }
+  RecordAnswer(record);
   root.Finish();
   if (owned_trace != nullptr) {
     owned_trace->AddAttr("status", std::to_string(response.status_code));

@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/cache_store.h"
@@ -174,6 +175,10 @@ struct QueryRecord {
   double coverage = 1.0;
   size_t tuples_total = 0;
   size_t tuples_from_cache = 0;
+  /// The reason a 503 refusal or a partial answer carries (its
+  /// X-Shed-Reason, or its result's degraded= attribute); empty for every
+  /// other answer. Views one of the proxy's static reason strings.
+  std::string_view reason;
 
   /// Cache efficiency (paper §4.1) with failure-aware conventions:
   ///  * failed requests score 0 — an error page serves no tuples;
@@ -404,9 +409,8 @@ class FunctionProxy final : public net::HttpHandler {
   net::HttpResponse Forward(const net::HttpRequest& request,
                             int64_t deadline_micros, QueryRecord* record,
                             obs::QueryTrace* trace);
-  /// Instantiates the template, checks the region against the cache and
-  /// builds the plan of the matching §3.2 case for Execute, under every
-  /// caching scheme but NC (DESIGN.md §18).
+  /// Instantiates the template and runs PlanFor's plan through Execute,
+  /// under every caching scheme but NC (DESIGN.md §18).
   net::HttpResponse HandleTemplate(const net::HttpRequest& request,
                                    const QueryTemplate& qt,
                                    const FunctionTemplate& ft,
@@ -444,6 +448,10 @@ class FunctionProxy final : public net::HttpHandler {
     obs::QueryTrace* trace;
   };
 
+  /// Checks the query's region against the cache and builds the plan of
+  /// the §3.2 case it finds under this proxy's scheme: a client's request
+  /// and a sibling's lookup are planned alike.
+  QueryPlan PlanFor(const TemplateQuery& q);
   /// Runs `plan` (RunPlan) and counts the request's one outcome under the
   /// plan it ended with: its relation, the leader, the peer, or a miss; a
   /// shed request counts only as shed.
@@ -465,19 +473,24 @@ class FunctionProxy final : public net::HttpHandler {
 
   /// Cooperative-tier endpoint (reserved path; siblings only). /peer/lookup
   /// carries a prober's client request: its query string, its form path in
-  /// X-Peer-Form and its remaining budget in X-Deadline-Micros. This proxy
-  /// owns the request's region, so it answers with a covering cached entry,
-  /// with the entry of an in-flight fetch it joins, or by fetching the
-  /// original query itself and admitting the answer. 400 when the request
-  /// does not instantiate, 404 when the fetch failed.
+  /// X-Peer-Form and its remaining budget in X-Deadline-Micros. The owner
+  /// of the request's region runs PlanFor and RunPlan for it and answers
+  /// the result document its own client would get, with the outcome and
+  /// the record's tuple counts in X-Peer-* headers (docs/FORMATS.md §11).
+  /// 400 when the request does not instantiate; 404 for a refusal, an
+  /// error, a partial answer, or a region this proxy does not own.
   net::HttpResponse HandlePeerLookup(const net::HttpRequest& request);
 
-  /// Local miss: asks the sibling owning this query's region key before
-  /// paying the origin round trip. Returns the plan serving the sibling's
-  /// entry (not admitted locally; the local flight's followers get it too);
-  /// nullopt means fetch from the origin.
+  /// Before an origin trip: asks the sibling owning this query's region
+  /// key for its answer to the query. Returns the plan serving that answer
+  /// whole, carrying the owner's tuple counts for the record (not admitted
+  /// locally; the local flight's followers get it too); nullopt means the
+  /// plan goes on to the origin.
   std::optional<QueryPlan> ProbePeer(const TemplateQuery& q,
                                      FlightGuard* local_flight);
+  /// The id of the tier member owning `q`'s region key; null when this
+  /// proxy is in no tier.
+  const std::string* RegionOwner(const TemplateQuery& q) const;
 
   /// The one origin call for a table: sends `request` — the client's form
   /// request or a /sql remainder the caller built — parses the XML result
@@ -499,8 +512,13 @@ class FunctionProxy final : public net::HttpHandler {
                             obs::QueryTrace* trace);
   /// 503 with Retry-After (breaker cooldown when open, 30 s otherwise) and
   /// the machine-readable reason mirrored in both the body and an
-  /// X-Shed-Reason header for the driver to record.
-  net::HttpResponse Unavailable(const std::string& reason);
+  /// X-Shed-Reason header for the client to record. Marks `record` with
+  /// the reason: degraded for an unreachable origin, shed otherwise.
+  net::HttpResponse Unavailable(std::string_view reason, QueryRecord* record);
+  /// Counts a client's finished answer in the client-answer counters (shed,
+  /// deadline, degraded and coverage served) and keeps its record. A
+  /// sibling's lookup answers no client and is not recorded.
+  void RecordAnswer(const QueryRecord& record) EXCLUDES(records_mu_);
 
   /// Breaker admission check for the origin channel. False means no round
   /// trip may be made now.

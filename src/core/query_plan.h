@@ -1,6 +1,7 @@
 #ifndef FNPROXY_CORE_QUERY_PLAN_H_
 #define FNPROXY_CORE_QUERY_PLAN_H_
 
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -12,10 +13,10 @@ namespace fnproxy::core {
 
 /// How the proxy answers one template request (paper §3.2, DESIGN.md §18):
 /// the cached slices it reads, the origin request it sends, and where the
-/// answer comes from. The relationship check, the single-flight follower
-/// path and the peer probe each build a plan; FunctionProxy runs every plan
-/// through one executor. The default plan is a miss: the original query,
-/// no cached slice.
+/// answer comes from. FunctionProxy::PlanFor (the relationship check), the
+/// single-flight follower path and the peer probe each build a plan;
+/// FunctionProxy runs every plan through one executor. The default plan is
+/// a miss: the original query, no cached slice.
 struct QueryPlan {
   /// A cached entry the answer reads: served whole (its region lies inside
   /// the query's) or membership-scanned against the query's region.
@@ -28,8 +29,9 @@ struct QueryPlan {
   /// original query when none did and the template has no TOP.
   enum class Origin { kNone, kOriginal, kRemainder };
   /// Where the answer comes from: the cache, a single-flight leader's
-  /// entry, or a sibling's entry: cached, from its flight, or fetched from
-  /// the origin for this request (a miss that contacted the origin).
+  /// entry, or the owning sibling's answer: from its cache, from its
+  /// flight, or from its plan's origin trip (a miss that contacted the
+  /// origin).
   /// Decides the outcome counter (FunctionProxy::Execute indexes its
   /// counters in this order) and the record's collapsed / peer_hit flags.
   enum class Source { kCache, kLeader, kPeerHit, kPeerFlight, kPeerFetch };
@@ -63,6 +65,10 @@ struct QueryPlan {
   std::vector<Slice> slices;
   Origin origin = Origin::kOriginal;
   Source source = Source::kCache;
+  /// A sibling's answer comes with its owner's record counts; the executor
+  /// copies them into the request's record once it serves that answer.
+  uint64_t peer_tuples_total = 0;
+  uint64_t peer_tuples_from_cache = 0;
 };
 
 }  // namespace fnproxy::core

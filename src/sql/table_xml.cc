@@ -1,6 +1,7 @@
 #include "sql/table_xml.h"
 
 #include <cstdio>
+#include <memory>
 
 #include "util/string_util.h"
 #include "xml/xml.h"
@@ -322,32 +323,31 @@ StatusOr<Value> ParseTypedValue(ValueType type, const std::string& text) {
   return Status::ParseError("bad value type");
 }
 
-}  // namespace
-
-StatusOr<ResultXmlAttrs> ResultAttrsFromXml(std::string_view xml_text) {
+StatusOr<std::unique_ptr<xml::XmlElement>> ParseResultRoot(
+    std::string_view xml_text) {
   FNPROXY_ASSIGN_OR_RETURN(auto root, xml::ParseXml(xml_text));
   if (root->name() != "Result") {
     return Status::ParseError("expected <Result> root element");
   }
+  return root;
+}
+
+StatusOr<ResultXmlAttrs> AttrsOf(const xml::XmlElement& root) {
   ResultXmlAttrs attrs;
-  if (const std::string* partial = root->FindAttribute("partial")) {
+  if (const std::string* partial = root.FindAttribute("partial")) {
     attrs.partial = *partial == "true" || *partial == "1";
   }
-  if (const std::string* coverage = root->FindAttribute("coverage")) {
+  if (const std::string* coverage = root.FindAttribute("coverage")) {
     FNPROXY_ASSIGN_OR_RETURN(attrs.coverage, util::ParseDouble(*coverage));
   }
-  if (const std::string* reason = root->FindAttribute("degraded")) {
+  if (const std::string* reason = root.FindAttribute("degraded")) {
     attrs.degraded_reason = *reason;
   }
   return attrs;
 }
 
-StatusOr<Table> TableFromXml(std::string_view xml_text) {
-  FNPROXY_ASSIGN_OR_RETURN(auto root, xml::ParseXml(xml_text));
-  if (root->name() != "Result") {
-    return Status::ParseError("expected <Result> root element");
-  }
-  const xml::XmlElement* schema_element = root->FindChild("Schema");
+StatusOr<Table> TableOf(const xml::XmlElement& root) {
+  const xml::XmlElement* schema_element = root.FindChild("Schema");
   if (schema_element == nullptr) {
     return Status::ParseError("missing <Schema> element");
   }
@@ -362,7 +362,7 @@ StatusOr<Table> TableFromXml(std::string_view xml_text) {
     schema.AddColumn({*name, value_type});
   }
   Table table(schema);
-  for (const xml::XmlElement* row_element : root->FindChildren("Row")) {
+  for (const xml::XmlElement* row_element : root.FindChildren("Row")) {
     const auto& cells = row_element->children();
     if (cells.size() != schema.num_columns()) {
       return Status::ParseError("row width does not match schema");
@@ -384,6 +384,22 @@ StatusOr<Table> TableFromXml(std::string_view xml_text) {
     table.AddRow(std::move(row));
   }
   return table;
+}
+
+}  // namespace
+
+StatusOr<ResultXmlAttrs> ResultAttrsFromXml(std::string_view xml_text) {
+  FNPROXY_ASSIGN_OR_RETURN(auto root, ParseResultRoot(xml_text));
+  return AttrsOf(*root);
+}
+
+StatusOr<Table> TableFromXml(std::string_view xml_text,
+                             ResultXmlAttrs* attrs) {
+  FNPROXY_ASSIGN_OR_RETURN(auto root, ParseResultRoot(xml_text));
+  if (attrs != nullptr) {
+    FNPROXY_ASSIGN_OR_RETURN(*attrs, AttrsOf(*root));
+  }
+  return TableOf(*root);
 }
 
 }  // namespace fnproxy::sql

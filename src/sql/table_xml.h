@@ -60,8 +60,10 @@ std::string TableToXml(const ColumnarTable& table, const ResultXmlAttrs& attrs,
 /// element (defaults when absent). Error if the document is not a <Result>.
 util::StatusOr<ResultXmlAttrs> ResultAttrsFromXml(std::string_view xml_text);
 
-/// Parses a document produced by TableToXml.
-util::StatusOr<Table> TableFromXml(std::string_view xml_text);
+/// Parses a document produced by TableToXml. A non-null `attrs` also
+/// receives the root's failure-semantics attributes, from the same parse.
+util::StatusOr<Table> TableFromXml(std::string_view xml_text,
+                                   ResultXmlAttrs* attrs = nullptr);
 
 }  // namespace fnproxy::sql
 

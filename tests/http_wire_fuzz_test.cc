@@ -70,10 +70,9 @@ std::vector<HttpResponse> Responses() {
 
   HttpResponse fetched;
   fetched.headers["X-Peer-Outcome"] = "fetched";
-  fetched.headers["X-Peer-Truncated"] = "0";
-  fetched.body =
-      "<Region kind=\"sphere\"/><Result rows=\"1\"><Schema/>"
-      "<Row>\r\n\r\n</Row></Result>";
+  fetched.headers["X-Peer-Tuples-Total"] = "1";
+  fetched.headers["X-Peer-Tuples-From-Cache"] = "0";
+  fetched.body = "<Result rows=\"1\"><Schema/><Row>\r\n\r\n</Row></Result>";
   responses.push_back(fetched);
   return responses;
 }

@@ -3,10 +3,10 @@
 // TOP template too, the aggregated statistics respect the stats-sum
 // invariant, a cross-proxy thundering herd fetches the origin exactly once,
 // a herd at a proxy that does not own its region is served the owner's
-// entry without keeping a copy (and never selects from one the TOP cut),
-// and a scripted peer outage trips the prober's per-peer breaker, falls
-// back to the origin (never serving garbage), and recovers through
-// half-open.
+// answer without keeping a copy (and never selects from one the TOP cut),
+// an owner answers a prober's overlap with its own remainder plan, and a
+// scripted peer outage trips the prober's per-peer breaker, falls back to
+// the origin (never serving garbage), and recovers through half-open.
 
 #include <gtest/gtest.h>
 
@@ -171,7 +171,7 @@ TEST(MultiProxyTier, FourProxyTierMatchesSingleProxyByteForByte) {
 // A TOP template through the tier: an entry whose answer the TOP cut is
 // cached truncated, wherever it is admitted, so it serves exact repeats
 // only, and a concentric subset misses instead of selecting from it. The
-// owner fetches for a prober and answers with the truncated entry; the tier
+// owner fetches for a prober and answers with its cut answer; the tier
 // answers byte for byte what one proxy answers, with the same origin trips.
 TEST(MultiProxyTier, TopTemplateMatchesSingleProxyByteForByte) {
   workload::SkyExperiment sky{workload::SkyExperiment::Options()};
@@ -370,10 +370,11 @@ std::vector<int64_t> ObjIds(const std::string& body) {
 }
 
 // A TOP template's herd at a prober. The owner fetches a cone whose answer
-// the TOP cuts, and the prober hands that entry to its followers marked
-// truncated, as X-Peer-Truncated says: a follower asking a concentric
-// subset that holds an object the cut dropped fetches on its own instead
-// of selecting from the cut entry, and both answers equal one proxy's.
+// the TOP cuts, and the prober hands that answer to its followers marked
+// truncated, as it holds the template's N rows: a follower asking a
+// concentric subset that holds an object the cut dropped fetches on its
+// own instead of selecting from the cut entry, and both answers equal one
+// proxy's.
 TEST(MultiProxyTier, TopTemplateProberHerdKeepsTheCut) {
   workload::SkyExperiment sky{workload::SkyExperiment::Options()};
   core::TemplateRegistry templates;
@@ -431,6 +432,57 @@ TEST(MultiProxyTier, TopTemplateProberHerdKeepsTheCut) {
   EXPECT_EQ(gate.requests(), 2u) << "the follower fetches its own answer";
   EXPECT_EQ(tier.proxy(0).stats().collapsed, 0u);
   EXPECT_EQ(tier.proxy(0).cache().num_entries(), 0u);
+}
+
+// A query at a proxy that does not own its region, overlapping a cone its
+// owner holds: a cluster cone and one shifted 0.1 degrees along ra, whose
+// centres share an ownership cell and so an owner. The owner answers the
+// lookup with its own First plan, the cached cone's tuples and one /sql
+// remainder, instead of the original form query, and the prober serves
+// that answer, byte for byte one proxy's, with one proxy's cache
+// efficiency.
+TEST(MultiProxyTier, OwnerAnswersAProbersOverlapWithItsRemainder) {
+  workload::SkyExperiment sky{workload::SkyExperiment::Options()};
+  workload::Trace shape;
+  shape.form_path = "/radial";
+  TierStack discovery(sky, TierOptions(4));
+  workload::TraceQuery cone, shifted;
+  size_t owner = 0;
+  for (const auto& [ra, dec] : sky.trace_config().hotspot_centers) {
+    cone = MakeQuery(ra, dec, 12.0);
+    shifted = MakeQuery(ra + 0.1, dec, 12.0);
+    owner = ProbeTarget(*discovery.tier, 0, shape, cone);
+    if (owner != 0 && ProbeTarget(*discovery.tier, 0, shape, shifted) == owner) {
+      break;
+    }
+    owner = 0;
+  }
+  ASSERT_NE(owner, 0u) << "no sibling-owned cluster cone fits the case";
+  const size_t prober = (owner + 1) % 4;
+
+  TierStack quad(sky, TierOptions(4));
+  TierStack solo(sky, TierOptions(1));
+  const net::HttpRequest first = workload::MakeRequest(shape, cone);
+  const net::HttpRequest second = workload::MakeRequest(shape, shifted);
+  ASSERT_EQ(quad.tier->proxy(owner).Handle(first).status_code, 200);
+  ASSERT_EQ(solo.tier->Handle(first).status_code, 200);
+  const uint64_t forms = quad.app->form_queries_served();
+  const uint64_t sqls = quad.app->sql_queries_served();
+  const net::HttpResponse from_quad = quad.tier->proxy(prober).Handle(second);
+  const net::HttpResponse from_solo = solo.tier->Handle(second);
+  ASSERT_EQ(from_quad.status_code, 200);
+  EXPECT_EQ(from_quad.body, from_solo.body);
+  EXPECT_EQ(quad.app->form_queries_served(), forms)
+      << "the owner sent the original query";
+  EXPECT_EQ(quad.app->sql_queries_served(), sqls + 1);
+  EXPECT_EQ(solo.app->sql_queries_served(), 1u);
+  EXPECT_EQ(quad.tier->proxy(prober).stats().peer_lookups, 1u);
+  const core::ProxyStats quad_stats = quad.tier->AggregateStats();
+  const core::ProxyStats solo_stats = solo.tier->AggregateStats();
+  EXPECT_GT(solo_stats.AverageCacheEfficiency(), 0.0);
+  EXPECT_DOUBLE_EQ(quad_stats.AverageCacheEfficiency(),
+                   solo_stats.AverageCacheEfficiency());
+  EXPECT_EQ(quad.tier->proxy(prober).cache().num_entries(), 0u);
 }
 
 TEST(MultiProxyTier, PeerOutageTripsBreakerFallsBackAndRecovers) {

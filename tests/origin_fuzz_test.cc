@@ -3,10 +3,11 @@
 // on a small catalog get bit flips, truncations, duplicated and
 // extra-nested tags, lying rows= and coverage= attributes, oversized
 // numbers and bad entities. Each body goes to sql::TableFromXml, to
-// sql::ResultAttrsFromXml and, served with status 200, through a proxy's
-// origin path. Every input must be rejected with a status or parse to a
-// table whose rows all match the schema width, and a proxy must never cache
-// a body that failed to parse. The inputs in origin_fuzz_fixtures/ once
+// sql::ResultAttrsFromXml, to the one-parse TableFromXml that reads both
+// (it must agree with the two) and, served with status 200, through a
+// proxy's origin path. Every input must be rejected with a status or parse
+// to a table whose rows all match the schema width, and a proxy must never
+// cache a body that failed to parse. The inputs in origin_fuzz_fixtures/ once
 // crashed a parser; they are replayed first. The seed and the mutation
 // budget are fixed, so a run is reproducible and stays within a few seconds
 // under the sanitizers.
@@ -30,6 +31,7 @@
 #include "sql/table_xml.h"
 #include "util/clock.h"
 #include "util/random.h"
+#include "util/string_util.h"
 #include "workload/experiment.h"
 #include "xml/xml.h"
 
@@ -146,7 +148,18 @@ class OriginFuzzTest : public ::testing::Test {
     } else {
       EXPECT_FALSE(table.status().message().empty());
     }
-    (void)sql::ResultAttrsFromXml(body);
+    // The one-parse form reads exactly what the two parsers read.
+    const util::StatusOr<sql::ResultXmlAttrs> attrs =
+        sql::ResultAttrsFromXml(body);
+    sql::ResultXmlAttrs joined;
+    const bool joined_ok = sql::TableFromXml(body, &joined).ok();
+    EXPECT_EQ(joined_ok, table.ok() && attrs.ok());
+    if (joined_ok) {
+      EXPECT_EQ(joined.partial, attrs->partial);
+      EXPECT_EQ(util::FormatDouble(joined.coverage),
+                util::FormatDouble(attrs->coverage));
+      EXPECT_EQ(joined.degraded_reason, attrs->degraded_reason);
+    }
 
     util::SimulatedClock clock;
     ScriptedOrigin origin(body);

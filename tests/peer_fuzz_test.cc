@@ -1,14 +1,17 @@
 // Seeded mutation fuzzing of the cooperative tier's one peer message,
 // /peer/lookup (docs/FORMATS.md §11).
 //
-// Answers: a real owner's `hit` and `fetched` answers get mutated status
-// codes, X-Peer-Outcome and X-Peer-Truncated values, and mutated bodies:
-// truncations, markup bit flips, duplicated tags, lying rows= attributes,
-// swapped documents and regions that do not cover the query. A fake sibling
-// serves each to a prober. The prober's answer must hold the tuples a
-// peerless proxy's holds; a body it cannot use counts one
-// fnproxy_peer_failures_total; a sibling answer it serves leaves its cache
-// empty, and otherwise it admits only the peerless proxy's entries, as
+// Answers: a real owner's `fetched` and `hit` answers (the result document
+// its own client would get) get mutated status codes, X-Peer-Outcome values
+// and tuple-count headers, and mutated bodies: truncations, markup bit
+// flips, duplicated tags, lying rows= attributes, failure attributes on the
+// root and foreign documents. A fake sibling serves each to a prober. The
+// prober's answer must hold the tuples a peerless proxy's holds; an answer
+// it cannot use (an unknown outcome, a count header that is missing, not
+// digits, past 2^64 - 1 or caching more than the total, a body that does not
+// parse or is partial="true") counts one fnproxy_peer_failures_total; an
+// answer it serves leaves its cache empty and its record holding the owner's
+// counts, and otherwise it admits only the peerless proxy's entries, as
 // regions stay cached with their owners. Mutations change framing and markup,
 // never a value's digits: the wire carries no checksum, so a sibling that
 // sends well-formed wrong values is trusted, as the origin is.
@@ -19,6 +22,10 @@
 // for each request it cannot instantiate; and what it fetches is the
 // origin's answer.
 //
+// One well-formed answer the prober's plan cannot order (a TOP template's
+// answer without its ORDER BY column) sends the query to the origin, and
+// the prober's record keeps none of the owner's counts.
+//
 // The inputs in peer_fuzz_fixtures/ (serialized answers and lookups) are
 // minimal cases of each rule; they are replayed first. The seed and the
 // mutation budget are fixed, so a run is reproducible.
@@ -26,11 +33,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
-#include <functional>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,7 +50,6 @@
 #include "core/proxy.h"
 #include "core/template_registry.h"
 #include "geometry/celestial.h"
-#include "geometry/hyperrectangle.h"
 #include "net/http_wire.h"
 #include "net/network.h"
 #include "net/peer_channel.h"
@@ -64,6 +72,13 @@ using net::HttpResponse;
 constexpr uint64_t kSeed = 2004;
 constexpr int kMutationsPerKind = 30;
 
+/// A TOP template over the same function: a cone's three brightest objects.
+constexpr char kBrightestSql[] =
+    "SELECT TOP 3 p.objID, p.r "
+    "FROM fGetNearbyObjEq($ra, $dec, $radius) AS n "
+    "JOIN PhotoPrimary AS p ON n.objID = p.objID "
+    "ORDER BY p.r";
+
 HttpRequest Radial(double ra, double dec, double radius) {
   HttpRequest request;
   request.path = "/radial";
@@ -81,6 +96,25 @@ const std::string* Header(const std::map<std::string, std::string>& headers,
     if (it != headers.end()) return &it->second;
   }
   return nullptr;
+}
+
+/// A tuple-count header's value: digits only, at most 2^64 - 1.
+std::optional<uint64_t> Count(const HttpResponse& answer,
+                              const std::string& name) {
+  const std::string* text = Header(answer.headers, name);
+  if (text == nullptr || text->empty() ||
+      text->find_first_not_of("0123456789") != std::string::npos) {
+    return std::nullopt;
+  }
+  uint64_t value = 0;
+  for (const char c : *text) {
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (value > (std::numeric_limits<uint64_t>::max() - digit) / 10) {
+      return std::nullopt;
+    }
+    value = value * 10 + digit;
+  }
+  return value;
 }
 
 /// Sets a header, dropping any wire-lowercased twin.
@@ -112,11 +146,11 @@ class ScriptedSibling final : public net::HttpHandler {
   HttpResponse answer_;
 };
 
-/// What the contract makes of an answer to a lookup for `query`.
+/// What the contract makes of an answer to a lookup.
 enum class Expect {
-  kFailure,  // 5xx, a transport error, or a 2xx body the prober cannot use.
-  kMiss,     // Any other status, or a clean entry that does not cover.
-  kServed,   // A clean entry covering the query.
+  kFailure,  // 5xx, a transport error, or a 2xx answer the prober cannot use.
+  kMiss,     // Any other status.
+  kServed,   // A clean, complete answer with its outcome and counts.
 };
 
 class PeerFuzzTest : public ::testing::Test {
@@ -151,6 +185,10 @@ class PeerFuzzTest : public ::testing::Test {
                                           workload::kRadialTemplateSql);
     ASSERT_TRUE(qt.ok());
     ASSERT_TRUE(templates_->RegisterQueryTemplate(std::move(*qt)).ok());
+    auto top =
+        core::QueryTemplate::Create("brightest", "/brightest", kBrightestSql);
+    ASSERT_TRUE(top.ok());
+    ASSERT_TRUE(templates_->RegisterQueryTemplate(std::move(*top)).ok());
   }
   static void TearDownTestSuite() {
     delete templates_;
@@ -176,6 +214,7 @@ class PeerFuzzTest : public ::testing::Test {
     explicit Stack(const HttpResponse* sibling_answer) {
       EXPECT_TRUE(
           app.RegisterForm("/radial", workload::kRadialTemplateSql).ok());
+      EXPECT_TRUE(app.RegisterForm("/brightest", kBrightestSql).ok());
       proxy = std::make_unique<core::FunctionProxy>(
           core::ProxyConfig{}, templates_, &origin, &clock);
       if (sibling_answer == nullptr) return;
@@ -225,29 +264,24 @@ class PeerFuzzTest : public ::testing::Test {
     return form != nullptr && RegionOf(*form, lookup.query_params).ok();
   }
 
-  static Expect Classify(const HttpResponse& answer,
-                         const geometry::Region& query) {
+  static Expect Classify(const HttpResponse& answer) {
     if (answer.transport_error() || answer.status_code >= 500) {
       return Expect::kFailure;
     }
     if (!answer.ok()) return Expect::kMiss;
     const std::string* outcome = Header(answer.headers, "X-Peer-Outcome");
-    const std::string* flag = Header(answer.headers, "X-Peer-Truncated");
     if (outcome == nullptr ||
-        (*outcome != "hit" && *outcome != "flight" && *outcome != "fetched") ||
-        flag == nullptr || (*flag != "0" && *flag != "1")) {
+        (*outcome != "hit" && *outcome != "flight" && *outcome != "fetched")) {
       return Expect::kFailure;
     }
-    const size_t split = answer.body.find("<Result ");
-    if (split == std::string::npos) return Expect::kFailure;
-    auto region = core::RegionFromXml(answer.body.substr(0, split));
-    if (!region.ok() || !sql::TableFromXml(answer.body.substr(split)).ok()) {
+    const auto total = Count(answer, "X-Peer-Tuples-Total");
+    const auto cached = Count(answer, "X-Peer-Tuples-From-Cache");
+    if (!total || !cached || *cached > *total) return Expect::kFailure;
+    sql::ResultXmlAttrs attrs;
+    if (!sql::TableFromXml(answer.body, &attrs).ok() || attrs.partial) {
       return Expect::kFailure;
     }
-    if (geometry::Equals(**region, query)) return Expect::kServed;
-    return *flag == "0" && geometry::Contains(**region, query)
-               ? Expect::kServed
-               : Expect::kMiss;
+    return Expect::kServed;
   }
 
   /// A result document with its rows sorted: a query without ORDER BY may
@@ -280,8 +314,7 @@ class PeerFuzzTest : public ::testing::Test {
 
     Stack prober(&answer);
     const HttpResponse served = prober.proxy->Handle(query);
-    const Expect expect =
-        Classify(answer, *RegionOf(query.path, query.query_params).value());
+    const Expect expect = Classify(answer);
     EXPECT_EQ(served.status_code, 200);
     EXPECT_EQ(SortedRows(served.body), SortedRows(reference.body));
     // One lookup, counted once, and nothing else sent to the sibling.
@@ -311,9 +344,14 @@ class PeerFuzzTest : public ::testing::Test {
       EXPECT_EQ(served.headers.count("X-Peer-Served"), fetched ? 0u : 1u);
       EXPECT_EQ(stats.misses, fetched ? 1u : 0u);
       EXPECT_EQ(stats.origin_form_requests, 0u);
+      // The owner's plan made the origin trip, if any, and counted the
+      // answer's tuples.
       const core::QueryRecord& record = stats.records.back();
       EXPECT_EQ(record.contacted_origin, fetched);
-      EXPECT_EQ(record.tuples_from_cache, fetched ? 0u : record.tuples_total);
+      EXPECT_EQ(record.tuples_total,
+                *Count(answer, "X-Peer-Tuples-Total"));
+      EXPECT_EQ(record.tuples_from_cache,
+                *Count(answer, "X-Peer-Tuples-From-Cache"));
     } else {
       EXPECT_EQ(served.headers.count("X-Peer-Served"), 0u);
       EXPECT_EQ(stats.origin_form_requests, 1u);
@@ -340,7 +378,8 @@ class PeerFuzzTest : public ::testing::Test {
     EXPECT_EQ(answer.status_code, 200) << answer.body;
     const std::string* outcome = Header(answer.headers, "X-Peer-Outcome");
     EXPECT_TRUE(outcome != nullptr && *outcome == "fetched");
-    // What the owner fetched is the origin's answer to the form request.
+    // What the owner answers is the origin's answer to the form request,
+    // none of it from its empty cache.
     HttpRequest form;
     form.path = *Header(lookup.headers, "X-Peer-Form");
     form.query_params = lookup.query_params;
@@ -349,12 +388,8 @@ class PeerFuzzTest : public ::testing::Test {
     EXPECT_TRUE(
         direct.RegisterForm("/radial", workload::kRadialTemplateSql).ok());
     const HttpResponse origin = direct.Handle(form);
-    const size_t split = answer.body.find("<Result ");
-    if (split == std::string::npos) {
-      ADD_FAILURE() << "an answer without a result document";
-      return true;
-    }
-    EXPECT_EQ(answer.body.substr(split), origin.body);
+    EXPECT_EQ(answer.body, origin.body);
+    EXPECT_EQ(Count(answer, "X-Peer-Tuples-From-Cache"), 0u);
     return true;
   }
 
@@ -369,8 +404,9 @@ class PeerFuzzTest : public ::testing::Test {
   }
 
   /// A real owner's answers, each with the prober query it answers: its
-  /// fetch of a cone, its hit on the same cone, and its hit on a
-  /// concentric subset, served with the larger cone's entry.
+  /// fetch of a cone, its hit on the same cone, its hit on a concentric
+  /// subset, selected from the cone's entry, and its answer to an
+  /// overlapping cone, merged from the cone's entry and a remainder.
   struct Source {
     HttpRequest query;
     HttpResponse answer;
@@ -378,24 +414,25 @@ class PeerFuzzTest : public ::testing::Test {
   static std::vector<Source> Sources() {
     const HttpRequest cone = Radial(185, 33, 20);  // Six objects.
     const HttpRequest subset = Radial(185, 33, 9);  // One of them.
+    const HttpRequest overlap = Radial(185.2, 33, 20);
     Stack owner(nullptr);
     std::vector<Source> sources;
-    for (const HttpRequest& query : {cone, cone, subset}) {
+    for (const HttpRequest& query : {cone, cone, subset, overlap}) {
       HttpResponse answer = owner.proxy->Handle(LookupFor(query));
       EXPECT_EQ(answer.status_code, 200);
-      if (answer.body.find("<Result ") == std::string::npos) {
-        ADD_FAILURE() << "an answer without a result document";
-        return {};
-      }
+      EXPECT_EQ(Classify(answer), Expect::kServed) << answer.body;
       sources.push_back({query, answer});
     }
-    const char* const outcomes[] = {"fetched", "hit", "hit"};
+    const char* const outcomes[] = {"fetched", "hit", "hit", "fetched"};
     for (size_t i = 0; i < sources.size(); ++i) {
       const std::string* outcome =
           Header(sources[i].answer.headers, "X-Peer-Outcome");
       EXPECT_TRUE(outcome != nullptr && *outcome == outcomes[i]) << i;
     }
+    // The overlap's answer is partly the cone's: one remainder trip.
+    EXPECT_GT(Count(sources.back().answer, "X-Peer-Tuples-From-Cache"), 0u);
     EXPECT_EQ(owner.app.form_queries_served(), 1u);
+    EXPECT_EQ(owner.app.sql_queries_served(), 1u);
     return sources;
   }
 
@@ -421,12 +458,29 @@ HttpResponse MutateStatus(HttpResponse answer, util::Random& rng) {
   return answer;
 }
 
-/// Rewrites or drops a metadata header.
-HttpResponse MutateHeader(HttpResponse answer, const std::string& name,
-                          util::Random& rng) {
-  const char* const kValues[] = {"hit", "flight",  "fetched", "miss", "lead",
-                                 "",    "HIT",     "fetched ", "0",   "1",
-                                 "2",   "yes",     "true",    " 1",  "01"};
+/// Rewrites or drops X-Peer-Outcome.
+HttpResponse MutateOutcome(HttpResponse answer, util::Random& rng) {
+  const char* const kValues[] = {"hit", "flight", "fetched", "miss", "lead",
+                                 "",    "HIT",    "fetched ", "0",   "1"};
+  if (rng.NextUint64(5) == 0) {
+    answer.headers.erase("X-Peer-Outcome");
+  } else {
+    SetHeader(&answer.headers, "X-Peer-Outcome", Pick(kValues, rng));
+  }
+  return answer;
+}
+
+/// Rewrites or drops one tuple-count header: other digits, a signed,
+/// spaced or empty value, a value past 2^64 - 1, or 2^64 - 1 itself.
+HttpResponse MutateCount(HttpResponse answer, util::Random& rng) {
+  const char* const kNames[] = {"X-Peer-Tuples-Total",
+                                "X-Peer-Tuples-From-Cache"};
+  const char* const kValues[] = {"0",   "1",    "7",   "01",   "",
+                                 "-1",  "+1",   " 1",  "1 ",   "1.0",
+                                 "0x1", "abc",  "18446744073709551615",
+                                 "18446744073709551616",
+                                 "99999999999999999999"};
+  const std::string name = Pick(kNames, rng);
   if (rng.NextUint64(5) == 0) {
     answer.headers.erase(name);
   } else {
@@ -489,39 +543,33 @@ HttpResponse LyingRows(HttpResponse answer, util::Random& rng) {
   return answer;
 }
 
-/// Puts the result document first, or drops one of the two documents.
-HttpResponse SwapDocuments(HttpResponse answer, util::Random& rng) {
-  const size_t split = answer.body.find("<Result ");
-  const std::string region = answer.body.substr(0, split);
-  const std::string result = answer.body.substr(split);
-  switch (rng.NextUint64(3)) {
-    case 0:
-      answer.body = result + region;
-      break;
-    case 1:
-      answer.body = region;
-      break;
-    default:
-      answer.body = result;
-  }
+/// Adds failure attributes to the result's root element: a partial answer
+/// as a degraded owner would serve it, or attributes that read otherwise.
+HttpResponse FailureAttrs(HttpResponse answer, util::Random& rng) {
+  const char* const kAttrs[] = {
+      " partial=\"true\" coverage=\"0.5000\" degraded=\"origin-unreachable\"",
+      " partial=\"true\"", " partial=\"1\"", " partial=\"false\"",
+      " partial=\"yes\"", " coverage=\"abc\"",
+      " degraded=\"deadline-exceeded\""};
+  answer.body.insert(answer.body.find('>'), Pick(kAttrs, rng));
   return answer;
 }
 
-/// Replaces the region with one that does not cover the query: a far cone,
-/// a concentric cone inside it, or a rectangle of the wrong dimension.
-HttpResponse ForeignRegion(HttpResponse answer, util::Random& rng) {
-  std::string region;
+/// Adds a document the answer does not hold: a region document before the
+/// result (the shape a peer answer once had), a second result after it, or
+/// a miss in its place.
+HttpResponse ForeignDocument(HttpResponse answer, util::Random& rng) {
   switch (rng.NextUint64(3)) {
     case 0:
-      region = core::RegionToXml(geometry::ConeToHypersphere(150, 10, 3));
+      answer.body = core::RegionToXml(geometry::ConeToHypersphere(185, 33, 1)) +
+                    answer.body;
       break;
     case 1:
-      region = core::RegionToXml(geometry::ConeToHypersphere(185, 33, 1));
+      answer.body += answer.body;
       break;
     default:
-      region = core::RegionToXml(geometry::Hyperrectangle({0, 0}, {1, 1}));
+      answer.body = "<PeerMiss/>\n";
   }
-  answer.body.replace(0, answer.body.find("<Result "), region);
   return answer;
 }
 
@@ -620,23 +668,17 @@ TEST_F(PeerFuzzTest, CommittedFixturesKeepTheContract) {
 }
 
 TEST_F(PeerFuzzTest, MutatedAnswersNeverServeOrAdmitWrongData) {
-  using Mutation = std::function<HttpResponse(HttpResponse, util::Random&)>;
+  using Mutation = HttpResponse (*)(HttpResponse, util::Random&);
   const std::pair<const char*, Mutation> kinds[] = {
       {"status", MutateStatus},
-      {"outcome",
-       [](HttpResponse a, util::Random& rng) {
-         return MutateHeader(std::move(a), "X-Peer-Outcome", rng);
-       }},
-      {"truncated-flag",
-       [](HttpResponse a, util::Random& rng) {
-         return MutateHeader(std::move(a), "X-Peer-Truncated", rng);
-       }},
+      {"outcome", MutateOutcome},
+      {"count", MutateCount},
       {"markup-bit-flip", FlipMarkupBits},
       {"truncation", Truncate},
       {"duplicated-tag", DuplicateTag},
       {"lying-rows", LyingRows},
-      {"swapped-documents", SwapDocuments},
-      {"foreign-region", ForeignRegion},
+      {"failure-attrs", FailureAttrs},
+      {"foreign-document", ForeignDocument},
   };
   util::Random rng(kSeed);
   std::map<Expect, size_t> seen;
@@ -657,6 +699,46 @@ TEST_F(PeerFuzzTest, MutatedAnswersNeverServeOrAdmitWrongData) {
   EXPECT_GT(seen[Expect::kFailure], 0u);
   EXPECT_GT(seen[Expect::kMiss], 0u);
   EXPECT_GT(seen[Expect::kServed], 0u);
+}
+
+// A well-formed answer the prober's plan still cannot use: a TOP template's
+// answer that lacks its ORDER BY column. The prober sends the original query
+// to the origin instead, and its record keeps none of the owner's counts, so
+// the origin's answer is not credited with cached tuples.
+TEST_F(PeerFuzzTest, AnswerThePlanCannotOrderLeavesNoOwnerCounts) {
+  HttpRequest query = Radial(185, 33, 20);
+  query.path = "/brightest";
+  sql::Schema schema;
+  schema.AddColumn({"objID", sql::ValueType::kInt});
+  sql::Table unordered(schema);
+  unordered.AddRow({sql::Value::Int(7)});
+  HttpResponse answer;
+  answer.status_code = 200;
+  answer.headers["X-Peer-Outcome"] = "hit";
+  answer.headers["X-Peer-Tuples-Total"] = "1";
+  answer.headers["X-Peer-Tuples-From-Cache"] = "1";
+  answer.body = sql::TableToXml(unordered);
+  ASSERT_EQ(Classify(answer), Expect::kServed);
+
+  Stack peerless(nullptr);
+  const HttpResponse reference = peerless.proxy->Handle(query);
+  ASSERT_EQ(reference.status_code, 200);
+  Stack prober(&answer);
+  const HttpResponse served = prober.proxy->Handle(query);
+  EXPECT_EQ(served.status_code, 200);
+  EXPECT_EQ(served.body, reference.body);
+  EXPECT_EQ(served.headers.count("X-Peer-Served"), 0u);
+  EXPECT_EQ(prober.sibling->requests.size(), 1u);
+  const core::ProxyStats stats = prober.proxy->stats();
+  EXPECT_EQ(stats.peer_lookups, 1u);
+  EXPECT_EQ(stats.peer_hits, 0u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.origin_form_requests, 1u);
+  const core::QueryRecord& record = stats.records.back();
+  EXPECT_TRUE(record.contacted_origin);
+  EXPECT_FALSE(record.peer_hit);
+  EXPECT_EQ(record.tuples_from_cache, 0u);
+  EXPECT_EQ(record.CacheEfficiency(), 0.0);
 }
 
 TEST_F(PeerFuzzTest, MutatedLookupsNeverFetchWhatDoesNotInstantiate) {

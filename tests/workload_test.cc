@@ -459,6 +459,11 @@ TEST_P(ReplayMatrixTest, EveryQueryEndsOnceAndStatsAddUp) {
   // Siblings never fail each other: an owner whose origin fetch failed
   // answers a clean miss, so a sick origin charges no peer.
   EXPECT_EQ(result.proxy_stats.peer_failures, 0u);
+  // The degraded and shed counters count client answers, each once, and
+  // none of an owner's answers to its siblings' lookups.
+  EXPECT_EQ(result.proxy_stats.degraded_partial, result.rbe.partial);
+  EXPECT_EQ(result.proxy_stats.degraded_unavailable + result.proxy_stats.shed,
+            result.rbe.shed);
 
   if (cell.clients == 1) {
     // One client: the virtual clock moves only for the request in flight,
