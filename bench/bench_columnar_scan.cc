@@ -36,13 +36,11 @@
 
 #include "bench_common.h"
 #include "core/local_eval.h"
-#include "core/simd_kernels.h"
 #include "geometry/hypersphere.h"
 #include "sql/columnar.h"
 #include "sql/table_xml.h"
 #include "storage/segment.h"
 #include "util/random.h"
-#include "util/simd.h"
 
 namespace fnproxy {
 namespace {
@@ -305,58 +303,6 @@ int main(int argc, char** argv) {
     std::printf("  speedup: %.2fx (columnar over row)\n", speedup);
     json.Record("subsumed_scan/speedup", speedup, "x",
                 {{"tuples", static_cast<double>(tuples)}});
-  }
-  // Kernel microbench: the raw sphere-membership scan (no merge, no XML)
-  // through the runtime-dispatched kernel vs the scalar reference, over the
-  // same prepared coordinate views the pipeline uses. This isolates the
-  // SIMD win from the serialization-dominated end-to-end numbers above.
-  {
-    auto ra_view = col_a.numeric_view(1);
-    auto dec_view = col_a.numeric_view(2);
-    if (ra_view.has_value() && dec_view.has_value()) {
-      const size_t rows = col_a.num_rows();
-      core::kernels::Column cols[2] = {
-          {ra_view->data, ra_view->valid},
-          {dec_view->data, dec_view->valid},
-      };
-      const double center[2] = {180.0, 30.0};
-      const double limit = (radius + geometry::kGeomEpsilon) *
-                           (radius + geometry::kGeomEpsilon);
-      std::vector<uint32_t> out(rows);
-      // Enough inner iterations that even the smoke config measures
-      // milliseconds, not timer noise.
-      const size_t iters = std::max<size_t>(1, 2'000'000 / (rows + 1));
-      auto best_of = [&](auto&& kernel) {
-        double best = 0;
-        size_t count = 0;
-        for (size_t rep = 0; rep < reps + 1; ++rep) {  // +1 warmup
-          auto start = std::chrono::steady_clock::now();
-          for (size_t i = 0; i < iters; ++i) {
-            count = kernel(cols, 2, rows, center, limit, out.data());
-          }
-          auto stop = std::chrono::steady_clock::now();
-          double ms =
-              std::chrono::duration<double, std::milli>(stop - start).count();
-          if (rep > 0 && (best == 0 || ms < best)) best = ms;
-        }
-        if (count > rows) std::exit(1);  // keep the result observable
-        return best;
-      };
-      double simd_ms = best_of(core::kernels::SelectSphere);
-      double scalar_ms = best_of(core::kernels::SelectSphereScalar);
-      double kernel_speedup = simd_ms > 0 ? scalar_ms / simd_ms : 0;
-      double scanned = static_cast<double>(rows) * static_cast<double>(iters);
-      std::printf(
-          "  kernel (%s): simd %.2f ms, scalar %.2f ms over %zux%zu rows "
-          "-> %.2fx\n",
-          util::simd::DispatchPathName(), simd_ms, scalar_ms, iters, rows,
-          kernel_speedup);
-      json.Record("kernel_scan/simd_ms", simd_ms, "ms", {{"rows", scanned}});
-      json.Record("kernel_scan/scalar_ms", scalar_ms, "ms",
-                  {{"rows", scanned}});
-      json.Record("kernel_scan/simd_speedup", kernel_speedup, "x",
-                  {{"rows", scanned}});
-    }
   }
   // Tier section: freeze the photometric catalog through the storage layer,
   // verify losslessness, and measure compression and the freeze and thaw

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/proxy.h"
-#include "util/simd.h"
 #include "util/string_util.h"
 #include "workload/experiment.h"
 
@@ -89,14 +88,7 @@ class BenchJson {
       line += "\":";
       AppendJsonNumber(&line, number);
     }
-    // Every record carries the CPU capability it ran under, so regressions
-    // can be compared within one dispatch path (an AVX2 baseline against a
-    // scalar fresh run is not a regression, it is a different machine).
-    line += ",\"simd_width\":";
-    AppendJsonNumber(&line, static_cast<double>(util::simd::SimdWidth()));
-    line += ",\"dispatch\":\"";
-    AppendJsonEscaped(&line, util::simd::DispatchPathName());
-    line += "\",\"git_sha\":\"";
+    line += ",\"git_sha\":\"";
     AppendJsonEscaped(&line, git_sha_);
     line += "\",\"command\":\"";
     AppendJsonEscaped(&line, command_);

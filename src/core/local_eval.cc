@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/simd_kernels.h"
 #include "geometry/hyperrectangle.h"
 #include "geometry/hypersphere.h"
 #include "geometry/polytope.h"
@@ -19,24 +18,32 @@ using util::StatusOr;
 
 namespace {
 
-/// Per-worker scratch arena for the probe/merge hot path: selection staging,
-/// dedup hash tables and kernel parameter blocks all bump-allocate here and
-/// are recycled wholesale at the next query instead of churning malloc.
-/// Callers Reset() on entry, so scratch never outlives one call.
+/// Per-worker scratch arena for the merge hot path: dedup hash tables and
+/// kept-row runs bump-allocate here and are recycled wholesale at the next
+/// query instead of churning malloc. Callers Reset() on entry, so scratch
+/// never outlives one call.
 util::Arena& ScratchArena() {
   static thread_local util::Arena arena;
   return arena;
 }
 
-}  // namespace
-
-StatusOr<LocalEvalResult> SelectInRegion(
-    const Table& cached, const geometry::Region& region,
+/// The schema positions of `coordinate_columns`, one per dimension of
+/// `region`. Both SelectInRegion layouts index the region's parameters by
+/// coordinate column, so a count that differs from the region's dimensions
+/// is rejected here rather than read past either end.
+StatusOr<std::vector<size_t>> CoordinateIndexes(
+    const sql::Schema& schema, const geometry::Region& region,
     const std::vector<std::string>& coordinate_columns) {
+  if (region.dimensions() != coordinate_columns.size()) {
+    return Status::InvalidArgument(
+        std::string("region has ") + std::to_string(region.dimensions()) +
+        " dimensions but " + std::to_string(coordinate_columns.size()) +
+        " coordinate columns");
+  }
   std::vector<size_t> coord_indexes;
   coord_indexes.reserve(coordinate_columns.size());
   for (const std::string& name : coordinate_columns) {
-    auto idx = cached.schema().FindColumn(name);
+    auto idx = schema.FindColumn(name);
     if (!idx.has_value()) {
       return Status::InvalidArgument(
           "cached result lacks coordinate column '" + name +
@@ -44,6 +51,17 @@ StatusOr<LocalEvalResult> SelectInRegion(
     }
     coord_indexes.push_back(*idx);
   }
+  return coord_indexes;
+}
+
+}  // namespace
+
+StatusOr<LocalEvalResult> SelectInRegion(
+    const Table& cached, const geometry::Region& region,
+    const std::vector<std::string>& coordinate_columns) {
+  FNPROXY_ASSIGN_OR_RETURN(
+      std::vector<size_t> coord_indexes,
+      CoordinateIndexes(cached.schema(), region, coordinate_columns));
 
   LocalEvalResult out;
   out.table = Table(cached.schema());
@@ -191,9 +209,107 @@ StatusOr<Table> ApplyOrderAndTop(const Table& input,
 namespace {
 
 using sql::ColumnarTable;
+using NumericView = ColumnarTable::NumericView;
 
-bool ViewBit(const uint64_t* bits, size_t i) {
-  return ((bits[i >> 6] >> (i & 63)) & 1) != 0;
+// Membership kernels, one scalar pass per region shape over the coordinate
+// columns' numeric views. Each writes the indices of the rows inside the
+// shape, ascending, into `out` (room for `num_rows`) and returns how many it
+// wrote. A row is a candidate when every coordinate column holds a number
+// there; the shape test then repeats the shape's ContainsPointExact
+// operation for operation, in the same operand order and with no fused
+// multiply-add (this file is built with -ffp-contract=off), so the columnar
+// scan selects the same rows as the row-wise one, bit for bit. Every row
+// stores its index at out[count] and only a selected row advances the
+// count, so the compaction does not branch on the match. The region's
+// dimensions equal the column count (CoordinateIndexes), and every halfspace
+// of a polytope has its dimensions (Polytope::Validate, which the templates
+// and the snapshot restore run).
+
+bool RowValid(const NumericView* cols, size_t dims, size_t r) {
+  for (size_t d = 0; d < dims; ++d) {
+    if (cols[d].valid != nullptr &&
+        ((cols[d].valid[r >> 6] >> (r & 63)) & 1u) == 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Hypersphere::ContainsPointExact: the squared distance, accumulated in
+/// dimension order, against the squared radius.
+bool SphereRow(const NumericView* cols, size_t dims, size_t r,
+               const double* center, double limit_sq) {
+  double sum = 0.0;
+  for (size_t d = 0; d < dims; ++d) {
+    double diff = cols[d].data[r] - center[d];
+    sum += diff * diff;
+  }
+  return sum <= limit_sq;
+}
+
+/// Hyperrectangle::ContainsPointExact: every coordinate within its closed
+/// bounds.
+bool RectRow(const NumericView* cols, size_t dims, size_t r, const double* lo,
+             const double* hi) {
+  for (size_t d = 0; d < dims; ++d) {
+    double x = cols[d].data[r];
+    if (x < lo[d] || x > hi[d]) return false;
+  }
+  return true;
+}
+
+/// Polytope::ContainsPointExact: every halfspace's dot product, accumulated
+/// in dimension order, at most its offset.
+bool PolytopeRow(const NumericView* cols, size_t dims, size_t r,
+                 const std::vector<geometry::Halfspace>& halfspaces) {
+  for (const geometry::Halfspace& h : halfspaces) {
+    double dot = 0.0;
+    for (size_t d = 0; d < dims; ++d) dot += h.normal[d] * cols[d].data[r];
+    if (dot > h.offset) return false;
+  }
+  return true;
+}
+
+size_t SelectSphere(const NumericView* cols, size_t num_rows,
+                    const geometry::Hypersphere& sphere, uint32_t* out) {
+  const size_t dims = sphere.dimensions();
+  const double* center = sphere.center().data();
+  const double limit_sq = sphere.radius() * sphere.radius();
+  size_t count = 0;
+  for (size_t r = 0; r < num_rows; ++r) {
+    bool keep =
+        RowValid(cols, dims, r) && SphereRow(cols, dims, r, center, limit_sq);
+    out[count] = static_cast<uint32_t>(r);
+    count += keep ? 1u : 0u;
+  }
+  return count;
+}
+
+size_t SelectRect(const NumericView* cols, size_t num_rows,
+                  const geometry::Hyperrectangle& rect, uint32_t* out) {
+  const size_t dims = rect.dimensions();
+  const double* lo = rect.lo().data();
+  const double* hi = rect.hi().data();
+  size_t count = 0;
+  for (size_t r = 0; r < num_rows; ++r) {
+    bool keep = RowValid(cols, dims, r) && RectRow(cols, dims, r, lo, hi);
+    out[count] = static_cast<uint32_t>(r);
+    count += keep ? 1u : 0u;
+  }
+  return count;
+}
+
+size_t SelectPolytope(const NumericView* cols, size_t num_rows,
+                      const geometry::Polytope& poly, uint32_t* out) {
+  const size_t dims = poly.dimensions();
+  size_t count = 0;
+  for (size_t r = 0; r < num_rows; ++r) {
+    bool keep = RowValid(cols, dims, r) &&
+                PolytopeRow(cols, dims, r, poly.halfspaces());
+    out[count] = static_cast<uint32_t>(r);
+    count += keep ? 1u : 0u;
+  }
+  return count;
 }
 
 }  // namespace
@@ -201,23 +317,15 @@ bool ViewBit(const uint64_t* bits, size_t i) {
 StatusOr<ColumnarSelection> SelectInRegion(
     const ColumnarTable& cached, const geometry::Region& region,
     const std::vector<std::string>& coordinate_columns) {
-  size_t dims = coordinate_columns.size();
-  std::vector<size_t> coord_indexes;
-  coord_indexes.reserve(dims);
-  for (const std::string& name : coordinate_columns) {
-    auto idx = cached.schema().FindColumn(name);
-    if (!idx.has_value()) {
-      return Status::InvalidArgument(
-          "cached result lacks coordinate column '" + name +
-          "' (violates the result-attribute-availability property)");
-    }
-    coord_indexes.push_back(*idx);
-  }
+  FNPROXY_ASSIGN_OR_RETURN(
+      std::vector<size_t> coord_indexes,
+      CoordinateIndexes(cached.schema(), region, coordinate_columns));
+  size_t dims = coord_indexes.size();
 
   // Resolve each coordinate column to a contiguous double array. Entries
   // admitted through the proxy have these views prepared at admission time;
   // tables built elsewhere (tests) fall back to scratch conversions.
-  std::vector<ColumnarTable::NumericView> views(dims);
+  std::vector<NumericView> views(dims);
   std::vector<std::vector<double>> scratch_values(dims);
   std::vector<std::vector<uint64_t>> scratch_valid(dims);
   for (size_t i = 0; i < dims; ++i) {
@@ -232,80 +340,28 @@ StatusOr<ColumnarSelection> SelectInRegion(
   size_t num_rows = cached.num_rows();
   ColumnarSelection out;
   out.tuples_scanned = num_rows;
-
-  // Runtime-dispatched membership kernels (core/simd_kernels.h): 8-wide
-  // AVX2/NEON with a scalar fallback, each replicating its shape's
-  // Region::ContainsPointExact float semantics operation-for-operation, so
-  // the selected set is bit-identical to the row-wise scan on every
-  // dispatch path. Membership is exact, like the origin's: a tuple on the
-  // far side of the boundary by any margin is not selected. Kernel
-  // parameter blocks live in the worker's scratch arena; the selection is
-  // written dense and trimmed to the matched count.
-  util::Arena& arena = ScratchArena();
-  arena.Reset();
-  auto* cols = arena.AllocateArray<kernels::Column>(dims);
-  for (size_t i = 0; i < dims; ++i) {
-    cols[i] = kernels::Column{views[i].data, views[i].valid};
-  }
+  // Membership is exact, like the origin's: a tuple on the far side of the
+  // boundary by any margin is not selected. The selection is written dense
+  // and trimmed to the matched count.
   out.selection.resize(num_rows);
   uint32_t* sel = out.selection.data();
   size_t count = 0;
   switch (region.kind()) {
-    case geometry::ShapeKind::kHypersphere: {
-      const auto& sphere = static_cast<const geometry::Hypersphere&>(region);
-      double limit = sphere.radius() * sphere.radius();
-      double* center = arena.AllocateArray<double>(dims);
-      for (size_t i = 0; i < dims; ++i) center[i] = sphere.center()[i];
-      count = kernels::SelectSphere(cols, dims, num_rows, center, limit, sel);
+    case geometry::ShapeKind::kHypersphere:
+      count = SelectSphere(views.data(), num_rows,
+                           static_cast<const geometry::Hypersphere&>(region),
+                           sel);
       break;
-    }
-    case geometry::ShapeKind::kHyperrectangle: {
-      const auto& rect = static_cast<const geometry::Hyperrectangle&>(region);
-      size_t rect_dims = std::min(dims, rect.lo().size());
-      count = kernels::SelectRect(cols, dims, rect_dims, num_rows,
-                                  rect.lo().data(), rect.hi().data(), sel);
+    case geometry::ShapeKind::kHyperrectangle:
+      count = SelectRect(views.data(), num_rows,
+                         static_cast<const geometry::Hyperrectangle&>(region),
+                         sel);
       break;
-    }
-    case geometry::ShapeKind::kPolytope: {
-      const auto& poly = static_cast<const geometry::Polytope&>(region);
-      const auto& halfspaces = poly.halfspaces();
-      bool flat = true;
-      for (const geometry::Halfspace& h : halfspaces) {
-        if (h.normal.size() != dims) flat = false;
-      }
-      if (flat) {
-        // Flatten to halfspace-major normals plus thresholds (the offsets).
-        double* normals = arena.AllocateArray<double>(halfspaces.size() * dims);
-        double* thresholds = arena.AllocateArray<double>(halfspaces.size());
-        for (size_t h = 0; h < halfspaces.size(); ++h) {
-          for (size_t d = 0; d < dims; ++d) {
-            normals[h * dims + d] = halfspaces[h].normal[d];
-          }
-          thresholds[h] = halfspaces[h].offset;
-        }
-        count = kernels::SelectPolytope(cols, dims, num_rows, normals,
-                                        thresholds, halfspaces.size(), sel);
-        break;
-      }
-      // Dimension mismatch between halfspaces and coordinate columns:
-      // gather per row and defer to the shape's own predicate.
-      geometry::Point point(dims);
-      for (size_t r = 0; r < num_rows; ++r) {
-        bool valid = true;
-        for (size_t i = 0; i < dims; ++i) {
-          if (views[i].valid != nullptr && !ViewBit(views[i].valid, r)) {
-            valid = false;
-            break;
-          }
-        }
-        if (!valid) continue;
-        for (size_t i = 0; i < dims; ++i) point[i] = views[i].data[r];
-        if (region.ContainsPointExact(point)) {
-          sel[count++] = static_cast<uint32_t>(r);
-        }
-      }
+    case geometry::ShapeKind::kPolytope:
+      count = SelectPolytope(views.data(), num_rows,
+                             static_cast<const geometry::Polytope&>(region),
+                             sel);
       break;
-    }
   }
   out.selection.resize(count);
   return out;

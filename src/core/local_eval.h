@@ -19,6 +19,8 @@ namespace fnproxy::core {
 /// new query's region, selects the tuples whose coordinate columns fall in
 /// the region under exact comparisons, as the origin selects them.
 /// `tuples_scanned` reports the work done (feeds the proxy cost model).
+/// InvalidArgument when a coordinate column is missing, or when the region's
+/// dimension count differs from the number of coordinate columns.
 struct LocalEvalResult {
   sql::Table table;
   size_t tuples_scanned = 0;
@@ -42,10 +44,10 @@ util::StatusOr<sql::Table> ApplyOrderAndTop(const sql::Table& input,
 // --- Columnar hot path ------------------------------------------------------
 //
 // Cached results are stored columnar (core::CacheEntry); the subsumed-query
-// pipeline below never materializes row objects: the region scan runs a
-// batched membership kernel per region shape over pre-resolved coordinate
-// arrays and emits a selection vector, which flows through dedup/order
-// straight into XML serialization (sql::TableToXml selection overload).
+// pipeline below never materializes row objects: the region scan runs one
+// membership kernel per region shape over pre-resolved coordinate arrays
+// and emits a selection vector, which flows through dedup/order straight
+// into XML serialization (sql::TableToXml selection overload).
 
 /// Result of a columnar region scan: indices of the cached rows inside the
 /// region, in row order.
@@ -56,8 +58,8 @@ struct ColumnarSelection {
 
 /// Columnar SelectInRegion. Produces exactly the rows the row-wise overload
 /// selects (same float semantics as Region::ContainsPointExact, same handling
-/// of NULL / non-numeric coordinates), as a selection vector instead of
-/// copies.
+/// of NULL / non-numeric coordinates, same errors), as a selection vector
+/// instead of copies.
 util::StatusOr<ColumnarSelection> SelectInRegion(
     const sql::ColumnarTable& cached, const geometry::Region& region,
     const std::vector<std::string>& coordinate_columns);

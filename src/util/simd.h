@@ -1,34 +1,11 @@
 #ifndef FNPROXY_UTIL_SIMD_H_
 #define FNPROXY_UTIL_SIMD_H_
 
-#include <cstddef>
-
 namespace fnproxy::util::simd {
 
-/// Which membership-kernel implementation the process dispatches to. The
-/// choice is made once, at first query: AVX2 on x86-64 hosts that report the
-/// feature, NEON on AArch64 (a baseline feature there), scalar everywhere
-/// else. Setting FNPROXY_FORCE_SCALAR=1 in the environment pins the scalar
-/// path regardless of hardware — the oracle the SIMD property tests and the
-/// forced-scalar CI pass compare against.
-enum class DispatchPath {
-  kScalar,
-  kAvx2,
-  kNeon,
-};
-
-/// The path the process resolved (cached after the first call; the
-/// environment is only consulted once, so flipping FNPROXY_FORCE_SCALAR
-/// mid-process has no effect).
-DispatchPath ActivePath();
-
-/// "scalar" | "avx2" | "neon" — the value bench records carry so baselines
-/// from different hosts are comparable.
-const char* DispatchPathName();
-
-/// Doubles processed per kernel iteration on the active path: 8 for the
-/// vector paths (2x4 AVX2 lanes / 4x2 NEON lanes), 1 for scalar.
-size_t SimdWidth();
+/// The membership-kernel path that bench records name. The kernels have one
+/// scalar implementation, so it is always "scalar".
+inline const char* DispatchPathName() { return "scalar"; }
 
 }  // namespace fnproxy::util::simd
 

@@ -235,18 +235,25 @@ TEST(ColumnarPropertyTest, BatchRowHashesMatchScalarHashes) {
   }
 }
 
-/// Coordinate tables: x/y declared DOUBLE but occasionally NULL or a
-/// non-numeric string (degrading to kMixed), exercising the validity-bitmap
-/// path of the membership kernels.
-Table RandomPointsTable(util::Random& rng, size_t rows) {
-  Table table(Schema({{"id", ValueType::kInt},
-                      {"x", ValueType::kDouble},
-                      {"y", ValueType::kDouble}}));
+/// Coordinate column names, in dimension order.
+const std::vector<std::string> kCoords = {"x", "y", "z", "u", "v"};
+
+/// Coordinate tables over the first `dims` of kCoords, declared DOUBLE. When
+/// `with_nulls` holds they are occasionally NULL, a non-numeric string or an
+/// int (degrading to kMixed), exercising the validity-bitmap path of the
+/// membership kernels; otherwise they are plain doubles with no bitmap.
+Table RandomPointsTable(util::Random& rng, size_t rows, size_t dims = 2,
+                        bool with_nulls = true) {
+  std::vector<sql::Column> columns = {{"id", ValueType::kInt}};
+  for (size_t d = 0; d < dims; ++d) {
+    columns.push_back({kCoords[d], ValueType::kDouble});
+  }
+  Table table((Schema(columns)));
   for (size_t r = 0; r < rows; ++r) {
     Row row;
     row.push_back(Value::Int(static_cast<int64_t>(r)));
-    for (int c = 0; c < 2; ++c) {
-      uint64_t roll = rng.NextUint64(20);
+    for (size_t d = 0; d < dims; ++d) {
+      uint64_t roll = with_nulls ? rng.NextUint64(20) : 3;
       if (roll == 0) {
         row.push_back(Value::Null());
       } else if (roll == 1) {
@@ -262,56 +269,111 @@ Table RandomPointsTable(util::Random& rng, size_t rows) {
   return table;
 }
 
-std::unique_ptr<geometry::Region> RandomRegion(util::Random& rng) {
+/// A sphere, a box, or a box with one oblique face (so the polytope's dot
+/// products round), over the points' [0, 10)^dims range.
+std::unique_ptr<geometry::Region> RandomRegion(util::Random& rng,
+                                               size_t dims) {
+  geometry::Point lo(dims);
+  geometry::Point hi(dims);
+  for (size_t d = 0; d < dims; ++d) {
+    double a = rng.NextDouble(0, 10);
+    double b = rng.NextDouble(0, 10);
+    lo[d] = std::min(a, b);
+    hi[d] = std::max(a, b);
+  }
   switch (rng.NextUint64(3)) {
-    case 0: {
-      geometry::Point center{rng.NextDouble(0, 10), rng.NextDouble(0, 10)};
-      return std::make_unique<geometry::Hypersphere>(center,
+    case 0:
+      return std::make_unique<geometry::Hypersphere>(lo,
                                                      rng.NextDouble(0.5, 6));
-    }
-    case 1: {
-      double x0 = rng.NextDouble(0, 10), x1 = rng.NextDouble(0, 10);
-      double y0 = rng.NextDouble(0, 10), y1 = rng.NextDouble(0, 10);
-      return std::make_unique<geometry::Hyperrectangle>(
-          geometry::Point{std::min(x0, x1), std::min(y0, y1)},
-          geometry::Point{std::max(x0, x1), std::max(y0, y1)});
-    }
+    case 1:
+      return std::make_unique<geometry::Hyperrectangle>(lo, hi);
     default: {
-      double x0 = rng.NextDouble(0, 10), x1 = rng.NextDouble(0, 10);
-      double y0 = rng.NextDouble(0, 10), y1 = rng.NextDouble(0, 10);
-      geometry::Hyperrectangle rect(
-          geometry::Point{std::min(x0, x1), std::min(y0, y1)},
-          geometry::Point{std::max(x0, x1), std::max(y0, y1)});
+      std::vector<geometry::Halfspace> halfspaces =
+          geometry::Polytope::FromRectangle(
+              geometry::Hyperrectangle(lo, hi))
+              .halfspaces();
+      geometry::Halfspace cut{geometry::Point(dims), 0.0};
+      for (size_t d = 0; d < dims; ++d) {
+        cut.normal[d] = rng.NextDouble(-1, 1);
+        cut.offset += cut.normal[d] * 0.5 * (lo[d] + hi[d]);
+      }
+      halfspaces.push_back(std::move(cut));
+      // ContainsPointExact reads the halfspaces alone.
       return std::make_unique<geometry::Polytope>(
-          geometry::Polytope::FromRectangle(rect));
+          std::move(halfspaces), std::vector<geometry::Point>{});
     }
   }
 }
 
+/// Scans `table` for `region` in both layouts, through admission-prepared
+/// views when `prepared` holds, and returns the columnar selection after
+/// checking that it names exactly the rows the row-wise scan copies (whose
+/// ContainsPointExact is the oracle).
+std::vector<uint32_t> ScanBothLayouts(const Table& table,
+                                      const geometry::Region& region,
+                                      bool prepared) {
+  const std::vector<std::string> coords(
+      kCoords.begin(), kCoords.begin() + region.dimensions());
+  ColumnarTable columnar(table);
+  if (prepared) {
+    for (size_t c = 1; c <= coords.size(); ++c) {
+      EXPECT_TRUE(columnar.PrepareNumericView(c).ok());
+    }
+  }
+  auto row_result = core::SelectInRegion(table, region, coords);
+  auto col_result = core::SelectInRegion(columnar, region, coords);
+  EXPECT_TRUE(row_result.ok()) << row_result.status().ToString();
+  EXPECT_TRUE(col_result.ok()) << col_result.status().ToString();
+  if (!row_result.ok() || !col_result.ok()) return {};
+  EXPECT_EQ(col_result->tuples_scanned, row_result->tuples_scanned);
+  Table materialized(table.schema());
+  for (uint32_t r : col_result->selection) {
+    materialized.AddRow(table.row(r));
+  }
+  EXPECT_TRUE(TablesBitEqual(materialized, row_result->table))
+      << region.ToString();
+  return col_result->selection;
+}
+
+/// Short tables, both sides of a 64-row validity-bitmap word, and a larger
+/// run.
+const size_t kRowCounts[] = {0,  1,  2,  3,  4,  5,  6,  7,  8,   9,
+                             10, 13, 15, 16, 17, 63, 64, 65, 127, 500};
+
 TEST(ColumnarPropertyTest, SelectInRegionMatchesRowWiseAllShapes) {
   util::Random rng(14);
-  const std::vector<std::string> coords = {"x", "y"};
-  for (int iter = 0; iter < 150; ++iter) {
-    Table table = RandomPointsTable(rng, 1 + rng.NextUint64(60));
-    ColumnarTable columnar(table);
-    if (rng.NextUint64(2) == 0) {
-      // Half the time scan through admission-prepared views.
-      ASSERT_TRUE(columnar.PrepareNumericView(1).ok());
-      ASSERT_TRUE(columnar.PrepareNumericView(2).ok());
+  for (size_t dims : {2u, 3u, 5u}) {
+    const geometry::Hypersphere clear(geometry::Point(dims, -100.0), 1.0);
+    const geometry::Hypersphere around(geometry::Point(dims, 5.0), 1e6);
+    for (size_t rows : kRowCounts) {
+      std::vector<uint32_t> every(rows);
+      for (size_t r = 0; r < rows; ++r) every[r] = static_cast<uint32_t>(r);
+      for (int iter = 0; iter < 8; ++iter) {
+        SCOPED_TRACE(::testing::Message() << dims << " dims, " << rows
+                                          << " rows, iteration " << iter);
+        const bool with_nulls = iter % 2 == 0;
+        const bool prepared = iter % 4 < 2;
+        Table table = RandomPointsTable(rng, rows, dims, with_nulls);
+        auto region = RandomRegion(rng, dims);
+        ScanBothLayouts(table, *region, prepared);
+        // A sphere clear of the points selects nothing; without NULLs, one
+        // around them selects every row, dense and ascending.
+        EXPECT_TRUE(ScanBothLayouts(table, clear, prepared).empty());
+        std::vector<uint32_t> inside = ScanBothLayouts(table, around, prepared);
+        if (!with_nulls) {
+          EXPECT_EQ(inside, every);
+        }
+        // With one coordinate column all NULL, no row is a candidate.
+        const size_t null_column = 1 + static_cast<size_t>(iter) % dims;
+        Table nulls(table.schema());
+        for (const Row& row : table.rows()) {
+          Row copy = row;
+          copy[null_column] = Value::Null();
+          nulls.AddRow(std::move(copy));
+        }
+        EXPECT_TRUE(ScanBothLayouts(nulls, around, prepared).empty());
+      }
     }
-    auto region = RandomRegion(rng);
-    auto row_result = core::SelectInRegion(table, *region, coords);
-    auto col_result = core::SelectInRegion(columnar, *region, coords);
-    ASSERT_TRUE(row_result.ok());
-    ASSERT_TRUE(col_result.ok());
-    EXPECT_EQ(col_result->tuples_scanned, row_result->tuples_scanned);
-    Table materialized(table.schema());
-    for (uint32_t r : col_result->selection) {
-      materialized.AddRow(table.row(r));
-    }
-    EXPECT_TRUE(TablesBitEqual(materialized, row_result->table))
-        << "iteration " << iter << " shape "
-        << static_cast<int>(region->kind());
   }
 }
 

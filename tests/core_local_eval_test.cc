@@ -50,6 +50,27 @@ TEST(SelectInRegionTest, MissingCoordinateColumnIsError) {
   EXPECT_FALSE(SelectInRegion(cached, region, {"x", "nope"}).ok());
 }
 
+// The region's parameters are indexed by coordinate column, so a region
+// with another dimension count is an error in both layouts, not a read past
+// the end of the center, the bounds or the point.
+TEST(SelectInRegionTest, RegionOfOtherDimensionIsError) {
+  Table cached = PointsTable({{0, 0}, {0.5, 0.5}});
+  sql::ColumnarTable columnar(cached);
+  Hypersphere sphere({0, 0, 0}, 1.0);
+  Hyperrectangle rect({-1}, {1});
+  for (const geometry::Region* region :
+       {static_cast<const geometry::Region*>(&sphere),
+        static_cast<const geometry::Region*>(&rect)}) {
+    auto row_wise = SelectInRegion(cached, *region, {"x", "y"});
+    ASSERT_FALSE(row_wise.ok()) << region->ToString();
+    EXPECT_EQ(row_wise.status().code(), util::StatusCode::kInvalidArgument);
+    auto kernel = SelectInRegion(columnar, *region, {"x", "y"});
+    ASSERT_FALSE(kernel.ok()) << region->ToString();
+    EXPECT_EQ(kernel.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_EQ(kernel.status().message(), row_wise.status().message());
+  }
+}
+
 TEST(SelectInRegionTest, EmptyInputEmptyOutput) {
   Table cached = PointsTable({});
   Hypersphere region({0, 0}, 1.0);

@@ -24,10 +24,13 @@ constexpr size_t kSampleKeys = 100000;
 constexpr size_t kVnodes = 128;
 
 std::string SampleKey(size_t i) {
-  return "radial|fp" + std::to_string(i % 7) + "|key-" + std::to_string(i);
+  return std::string("radial|fp") + std::to_string(i % 7) + "|key-" +
+         std::to_string(i);
 }
 
-std::string NodeId(size_t i) { return "proxy-" + std::to_string(i); }
+std::string NodeId(size_t i) {
+  return std::string("proxy-") + std::to_string(i);
+}
 
 std::map<std::string, size_t> OwnedCounts(const HashRing& ring) {
   std::map<std::string, size_t> counts;

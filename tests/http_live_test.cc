@@ -115,9 +115,10 @@ TEST(HttpServerTest, SequentialRequests) {
   HttpServer server(&handler);
   ASSERT_TRUE(server.Start(0).ok());
   for (int i = 0; i < 20; ++i) {
-    auto response = HttpGet(server.port(), "/n?i=" + std::to_string(i));
+    auto response =
+        HttpGet(server.port(), std::string("/n?i=") + std::to_string(i));
     ASSERT_TRUE(response.ok());
-    EXPECT_EQ(response->body, "echo:/n?i=" + std::to_string(i));
+    EXPECT_EQ(response->body, std::string("echo:/n?i=") + std::to_string(i));
   }
   server.Stop();
 }
@@ -165,7 +166,8 @@ TEST(HttpServerTest, SaturationShedsWith503) {
   std::vector<util::StatusOr<HttpResponse>> results;
   for (int i = 0; i < kClients; ++i) {
     clients.emplace_back([&, i] {
-      auto result = HttpGet(server.port(), "/q" + std::to_string(i));
+      auto result =
+          HttpGet(server.port(), std::string("/q") + std::to_string(i));
       std::lock_guard<std::mutex> lock(mu);
       results.push_back(std::move(result));
     });

@@ -51,7 +51,7 @@ void ExpectDiagnostics(const std::string& fixture,
   ASSERT_EQ(result.diagnostics.size(), expected.size())
       << result.FormatDiagnostics();
   for (size_t i = 0; i < expected.size(); ++i) {
-    SCOPED_TRACE("diagnostic #" + std::to_string(i));
+    SCOPED_TRACE(std::string("diagnostic #") + std::to_string(i));
     const Diagnostic& got = result.diagnostics[i];
     EXPECT_EQ(got.line, expected[i].line);
     EXPECT_EQ(got.severity, expected[i].severity);

@@ -55,7 +55,7 @@ void ExpectDiagnostics(const std::string& fixture,
   ASSERT_EQ(result.diagnostics.size(), expected.size())
       << result.FormatDiagnostics();
   for (size_t i = 0; i < expected.size(); ++i) {
-    SCOPED_TRACE("diagnostic #" + std::to_string(i));
+    SCOPED_TRACE(std::string("diagnostic #") + std::to_string(i));
     const lint::Diagnostic& got = result.diagnostics[i];
     EXPECT_EQ(got.line, expected[i].line);
     EXPECT_EQ(got.severity, expected[i].severity);

@@ -369,7 +369,8 @@ TEST_F(OriginFuzzTest, MutatedOriginBodiesNeverCrashOrGetCached) {
   const std::vector<std::string> sources = SourceBodies();
   size_t parsed = 0, rejected = 0;
   for (size_t s = 0; s < sources.size(); ++s) {
-    EXPECT_TRUE(CheckBody(sources[s], "source " + std::to_string(s)));
+    EXPECT_TRUE(
+        CheckBody(sources[s], std::string("source ") + std::to_string(s)));
     for (const auto& [name, mutate] : kinds) {
       for (int k = 0; k < kMutationsPerKind; ++k) {
         const bool ok =

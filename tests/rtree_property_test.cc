@@ -46,7 +46,7 @@ std::vector<EntryId> Sorted(std::vector<EntryId> ids) {
 /// One randomized insert/erase/query replay at the given dimensionality and
 /// node capacity.
 void RunWorkload(size_t dimensions, size_t max_entries, uint64_t seed) {
-  SCOPED_TRACE("dims=" + std::to_string(dimensions) +
+  SCOPED_TRACE(std::string("dims=") + std::to_string(dimensions) +
                " M=" + std::to_string(max_entries) +
                " seed=" + std::to_string(seed));
   util::Random rng(seed);

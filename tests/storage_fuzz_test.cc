@@ -102,7 +102,8 @@ std::vector<Source> Sources() {
   const char* kClasses[] = {"STAR", "GALAXY", "QSO", ""};
   for (int i = 0; i < 30; ++i) {
     strings.AddRow(
-        {Value::String("obj-" + std::to_string(rng.NextUint64(1000))),
+        {Value::String(std::string("obj-") +
+                       std::to_string(rng.NextUint64(1000))),
          rng.NextUint64(5) == 0 ? Value::Null()
                                 : Value::String(kClasses[rng.NextUint64(4)]),
          Value::Int(static_cast<int64_t>(rng.NextUint64(uint64_t{1} << 62)) -
@@ -426,7 +427,7 @@ TEST(StorageFuzzTest, MutatedSnapshotSectionsRestoreAllOrNothing) {
   const std::string stats = RestoreHarness::Stats();
   util::Random rng(kSeed + 1);
   for (int i = 0; i < kMutationsPerTable; ++i) {
-    SCOPED_TRACE("mutation " + std::to_string(i));
+    SCOPED_TRACE(std::string("mutation ") + std::to_string(i));
     // Mutate walks a section as if it were a segment, so its length-field
     // lies land on whatever varints that walk finds.
     if (rng.NextUint64(2) == 0) {
