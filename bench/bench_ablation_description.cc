@@ -56,8 +56,9 @@ Measurement Measure(index::RegionIndex* index, size_t population,
   const int kProbes = 200;
   util::Stopwatch sw;
   for (int i = 0; i < kProbes; ++i) {
-    index->SearchIntersecting(RandomQueryBox(rng));
-    m.search_comparisons += static_cast<double>(index->last_op_comparisons());
+    size_t comparisons = 0;
+    index->SearchIntersecting(RandomQueryBox(rng), &comparisons);
+    m.search_comparisons += static_cast<double>(comparisons);
   }
   m.search_micros = static_cast<double>(sw.ElapsedMicros()) / kProbes;
   m.search_comparisons /= kProbes;
@@ -65,10 +66,12 @@ Measurement Measure(index::RegionIndex* index, size_t population,
   sw.Reset();
   for (int i = 0; i < kProbes; ++i) {
     size_t victim = rng.NextUint64(population);
-    index->Remove(victim);
-    m.maintain_comparisons += static_cast<double>(index->last_op_comparisons());
-    index->Insert(victim, boxes[victim]);
-    m.maintain_comparisons += static_cast<double>(index->last_op_comparisons());
+    size_t remove_comparisons = 0;
+    size_t insert_comparisons = 0;
+    index->Remove(victim, &remove_comparisons);
+    index->Insert(victim, boxes[victim], &insert_comparisons);
+    m.maintain_comparisons +=
+        static_cast<double>(remove_comparisons + insert_comparisons);
   }
   m.maintain_micros = static_cast<double>(sw.ElapsedMicros()) / kProbes;
   m.maintain_comparisons /= kProbes;

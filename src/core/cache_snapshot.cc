@@ -1,153 +1,363 @@
 #include "core/cache_snapshot.h"
 
+#include <cmath>
+#include <iterator>
+#include <optional>
+#include <utility>
+
+#include "core/function_template.h"
 #include "geometry/hyperrectangle.h"
 #include "geometry/hypersphere.h"
 #include "geometry/polytope.h"
-#include "util/string_util.h"
-#include "xml/xml.h"
+#include "storage/segment.h"
 
 namespace fnproxy::core {
 
+using geometry::Halfspace;
+using geometry::Point;
 using geometry::Region;
+using geometry::RegionRelation;
 using geometry::ShapeKind;
+using storage::ByteReader;
+using storage::ByteWriter;
 using util::Status;
 using util::StatusOr;
 
 namespace {
 
-std::string PointToText(const geometry::Point& p) {
-  std::string out;
-  for (size_t i = 0; i < p.size(); ++i) {
-    if (i > 0) out += ' ';
-    out += util::FormatDouble(p[i]);
-  }
-  return out;
+// --- Regions -----------------------------------------------------------------
+
+void PutPoint(const Point& p, ByteWriter* out) {
+  for (double v : p) out->PutDouble(v);
 }
 
-StatusOr<geometry::Point> PointFromText(std::string_view text, size_t dims) {
-  std::vector<std::string> parts;
-  for (const std::string& part : util::Split(std::string(text), ' ')) {
-    if (!util::Trim(part).empty()) parts.push_back(part);
+/// Reads a region's counts and doubles, remembering whether every double
+/// was finite: the values are checked before a region is built from them,
+/// because the constructors assert what they require and a NaN passes no
+/// comparison.
+class RegionReader {
+ public:
+  explicit RegionReader(ByteReader* in) : in_(in) {}
+
+  double Get() {
+    const double v = in_->GetDouble();
+    finite_ = finite_ && std::isfinite(v);
+    return v;
   }
-  if (parts.size() != dims) {
-    return Status::ParseError(std::string("expected ") + std::to_string(dims) +
-                              " coordinates, got " +
-                              std::to_string(parts.size()));
+  Point GetPoint(size_t dims) {
+    Point p(dims);
+    for (double& v : p) v = Get();
+    return p;
   }
-  geometry::Point point(dims);
-  for (size_t i = 0; i < dims; ++i) {
-    FNPROXY_ASSIGN_OR_RETURN(point[i], util::ParseDouble(parts[i]));
+  /// A count of items of `item_bytes` each; one the remaining bytes cannot
+  /// hold reads as truncation, before anything is sized from it.
+  size_t GetCount(size_t item_bytes) {
+    const uint64_t count = in_->GetVarint();
+    if (count <= in_->remaining() / item_bytes) return count;
+    in_->Fail();
+    return 0;
   }
-  return point;
+  Status Check() const {
+    if (!in_->ok()) return Status::ParseError("truncated region");
+    if (!finite_) return Status::ParseError("region value is not finite");
+    return Status::Ok();
+  }
+
+ private:
+  ByteReader* in_;
+  bool finite_ = true;
+};
+
+// --- Sections ----------------------------------------------------------------
+
+/// A query record takes at least 12 bytes: relation, flags, coverage and
+/// two one-byte varints.
+constexpr size_t kMinRecordBytes = 12;
+
+/// A query record's flags, from bit 0 up.
+constexpr bool QueryRecord::*kRecordFlags[] = {
+    &QueryRecord::handled_by_template, &QueryRecord::contacted_origin,
+    &QueryRecord::failed,              &QueryRecord::degraded,
+    &QueryRecord::collapsed,           &QueryRecord::shed,
+    &QueryRecord::peer_hit,            &QueryRecord::peer_degraded,
+};
+
+/// A section must be read to its last byte and no further.
+Status SectionEnd(const ByteReader& in, const char* section) {
+  if (!in.ok()) {
+    return Status::ParseError(std::string("truncated snapshot ") + section +
+                              " section");
+  }
+  if (!in.AtEnd()) {
+    return Status::ParseError(std::string("trailing bytes in snapshot ") +
+                              section + " section");
+  }
+  return Status::Ok();
+}
+
+Status ParseMeta(std::string_view payload, Snapshot* out) {
+  ByteReader in(payload);
+  const uint32_t version = in.GetU32();
+  if (in.ok() && version != kSnapshotVersion) {
+    return Status::InvalidArgument(
+        "unsupported snapshot version " + std::to_string(version) +
+        " (this build reads version " + std::to_string(kSnapshotVersion) +
+        ")");
+  }
+  const uint8_t mode = in.GetU8();
+  out->written_micros = in.GetZigzag();
+  FNPROXY_RETURN_NOT_OK(SectionEnd(in, "META"));
+  // kActiveContainmentOnly is CachingMode's last enumerator.
+  if (mode > static_cast<uint8_t>(CachingMode::kActiveContainmentOnly)) {
+    return Status::ParseError("unknown caching mode " + std::to_string(mode) +
+                              " in snapshot META section");
+  }
+  out->mode = static_cast<CachingMode>(mode);
+  return Status::Ok();
+}
+
+Status ParseEntries(std::string_view payload, std::vector<CacheEntry>* out) {
+  ByteReader in(payload);
+  const uint64_t count = in.GetVarint();
+  for (uint64_t i = 0; i < count && in.ok(); ++i) {
+    auto fail = [i](const Status& status) {
+      return Status::ParseError("snapshot entry " + std::to_string(i) + ": " +
+                                status.message());
+    };
+    CacheEntry entry;
+    entry.template_id = in.GetString();
+    entry.nonspatial_fingerprint = in.GetString();
+    if (!in.ok()) break;
+    auto region = GetRegion(&in);
+    if (!region.ok()) return fail(region.status());
+    entry.region = std::move(*region);
+    const uint8_t truncated = in.GetU8();
+    entry.last_access_micros = in.GetZigzag();
+    entry.access_count = in.GetVarint();
+    const std::string_view segment_bytes = in.GetBytes(in.GetVarint());
+    if (!in.ok()) break;
+    if (truncated > 1) return fail(Status::ParseError("bad truncated flag"));
+    auto segment = storage::FrozenSegment::Parse(segment_bytes);
+    if (!segment.ok()) return fail(segment.status());
+    entry.truncated = truncated == 1;
+    // Restored entries come up frozen: relationship checks need only the
+    // region, and the first serving access thaws (and re-prepares
+    // coordinate views) through FindHot.
+    entry.tier = EntryTier::kFrozen;
+    entry.segment =
+        std::make_shared<const storage::FrozenSegment>(std::move(*segment));
+    out->push_back(std::move(entry));
+  }
+  return SectionEnd(in, "ENTRIES");
+}
+
+Status ParseStats(std::string_view payload, SnapshotStats* out) {
+  ByteReader in(payload);
+  const uint64_t num_counters = in.GetVarint();
+  for (uint64_t i = 0; i < num_counters && in.ok(); ++i) {
+    std::string series = in.GetString();
+    const uint64_t value = in.GetVarint();
+    if (!in.ok()) break;
+    auto [it, inserted] = out->counters.emplace(std::move(series), value);
+    if (!inserted) {
+      return Status::ParseError("snapshot STATS section repeats counter " +
+                                it->first);
+    }
+  }
+  out->origin_retries = in.GetVarint();
+  out->breaker_transitions = in.GetVarint();
+  out->coverage_served = in.GetDouble();
+  // The record count is bounded by the section before anything is reserved
+  // for it.
+  const uint64_t num_records = in.GetVarint();
+  if (!in.ok() || num_records > in.remaining() / kMinRecordBytes) {
+    return Status::ParseError("truncated snapshot STATS section");
+  }
+  out->records.reserve(num_records);
+  for (uint64_t i = 0; i < num_records && in.ok(); ++i) {
+    QueryRecord record;
+    const uint8_t relation = in.GetU8();
+    if (relation > static_cast<uint8_t>(RegionRelation::kDisjoint)) {
+      return Status::ParseError("bad relation " + std::to_string(relation) +
+                                " in snapshot STATS section");
+    }
+    record.status = static_cast<RegionRelation>(relation);
+    const uint8_t flags = in.GetU8();
+    for (size_t bit = 0; bit < std::size(kRecordFlags); ++bit) {
+      record.*kRecordFlags[bit] = (flags >> bit) & 1;
+    }
+    record.coverage = in.GetDouble();
+    record.tuples_total = in.GetVarint();
+    record.tuples_from_cache = in.GetVarint();
+    out->records.push_back(record);
+  }
+  return SectionEnd(in, "STATS");
 }
 
 }  // namespace
 
-std::string RegionToXml(const Region& region) {
-  std::string out = "<Region shape=\"";
-  out += geometry::ShapeKindName(region.kind());
-  out += "\" dims=\"";
-  out += std::to_string(region.dimensions()) + "\">";
+void PutRegion(const Region& region, ByteWriter* out) {
+  out->PutU8(static_cast<uint8_t>(region.kind()));
+  out->PutVarint(region.dimensions());
   switch (region.kind()) {
     case ShapeKind::kHypersphere: {
       const auto& sphere = static_cast<const geometry::Hypersphere&>(region);
-      out += "<Center>" + PointToText(sphere.center()) + "</Center>";
-      out += "<Radius>" + util::FormatDouble(sphere.radius()) + "</Radius>";
+      PutPoint(sphere.center(), out);
+      out->PutDouble(sphere.radius());
       break;
     }
     case ShapeKind::kHyperrectangle: {
       const auto& rect = static_cast<const geometry::Hyperrectangle&>(region);
-      out += "<Lo>" + PointToText(rect.lo()) + "</Lo>";
-      out += "<Hi>" + PointToText(rect.hi()) + "</Hi>";
+      PutPoint(rect.lo(), out);
+      PutPoint(rect.hi(), out);
       break;
     }
     case ShapeKind::kPolytope: {
       const auto& poly = static_cast<const geometry::Polytope&>(region);
-      out += "<Halfspaces>";
-      for (const geometry::Halfspace& h : poly.halfspaces()) {
-        out += "<H><Normal>" + PointToText(h.normal) + "</Normal><Offset>" +
-               util::FormatDouble(h.offset) + "</Offset></H>";
+      out->PutVarint(poly.halfspaces().size());
+      for (const Halfspace& h : poly.halfspaces()) {
+        PutPoint(h.normal, out);
+        out->PutDouble(h.offset);
       }
-      out += "</Halfspaces><Vertices>";
-      for (const geometry::Point& v : poly.vertices()) {
-        out += "<V>" + PointToText(v) + "</V>";
-      }
-      out += "</Vertices>";
+      out->PutVarint(poly.vertices().size());
+      for (const Point& v : poly.vertices()) PutPoint(v, out);
       break;
     }
   }
-  out += "</Region>";
-  return out;
 }
 
-StatusOr<std::unique_ptr<Region>> RegionFromXml(std::string_view xml_text) {
-  FNPROXY_ASSIGN_OR_RETURN(auto root, xml::ParseXml(xml_text));
-  if (root->name() != "Region") {
-    return Status::ParseError("expected <Region> root");
+StatusOr<std::unique_ptr<Region>> GetRegion(ByteReader* in) {
+  const uint8_t shape = in->GetU8();
+  const uint64_t dims = in->GetVarint();
+  if (!in->ok()) return Status::ParseError("truncated region");
+  if (dims == 0 || dims > kMaxRegionDimensions) {
+    return Status::ParseError("region has " + std::to_string(dims) +
+                              " dimensions, outside 1 to " +
+                              std::to_string(kMaxRegionDimensions));
   }
-  const std::string* shape = root->FindAttribute("shape");
-  const std::string* dims_text = root->FindAttribute("dims");
-  if (shape == nullptr || dims_text == nullptr) {
-    return Status::ParseError("<Region> needs shape and dims attributes");
+  RegionReader values(in);
+  switch (shape) {
+    case static_cast<uint8_t>(ShapeKind::kHypersphere): {
+      Point center = values.GetPoint(dims);
+      const double radius = values.Get();
+      FNPROXY_RETURN_NOT_OK(values.Check());
+      if (radius < 0) return Status::ParseError("region radius is negative");
+      return std::unique_ptr<Region>(
+          std::make_unique<geometry::Hypersphere>(std::move(center), radius));
+    }
+    case static_cast<uint8_t>(ShapeKind::kHyperrectangle): {
+      Point lo = values.GetPoint(dims);
+      Point hi = values.GetPoint(dims);
+      FNPROXY_RETURN_NOT_OK(values.Check());
+      for (size_t i = 0; i < dims; ++i) {
+        if (lo[i] > hi[i]) return Status::ParseError("region has lo > hi");
+      }
+      return std::unique_ptr<Region>(std::make_unique<geometry::Hyperrectangle>(
+          std::move(lo), std::move(hi)));
+    }
+    case static_cast<uint8_t>(ShapeKind::kPolytope): {
+      const size_t point_bytes = dims * sizeof(double);
+      std::vector<Halfspace> halfspaces(
+          values.GetCount(point_bytes + sizeof(double)));
+      for (Halfspace& h : halfspaces) {
+        h.normal = values.GetPoint(dims);
+        h.offset = values.Get();
+      }
+      std::vector<Point> vertices(values.GetCount(point_bytes));
+      for (Point& v : vertices) v = values.GetPoint(dims);
+      FNPROXY_RETURN_NOT_OK(values.Check());
+      if (halfspaces.empty() || vertices.empty()) {
+        return Status::ParseError(
+            "polytope region needs halfspaces and vertices");
+      }
+      auto poly = std::make_unique<geometry::Polytope>(std::move(halfspaces),
+                                                       std::move(vertices));
+      FNPROXY_RETURN_NOT_OK(poly->Validate());
+      return std::unique_ptr<Region>(std::move(poly));
+    }
   }
-  FNPROXY_ASSIGN_OR_RETURN(int64_t dims_value, util::ParseInt64(*dims_text));
-  if (dims_value <= 0 || dims_value > 16) {
-    return Status::ParseError("bad region dimensionality");
-  }
-  size_t dims = static_cast<size_t>(dims_value);
+  return Status::ParseError("unknown region shape " + std::to_string(shape));
+}
 
-  if (*shape == "hypersphere") {
-    FNPROXY_ASSIGN_OR_RETURN(std::string center_text, root->ChildText("Center"));
-    FNPROXY_ASSIGN_OR_RETURN(std::string radius_text, root->ChildText("Radius"));
-    FNPROXY_ASSIGN_OR_RETURN(geometry::Point center,
-                             PointFromText(center_text, dims));
-    FNPROXY_ASSIGN_OR_RETURN(double radius, util::ParseDouble(radius_text));
-    if (radius < 0) return Status::ParseError("negative radius");
-    return std::unique_ptr<Region>(
-        std::make_unique<geometry::Hypersphere>(std::move(center), radius));
+std::string SerializeSnapshot(
+    CachingMode mode, int64_t written_micros,
+    const std::vector<std::shared_ptr<const CacheEntry>>& entries,
+    const SnapshotStats& stats) {
+  ByteWriter meta;
+  meta.PutU32(kSnapshotVersion);
+  meta.PutU8(static_cast<uint8_t>(mode));
+  meta.PutZigzag(written_micros);
+
+  ByteWriter body;
+  body.PutVarint(entries.size());
+  for (const std::shared_ptr<const CacheEntry>& entry : entries) {
+    body.PutString(entry->template_id);
+    body.PutString(entry->nonspatial_fingerprint);
+    PutRegion(*entry->region, &body);
+    body.PutU8(entry->truncated ? 1 : 0);
+    body.PutZigzag(entry->last_access_micros);
+    body.PutVarint(entry->access_count);
+    body.PutString(
+        entry->tier == EntryTier::kHot
+            ? storage::FrozenSegment::Freeze(entry->result).Serialize()
+            : entry->segment->Serialize());
   }
-  if (*shape == "hyperrectangle") {
-    FNPROXY_ASSIGN_OR_RETURN(std::string lo_text, root->ChildText("Lo"));
-    FNPROXY_ASSIGN_OR_RETURN(std::string hi_text, root->ChildText("Hi"));
-    FNPROXY_ASSIGN_OR_RETURN(geometry::Point lo, PointFromText(lo_text, dims));
-    FNPROXY_ASSIGN_OR_RETURN(geometry::Point hi, PointFromText(hi_text, dims));
-    for (size_t i = 0; i < dims; ++i) {
-      if (lo[i] > hi[i]) return Status::ParseError("rectangle lo > hi");
-    }
-    return std::unique_ptr<Region>(std::make_unique<geometry::Hyperrectangle>(
-        std::move(lo), std::move(hi)));
+
+  ByteWriter statistics;
+  statistics.PutVarint(stats.counters.size());
+  for (const auto& [series, value] : stats.counters) {
+    statistics.PutString(series);
+    statistics.PutVarint(value);
   }
-  if (*shape == "polytope") {
-    const xml::XmlElement* halfspaces = root->FindChild("Halfspaces");
-    const xml::XmlElement* vertices = root->FindChild("Vertices");
-    if (halfspaces == nullptr || vertices == nullptr) {
-      return Status::ParseError("polytope region needs halfspaces + vertices");
+  statistics.PutVarint(stats.origin_retries);
+  statistics.PutVarint(stats.breaker_transitions);
+  statistics.PutDouble(stats.coverage_served);
+  statistics.PutVarint(stats.records.size());
+  for (const QueryRecord& record : stats.records) {
+    uint8_t flags = 0;
+    for (size_t bit = 0; bit < std::size(kRecordFlags); ++bit) {
+      if (record.*kRecordFlags[bit]) flags |= 1u << bit;
     }
-    std::vector<geometry::Halfspace> hs;
-    for (const xml::XmlElement* h : halfspaces->FindChildren("H")) {
-      FNPROXY_ASSIGN_OR_RETURN(std::string normal_text, h->ChildText("Normal"));
-      FNPROXY_ASSIGN_OR_RETURN(std::string offset_text, h->ChildText("Offset"));
-      geometry::Halfspace halfspace;
-      FNPROXY_ASSIGN_OR_RETURN(halfspace.normal,
-                               PointFromText(normal_text, dims));
-      FNPROXY_ASSIGN_OR_RETURN(halfspace.offset,
-                               util::ParseDouble(offset_text));
-      hs.push_back(std::move(halfspace));
-    }
-    std::vector<geometry::Point> vs;
-    for (const xml::XmlElement* v : vertices->FindChildren("V")) {
-      FNPROXY_ASSIGN_OR_RETURN(geometry::Point vertex,
-                               PointFromText(v->text(), dims));
-      vs.push_back(std::move(vertex));
-    }
-    if (hs.empty() || vs.empty()) {
-      return Status::ParseError("empty polytope geometry");
-    }
-    auto poly = std::make_unique<geometry::Polytope>(std::move(hs), std::move(vs));
-    FNPROXY_RETURN_NOT_OK(poly->Validate());
-    return std::unique_ptr<Region>(std::move(poly));
+    statistics.PutU8(static_cast<uint8_t>(record.status));
+    statistics.PutU8(flags);
+    statistics.PutDouble(record.coverage);
+    statistics.PutVarint(record.tuples_total);
+    statistics.PutVarint(record.tuples_from_cache);
   }
-  return Status::ParseError("unknown region shape '" + *shape + "'");
+
+  return storage::BuildSnapshotFile({
+      {storage::kSectionMeta, meta.Release()},
+      {storage::kSectionEntries, body.Release()},
+      {storage::kSectionStats, statistics.Release()},
+  });
+}
+
+StatusOr<Snapshot> ParseSnapshot(std::string_view file) {
+  FNPROXY_ASSIGN_OR_RETURN(std::vector<storage::Section> sections,
+                           storage::ParseSnapshotFile(file));
+  // By section id. Unknown ids are skipped: a newer writer may add sections.
+  std::optional<std::string_view> payloads[storage::kSectionStats + 1];
+  for (const storage::Section& section : sections) {
+    if (section.id > storage::kSectionStats || section.id == 0) continue;
+    if (payloads[section.id]) {
+      return Status::ParseError("snapshot repeats section " +
+                                std::to_string(section.id));
+    }
+    payloads[section.id] = section.payload;
+  }
+  const auto& meta = payloads[storage::kSectionMeta];
+  const auto& entries = payloads[storage::kSectionEntries];
+  const auto& stats = payloads[storage::kSectionStats];
+  if (!meta || !entries || !stats) {
+    return Status::ParseError(
+        "snapshot lacks its META, ENTRIES or STATS section");
+  }
+  Snapshot snapshot;
+  // META first, so a file of another version is refused by its version.
+  FNPROXY_RETURN_NOT_OK(ParseMeta(*meta, &snapshot));
+  FNPROXY_RETURN_NOT_OK(ParseEntries(*entries, &snapshot.entries));
+  FNPROXY_RETURN_NOT_OK(ParseStats(*stats, &snapshot.stats));
+  return snapshot;
 }
 
 }  // namespace fnproxy::core

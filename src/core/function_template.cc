@@ -1,5 +1,6 @@
 #include "core/function_template.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "geometry/hyperrectangle.h"
@@ -87,6 +88,13 @@ StatusOr<FunctionTemplate> FunctionTemplate::FromXml(
     std::string text = p->text();
     if (!text.empty() && text[0] == '$') text = text.substr(1);
     if (text.empty()) return Status::ParseError("empty parameter name");
+    // BuildRegion binds arguments by name, so a second $x would overwrite
+    // the first one's argument and build the region from the wrong value.
+    if (std::find(tmpl.params_.begin(), tmpl.params_.end(), text) !=
+        tmpl.params_.end()) {
+      return Status::ParseError("duplicate parameter $" + text +
+                                " in <Params>");
+    }
     tmpl.params_.push_back(std::move(text));
   }
 
@@ -96,8 +104,9 @@ StatusOr<FunctionTemplate> FunctionTemplate::FromXml(
   FNPROXY_ASSIGN_OR_RETURN(std::string dims_text,
                            root->ChildText("NumDimensions"));
   FNPROXY_ASSIGN_OR_RETURN(int64_t dims, util::ParseInt64(dims_text));
-  if (dims <= 0 || dims > 16) {
-    return Status::ParseError("NumDimensions must be in [1, 16]");
+  if (dims <= 0 || dims > static_cast<int64_t>(kMaxRegionDimensions)) {
+    return Status::ParseError("NumDimensions must be in [1, " +
+                              std::to_string(kMaxRegionDimensions) + "]");
   }
   tmpl.num_dimensions_ = static_cast<size_t>(dims);
 

@@ -13,6 +13,9 @@
 
 namespace fnproxy::core {
 
+/// Most dimensions a template may declare, so the most a region may have.
+inline constexpr size_t kMaxRegionDimensions = 16;
+
 /// A function template (paper Fig. 3): the registered abstraction of a
 /// table-valued function as a spatial region selection. It names the
 /// function's formal parameters and gives closed-form expressions — over

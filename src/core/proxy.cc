@@ -764,7 +764,7 @@ std::optional<QueryPlan> FunctionProxy::CollapseOrLead(const TemplateQuery& q,
       return std::nullopt;
     }
     FlightOutcome outcome = ticket.result.get();
-    if (!outcome.ok || outcome.entry == nullptr) continue;
+    if (outcome.entry == nullptr) continue;
     const bool equal = geometry::Equals(*outcome.entry->region, q.region);
     // Truncated (TOP-cut) entries serve exact regions only, and templates
     // with function-computed projections cannot reuse a larger region's
@@ -1120,7 +1120,7 @@ HttpResponse FunctionProxy::RunPlan(QueryPlan* plan, const TemplateQuery& q) {
         answer->num_rows() == static_cast<size_t>(*top_n);
     auto admitted = CacheResult(q.qt, q.nonspatial_fp, q.region, *answer,
                                 coords, truncated, trace);
-    flight.Fulfill({admitted != nullptr, admitted});
+    flight.Fulfill({admitted});
     if (elided) ins_.remainders_elided->Increment();
   }
 
@@ -1378,7 +1378,7 @@ std::optional<QueryPlan> FunctionProxy::ProbePeer(const TemplateQuery& q,
   entry->truncated =
       top_n.has_value() &&
       entry->result.num_rows() == static_cast<size_t>(*top_n);
-  local_flight->Fulfill(FlightOutcome{true, entry});
+  local_flight->Fulfill(FlightOutcome{entry});
   QueryPlan plan =
       QueryPlan::FromEntry(std::move(entry), /*scan=*/false, source);
   plan.peer_tuples_total = *total;
@@ -1449,257 +1449,58 @@ void FunctionProxy::WriteSnapshotAndCount() {
   }
 }
 
-std::vector<obs::Counter*> FunctionProxy::SnapshotCounters() const {
-  return {
-      ins_.requests,
-      ins_.template_requests,
-      ins_.exact_hits,
-      ins_.containment_hits,
-      ins_.region_containments,
-      ins_.overlaps_handled,
-      ins_.misses,
-      ins_.origin_form_requests,
-      ins_.origin_sql_requests,
-      ins_.origin_failures,
-      ins_.breaker_open_rejections,
-      ins_.degraded_full,
-      ins_.degraded_partial,
-      ins_.degraded_unavailable,
-      ins_.inflight_collapsed,
-      ins_.shed_overload,
-      ins_.shed_origin_backlog,
-      ins_.shed_deadline,
-      ins_.deadline_exceeded,
-      ins_.peer_lookup_hit,
-      ins_.peer_lookup_flight,
-      ins_.peer_lookup_fetched,  // Once the `lead` outcome.
-      ins_.peer_lookup_miss,
-      ins_.peer_lookup_error,
-      ins_.peer_lookup_breaker_open,
-      ins_.peer_failures,
-      nullptr,  // Retired: entries pushed to an owner.
-      nullptr,  // Retired: entries received from a leader.
-      ins_.peer_flight_joins,
-      ins_.check_micros,
-      ins_.local_eval_micros,
-      ins_.merge_micros,
-      ins_.remainders_elided,
-  };
-}
-
-namespace {
-/// Version written into the META section; readers reject newer majors.
-constexpr uint32_t kProxySnapshotVersion = 2;
-
-uint8_t PackRecordFlags(const QueryRecord& r) {
-  uint8_t flags = 0;
-  if (r.handled_by_template) flags |= 1u << 0;
-  if (r.contacted_origin) flags |= 1u << 1;
-  if (r.failed) flags |= 1u << 2;
-  if (r.degraded) flags |= 1u << 3;
-  if (r.collapsed) flags |= 1u << 4;
-  if (r.shed) flags |= 1u << 5;
-  if (r.peer_hit) flags |= 1u << 6;
-  if (r.peer_degraded) flags |= 1u << 7;
-  return flags;
-}
-
-void UnpackRecordFlags(uint8_t flags, QueryRecord* r) {
-  r->handled_by_template = (flags & (1u << 0)) != 0;
-  r->contacted_origin = (flags & (1u << 1)) != 0;
-  r->failed = (flags & (1u << 2)) != 0;
-  r->degraded = (flags & (1u << 3)) != 0;
-  r->collapsed = (flags & (1u << 4)) != 0;
-  r->shed = (flags & (1u << 5)) != 0;
-  r->peer_hit = (flags & (1u << 6)) != 0;
-  r->peer_degraded = (flags & (1u << 7)) != 0;
-}
-}  // namespace
-
 util::Status FunctionProxy::WriteSnapshot(const std::string& path) const {
-  storage::ByteWriter meta;
-  meta.PutU32(kProxySnapshotVersion);
-  meta.PutU8(static_cast<uint8_t>(config_.mode));
-  meta.PutZigzag(clock_->NowMicros());
-
-  // ENTRIES: every cache entry as a frozen segment. Hot entries are frozen
-  // on the way out (view-prepared columns are re-prepared on thaw).
-  storage::ByteWriter bodies;
-  uint64_t written = 0;
+  std::vector<std::shared_ptr<const CacheEntry>> entries;
   for (uint64_t id : cache_->AllIds()) {
-    auto entry = cache_->Find(id);
-    if (entry == nullptr) continue;
-    const std::string segment_bytes =
-        entry->tier == EntryTier::kHot
-            ? storage::FrozenSegment::Freeze(entry->result).Serialize()
-            : entry->segment->Serialize();
-    bodies.PutString(entry->template_id);
-    bodies.PutString(entry->nonspatial_fingerprint);
-    bodies.PutString("");  // Reserved slot, written empty (§13.2).
-    bodies.PutString(RegionToXml(*entry->region));
-    bodies.PutU8(entry->truncated ? 1 : 0);
-    bodies.PutZigzag(entry->last_access_micros);
-    bodies.PutVarint(entry->access_count);
-    bodies.PutString(segment_bytes);
-    ++written;
+    if (auto entry = cache_->Find(id)) entries.push_back(std::move(entry));
   }
-  storage::ByteWriter entries;
-  entries.PutVarint(written);
-  entries.PutBytes(bodies.bytes().data(), bodies.size());
-
-  // STATS: instrument values plus the live-computed series and the
-  // per-query records — everything /proxy/stats renders, so a restarted
-  // proxy reproduces the writer's XML byte for byte.
-  storage::ByteWriter stats_w;
-  std::vector<obs::Counter*> counters = SnapshotCounters();
-  stats_w.PutVarint(counters.size());
-  for (obs::Counter* counter : counters) {
-    stats_w.PutVarint(counter != nullptr ? counter->Value() : 0);
+  // Everything /proxy/stats renders, so a restarted proxy reproduces the
+  // writer's XML byte for byte.
+  SnapshotStats stats;
+  for (const auto& [series, counter] : registry_.CounterSeries()) {
+    stats.counters[series] = counter->Value();
   }
-  stats_w.PutVarint(origin_->retry_stats().retries - channel_retries_baseline_ +
-                    restored_origin_retries_.load(kRelaxed));
-  stats_w.PutVarint(breaker_->transitions() +
-                    restored_breaker_transitions_.load(kRelaxed));
+  stats.origin_retries = origin_->retry_stats().retries -
+                         channel_retries_baseline_ +
+                         restored_origin_retries_.load(kRelaxed);
+  stats.breaker_transitions =
+      breaker_->transitions() + restored_breaker_transitions_.load(kRelaxed);
   {
     util::MutexLock lock(records_mu_);
-    stats_w.PutDouble(coverage_served_);
-    stats_w.PutVarint(records_.size());
-    for (const QueryRecord& record : records_) {
-      stats_w.PutU8(static_cast<uint8_t>(record.status));
-      stats_w.PutU8(PackRecordFlags(record));
-      stats_w.PutDouble(record.coverage);
-      stats_w.PutVarint(record.tuples_total);
-      stats_w.PutVarint(record.tuples_from_cache);
-    }
+    stats.coverage_served = coverage_served_;
+    stats.records = records_;
   }
-
-  std::string file = storage::BuildSnapshotFile({
-      {storage::kSectionMeta, meta.Release()},
-      {storage::kSectionEntries, entries.Release()},
-      {storage::kSectionStats, stats_w.Release()},
-  });
-  return storage::WriteFileAtomic(path, file);
+  return storage::WriteFileAtomic(
+      path, SerializeSnapshot(config_.mode, clock_->NowMicros(), entries,
+                              stats));
 }
 
 util::StatusOr<size_t> FunctionProxy::RestoreSnapshot(const std::string& path) {
-  auto file = storage::ReadFileToString(path);
-  if (!file.ok()) return file.status();
-  auto sections = storage::ParseSnapshotFile(*file);
-  if (!sections.ok()) return sections.status();
-
-  const storage::Section* meta = nullptr;
-  const storage::Section* entries = nullptr;
-  const storage::Section* stats = nullptr;
-  for (const storage::Section& section : *sections) {
-    if (section.id == storage::kSectionMeta) meta = &section;
-    if (section.id == storage::kSectionEntries) entries = &section;
-    if (section.id == storage::kSectionStats) stats = &section;
-  }
-  if (meta == nullptr) {
-    return Status::InvalidArgument("snapshot has no META section");
-  }
-  storage::ByteReader meta_reader(meta->payload);
-  const uint32_t version = meta_reader.GetU32();
-  if (!meta_reader.ok() || version == 0 ||
-      version > kProxySnapshotVersion) {
-    return Status::InvalidArgument("unsupported snapshot version");
-  }
-
-  // Everything is parsed into staging first and installed only once the
-  // whole file has parsed, so a bad file leaves the proxy as it was.
-  std::vector<CacheEntry> staged_entries;
-  if (entries != nullptr) {
-    storage::ByteReader reader(entries->payload);
-    const uint64_t count = reader.GetVarint();
-    for (uint64_t i = 0; i < count && reader.ok(); ++i) {
-      CacheEntry entry;
-      entry.template_id = reader.GetString();
-      entry.nonspatial_fingerprint = reader.GetString();
-      reader.GetString();  // Reserved slot, ignored.
-      const std::string region_xml = reader.GetString();
-      entry.truncated = reader.GetU8() != 0;
-      entry.last_access_micros = reader.GetZigzag();
-      entry.access_count = reader.GetVarint();
-      const std::string segment_bytes = reader.GetString();
-      if (!reader.ok()) break;
-      auto region = RegionFromXml(region_xml);
-      if (!region.ok()) return region.status();
-      auto segment = storage::FrozenSegment::Parse(segment_bytes);
-      if (!segment.ok()) return segment.status();
-      entry.region = std::move(*region);
-      entry.segment = std::make_shared<const storage::FrozenSegment>(
-          std::move(*segment));
-      // Restored entries come up frozen: relationship checks need only
-      // the region, and the first serving access thaws (and re-prepares
-      // coordinate views) through FindHot.
-      entry.tier = EntryTier::kFrozen;
-      staged_entries.push_back(std::move(entry));
-    }
-    if (!reader.ok()) {
-      return Status::ParseError("truncated snapshot ENTRIES section");
-    }
-  }
-
-  std::vector<uint64_t> counter_values;
-  uint64_t origin_retries = 0;
-  uint64_t breaker_transitions = 0;
-  double coverage = 0;
-  std::vector<QueryRecord> staged_records;
-  if (stats != nullptr) {
-    storage::ByteReader reader(stats->payload);
-    const uint64_t count = reader.GetVarint();
-    for (uint64_t i = 0; i < count && reader.ok(); ++i) {
-      counter_values.push_back(reader.GetVarint());
-    }
-    origin_retries = reader.GetVarint();
-    breaker_transitions = reader.GetVarint();
-    coverage = reader.GetDouble();
-    // A record takes at least 12 bytes, which bounds the count by the
-    // section before anything is reserved for it.
-    const uint64_t record_count = reader.GetVarint();
-    if (!reader.ok() || record_count > reader.remaining() / 12) {
-      return Status::ParseError("truncated snapshot STATS section");
-    }
-    staged_records.reserve(record_count);
-    for (uint64_t i = 0; i < record_count && reader.ok(); ++i) {
-      QueryRecord record;
-      const uint8_t relation = reader.GetU8();
-      if (relation > static_cast<uint8_t>(RegionRelation::kDisjoint)) {
-        return Status::ParseError("bad relation in snapshot STATS section");
-      }
-      record.status = static_cast<RegionRelation>(relation);
-      UnpackRecordFlags(reader.GetU8(), &record);
-      record.coverage = reader.GetDouble();
-      record.tuples_total = reader.GetVarint();
-      record.tuples_from_cache = reader.GetVarint();
-      staged_records.push_back(record);
-    }
-    if (!reader.ok()) {
-      return Status::ParseError("truncated snapshot STATS section");
-    }
-  }
-
+  FNPROXY_ASSIGN_OR_RETURN(const std::string file,
+                           storage::ReadFileToString(path));
+  // The whole file parses before anything is installed, so a bad file
+  // leaves the proxy as it was.
+  FNPROXY_ASSIGN_OR_RETURN(Snapshot snapshot, ParseSnapshot(file));
   size_t restored = 0;
-  for (CacheEntry& entry : staged_entries) {
+  for (CacheEntry& entry : snapshot.entries) {
     size_t comparisons = 0;
     if (cache_->Insert(std::move(entry), &comparisons) != 0) ++restored;
   }
-  if (stats != nullptr) {
-    // Older snapshots carry fewer counter slots; newer ones carry slots
-    // this build does not know, which are dropped.
-    std::vector<obs::Counter*> counters = SnapshotCounters();
-    for (size_t i = 0; i < counter_values.size() && i < counters.size();
-         ++i) {
-      if (counters[i] != nullptr) counters[i]->Increment(counter_values[i]);
-    }
-    restored_origin_retries_.fetch_add(origin_retries, kRelaxed);
-    restored_breaker_transitions_.fetch_add(breaker_transitions, kRelaxed);
-    util::MutexLock lock(records_mu_);
-    coverage_served_ += coverage;
-    records_.insert(records_.end(), staged_records.begin(),
-                    staged_records.end());
+  // A counter this build does not register is ignored.
+  const SnapshotStats& stats = snapshot.stats;
+  for (const auto& [series, counter] : registry_.CounterSeries()) {
+    auto value = stats.counters.find(series);
+    if (value != stats.counters.end()) counter->Increment(value->second);
   }
-
+  restored_origin_retries_.fetch_add(stats.origin_retries, kRelaxed);
+  restored_breaker_transitions_.fetch_add(stats.breaker_transitions,
+                                          kRelaxed);
+  {
+    util::MutexLock lock(records_mu_);
+    coverage_served_ += stats.coverage_served;
+    records_.insert(records_.end(), stats.records.begin(),
+                    stats.records.end());
+  }
   restored_entries_.fetch_add(restored, kRelaxed);
   return restored;
 }

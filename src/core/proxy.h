@@ -588,10 +588,6 @@ class FunctionProxy final : public net::HttpHandler {
   void RunTierSweep(int64_t now_micros);
   /// WriteSnapshot + outcome counters (the clean-shutdown path).
   void WriteSnapshotAndCount() EXCLUDES(records_mu_);
-  /// The counters persisted in a snapshot's STATS section, in wire order.
-  /// Append-only: reordering or removing a slot breaks old snapshots. A
-  /// retired slot is null: written as 0 and skipped on read.
-  std::vector<obs::Counter*> SnapshotCounters() const;
 
   ProxyConfig config_;
   const TemplateRegistry* templates_;

@@ -17,11 +17,10 @@
 namespace fnproxy::core {
 
 /// What a completed flight hands to its followers: the cache entry the
-/// leader obtained (its region covers every follower's query region), or a
-/// failure (`ok == false`, e.g. the origin was unreachable or the result was
-/// too large to cache). Followers of a failed flight retry on their own.
+/// leader obtained (its region covers every follower's query region), or
+/// null on a failure (e.g. the origin was unreachable or the result was too
+/// large to cache). Followers of a failed flight retry on their own.
 struct FlightOutcome {
-  bool ok = false;
   std::shared_ptr<const CacheEntry> entry;
 };
 

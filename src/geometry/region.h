@@ -11,8 +11,9 @@ namespace fnproxy::geometry {
 class Hyperrectangle;
 
 /// The region shapes a function template may declare (paper §3.1, property 2:
-/// "hypercube (most common), a hypersphere, or even a polytope").
-enum class ShapeKind { kHyperrectangle, kHypersphere, kPolytope };
+/// "hypercube (most common), a hypersphere, or even a polytope"). The values
+/// are the shape byte of a snapshot entry's region (docs/FORMATS.md §13.2).
+enum class ShapeKind { kHyperrectangle = 0, kHypersphere = 1, kPolytope = 2 };
 
 const char* ShapeKindName(ShapeKind kind);
 

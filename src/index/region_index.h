@@ -16,15 +16,15 @@ using EntryId = uint64_t;
 /// the paper (§4.2): the proxy keeps one box per cached query and probes it
 /// with a new query's box to find candidate related entries. Two
 /// implementations are compared in Figure 5: a plain array (ACNR) and an
-/// R-tree (ACR).
+/// R-tree (ACR). The proxy's cost model charges description time by the box
+/// comparisons each operation counts, which is what makes that comparison
+/// observable.
 ///
-/// Threading contract: the three-argument primitives report their box
-/// comparison counts through the `comparisons` out-parameter and touch no
-/// hidden mutable state, so `SearchIntersecting(query, &n)` is safe to call
-/// from many threads at once on a *frozen* index (no concurrent
-/// Insert/Remove). The two-argument conveniences keep the legacy
-/// "most recent op" counter for single-threaded callers (tests, ablation
-/// benches) and are NOT safe to share across threads. Mutations are never
+/// Threading contract: every operation reports its box comparison count
+/// through the `comparisons` out-parameter (the two-argument forms drop
+/// it) and the index keeps no hidden mutable state, so
+/// `SearchIntersecting` is safe to call from many threads at once on a
+/// *frozen* index (no concurrent Insert/Remove). Mutations are never
 /// internally synchronized — the sharded CacheStore serializes them with a
 /// per-shard writer lock.
 class RegionIndex {
@@ -47,37 +47,23 @@ class RegionIndex {
 
   virtual std::string name() const = 0;
 
-  // --- Single-threaded conveniences (legacy counter semantics). ---
+  // --- The same operations without the comparison count. ---
 
   void Insert(EntryId id, const geometry::Hyperrectangle& bbox) {
     size_t comparisons = 0;
     Insert(id, bbox, &comparisons);
-    last_op_comparisons_ = comparisons;
   }
 
   bool Remove(EntryId id) {
     size_t comparisons = 0;
-    bool removed = Remove(id, &comparisons);
-    last_op_comparisons_ = comparisons;
-    return removed;
+    return Remove(id, &comparisons);
   }
 
   std::vector<EntryId> SearchIntersecting(
       const geometry::Hyperrectangle& query) const {
     size_t comparisons = 0;
-    std::vector<EntryId> result = SearchIntersecting(query, &comparisons);
-    last_op_comparisons_ = comparisons;
-    return result;
+    return SearchIntersecting(query, &comparisons);
   }
-
-  /// Number of box-box comparisons performed by the most recent two-argument
-  /// Insert/Remove/SearchIntersecting call. The proxy's cost model charges
-  /// cache-description time proportional to comparison counts, which is what
-  /// makes the array-vs-R-tree comparison of Figure 5 observable.
-  size_t last_op_comparisons() const { return last_op_comparisons_; }
-
- private:
-  mutable size_t last_op_comparisons_ = 0;
 };
 
 }  // namespace fnproxy::index

@@ -236,6 +236,19 @@ std::string MetricsRegistry::RenderPrometheus() const {
   return out;
 }
 
+std::vector<std::pair<std::string, Counter*>> MetricsRegistry::CounterSeries()
+    const {
+  util::MutexLock lock(mu_);
+  std::vector<std::pair<std::string, Counter*>> out;
+  for (const auto& instrument : instruments_) {
+    if (instrument->kind != Kind::kCounter) continue;
+    std::string series = instrument->name;
+    AppendLabels(&series, instrument->labels);
+    out.emplace_back(std::move(series), instrument->counter.get());
+  }
+  return out;
+}
+
 std::vector<HistogramExport> MetricsRegistry::ExportHistograms(
     std::string_view name) const {
   util::MutexLock lock(mu_);

@@ -165,6 +165,12 @@ class MetricsRegistry {
   /// sample line per series (histograms expand to _bucket/_sum/_count).
   std::string RenderPrometheus() const EXCLUDES(mu_);
 
+  /// Every counter (not callbacks) in registration order, under the series
+  /// name RenderPrometheus gives it: the family name and its labels, e.g.
+  /// `fnproxy_cache_outcomes_total{outcome="exact_hit"}`.
+  std::vector<std::pair<std::string, Counter*>> CounterSeries() const
+      EXCLUDES(mu_);
+
   /// Frozen copies of every histogram whose family name equals `name`
   /// (empty = all histograms), in registration order.
   std::vector<HistogramExport> ExportHistograms(

@@ -171,6 +171,22 @@ TEST(FunctionTemplateTest, RejectsMalformedTemplates) {
   EXPECT_FALSE(FunctionTemplate::FromXml(bad_shape).ok());
 }
 
+// Arguments bind by name, so the second $lo overwrote the first: this
+// template built Rect{[7, 8]} from BuildRegion(3, 7), and the proxy would
+// have filed the answer to a call whose first argument is 3 under it.
+TEST(FunctionTemplateTest, RepeatedParameterRejected) {
+  const char* repeated = R"(<FunctionTemplate>
+    <Name>f</Name><Params><P>$lo</P><P>$lo</P></Params>
+    <Shape>hyperrectangle</Shape><NumDimensions>1</NumDimensions>
+    <Lo><C>$lo</C></Lo><Hi><C>$lo + 1</C></Hi>
+    <CoordinateColumns><C>x</C></CoordinateColumns>
+  </FunctionTemplate>)";
+  auto tmpl = FunctionTemplate::FromXml(repeated);
+  ASSERT_FALSE(tmpl.ok());
+  EXPECT_NE(tmpl.status().message().find("$lo"), std::string::npos)
+      << tmpl.status().ToString();
+}
+
 TEST(QueryTemplateTest, SplitsSpatialAndNonSpatialParams) {
   auto qt = QueryTemplate::Create(
       "radial", "/radial",

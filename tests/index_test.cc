@@ -175,10 +175,10 @@ TEST(RTreeTest, SearchVisitsFewerBoxesThanArrayOnClusteredData) {
     array.Insert(id, box);
   }
   Hyperrectangle probe({-10.0, -10.0}, {50.0, 120.0});
-  auto rtree_hits = rtree.SearchIntersecting(probe);
-  size_t rtree_comparisons = rtree.last_op_comparisons();
-  auto array_hits = array.SearchIntersecting(probe);
-  size_t array_comparisons = array.last_op_comparisons();
+  size_t rtree_comparisons = 0;
+  auto rtree_hits = rtree.SearchIntersecting(probe, &rtree_comparisons);
+  size_t array_comparisons = 0;
+  auto array_hits = array.SearchIntersecting(probe, &array_comparisons);
   EXPECT_EQ(Sorted(rtree_hits), Sorted(array_hits));
   EXPECT_LT(rtree_comparisons, array_comparisons);
 }
@@ -189,8 +189,9 @@ TEST(ArrayIndexTest, ComparisonAccountingIsLinear) {
     array.Insert(id, Hyperrectangle({static_cast<double>(id), 0},
                                     {static_cast<double>(id) + 1, 1}));
   }
-  array.SearchIntersecting(Hyperrectangle({0, 0}, {5, 5}));
-  EXPECT_EQ(array.last_op_comparisons(), 100u);
+  size_t comparisons = 0;
+  array.SearchIntersecting(Hyperrectangle({0, 0}, {5, 5}), &comparisons);
+  EXPECT_EQ(comparisons, 100u);
 }
 
 }  // namespace

@@ -477,7 +477,7 @@ TEST(SingleFlightTableTest, GuardFailsFlightOnEarlyExit) {
   }
   ASSERT_EQ(follower.result.wait_for(std::chrono::seconds(5)),
             std::future_status::ready);
-  EXPECT_FALSE(follower.result.get().ok);
+  EXPECT_EQ(follower.result.get().entry, nullptr);
   EXPECT_EQ(table.inflight(), 0u);
 }
 

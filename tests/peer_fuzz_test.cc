@@ -45,11 +45,9 @@
 #include <vector>
 
 #include "catalog/sky_catalog.h"
-#include "core/cache_snapshot.h"
 #include "core/hash_ring.h"
 #include "core/proxy.h"
 #include "core/template_registry.h"
-#include "geometry/celestial.h"
 #include "net/http_wire.h"
 #include "net/network.h"
 #include "net/peer_channel.h"
@@ -124,7 +122,7 @@ void SetHeader(std::map<std::string, std::string>* headers,
   (*headers)[name] = value;
 }
 
-/// A cache entry, as the cache would serialize it.
+/// A cache entry as text: its region (round-trip decimals) and result.
 struct EntryText {
   std::string region;
   std::string result;
@@ -231,8 +229,8 @@ class PeerFuzzTest : public ::testing::Test {
       std::vector<EntryText> entries;
       for (uint64_t id : proxy->cache().AllIds()) {
         auto entry = proxy->cache().Find(id);
-        entries.push_back({core::RegionToXml(*entry->region),
-                           sql::TableToXml(entry->result)});
+        entries.push_back(
+            {entry->region->ToString(), sql::TableToXml(entry->result)});
       }
       return entries;
     }
@@ -561,8 +559,10 @@ HttpResponse FailureAttrs(HttpResponse answer, util::Random& rng) {
 HttpResponse ForeignDocument(HttpResponse answer, util::Random& rng) {
   switch (rng.NextUint64(3)) {
     case 0:
-      answer.body = core::RegionToXml(geometry::ConeToHypersphere(185, 33, 1)) +
-                    answer.body;
+      answer.body =
+          "<Region shape=\"hypersphere\" dims=\"3\"><Center>-0.7 0.06 0.54"
+          "</Center><Radius>0.0003</Radius></Region>" +
+          answer.body;
       break;
     case 1:
       answer.body += answer.body;

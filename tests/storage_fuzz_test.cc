@@ -3,27 +3,33 @@
 // Segments of radial, rect, string and mixed-type tables get bit flips,
 // truncations and length-field lies, and each result is fed to
 // FrozenSegment::Parse and to FunctionProxy::RestoreSnapshot inside a
-// checksum-valid snapshot, as are mutated ENTRIES and STATS sections.
-// Every input must be rejected with a status or decode to a table whose
-// every cell reads back, and a failed restore must leave the proxy as it
-// was. The inputs in
+// checksum-valid snapshot, as are mutated entry regions and mutated
+// ENTRIES and STATS sections. Every input must be rejected with a status
+// or decode to a table whose every cell reads back and to regions that
+// FunctionTemplate::BuildRegion could have built, and a failed restore must
+// leave the proxy as it was. The inputs in
 // storage_fuzz_fixtures/ once got past a parser; they are replayed first.
 // The seed and the mutation budget are fixed, so a run is reproducible and
 // stays within a few seconds under the sanitizers.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "catalog/sky_catalog.h"
 #include "core/cache_snapshot.h"
+#include "core/function_template.h"
 #include "core/proxy.h"
 #include "geometry/hyperrectangle.h"
 #include "geometry/hypersphere.h"
+#include "geometry/polytope.h"
 #include "net/network.h"
 #include "server/database.h"
 #include "server/web_app.h"
@@ -134,9 +140,12 @@ std::vector<Source> Sources() {
                   Value::Null(), Value::Double(rng.NextDouble(-1e9, 1e9)),
                   Value::Null()});
   }
-  sources.push_back({"mixed", ColumnarTable(mixed),
-                     std::make_unique<geometry::Hypersphere>(
-                         geometry::Point{0.5, 0.5, 0.7}, 0.02)});
+  sources.push_back(
+      {"mixed", ColumnarTable(mixed),
+       std::make_unique<geometry::Polytope>(
+           std::vector<geometry::Halfspace>{
+               {{-1, 0}, 0}, {{0, -1}, 0}, {{1, 1}, 1}},
+           std::vector<geometry::Point>{{0, 0}, {1, 0}, {0, 1}})});
   return sources;
 }
 
@@ -227,6 +236,67 @@ std::string Mutate(const std::string& wire, util::Random* rng) {
   }
 }
 
+/// Offsets of the doubles in the encoded `region` (docs/FORMATS.md §13.2):
+/// after the shape byte and the one-byte dimension count, and for a
+/// polytope after each one-byte count.
+std::vector<size_t> DoubleOffsets(const geometry::Region& region) {
+  const size_t dims = region.dimensions();
+  std::vector<size_t> offsets;
+  auto run = [&](size_t start, size_t count) {
+    for (size_t k = 0; k < count; ++k) offsets.push_back(start + 8 * k);
+    return start + 8 * count;
+  };
+  if (region.kind() != geometry::ShapeKind::kPolytope) {
+    run(2, region.kind() == geometry::ShapeKind::kHypersphere ? dims + 1
+                                                               : 2 * dims);
+    return offsets;
+  }
+  const auto& poly = static_cast<const geometry::Polytope&>(region);
+  const size_t end = run(3, poly.halfspaces().size() * (dims + 1));
+  run(end + 1, poly.vertices().size() * dims);
+  return offsets;
+}
+
+/// One of four mutations of an encoded region: 1-4 bit flips, a
+/// truncation, one double overwritten with a value no template builds (or
+/// an ordinary one), or its shape byte or a count rewritten to a lie.
+std::string MutateRegion(const geometry::Region& region, util::Random* rng) {
+  storage::ByteWriter encoded;
+  PutRegion(region, &encoded);
+  std::string out = encoded.Release();
+  switch (rng->NextUint64(4)) {
+    case 0: {
+      const uint64_t flips = 1 + rng->NextUint64(4);
+      for (uint64_t i = 0; i < flips; ++i) {
+        const uint64_t bit = rng->NextUint64(out.size() * 8);
+        out[bit / 8] = static_cast<char>(out[bit / 8] ^ (1 << (bit % 8)));
+      }
+      return out;
+    }
+    case 1:
+      return out.substr(0, rng->NextUint64(out.size()));
+    case 2: {
+      const double kValues[] = {std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                -1.0, -0.0, 1e308, -1e308, 0.25};
+      const std::vector<size_t> offsets = DoubleOffsets(region);
+      storage::ByteWriter value;
+      value.PutDouble(kValues[rng->NextUint64(std::size(kValues))]);
+      return out.replace(offsets[rng->NextUint64(offsets.size())], 8,
+                         value.bytes());
+    }
+    default: {
+      // The shape byte, the dimension count, or a polytope's first count.
+      const size_t offset = rng->NextUint64(
+          region.kind() == geometry::ShapeKind::kPolytope ? 3 : 2);
+      const uint8_t kLies[] = {0, 1, 2, 3, 16, 17, 127, 255};
+      out[offset] = static_cast<char>(kLies[rng->NextUint64(std::size(kLies))]);
+      return out;
+    }
+  }
+}
+
 // --- Oracles -----------------------------------------------------------------
 
 /// Every cell of `table` reads back, and the table freezes, parses and
@@ -240,6 +310,44 @@ void ExpectReadable(const ColumnarTable& table) {
   EXPECT_EQ(sql::TableToXml(again->Thaw()), xml);
 }
 
+/// The rule for a region restored from disk (docs/FORMATS.md §13.2),
+/// stated apart from the decoder: one FunctionTemplate::BuildRegion could
+/// have built.
+void ExpectBuildable(const geometry::Region& region) {
+  auto finite = [](const geometry::Point& p) {
+    return std::all_of(p.begin(), p.end(),
+                       [](double v) { return std::isfinite(v); });
+  };
+  const size_t dims = region.dimensions();
+  EXPECT_GE(dims, 1u);
+  EXPECT_LE(dims, kMaxRegionDimensions);
+  switch (region.kind()) {
+    case geometry::ShapeKind::kHypersphere: {
+      const auto& sphere = static_cast<const geometry::Hypersphere&>(region);
+      EXPECT_TRUE(finite(sphere.center()) && std::isfinite(sphere.radius()));
+      EXPECT_GE(sphere.radius(), 0.0);
+      break;
+    }
+    case geometry::ShapeKind::kHyperrectangle: {
+      const auto& rect = static_cast<const geometry::Hyperrectangle&>(region);
+      EXPECT_TRUE(finite(rect.lo()) && finite(rect.hi()));
+      for (size_t i = 0; i < dims; ++i) EXPECT_LE(rect.lo()[i], rect.hi()[i]);
+      break;
+    }
+    case geometry::ShapeKind::kPolytope: {
+      const auto& poly = static_cast<const geometry::Polytope&>(region);
+      EXPECT_FALSE(poly.halfspaces().empty());
+      EXPECT_FALSE(poly.vertices().empty());
+      for (const geometry::Halfspace& h : poly.halfspaces()) {
+        EXPECT_TRUE(finite(h.normal) && std::isfinite(h.offset));
+      }
+      for (const geometry::Point& v : poly.vertices()) EXPECT_TRUE(finite(v));
+      EXPECT_TRUE(poly.Validate().ok());
+      break;
+    }
+  }
+}
+
 /// A proxy environment whose only use is restoring snapshots.
 class RestoreHarness {
  public:
@@ -250,16 +358,28 @@ class RestoreHarness {
     fresh_stats_ = MakeProxy()->stats().ToXml();
   }
 
-  /// The ENTRIES payload for `segments`, one per source, in order.
+  /// The encoded region of each source, in order.
+  static std::vector<std::string> Regions(const std::vector<Source>& sources) {
+    std::vector<std::string> regions;
+    for (const Source& source : sources) {
+      storage::ByteWriter w;
+      PutRegion(*source.region, &w);
+      regions.push_back(w.Release());
+    }
+    return regions;
+  }
+
+  /// The ENTRIES payload for `segments` and encoded `regions`, one per
+  /// source, in order.
   static std::string Entries(const std::vector<Source>& sources,
-                             const std::vector<std::string>& segments) {
+                             const std::vector<std::string>& segments,
+                             const std::vector<std::string>& regions) {
     storage::ByteWriter w;
     w.PutVarint(segments.size());
     for (size_t i = 0; i < segments.size(); ++i) {
       w.PutString(sources[i].name);
-      w.PutString("");
       w.PutString(std::string("p=") + sources[i].name);
-      w.PutString(RegionToXml(*sources[i].region));
+      w.PutBytes(regions[i].data(), regions[i].size());
       w.PutU8(0);
       w.PutZigzag(0);
       w.PutVarint(1);
@@ -268,11 +388,13 @@ class RestoreHarness {
     return w.Release();
   }
 
-  /// A STATS payload with two counters and two records.
+  /// A STATS payload with two named counters and two records.
   static std::string Stats() {
     storage::ByteWriter w;
     w.PutVarint(2);
+    w.PutString("fnproxy_requests_total");
     w.PutVarint(5);
+    w.PutString("fnproxy_template_requests_total");
     w.PutVarint(3);
     w.PutVarint(0);  // origin retries
     w.PutVarint(0);  // breaker transitions
@@ -289,11 +411,12 @@ class RestoreHarness {
   }
 
   /// Restores the snapshot made of `entries` and `stats`: either every
-  /// entry comes back and thaws, or nothing is installed at all.
+  /// entry comes back, thaws and has a region BuildRegion could have
+  /// built, or nothing is installed at all.
   void ExpectAllOrNothing(const std::string& entries,
                           const std::string& stats) {
     storage::ByteWriter meta;
-    meta.PutU32(2);
+    meta.PutU32(kSnapshotVersion);
     meta.PutU8(static_cast<uint8_t>(CachingMode::kActiveFull));
     meta.PutZigzag(0);
     ASSERT_TRUE(storage::WriteFileAtomic(
@@ -315,6 +438,7 @@ class RestoreHarness {
       ASSERT_NE(entry, nullptr);
       ASSERT_NE(entry->segment, nullptr);
       ExpectReadable(entry->segment->Thaw());
+      ExpectBuildable(*entry->region);
     }
   }
 
@@ -358,8 +482,10 @@ bool FeedSegment(const std::vector<Source>& sources, size_t index,
     segments.push_back(FrozenSegment::Freeze(source.table).Serialize());
   }
   segments[index] = wire;
-  restore->ExpectAllOrNothing(RestoreHarness::Entries(sources, segments),
-                              RestoreHarness::Stats());
+  restore->ExpectAllOrNothing(
+      RestoreHarness::Entries(sources, segments,
+                              RestoreHarness::Regions(sources)),
+      RestoreHarness::Stats());
   return parsed.ok();
 }
 
@@ -383,8 +509,10 @@ TEST(StorageFuzzTest, CommittedFixturesAreRejectedOrDecode) {
     if (file.path().extension() == ".seg") {
       FeedSegment(sources, 1, *bytes, &restore);
     } else if (file.path().extension() == ".stats") {
-      restore.ExpectAllOrNothing(RestoreHarness::Entries(sources, segments),
-                                 *bytes);
+      restore.ExpectAllOrNothing(
+          RestoreHarness::Entries(sources, segments,
+                                  RestoreHarness::Regions(sources)),
+          *bytes);
     } else {
       continue;
     }
@@ -423,7 +551,8 @@ TEST(StorageFuzzTest, MutatedSnapshotSectionsRestoreAllOrNothing) {
   for (const Source& source : sources) {
     segments.push_back(FrozenSegment::Freeze(source.table).Serialize());
   }
-  const std::string entries = RestoreHarness::Entries(sources, segments);
+  const std::string entries = RestoreHarness::Entries(
+      sources, segments, RestoreHarness::Regions(sources));
   const std::string stats = RestoreHarness::Stats();
   util::Random rng(kSeed + 1);
   for (int i = 0; i < kMutationsPerTable; ++i) {
@@ -437,6 +566,43 @@ TEST(StorageFuzzTest, MutatedSnapshotSectionsRestoreAllOrNothing) {
     }
     if (HasFatalFailure()) return;
   }
+}
+
+TEST(StorageFuzzTest, MutatedRegionsRestoreAllOrNothing) {
+  const std::vector<Source> sources = Sources();
+  const std::string dir = FreshTempDir("regions");
+  RestoreHarness restore(dir + "/snapshot.bin");
+  std::vector<std::string> segments;
+  for (const Source& source : sources) {
+    segments.push_back(FrozenSegment::Freeze(source.table).Serialize());
+  }
+  const std::vector<std::string> regions = RestoreHarness::Regions(sources);
+  util::Random rng(kSeed + 2);
+  int accepted = 0;
+  for (size_t index = 0; index < sources.size(); ++index) {
+    for (int i = 0; i < kMutationsPerTable; ++i) {
+      SCOPED_TRACE(std::string(sources[index].name) + " region mutation " +
+                   std::to_string(i));
+      std::string region = MutateRegion(*sources[index].region, &rng);
+      storage::ByteReader in(region);
+      const auto decoded = GetRegion(&in);
+      if (decoded.ok()) {
+        ++accepted;
+        ExpectBuildable(**decoded);
+      }
+      std::vector<std::string> mutated = regions;
+      mutated[index] = std::move(region);
+      restore.ExpectAllOrNothing(
+          RestoreHarness::Entries(sources, segments, mutated),
+          RestoreHarness::Stats());
+      if (HasFatalFailure()) return;
+    }
+  }
+  // The budget reaches both outcomes: ordinary values and flips in low
+  // mantissa bits still decode.
+  const int total = kMutationsPerTable * static_cast<int>(sources.size());
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, total);
 }
 
 }  // namespace

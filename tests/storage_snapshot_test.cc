@@ -11,12 +11,15 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "catalog/sky_catalog.h"
+#include "core/cache_snapshot.h"
 #include "core/proxy.h"
+#include "geometry/hyperrectangle.h"
 #include "net/network.h"
 #include "server/sky_functions.h"
 #include "server/web_app.h"
@@ -320,31 +323,58 @@ void RewriteSection(const std::string& path, uint32_t id,
       storage::WriteFileAtomic(path, storage::BuildSnapshotFile(rebuilt)).ok());
 }
 
-/// Offset, within an ENTRIES payload, of the encoding byte of the first
-/// column of entry `index`'s segment (docs/FORMATS.md §13.2-13.3).
-size_t FirstEncodingByte(std::string_view entries, size_t index) {
-  storage::ByteReader in(entries);
-  const uint64_t count = in.GetVarint();
-  EXPECT_LT(index, count);
-  for (size_t i = 0;; ++i) {
-    for (int field = 0; field < 4; ++field) in.GetString();
-    in.GetU8();
-    in.GetZigzag();
-    in.GetVarint();
-    const size_t length = in.GetVarint();
-    const size_t start = entries.size() - in.remaining();
-    std::string_view segment = in.GetBytes(length);
-    if (i < index) continue;
-    storage::ByteReader seg(segment);
-    seg.GetVarint();
-    const uint64_t columns = seg.GetVarint();
-    for (uint64_t c = 0; c < columns; ++c) {
-      seg.GetString();
-      seg.GetU8();
-    }
-    EXPECT_TRUE(seg.ok());
-    return start + segment.size() - seg.remaining();
+/// Offset, within the ENTRIES payload of the snapshot `file`, of the
+/// encoding byte of the first column of entry `index`'s segment
+/// (docs/FORMATS.md §13.3).
+size_t FirstEncodingByte(std::string_view file, std::string_view entries,
+                         size_t index) {
+  auto snapshot = ParseSnapshot(file);
+  EXPECT_TRUE(snapshot.ok());
+  const std::string& segment = snapshot->entries.at(index).segment->Serialize();
+  const size_t start = entries.find(segment);
+  EXPECT_NE(start, std::string_view::npos);
+  storage::ByteReader seg(segment);
+  seg.GetVarint();
+  const uint64_t columns = seg.GetVarint();
+  for (uint64_t c = 0; c < columns; ++c) {
+    seg.GetString();
+    seg.GetU8();
   }
+  EXPECT_TRUE(seg.ok());
+  return start + segment.size() - seg.remaining();
+}
+
+/// Offset, within the ENTRIES payload of the snapshot `file`, of the shape
+/// byte of entry `index`'s region.
+size_t ShapeByte(std::string_view file, std::string_view entries,
+                 size_t index) {
+  auto snapshot = ParseSnapshot(file);
+  EXPECT_TRUE(snapshot.ok());
+  storage::ByteWriter region;
+  PutRegion(*snapshot->entries.at(index).region, &region);
+  const size_t start = entries.find(region.bytes());
+  EXPECT_NE(start, std::string_view::npos);
+  return start;
+}
+
+/// Rewrites the snapshot at `path` with `edit` applied to its parsed
+/// contents.
+void RewriteSnapshot(const std::string& path,
+                     const std::function<void(Snapshot*)>& edit) {
+  auto contents = storage::ReadFileToString(path);
+  ASSERT_TRUE(contents.ok()) << contents.status().ToString();
+  auto snapshot = ParseSnapshot(*contents);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  edit(&*snapshot);
+  std::vector<std::shared_ptr<const CacheEntry>> entries;
+  for (CacheEntry& entry : snapshot->entries) {
+    entries.push_back(std::make_shared<CacheEntry>(std::move(entry)));
+  }
+  ASSERT_TRUE(storage::WriteFileAtomic(
+                  path, SerializeSnapshot(snapshot->mode,
+                                          snapshot->written_micros, entries,
+                                          snapshot->stats))
+                  .ok());
 }
 
 /// The value of one /metrics series, or -1 when it is not rendered.
@@ -369,29 +399,73 @@ TEST_F(SnapshotProxyTest, FailedRestoreInstallsNothing) {
   auto pristine = storage::ReadFileToString(snapshot_path_);
   ASSERT_TRUE(pristine.ok());
 
-  // Two checksum-valid snapshots that fail past their first parsed entry:
-  // an unknown encoding id in the second entry's segment, and a STATS
-  // section cut short after the entries.
+  // Checksum-valid snapshots that fail past their first parsed entry, or
+  // in META before any, each with the error a restore must give: an
+  // unknown encoding id or region shape in the second entry, a second
+  // entry whose region is [-inf, inf]^2, a query record of relation 9, a
+  // STATS section cut short after the entries, and META versions 2 and 7.
   const std::pair<const char*, std::function<void()>> kDamage[] = {
-      {"unknown encoding in entry 2",
+      {"entry 1: segment: bad payload",
        [&] {
          RewriteSection(snapshot_path_, storage::kSectionEntries,
-                        [](std::string* entries) {
-                          (*entries)[FirstEncodingByte(*entries, 1)] = 9;
+                        [&](std::string* entries) {
+                          (*entries)[FirstEncodingByte(*pristine, *entries,
+                                                       1)] = 9;
                         });
        }},
-      {"truncated STATS",
+      {"entry 1: unknown region shape 9",
+       [&] {
+         RewriteSection(snapshot_path_, storage::kSectionEntries,
+                        [&](std::string* entries) {
+                          (*entries)[ShapeByte(*pristine, *entries, 1)] = 9;
+                        });
+       }},
+      {"entry 1: region value is not finite",
+       [&] {
+         RewriteSnapshot(snapshot_path_, [](Snapshot* snapshot) {
+           const double inf = std::numeric_limits<double>::infinity();
+           snapshot->entries.at(1).region =
+               std::make_unique<geometry::Hyperrectangle>(
+                   geometry::Point{-inf, -inf}, geometry::Point{inf, inf});
+         });
+       }},
+      {"bad relation 9",
+       [&] {
+         RewriteSnapshot(snapshot_path_, [](Snapshot* snapshot) {
+           snapshot->stats.records.at(1).status =
+               static_cast<geometry::RegionRelation>(9);
+         });
+       }},
+      {"truncated snapshot STATS section",
        [&] {
          RewriteSection(snapshot_path_, storage::kSectionStats,
                         [](std::string* stats) {
                           stats->resize(stats->size() - 3);
                         });
        }},
+      {"unsupported snapshot version 2",
+       [&] {
+         RewriteSection(snapshot_path_, storage::kSectionMeta,
+                        [](std::string* meta) { (*meta)[0] = 2; });
+       }},
+      {"unsupported snapshot version 7",
+       [&] {
+         RewriteSection(snapshot_path_, storage::kSectionMeta,
+                        [](std::string* meta) { (*meta)[0] = 7; });
+       }},
   };
-  for (const auto& [label, damage] : kDamage) {
-    SCOPED_TRACE(label);
+  for (const auto& [error, damage] : kDamage) {
+    SCOPED_TRACE(error);
     ASSERT_TRUE(storage::WriteFileAtomic(snapshot_path_, *pristine).ok());
     damage();
+    {
+      // Storage off, so its shutdown writes no snapshot over the damage.
+      Node probe = MakeNode(/*restore=*/false, /*enable_storage=*/false);
+      auto restored = probe.proxy->RestoreSnapshot(snapshot_path_);
+      ASSERT_FALSE(restored.ok());
+      EXPECT_NE(restored.status().message().find(error), std::string::npos)
+          << restored.status().ToString();
+    }
     Node restored = MakeNode(/*restore=*/true);
     Node fresh = MakeNode(/*restore=*/false);
     EXPECT_EQ(restored.proxy->cache().num_entries(), 0u);
@@ -402,6 +476,34 @@ TEST_F(SnapshotProxyTest, FailedRestoreInstallsNothing) {
                     "fnproxy_storage_restored_entries_total"),
         0);
   }
+}
+
+TEST_F(SnapshotProxyTest, CountersRestoreByName) {
+  Node writer = MakeNode(/*restore=*/false);
+  for (const HttpRequest& request : WarmupSequence()) {
+    ASSERT_TRUE(writer.proxy->Handle(request).ok());
+  }
+  const std::string want_stats = writer.proxy->stats().ToXml();
+  ASSERT_TRUE(writer.proxy->WriteSnapshot(snapshot_path_).ok());
+  // Every counter is named by its /metrics series.
+  auto contents = storage::ReadFileToString(snapshot_path_);
+  ASSERT_TRUE(contents.ok());
+  auto snapshot = ParseSnapshot(*contents);
+  ASSERT_TRUE(snapshot.ok());
+  const auto& counters = snapshot->stats.counters;
+  EXPECT_EQ(counters.size(), writer.proxy->metrics().CounterSeries().size());
+  EXPECT_EQ(counters.at("fnproxy_requests_total"), 5u);
+  EXPECT_EQ(counters.at("fnproxy_cache_outcomes_total{outcome=\"exact_hit\"}"),
+            writer.proxy->stats().exact_hits);
+
+  // A counter this build does not register is ignored, and one it
+  // registers but the file lacks starts at 0.
+  RewriteSnapshot(snapshot_path_, [](Snapshot* edited) {
+    edited->stats.counters["fnproxy_retired_total"] = 7;
+    edited->stats.counters.erase("fnproxy_shed_total{reason=\"overload\"}");
+  });
+  Node restored = MakeNode(/*restore=*/true);
+  EXPECT_EQ(restored.proxy->stats().ToXml(), want_stats);
 }
 
 TEST_F(SnapshotProxyTest, DestructorWritesCleanShutdownSnapshot) {
