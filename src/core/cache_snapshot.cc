@@ -10,6 +10,7 @@
 #include "geometry/hypersphere.h"
 #include "geometry/polytope.h"
 #include "storage/segment.h"
+#include "util/string_util.h"
 
 namespace fnproxy::core {
 
@@ -173,6 +174,13 @@ Status ParseStats(std::string_view payload, SnapshotStats* out) {
   if (!in.ok() || num_records > in.remaining() / kMinRecordBytes) {
     return Status::ParseError("truncated snapshot STATS section");
   }
+  // Coverage served sums the coverages of degraded answers, each in [0, 1].
+  if (!(std::isfinite(out->coverage_served) && out->coverage_served >= 0)) {
+    return Status::ParseError(std::string("coverage served ") +
+                              util::FormatDouble(out->coverage_served) +
+                              " in snapshot STATS section is not a finite "
+                              "value >= 0");
+  }
   out->records.reserve(num_records);
   for (uint64_t i = 0; i < num_records && in.ok(); ++i) {
     QueryRecord record;
@@ -189,6 +197,12 @@ Status ParseStats(std::string_view payload, SnapshotStats* out) {
     record.coverage = in.GetDouble();
     record.tuples_total = in.GetVarint();
     record.tuples_from_cache = in.GetVarint();
+    if (!(record.coverage >= 0 && record.coverage <= 1)) {
+      return Status::ParseError(std::string("record coverage ") +
+                                util::FormatDouble(record.coverage) +
+                                " in snapshot STATS section is outside "
+                                "[0, 1]");
+    }
     out->records.push_back(record);
   }
   return SectionEnd(in, "STATS");
@@ -279,10 +293,9 @@ StatusOr<std::unique_ptr<Region>> GetRegion(ByteReader* in) {
   return Status::ParseError("unknown region shape " + std::to_string(shape));
 }
 
-std::string SerializeSnapshot(
-    CachingMode mode, int64_t written_micros,
-    const std::vector<std::shared_ptr<const CacheEntry>>& entries,
-    const SnapshotStats& stats) {
+std::string SerializeSnapshot(CachingMode mode, int64_t written_micros,
+                              const std::vector<LiveEntry>& entries,
+                              const SnapshotStats& stats) {
   ByteWriter meta;
   meta.PutU32(kSnapshotVersion);
   meta.PutU8(static_cast<uint8_t>(mode));
@@ -290,13 +303,13 @@ std::string SerializeSnapshot(
 
   ByteWriter body;
   body.PutVarint(entries.size());
-  for (const std::shared_ptr<const CacheEntry>& entry : entries) {
+  for (const auto& [entry, last_access_micros, access_count] : entries) {
     body.PutString(entry->template_id);
     body.PutString(entry->nonspatial_fingerprint);
     PutRegion(*entry->region, &body);
     body.PutU8(entry->truncated ? 1 : 0);
-    body.PutZigzag(entry->last_access_micros);
-    body.PutVarint(entry->access_count);
+    body.PutZigzag(last_access_micros);
+    body.PutVarint(access_count);
     body.PutString(
         entry->tier == EntryTier::kHot
             ? storage::FrozenSegment::Freeze(entry->result).Serialize()

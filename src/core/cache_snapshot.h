@@ -49,12 +49,12 @@ struct Snapshot {
   SnapshotStats stats;
 };
 
-/// The file a proxy in `mode` writes at `written_micros`. Hot entries are
-/// frozen on the way out; a frozen entry contributes its segment as it is.
-std::string SerializeSnapshot(
-    CachingMode mode, int64_t written_micros,
-    const std::vector<std::shared_ptr<const CacheEntry>>& entries,
-    const SnapshotStats& stats);
+/// The file a proxy in `mode` writes at `written_micros`: each entry with
+/// the access bookkeeping beside it. Hot entries are frozen on the way out;
+/// a frozen entry contributes its segment as it is.
+std::string SerializeSnapshot(CachingMode mode, int64_t written_micros,
+                              const std::vector<LiveEntry>& entries,
+                              const SnapshotStats& stats);
 
 /// Parses and checks a whole snapshot file: the container's checksums,
 /// META at kSnapshotVersion, every entry's region (GetRegion) and segment

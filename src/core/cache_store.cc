@@ -352,4 +352,18 @@ std::vector<uint64_t> CacheStore::AllIds() const {
   return ids;
 }
 
+std::vector<LiveEntry> CacheStore::LiveEntries() const {
+  std::vector<LiveEntry> entries;
+  for (const auto& shard : shards_) {
+    util::ReaderMutexLock lock(shard->mu);
+    for (const auto& [id, stored] : shard->entries) {
+      entries.push_back(
+          {stored.entry,
+           stored.last_access_micros.load(std::memory_order_relaxed),
+           stored.access_count.load(std::memory_order_relaxed)});
+    }
+  }
+  return entries;
+}
+
 }  // namespace fnproxy::core

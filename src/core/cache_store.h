@@ -65,6 +65,14 @@ struct CacheEntry {
   uint64_t access_count = 0;
 };
 
+/// An entry with the live access bookkeeping the store keeps beside it,
+/// which a snapshot writes in place of the entry's admission-time values.
+struct LiveEntry {
+  std::shared_ptr<const CacheEntry> entry;
+  int64_t last_access_micros = 0;
+  uint64_t access_count = 0;
+};
+
 /// Cache replacement policies. The paper runs with fractional cache sizes
 /// (Table 1, Figure 5) but does not name its policy.
 ///   kCostAware — GreedyDual-Size-Frequency (Cao & Irani, USITS '97): evict
@@ -244,6 +252,10 @@ class CacheStore {
   /// All entry ids (for iteration in tests/tools). Consistent per shard,
   /// not across shards under concurrent mutation.
   std::vector<uint64_t> AllIds() const;
+
+  /// Every entry with its live access bookkeeping, in AllIds() order and
+  /// with the same consistency.
+  std::vector<LiveEntry> LiveEntries() const;
 
  private:
   /// Live replacement bookkeeping beside the immutable entry snapshot.

@@ -439,9 +439,9 @@ StatusOr<ColumnarTable> MergeDistinctColumnar(const std::vector<ColumnarSlice>& 
 namespace {
 
 /// Per-column three-way comparison mirroring Value::Compare with the
-/// caller's historical "errors order as equal" behavior: NULLs and
-/// incomparable cells yield 0. Numeric columns coerce to double even for
-/// int/int pairs, exactly like Value::Compare's ToNumeric path.
+/// caller's historical "errors order as equal" behavior: NULLs yield 0.
+/// Numeric columns coerce to double even for int/int pairs, exactly like
+/// Value::Compare's ToNumeric path.
 int CompareCells(const ColumnarTable& table, size_t col, uint32_t a,
                  uint32_t b) {
   if (table.CellIsNull(a, col) || table.CellIsNull(b, col)) return 0;
@@ -464,10 +464,6 @@ int CompareCells(const ColumnarTable& table, size_t col, uint32_t a,
     case ColumnarTable::StorageKind::kString: {
       int cmp = table.CellString(a, col).compare(table.CellString(b, col));
       return cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
-    }
-    case ColumnarTable::StorageKind::kMixed: {
-      auto cmp = table.CellMixed(a, col).Compare(table.CellMixed(b, col));
-      return cmp.ok() ? *cmp : 0;
     }
     case ColumnarTable::StorageKind::kAllNull:
       return 0;

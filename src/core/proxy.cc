@@ -1450,10 +1450,6 @@ void FunctionProxy::WriteSnapshotAndCount() {
 }
 
 util::Status FunctionProxy::WriteSnapshot(const std::string& path) const {
-  std::vector<std::shared_ptr<const CacheEntry>> entries;
-  for (uint64_t id : cache_->AllIds()) {
-    if (auto entry = cache_->Find(id)) entries.push_back(std::move(entry));
-  }
   // Everything /proxy/stats renders, so a restarted proxy reproduces the
   // writer's XML byte for byte.
   SnapshotStats stats;
@@ -1471,8 +1467,8 @@ util::Status FunctionProxy::WriteSnapshot(const std::string& path) const {
     stats.records = records_;
   }
   return storage::WriteFileAtomic(
-      path, SerializeSnapshot(config_.mode, clock_->NowMicros(), entries,
-                              stats));
+      path, SerializeSnapshot(config_.mode, clock_->NowMicros(),
+                              cache_->LiveEntries(), stats));
 }
 
 util::StatusOr<size_t> FunctionProxy::RestoreSnapshot(const std::string& path) {

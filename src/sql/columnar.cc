@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "util/string_util.h"
@@ -194,6 +196,18 @@ bool EqualRef(const CellRef& a, const CellRef& b) {
 constexpr uint64_t kRowHashSeed = 0x8445d61a4e774912ULL;
 constexpr uint32_t kNullCode = 0xFFFFFFFFu;
 
+/// A non-NULL cell of another type than its column's. Every row-wise table
+/// a caller converts holds cells of their declared types (TableFromXml
+/// parses each by it), so one that does not is a bug, not bad input.
+[[noreturn]] void RefuseCell(const Column& column, const Value& value) {
+  std::fprintf(stderr,
+               "fnproxy ColumnarTable: column '%s' is declared %s but a cell "
+               "holds %s %s\n",
+               column.name.c_str(), ValueTypeName(column.type),
+               ValueTypeName(value.type()), value.ToSqlLiteral().c_str());
+  std::abort();
+}
+
 }  // namespace
 
 uint64_t DedupHashValue(const Value& value) { return HashRef(RefFromValue(value)); }
@@ -267,17 +281,13 @@ void ColumnarTable::Reserve(size_t rows) {
       case StorageKind::kString:
         c.codes.reserve(rows);
         break;
-      case StorageKind::kMixed:
-        c.mixed.reserve(rows);
-        break;
       case StorageKind::kAllNull:
         break;
     }
   }
 }
 
-void ColumnarTable::AppendNull(ColumnStore& column) {
-  size_t row = num_rows_;
+void ColumnarTable::AppendNull(ColumnStore& column, size_t row) {
   switch (column.kind) {
     case StorageKind::kInt:
       column.ints.push_back(0);
@@ -291,56 +301,10 @@ void ColumnarTable::AppendNull(ColumnStore& column) {
     case StorageKind::kString:
       column.codes.push_back(kNullCode);
       break;
-    case StorageKind::kMixed:
-      column.mixed.emplace_back();
-      break;
     case StorageKind::kAllNull:
       return;  // No storage; every cell is NULL by definition.
   }
   BitSet(column.nulls, row);
-}
-
-void ColumnarTable::PromoteToMixed(ColumnStore& column) {
-  size_t rows = num_rows_;  // Cells appended to this column so far.
-  std::vector<Value> mixed;
-  mixed.reserve(rows + 1);
-  for (size_t r = 0; r < rows; ++r) {
-    if (column.kind == StorageKind::kAllNull || BitGet(column.nulls, r)) {
-      mixed.emplace_back();
-      if (column.kind == StorageKind::kAllNull) BitSet(column.nulls, r);
-      continue;
-    }
-    switch (column.kind) {
-      case StorageKind::kInt:
-        mixed.push_back(Value::Int(column.ints[r]));
-        break;
-      case StorageKind::kDouble:
-        mixed.push_back(Value::Double(column.doubles[r]));
-        break;
-      case StorageKind::kBool:
-        mixed.push_back(Value::Bool(column.bools[r] != 0));
-        break;
-      case StorageKind::kString:
-        mixed.push_back(Value::String(column.dict[column.codes[r]]));
-        break;
-      default:
-        mixed.emplace_back();
-        break;
-    }
-  }
-  column.ints.clear();
-  column.ints.shrink_to_fit();
-  column.doubles.clear();
-  column.doubles.shrink_to_fit();
-  column.bools.clear();
-  column.bools.shrink_to_fit();
-  column.codes.clear();
-  column.codes.shrink_to_fit();
-  column.dict.clear();
-  column.dict.shrink_to_fit();
-  column.dict_index.clear();
-  column.mixed = std::move(mixed);
-  column.kind = StorageKind::kMixed;
 }
 
 uint32_t ColumnarTable::EncodeString(ColumnStore& column,
@@ -356,7 +320,7 @@ uint32_t ColumnarTable::EncodeString(ColumnStore& column,
 void ColumnarTable::AppendCell(size_t col, const Value& value) {
   ColumnStore& c = columns_[col];
   if (value.is_null()) {
-    AppendNull(c);
+    AppendNull(c, num_rows_);
     return;
   }
   switch (c.kind) {
@@ -384,15 +348,10 @@ void ColumnarTable::AppendCell(size_t col, const Value& value) {
         return;
       }
       break;
-    case StorageKind::kMixed:
-      c.mixed.push_back(value);
-      return;
     case StorageKind::kAllNull:
       break;
   }
-  // The cell does not match the column's typed storage: degrade losslessly.
-  PromoteToMixed(c);
-  c.mixed.push_back(value);
+  RefuseCell(schema_.column(col), value);
 }
 
 void ColumnarTable::AppendRow(const Row& row) {
@@ -407,31 +366,26 @@ void ColumnarTable::AppendRowFrom(const ColumnarTable& src, size_t src_row) {
     const ColumnStore& s = src.columns_[col];
     ColumnStore& d = columns_[col];
     if (src.CellIsNull(src_row, col)) {
-      AppendNull(d);
+      AppendNull(d, num_rows_);
       continue;
     }
-    if (s.kind == d.kind) {
-      switch (s.kind) {
-        case StorageKind::kInt:
-          d.ints.push_back(s.ints[src_row]);
-          continue;
-        case StorageKind::kDouble:
-          d.doubles.push_back(s.doubles[src_row]);
-          continue;
-        case StorageKind::kBool:
-          d.bools.push_back(s.bools[src_row]);
-          continue;
-        case StorageKind::kString:
-          d.codes.push_back(EncodeString(d, s.dict[s.codes[src_row]]));
-          continue;
-        case StorageKind::kMixed:
-          d.mixed.push_back(s.mixed[src_row]);
-          continue;
-        case StorageKind::kAllNull:
-          break;  // Unreachable: a kAllNull cell is NULL.
-      }
+    assert(s.kind == d.kind);
+    switch (s.kind) {
+      case StorageKind::kInt:
+        d.ints.push_back(s.ints[src_row]);
+        break;
+      case StorageKind::kDouble:
+        d.doubles.push_back(s.doubles[src_row]);
+        break;
+      case StorageKind::kBool:
+        d.bools.push_back(s.bools[src_row]);
+        break;
+      case StorageKind::kString:
+        d.codes.push_back(EncodeString(d, s.dict[s.codes[src_row]]));
+        break;
+      case StorageKind::kAllNull:
+        break;  // Unreachable: a kAllNull cell is NULL.
     }
-    AppendCell(col, src.CellValue(src_row, col));
   }
   ++num_rows_;
 }
@@ -440,23 +394,14 @@ void ColumnarTable::AppendRowsFrom(const ColumnarTable& src,
                                    const uint32_t* rows, size_t count) {
   assert(src.num_columns() == num_columns());
   if (count == 0) return;
-  // The tight per-column loops below assume matching storage kinds; a merge
-  // across a degraded (kMixed) and a typed column is rare enough that the
-  // whole batch takes the generic row-major path.
-  for (size_t col = 0; col < columns_.size(); ++col) {
-    if (columns_[col].kind != src.columns_[col].kind) {
-      for (size_t i = 0; i < count; ++i) {
-        AppendRowFrom(src, rows ? rows[i] : i);
-      }
-      return;
-    }
-  }
   size_t base = num_rows_;
   std::vector<uint32_t> code_remap;  // Per-call dictionary remap cache.
   for (size_t col = 0; col < columns_.size(); ++col) {
     const ColumnStore& s = src.columns_[col];
     ColumnStore& d = columns_[col];
     bool src_has_nulls = !s.nulls.empty();
+    // A thawed all-NULL column is kAllNull whatever its declared type.
+    assert(s.kind == d.kind || s.kind == StorageKind::kAllNull);
     switch (s.kind) {
       case StorageKind::kInt:
         d.ints.reserve(d.ints.size() + count);
@@ -500,16 +445,9 @@ void ColumnarTable::AppendRowsFrom(const ColumnarTable& src,
           d.codes.push_back(code_remap[code]);
         }
         break;
-      case StorageKind::kMixed:
-        d.mixed.reserve(d.mixed.size() + count);
-        for (size_t i = 0; i < count; ++i) {
-          size_t r = rows ? rows[i] : i;
-          d.mixed.push_back(s.mixed[r]);
-          if (src_has_nulls && BitGet(s.nulls, r)) BitSet(d.nulls, base + i);
-        }
-        break;
       case StorageKind::kAllNull:
-        break;  // No storage; every cell stays NULL by kind.
+        for (size_t i = 0; i < count; ++i) AppendNull(d, base + i);
+        break;
     }
   }
   num_rows_ += count;
@@ -522,10 +460,7 @@ bool ColumnarTable::CellIsNull(size_t row, size_t col) const {
 
 Value ColumnarTable::CellValue(size_t row, size_t col) const {
   const ColumnStore& c = columns_[col];
-  if (CellIsNull(row, col)) {
-    // kMixed keeps an exact Value even for NULL cells.
-    return c.kind == StorageKind::kMixed ? c.mixed[row] : Value::Null();
-  }
+  if (CellIsNull(row, col)) return Value::Null();
   switch (c.kind) {
     case StorageKind::kInt:
       return Value::Int(c.ints[row]);
@@ -535,8 +470,6 @@ Value ColumnarTable::CellValue(size_t row, size_t col) const {
       return Value::Bool(c.bools[row] != 0);
     case StorageKind::kString:
       return Value::String(c.dict[c.codes[row]]);
-    case StorageKind::kMixed:
-      return c.mixed[row];
     case StorageKind::kAllNull:
       break;
   }
@@ -562,11 +495,6 @@ const std::string& ColumnarTable::CellString(size_t row, size_t col) const {
   const ColumnStore& c = columns_[col];
   assert(c.kind == StorageKind::kString);
   return c.dict[c.codes[row]];
-}
-
-const Value& ColumnarTable::CellMixed(size_t row, size_t col) const {
-  assert(columns_[col].kind == StorageKind::kMixed);
-  return columns_[col].mixed[row];
 }
 
 Table ColumnarTable::ToTable() const {
@@ -597,7 +525,6 @@ ColumnarTable ColumnarTable::FromColumns(Schema schema, size_t num_rows,
     dst.bools = std::move(src.bools);
     dst.codes = std::move(src.codes);
     dst.dict = std::move(src.dict);
-    dst.mixed = std::move(src.mixed);
     dst.nulls = std::move(src.nulls);
     dst.dict_index.reserve(dst.dict.size());
     for (size_t code = 0; code < dst.dict.size(); ++code) {
@@ -641,18 +568,6 @@ ColumnarTable::NumericView ColumnarTable::BuildNumericView(
       }
       if (c.nulls.empty()) return {value_storage->data(), nullptr};
       complement_nulls();
-      return {value_storage->data(), valid_storage->data()};
-    }
-    case StorageKind::kMixed: {
-      value_storage->assign(n, 0.0);
-      valid_storage->assign(words, 0);
-      for (size_t i = 0; i < n; ++i) {
-        if (BitGet(c.nulls, i)) continue;
-        auto numeric = c.mixed[i].ToNumeric();
-        if (!numeric.ok()) continue;
-        (*value_storage)[i] = *numeric;
-        (*valid_storage)[i >> 6] |= uint64_t{1} << (i & 63);
-      }
       return {value_storage->data(), valid_storage->data()};
     }
     case StorageKind::kString:
@@ -711,9 +626,6 @@ uint64_t ColumnarTable::CellDedupHash(size_t row, size_t col) const {
     case StorageKind::kString:
       ref.tag = CellRef::Tag::kString;
       ref.s = &c.dict[c.codes[row]];
-      break;
-    case StorageKind::kMixed:
-      ref = RefFromValue(c.mixed[row]);
       break;
     case StorageKind::kAllNull:
       break;  // Unreachable: handled by CellIsNull above.
@@ -792,23 +704,13 @@ void ColumnarTable::RowDedupHashes(const uint32_t* rows, size_t count,
           hashes[i] = Mix64(hashes[i] ^ null_hash);
         }
         break;
-      case StorageKind::kMixed:
-        for (size_t i = 0; i < count; ++i) {
-          size_t r = rows ? rows[i] : i;
-          uint64_t h = (has_nulls && BitGet(c.nulls, r))
-                           ? null_hash
-                           : HashRef(RefFromValue(c.mixed[r]));
-          hashes[i] = Mix64(hashes[i] ^ h);
-        }
-        break;
     }
   }
 }
 
 namespace {
 
-CellRef RefFromColumn(const ColumnarTable& t, size_t row, size_t col,
-                      Value* scratch) {
+CellRef RefFromColumn(const ColumnarTable& t, size_t row, size_t col) {
   CellRef ref;
   if (t.CellIsNull(row, col)) return ref;
   switch (t.storage_kind(col)) {
@@ -828,10 +730,6 @@ CellRef RefFromColumn(const ColumnarTable& t, size_t row, size_t col,
       ref.tag = CellRef::Tag::kString;
       ref.s = &t.CellString(row, col);
       break;
-    case ColumnarTable::StorageKind::kMixed:
-      *scratch = t.CellMixed(row, col);
-      ref = RefFromValue(*scratch);
-      break;
     case ColumnarTable::StorageKind::kAllNull:
       break;
   }
@@ -844,9 +742,8 @@ bool ColumnarTable::RowsDedupEqual(const ColumnarTable& a, size_t row_a,
                                    const ColumnarTable& b, size_t row_b) {
   assert(a.num_columns() == b.num_columns());
   for (size_t col = 0; col < a.num_columns(); ++col) {
-    Value scratch_a, scratch_b;
-    CellRef ref_a = RefFromColumn(a, row_a, col, &scratch_a);
-    CellRef ref_b = RefFromColumn(b, row_b, col, &scratch_b);
+    CellRef ref_a = RefFromColumn(a, row_a, col);
+    CellRef ref_b = RefFromColumn(b, row_b, col);
     if (!EqualRef(ref_a, ref_b)) return false;
   }
   return true;
@@ -861,7 +758,6 @@ size_t ColumnarTable::ByteSize() const {
     total += c.bools.size();
     total += c.codes.size() * sizeof(uint32_t);
     for (const std::string& s : c.dict) total += s.size() + 32;
-    for (const Value& v : c.mixed) total += v.ByteSize() + 16;
     total += c.nulls.size() * sizeof(uint64_t);
     total += c.view_values.size() * sizeof(double);
     total += c.view_valid.size() * sizeof(uint64_t);

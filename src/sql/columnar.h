@@ -27,9 +27,10 @@ namespace fnproxy::sql {
 ///   STRING -> dictionary encoding (std::vector<uint32_t> codes + dictionary)
 ///   NULL   -> no storage (every cell is NULL)
 /// plus a null bitmap (allocated only when a column actually contains NULLs).
-/// A column whose cells do not all match the declared type degrades to a
-/// kMixed fallback (std::vector<Value>), which keeps the row-wise -> columnar
-/// -> row-wise round trip lossless for arbitrary tables.
+/// Every cell is of its column's declared type or NULL: a cached result
+/// answers one query template, whose result document declares each column's
+/// type, and TableFromXml parses every cell by it. A frozen column whose
+/// every cell is NULL thaws as kAllNull whatever its declared type.
 ///
 /// Thread safety: mutation (appends, PrepareNumericView) must finish before
 /// the table is shared; a frozen ColumnarTable is safe for concurrent
@@ -41,8 +42,7 @@ class ColumnarTable {
     kDouble,
     kBool,
     kString,   ///< Dictionary-encoded.
-    kAllNull,  ///< Declared NULL type; every cell is NULL.
-    kMixed,    ///< Fallback: exact Value per cell.
+    kAllNull,  ///< Every cell is NULL (declared NULL, or thawed all-NULL).
   };
 
   /// A contiguous read-only double view of one column. `valid == nullptr`
@@ -57,9 +57,12 @@ class ColumnarTable {
   ColumnarTable() = default;
   explicit ColumnarTable(Schema schema);
 
-  /// Lossless conversion from the row-wise representation. Intentionally
-  /// implicit: CacheEntry results are columnar, and call sites (tests,
-  /// snapshot restore) keep assigning row-wise tables.
+  /// Lossless conversion from the row-wise representation, whose every
+  /// non-NULL cell must be of its column's declared type: a cell of another
+  /// type is a caller's bug and aborts the process with a message naming
+  /// the column. Intentionally implicit: CacheEntry results are columnar,
+  /// and call sites (the proxy's decoded answers, tests) assign row-wise
+  /// tables.
   ColumnarTable(const Table& table);  // NOLINT(google-explicit-constructor)
   ColumnarTable(Table&& table);       // NOLINT(google-explicit-constructor)
 
@@ -68,17 +71,17 @@ class ColumnarTable {
   size_t num_columns() const { return columns_.size(); }
 
   void Reserve(size_t rows);
-  /// Appends one row; must match the schema width (asserted).
+  /// Appends one row; must match the schema width (asserted), and every
+  /// non-NULL cell its column's type (checked, as for the conversion).
   void AppendRow(const Row& row);
-  /// Appends row `src_row` of `src`, which must have the same column count.
-  /// Typed columns copy without materializing a Value.
+  /// Appends row `src_row` of `src`, which must have the same column types.
+  /// Copies without materializing a Value.
   void AppendRowFrom(const ColumnarTable& src, size_t src_row);
 
   /// Batch form of AppendRowFrom: appends `count` rows of `src` (row indices
   /// in `rows`; nullptr = rows 0..count-1) with one tight copy loop per
   /// column. Dictionary codes are remapped through a per-call cache instead
-  /// of one hash lookup per cell; columns whose storage kinds differ between
-  /// the tables fall back to the generic per-cell path.
+  /// of one hash lookup per cell.
   void AppendRowsFrom(const ColumnarTable& src, const uint32_t* rows,
                       size_t count);
 
@@ -97,7 +100,6 @@ class ColumnarTable {
     std::vector<uint8_t> bools;
     std::vector<uint32_t> codes;
     std::vector<std::string> dict;
-    std::vector<Value> mixed;
     std::vector<uint64_t> nulls;
     /// Re-prepare the numeric view after installation (frozen segments
     /// record which columns the proxy had prepared at admission).
@@ -113,14 +115,10 @@ class ColumnarTable {
 
   /// True when PrepareNumericView ran for `col` on this table.
   bool view_prepared(size_t col) const { return columns_[col].view_prepared; }
-  /// Exact values of a kMixed column (NULL cells hold their stored Value).
-  const std::vector<Value>& RawMixed(size_t col) const {
-    return columns_[col].mixed;
-  }
 
   StorageKind storage_kind(size_t col) const { return columns_[col].kind; }
   bool CellIsNull(size_t row, size_t col) const;
-  /// Materializes one cell (exact value, including kMixed oddities).
+  /// Materializes one cell.
   Value CellValue(size_t row, size_t col) const;
 
   // Typed accessors; calling one for the wrong storage kind is a
@@ -129,7 +127,6 @@ class ColumnarTable {
   double CellDouble(size_t row, size_t col) const;
   bool CellBool(size_t row, size_t col) const;
   const std::string& CellString(size_t row, size_t col) const;
-  const Value& CellMixed(size_t row, size_t col) const;
 
   /// Builds (and caches inside the table) the contiguous double view of
   /// `col`, so later numeric_view() calls are allocation-free. The proxy
@@ -201,7 +198,6 @@ class ColumnarTable {
     std::vector<uint32_t> codes;
     std::vector<std::string> dict;
     std::unordered_map<std::string, uint32_t> dict_index;
-    std::vector<Value> mixed;
     /// Bit set = NULL. Empty = no NULLs in the column.
     std::vector<uint64_t> nulls;
     /// Prepared numeric view. `view_values` empty = view reads `doubles`
@@ -213,9 +209,8 @@ class ColumnarTable {
 
   void InitColumns();
   void AppendCell(size_t col, const Value& value);
-  void AppendNull(ColumnStore& column);
-  /// Converts a typed column to the kMixed fallback in place.
-  void PromoteToMixed(ColumnStore& column);
+  /// Appends a NULL as row `row` of `column`.
+  static void AppendNull(ColumnStore& column, size_t row);
   uint32_t EncodeString(ColumnStore& column, const std::string& text);
 
   Schema schema_;

@@ -134,7 +134,6 @@ namespace {
 /// each distinct string is escaped once, not once per referencing cell.
 struct ColumnDesc {
   ColumnarTable::StorageKind kind = ColumnarTable::StorageKind::kAllNull;
-  size_t col = 0;
   const int64_t* ints = nullptr;
   const double* doubles = nullptr;
   const uint8_t* bools = nullptr;
@@ -156,7 +155,6 @@ std::vector<ColumnDesc> BuildColumnDescs(const ColumnarTable& table) {
   for (size_t col = 0; col < table.num_columns(); ++col) {
     ColumnDesc& desc = descs[col];
     desc.kind = table.storage_kind(col);
-    desc.col = col;
     desc.nulls = table.RawNullBits(col, &desc.null_words);
     switch (desc.kind) {
       case ColumnarTable::StorageKind::kInt:
@@ -180,7 +178,6 @@ std::vector<ColumnDesc> BuildColumnDescs(const ColumnarTable& table) {
         }
         break;
       }
-      case ColumnarTable::StorageKind::kMixed:
       case ColumnarTable::StorageKind::kAllNull:
         break;
     }
@@ -211,13 +208,6 @@ size_t EstimateColumnarBytes(const ColumnarTable& table,
             size_t len = table.CellString(r, col).size();
             estimate += 7 + len + len / 8;
           }
-        }
-        break;
-      }
-      case ColumnarTable::StorageKind::kMixed: {
-        for (size_t i = 0; i < rows; ++i) {
-          size_t r = selection ? selection[i] : i;
-          estimate += EstimateCellBytes(table.CellMixed(r, col));
         }
         break;
       }
@@ -276,9 +266,6 @@ std::string TableToXml(const ColumnarTable& table, const ResultXmlAttrs& attrs,
           break;
         case ColumnarTable::StorageKind::kString:
           out += desc.rendered_dict[desc.codes[row]];
-          break;
-        case ColumnarTable::StorageKind::kMixed:
-          AppendCell(out, table.CellMixed(row, desc.col));
           break;
         case ColumnarTable::StorageKind::kAllNull:
           break;  // Unreachable: DescCellIsNull is always true.

@@ -12,7 +12,6 @@
 namespace fnproxy::storage {
 
 using sql::ColumnarTable;
-using sql::Value;
 using util::Status;
 using util::StatusOr;
 using StorageKind = sql::ColumnarTable::StorageKind;
@@ -33,8 +32,6 @@ const char* ColumnEncodingName(ColumnEncoding encoding) {
       return "dict_string";
     case ColumnEncoding::kPackedBool:
       return "packed_bool";
-    case ColumnEncoding::kTaggedMixed:
-      return "tagged_mixed";
     case ColumnEncoding::kAllNull:
       return "all_null";
   }
@@ -323,54 +320,6 @@ size_t ShuffledEncodedSize(const double* values, size_t n) {
   return total;
 }
 
-// --- tagged mixed values -----------------------------------------------------
-
-void EncodeMixedValue(const Value& v, ByteWriter* out) {
-  switch (v.type()) {
-    case sql::ValueType::kNull:
-      out->PutU8(0);
-      break;
-    case sql::ValueType::kInt:
-      out->PutU8(1);
-      out->PutZigzag(v.AsInt());
-      break;
-    case sql::ValueType::kDouble:
-      out->PutU8(2);
-      out->PutDouble(v.AsDouble());
-      break;
-    case sql::ValueType::kString:
-      out->PutU8(3);
-      out->PutString(v.AsString());
-      break;
-    case sql::ValueType::kBool:
-      out->PutU8(4);
-      out->PutU8(v.AsBool() ? 1 : 0);
-      break;
-  }
-}
-
-bool DecodeMixedValue(ByteReader* in, Value* v) {
-  switch (in->GetU8()) {
-    case 0:
-      *v = Value::Null();
-      return in->ok();
-    case 1:
-      *v = Value::Int(in->GetZigzag());
-      return in->ok();
-    case 2:
-      *v = Value::Double(in->GetDouble());
-      return in->ok();
-    case 3:
-      *v = Value::String(in->GetString());
-      return in->ok();
-    case 4:
-      *v = Value::Bool(in->GetU8() != 0);
-      return in->ok();
-    default:
-      return false;
-  }
-}
-
 // --- column framing (docs/FORMATS.md §13.3) ----------------------------------
 //
 // Per column: u8 encoding; u8 view_prepared; varint null_words + fixed64
@@ -470,12 +419,6 @@ void EncodeColumn(const ColumnarTable& table, size_t col,
       bits.Finish();
       break;
     }
-    case StorageKind::kMixed:
-      encoding = ColumnEncoding::kTaggedMixed;
-      for (size_t i = 0; i < n; ++i) {
-        EncodeMixedValue(table.CellMixed(i, col), &packed);
-      }
-      break;
     case StorageKind::kAllNull:
       encoding = ColumnEncoding::kAllNull;
       break;
@@ -572,7 +515,7 @@ Status ReadHeader(ByteReader* in, size_t max_rows, size_t* num_rows,
 
 /// Whether a column declared `type` can hold `encoding` (false for an
 /// unknown id): typed storage follows the declared type, and any column
-/// may fall back to tagged cells or be all NULL.
+/// may be all NULL.
 bool EncodingFits(ColumnEncoding encoding, sql::ValueType type) {
   switch (encoding) {
     case ColumnEncoding::kRawInt:
@@ -586,7 +529,6 @@ bool EncodingFits(ColumnEncoding encoding, sql::ValueType type) {
       return type == sql::ValueType::kString;
     case ColumnEncoding::kPackedBool:
       return type == sql::ValueType::kBool;
-    case ColumnEncoding::kTaggedMixed:
     case ColumnEncoding::kAllNull:
       return true;
   }
@@ -687,15 +629,6 @@ bool DecodeColumn(const ColumnFrame& frame, size_t n, sql::ValueType type,
       }
       break;
     }
-    case ColumnEncoding::kTaggedMixed:
-      out->kind = StorageKind::kMixed;
-      // Every cell takes at least its tag byte.
-      if (n > r.remaining()) return false;
-      out->mixed.resize(n);
-      for (Value& v : out->mixed) {
-        if (!DecodeMixedValue(&r, &v)) return false;
-      }
-      break;
     case ColumnEncoding::kAllNull:
       out->kind = StorageKind::kAllNull;
       break;
@@ -722,8 +655,16 @@ Status DecodeWire(std::string_view wire, size_t max_rows, size_t* num_rows,
     ColumnarTable::ColumnData* out =
         columns != nullptr ? &(*columns)[col] : &reused;
     if (!DecodeColumn(frame, *num_rows, (*defs)[col].type, out)) {
-      return Status::ParseError(std::string("segment: bad payload in column ") +
-                                std::to_string(col));
+      std::string message =
+          std::string("segment: bad payload in column ") + std::to_string(col);
+      // An id this build has no encoding for, such as the retired 7.
+      if (std::strcmp(ColumnEncodingName(
+                          static_cast<ColumnEncoding>(frame.encoding)),
+                      "?") == 0) {
+        message += ": unknown encoding ";
+        message += std::to_string(frame.encoding);
+      }
+      return Status::ParseError(std::move(message));
     }
   }
   if (!in.AtEnd()) return Status::ParseError("segment: trailing bytes");

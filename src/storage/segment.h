@@ -12,7 +12,8 @@ namespace fnproxy::storage {
 
 /// Per-column encodings of a frozen segment (docs/STORAGE.md has the byte
 /// layouts). The picker chooses per column from the storage kind and the
-/// value distribution.
+/// value distribution. Id 7, once a tagged per-cell fallback for columns
+/// of mixed types, is retired: Parse refuses it.
 enum class ColumnEncoding : uint8_t {
   kRawInt = 0,         ///< Plain 8-byte int64 values.
   kRawDouble = 1,      ///< Plain 8-byte doubles.
@@ -22,7 +23,6 @@ enum class ColumnEncoding : uint8_t {
   kShuffledDouble = 4, ///< Byte-plane shuffle with per-plane RLE.
   kDictString = 5,     ///< Dictionary + bit-packed codes.
   kPackedBool = 6,     ///< One bit per row.
-  kTaggedMixed = 7,    ///< Tagged exact sql::Value per cell (fallback).
   kAllNull = 8,        ///< No payload; every cell is NULL.
 };
 

@@ -1,13 +1,16 @@
 // The warm-restart snapshot layout (docs/FORMATS.md §13.2): the binary
 // region codec of snapshot entries, which accepts only a region
-// FunctionTemplate::BuildRegion could have built, and ParseSnapshot, the
-// one reader of a whole snapshot file.
+// FunctionTemplate::BuildRegion could have built, ParseSnapshot, the one
+// reader of a whole snapshot file, and the access bookkeeping a restored
+// store evicts by.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <functional>
 #include <limits>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -16,8 +19,11 @@
 #include "geometry/hyperrectangle.h"
 #include "geometry/hypersphere.h"
 #include "geometry/polytope.h"
+#include "index/array_index.h"
+#include "snapshot_test_util.h"
 #include "sql/columnar.h"
 #include "storage/wire.h"
+#include "util/random.h"
 
 namespace fnproxy::core {
 namespace {
@@ -178,8 +184,10 @@ TEST(RegionCodecTest, RefusesCountsTheBytesCannotHold) {
 
 // --- Whole files -------------------------------------------------------------
 
-std::shared_ptr<const CacheEntry> HotEntry(
-    std::unique_ptr<geometry::Region> region) {
+/// A hot entry as admitted (accessed once, at 0) beside the live
+/// bookkeeping the writer's store kept for it: the values a snapshot
+/// holds.
+LiveEntry HotEntry(std::unique_ptr<geometry::Region> region) {
   sql::Table rows(sql::Schema({{"x", sql::ValueType::kDouble},
                                {"name", sql::ValueType::kString}}));
   rows.AddRow({sql::Value::Double(1.5), sql::Value::String("a")});
@@ -190,9 +198,9 @@ std::shared_ptr<const CacheEntry> HotEntry(
   entry->region = std::move(region);
   entry->result = sql::ColumnarTable(rows);
   entry->truncated = true;
-  entry->last_access_micros = -7;
-  entry->access_count = 3;
-  return entry;
+  entry->last_access_micros = 0;
+  entry->access_count = 1;
+  return {std::move(entry), -7, 3};
 }
 
 SnapshotStats SomeStats() {
@@ -317,6 +325,144 @@ TEST(ParseSnapshotTest, ChecksCountersAndRecords) {
   EXPECT_FALSE(with_stats(Stats({"a_total", "b_total", "a_total"}, 4)).ok());
   EXPECT_FALSE(with_stats(Stats({}, 5)).ok());
   EXPECT_FALSE(with_stats(Stats({}, 9)).ok());
+}
+
+/// SomeFile with `coverage_served` and its first record's `coverage`.
+std::string FileWithCoverage(double coverage_served, double coverage) {
+  SnapshotStats stats = SomeStats();
+  stats.coverage_served = coverage_served;
+  stats.records[0].coverage = coverage;
+  return SerializeSnapshot(CachingMode::kActiveFull, 0,
+                           {HotEntry(std::make_unique<geometry::Hypersphere>(
+                               geometry::ConeToHypersphere(185, 33, 2)))},
+                           stats);
+}
+
+TEST(ParseSnapshotTest, RefusesCoverageNoWriterProduces) {
+  EXPECT_TRUE(ParseSnapshot(FileWithCoverage(0, 0)).ok());
+  EXPECT_TRUE(ParseSnapshot(FileWithCoverage(2.5, 1)).ok());
+  // Coverage served sums degraded answers' coverages, so it is finite and
+  // never negative.
+  for (double served : {kNan, kInf, -kInf, -0.5}) {
+    SCOPED_TRACE(served);
+    auto parsed = ParseSnapshot(FileWithCoverage(served, 0.5));
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_NE(parsed.status().message().find("coverage served"),
+              std::string::npos)
+        << parsed.status().ToString();
+  }
+  // A record's coverage is a fraction of its region.
+  for (double coverage : {kNan, kInf, -0.25, 1.5}) {
+    SCOPED_TRACE(coverage);
+    auto parsed = ParseSnapshot(FileWithCoverage(0.5, coverage));
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_NE(parsed.status().message().find("record coverage"),
+              std::string::npos)
+        << parsed.status().ToString();
+  }
+}
+
+TEST(ParseSnapshotTest, NanCoverageServedRestoresCold) {
+  const std::string path =
+      ::testing::TempDir() + "/fnproxy_nan_coverage_served.snap";
+  ASSERT_TRUE(
+      storage::WriteFileAtomic(path, FileWithCoverage(kNan, 0.5)).ok());
+  {
+    RestoringProxy restored(path);
+    EXPECT_EQ(restored.proxy()->cache().num_entries(), 0u);
+    EXPECT_EQ(SnapshotErrors(restored.proxy()), 1);
+    EXPECT_EQ(MetricValue(restored.proxy(),
+                          "fnproxy_degraded_coverage_served_total"),
+              0);
+  }
+  std::remove(path.c_str());
+}
+
+// --- Access bookkeeping ------------------------------------------------------
+
+/// Entry `i` of the store tests: `rows` full-precision doubles in a region
+/// of its own, admitted at virtual time i + 1 with one access.
+CacheEntry StoreEntry(int i, size_t rows) {
+  util::Random rng(static_cast<uint64_t>(i) + 1);
+  sql::Table table(sql::Schema({{"x", sql::ValueType::kDouble}}));
+  for (size_t r = 0; r < rows; ++r) {
+    table.AddRow({sql::Value::Double(rng.NextDouble(-1, 1))});
+  }
+  CacheEntry entry;
+  entry.template_id = "radial";
+  entry.nonspatial_fingerprint = std::string("e") + std::to_string(i);
+  entry.region = std::make_unique<geometry::Hypersphere>(
+      Point{10.0 * i, 0.0}, 1.0);
+  entry.result = table;
+  entry.last_access_micros = i + 1;
+  entry.access_count = 1;
+  return entry;
+}
+
+std::unique_ptr<CacheStore> MakeStore(ReplacementPolicy policy,
+                                      size_t max_bytes) {
+  return std::make_unique<CacheStore>(
+      [] { return std::make_unique<index::ArrayRegionIndex>(); }, 1,
+      max_bytes, policy);
+}
+
+std::set<std::string> Fingerprints(const CacheStore& store) {
+  std::set<std::string> fingerprints;
+  for (const LiveEntry& live : store.LiveEntries()) {
+    fingerprints.insert(live.entry->nonspatial_fingerprint);
+  }
+  return fingerprints;
+}
+
+TEST(SnapshotBookkeepingTest, RestoredStoreEvictsTheWritersNextVictim) {
+  // The first entry is the largest and the oldest, so it is the next
+  // victim of both policies until its three later hits count: the access
+  // count prices it under kCostAware, the last access orders it under
+  // kLru.
+  const size_t kRows[] = {300, 100, 200};
+  auto fill = [&](CacheStore* store) {
+    std::vector<uint64_t> ids;
+    for (int i = 0; i < 3; ++i) {
+      ids.push_back(store->Insert(StoreEntry(i, kRows[i])));
+    }
+    for (int64_t now : {10, 11, 12}) store->Touch(ids[0], now);
+  };
+  for (ReplacementPolicy policy :
+       {ReplacementPolicy::kCostAware, ReplacementPolicy::kLru}) {
+    SCOPED_TRACE(ReplacementPolicyName(policy));
+    // Each store's budget holds its three entries and one byte less than
+    // the next entry besides, so admitting that entry evicts exactly one.
+    auto extra = MakeStore(policy, 0);
+    extra->Insert(StoreEntry(3, 50));
+    auto unlimited = MakeStore(policy, 0);
+    fill(unlimited.get());
+    auto writer = MakeStore(policy, unlimited->bytes_used() +
+                                        extra->bytes_used() - 1);
+    fill(writer.get());
+    const std::string file = SerializeSnapshot(
+        CachingMode::kActiveFull, 20, writer->LiveEntries(), SnapshotStats{});
+
+    auto restore = [&](CacheStore* store) {
+      auto snapshot = ParseSnapshot(file);
+      ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+      for (CacheEntry& entry : snapshot->entries) {
+        store->Insert(std::move(entry));
+      }
+    };
+    auto restored_unlimited = MakeStore(policy, 0);
+    restore(restored_unlimited.get());
+    auto restored = MakeStore(policy, restored_unlimited->bytes_used() +
+                                          extra->bytes_used() - 1);
+    restore(restored.get());
+    ASSERT_EQ(restored->num_entries(), 3u);
+
+    writer->Insert(StoreEntry(3, 50));
+    restored->Insert(StoreEntry(3, 50));
+    EXPECT_EQ(writer->evictions(), 1u);
+    EXPECT_EQ(restored->evictions(), 1u);
+    EXPECT_EQ(Fingerprints(*restored), Fingerprints(*writer));
+    EXPECT_EQ(Fingerprints(*writer).count("e0"), 1u);
+  }
 }
 
 TEST(ParseSnapshotTest, RefusesBadSectionsAndSectionSets) {

@@ -1,6 +1,7 @@
 // Randomized property tests for the columnar storage layer, with the
 // row-wise implementations as oracles: the columnar representation must
-// round-trip arbitrary tables losslessly, and the columnar subsumed-query
+// round-trip tables of typed cells and NULLs losslessly (and refuse a cell
+// of another type than its column's), and the columnar subsumed-query
 // pipeline (SelectInRegion / MergeDistinct / ApplyOrderAndTop / TableToXml)
 // must agree with the row-wise path to the byte, including the historical
 // dedup identity (ToSqlLiteral key strings) and Region::ContainsPoint float
@@ -22,6 +23,7 @@
 #include "sql/columnar.h"
 #include "sql/parser.h"
 #include "sql/table_xml.h"
+#include "storage/segment.h"
 #include "util/random.h"
 
 namespace fnproxy {
@@ -106,16 +108,9 @@ Value RandomValueOfType(util::Random& rng, ValueType type) {
   return Value::Null();
 }
 
-/// 80% a value of the declared type, 10% NULL, 10% a value of a random other
-/// type (degrading the column to the kMixed fallback).
+/// 90% a value of the declared type, 10% NULL.
 Value RandomCell(util::Random& rng, ValueType declared) {
-  uint64_t roll = rng.NextUint64(10);
-  if (roll == 0) return Value::Null();
-  if (roll == 1) {
-    static const ValueType kTypes[] = {ValueType::kInt, ValueType::kDouble,
-                                       ValueType::kBool, ValueType::kString};
-    return RandomValueOfType(rng, kTypes[rng.NextUint64(4)]);
-  }
+  if (rng.NextUint64(10) == 0) return Value::Null();
   return RandomValueOfType(rng, declared);
 }
 
@@ -219,6 +214,68 @@ TEST(ColumnarPropertyTest, AppendRowsFromMatchesPerRowAppend) {
   }
 }
 
+/// A frozen column whose every cell is NULL thaws as kAllNull whatever its
+/// declared type, so a batch append from a thawed table meets a storage
+/// kind other than its own column's.
+TEST(ColumnarPropertyTest, AppendRowsFromThawedAllNullColumns) {
+  util::Random rng(20);
+  for (int iter = 0; iter < 50; ++iter) {
+    Table table = RandomTable(rng, 40);
+    if (table.num_rows() == 0) continue;
+    const size_t null_column = rng.NextUint64(table.schema().num_columns());
+    Table nulls(table.schema());
+    for (const Row& row : table.rows()) {
+      Row copy = row;
+      copy[null_column] = Value::Null();
+      nulls.AddRow(std::move(copy));
+    }
+    const ColumnarTable thawed =
+        storage::FrozenSegment::Freeze(ColumnarTable(nulls)).Thaw();
+    ASSERT_EQ(thawed.storage_kind(null_column),
+              ColumnarTable::StorageKind::kAllNull);
+    std::vector<uint32_t> picks;
+    for (size_t r = 0; r < thawed.num_rows(); ++r) {
+      if (rng.NextUint64(2) == 0) picks.push_back(static_cast<uint32_t>(r));
+    }
+    ColumnarTable batch(table.schema());
+    batch.AppendRowsFrom(thawed, picks.data(), picks.size());
+    ColumnarTable scalar(table.schema());
+    for (uint32_t r : picks) scalar.AppendRowFrom(thawed, r);
+    Table expected(table.schema());
+    for (uint32_t r : picks) expected.AddRow(nulls.row(r));
+    EXPECT_TRUE(TablesBitEqual(batch.ToTable(), expected))
+        << "iteration " << iter;
+    EXPECT_TRUE(TablesBitEqual(scalar.ToTable(), expected))
+        << "iteration " << iter;
+    EXPECT_EQ(sql::TableToXml(batch), sql::TableToXml(expected));
+  }
+}
+
+TEST(ColumnarTableDeathTest, RefusesACellOfAnotherType) {
+  // Each column is its declared type or NULL: an int in a DOUBLE column is
+  // refused, not widened, and a NULL-typed column holds only NULLs.
+  const std::pair<ValueType, Value> kCases[] = {
+      {ValueType::kDouble, Value::Int(3)},
+      {ValueType::kInt, Value::Double(2.5)},
+      {ValueType::kString, Value::Bool(true)},
+      {ValueType::kBool, Value::String("yes")},
+      {ValueType::kNull, Value::Int(1)},
+  };
+  for (const auto& [declared, cell] : kCases) {
+    const std::string declared_name = sql::ValueTypeName(declared);
+    SCOPED_TRACE(declared_name);
+    Table table(Schema({{"id", ValueType::kInt}, {"x", declared}}));
+    table.AddRow({Value::Int(1), Value::Null()});
+    table.AddRow({Value::Int(2), cell});
+    const std::string message = std::string("column 'x' is declared ") +
+                                declared_name + " but a cell holds " +
+                                sql::ValueTypeName(cell.type());
+    EXPECT_DEATH((void)ColumnarTable(table), message);
+    ColumnarTable columnar(table.schema());
+    EXPECT_DEATH(columnar.AppendRow({Value::Int(3), cell}), message);
+  }
+}
+
 TEST(ColumnarPropertyTest, BatchRowHashesMatchScalarHashes) {
   util::Random rng(13);
   for (int iter = 0; iter < 100; ++iter) {
@@ -238,27 +295,26 @@ TEST(ColumnarPropertyTest, BatchRowHashesMatchScalarHashes) {
 /// Coordinate column names, in dimension order.
 const std::vector<std::string> kCoords = {"x", "y", "z", "u", "v"};
 
-/// Coordinate tables over the first `dims` of kCoords, declared DOUBLE. When
-/// `with_nulls` holds they are occasionally NULL, a non-numeric string or an
-/// int (degrading to kMixed), exercising the validity-bitmap path of the
-/// membership kernels; otherwise they are plain doubles with no bitmap.
+/// Coordinate tables over the first `dims` of kCoords: the last declared
+/// INT, whose numeric view widens its ints to doubles, the others DOUBLE.
+/// When `with_nulls` holds a coordinate is occasionally NULL, exercising
+/// the validity-bitmap path of the membership kernels; otherwise no
+/// coordinate column has a bitmap.
 Table RandomPointsTable(util::Random& rng, size_t rows, size_t dims = 2,
                         bool with_nulls = true) {
   std::vector<sql::Column> columns = {{"id", ValueType::kInt}};
   for (size_t d = 0; d < dims; ++d) {
-    columns.push_back({kCoords[d], ValueType::kDouble});
+    columns.push_back(
+        {kCoords[d], d + 1 == dims ? ValueType::kInt : ValueType::kDouble});
   }
   Table table((Schema(columns)));
   for (size_t r = 0; r < rows; ++r) {
     Row row;
     row.push_back(Value::Int(static_cast<int64_t>(r)));
     for (size_t d = 0; d < dims; ++d) {
-      uint64_t roll = with_nulls ? rng.NextUint64(20) : 3;
-      if (roll == 0) {
+      if (with_nulls && rng.NextUint64(8) == 0) {
         row.push_back(Value::Null());
-      } else if (roll == 1) {
-        row.push_back(Value::String("not-a-number"));
-      } else if (roll == 2) {
+      } else if (d + 1 == dims) {
         row.push_back(Value::Int(static_cast<int64_t>(rng.NextUint64(10))));
       } else {
         row.push_back(Value::Double(rng.NextDouble(0, 10)));
@@ -469,18 +525,10 @@ TEST(ColumnarPropertyTest, XmlRoundTripThroughParser) {
   util::Random rng(17);
   for (int iter = 0; iter < 50; ++iter) {
     Table table = RandomTable(rng, 20);
-    // The XML parser re-types cells from the schema's declared types; NaN
-    // has no parseable rendering, and mixed-type cells legitimately change
-    // type. Restrict to well-typed tables for the parse-back check.
+    // NaN has no parseable rendering: skip tables that hold one.
     bool parseable = true;
     for (size_t r = 0; r < table.num_rows() && parseable; ++r) {
-      for (size_t c = 0; c < table.schema().columns().size(); ++c) {
-        const Value& v = table.row(r)[c];
-        if (!v.is_null() &&
-            v.type() != table.schema().columns()[c].type) {
-          parseable = false;
-          break;
-        }
+      for (const Value& v : table.row(r)) {
         if (v.type() == ValueType::kDouble && std::isnan(v.AsDouble())) {
           parseable = false;
           break;

@@ -4,20 +4,24 @@
 // XML bytes, prepared numeric views come back value-for-value, and the wire
 // form round-trips through Serialize/Parse — for randomized tables and for
 // the corner shapes (all-NULL columns, empty tables, degenerate
-// dictionaries, mixed-type fallback columns) that each encoder handles
-// specially. Parse must reject every payload its decoders cannot decode.
+// dictionaries) that each encoder handles specially. Parse must reject
+// every payload its decoders cannot decode, and the retired encoding id 7.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "core/cache_snapshot.h"
+#include "snapshot_test_util.h"
 #include "sql/columnar.h"
 #include "sql/table_xml.h"
 #include "storage/segment.h"
+#include "storage/wire.h"
 #include "storage_test_util.h"
 #include "util/random.h"
 
@@ -189,17 +193,47 @@ TEST(StorageEncodingTest, BoolsPackToBits) {
   ExpectLosslessUnderAllPolicies(rows, "packed bools");
 }
 
-TEST(StorageEncodingTest, MixedColumnsUseTaggedFallback) {
-  Table rows(Schema({{"m", ValueType::kInt}}));
-  rows.AddRow({Value::Int(7)});
-  rows.AddRow({Value::String("not an int")});
-  rows.AddRow({Value::Double(2.5)});
-  rows.AddRow({Value::Null()});
-  rows.AddRow({Value::Bool(true)});
-  ColumnarTable source(rows);
-  FrozenSegment segment = FrozenSegment::Freeze(source);
-  EXPECT_EQ(segment.encoding(0), ColumnEncoding::kTaggedMixed);
-  ExpectLosslessUnderAllPolicies(rows, "mixed fallback");
+TEST(StorageEncodingTest, RetiredTaggedEncodingIsRefused) {
+  // Id 7 held one tagged value per cell (0 NULL, 1 int, 2 double, 3
+  // string, 4 bool): here Int(7), a string, a double, NULL and a bool in a
+  // column declared INT, as builds with mixed-type columns froze them.
+  ByteWriter cells;
+  cells.PutU8(1);
+  cells.PutZigzag(7);
+  cells.PutU8(3);
+  cells.PutString("not an int");
+  cells.PutU8(2);
+  cells.PutDouble(2.5);
+  cells.PutU8(0);
+  cells.PutU8(4);
+  cells.PutU8(1);
+  auto parsed = FrozenSegment::Parse(
+      OneColumnSegment(5, ValueType::kInt, static_cast<ColumnEncoding>(7),
+                       cells.Release(), {}, {uint64_t{1} << 3}));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find("unknown encoding 7"),
+            std::string::npos)
+      << parsed.status().ToString();
+
+  // A snapshot such a build wrote with one of them is refused whole, and a
+  // proxy restoring it starts cold.
+  auto file = ReadFileToString(std::string(FNPROXY_SNAPSHOT_FIXTURE_DIR) +
+                               "/tagged-mixed-encoding.snap");
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  auto snapshot = core::ParseSnapshot(*file);
+  ASSERT_FALSE(snapshot.ok());
+  EXPECT_NE(snapshot.status().message().find("unknown encoding 7"),
+            std::string::npos)
+      << snapshot.status().ToString();
+  const std::string path =
+      ::testing::TempDir() + "/fnproxy_tagged_mixed_encoding.snap";
+  ASSERT_TRUE(WriteFileAtomic(path, *file).ok());
+  {
+    core::RestoringProxy restored(path);
+    EXPECT_EQ(restored.proxy()->cache().num_entries(), 0u);
+    EXPECT_EQ(core::SnapshotErrors(restored.proxy()), 1);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(StorageEncodingTest, AdversarialDoublesStayBitExact) {

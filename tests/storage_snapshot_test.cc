@@ -23,6 +23,7 @@
 #include "net/network.h"
 #include "server/sky_functions.h"
 #include "server/web_app.h"
+#include "snapshot_test_util.h"
 #include "sql/table_xml.h"
 #include "storage/wire.h"
 #include "workload/experiment.h"
@@ -228,6 +229,34 @@ TEST_F(SnapshotProxyTest, RestoredProxyRendersIdenticalStats) {
   EXPECT_EQ(restored_cost.Of(100), 1.0);
 }
 
+TEST_F(SnapshotProxyTest, SnapshotKeepsLiveAccessBookkeeping) {
+  Node writer = MakeNode(/*restore=*/false);
+  for (const HttpRequest& request : WarmupSequence()) {
+    ASSERT_TRUE(writer.proxy->Handle(request).ok());
+  }
+  ASSERT_GT(writer.proxy->stats().exact_hits +
+                writer.proxy->stats().containment_hits,
+            0u);
+  ASSERT_TRUE(writer.proxy->WriteSnapshot(snapshot_path_).ok());
+  const std::vector<LiveEntry> live = writer.proxy->cache().LiveEntries();
+  auto file = storage::ReadFileToString(snapshot_path_);
+  ASSERT_TRUE(file.ok());
+  auto snapshot = ParseSnapshot(*file);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  // The file holds the entries in the store's order, each with the
+  // bookkeeping its hits left, not the values it was admitted with.
+  ASSERT_EQ(snapshot->entries.size(), live.size());
+  bool hit_since_admission = false;
+  for (size_t i = 0; i < live.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(snapshot->entries[i].access_count, live[i].access_count);
+    EXPECT_EQ(snapshot->entries[i].last_access_micros,
+              live[i].last_access_micros);
+    hit_since_admission |= live[i].access_count > live[i].entry->access_count;
+  }
+  EXPECT_TRUE(hit_since_admission);
+}
+
 TEST_F(SnapshotProxyTest, RestoredProxyServesWarmWithoutOrigin) {
   std::vector<HttpRequest> warmup = WarmupSequence();
   std::vector<HttpRequest> probes = {
@@ -366,9 +395,12 @@ void RewriteSnapshot(const std::string& path,
   auto snapshot = ParseSnapshot(*contents);
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
   edit(&*snapshot);
-  std::vector<std::shared_ptr<const CacheEntry>> entries;
+  std::vector<LiveEntry> entries;
   for (CacheEntry& entry : snapshot->entries) {
-    entries.push_back(std::make_shared<CacheEntry>(std::move(entry)));
+    const int64_t last_access_micros = entry.last_access_micros;
+    const uint64_t access_count = entry.access_count;
+    entries.push_back({std::make_shared<CacheEntry>(std::move(entry)),
+                       last_access_micros, access_count});
   }
   ASSERT_TRUE(storage::WriteFileAtomic(
                   path, SerializeSnapshot(snapshot->mode,
@@ -377,19 +409,7 @@ void RewriteSnapshot(const std::string& path,
                   .ok());
 }
 
-/// The value of one /metrics series, or -1 when it is not rendered.
-double MetricValue(FunctionProxy* proxy, const std::string& series) {
-  HttpRequest scrape;
-  scrape.path = "/metrics";
-  const std::string text = proxy->Handle(scrape).body;
-  const size_t pos = text.find("\n" + series + " ");
-  if (pos == std::string::npos) return -1;
-  return std::stod(text.substr(pos + series.size() + 2));
-}
-
 TEST_F(SnapshotProxyTest, FailedRestoreInstallsNothing) {
-  const std::string kRestoreErrors =
-      "fnproxy_storage_snapshot_writes_total{outcome=\"error\"}";
   Node writer = MakeNode(/*restore=*/false);
   for (const HttpRequest& request : WarmupSequence()) {
     ASSERT_TRUE(writer.proxy->Handle(request).ok());
@@ -470,7 +490,7 @@ TEST_F(SnapshotProxyTest, FailedRestoreInstallsNothing) {
     Node fresh = MakeNode(/*restore=*/false);
     EXPECT_EQ(restored.proxy->cache().num_entries(), 0u);
     EXPECT_EQ(restored.proxy->stats().ToXml(), fresh.proxy->stats().ToXml());
-    EXPECT_EQ(MetricValue(restored.proxy.get(), kRestoreErrors), 1);
+    EXPECT_EQ(SnapshotErrors(restored.proxy.get()), 1);
     EXPECT_EQ(
         MetricValue(restored.proxy.get(),
                     "fnproxy_storage_restored_entries_total"),
